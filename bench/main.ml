@@ -50,6 +50,12 @@ open Icfg_isa
 module Experiments = Icfg_harness.Experiments
 module Asm = Icfg_codegen.Asm
 
+let json_escape = Icfg_core.Stats.json_escape
+
+(* Monotonic nanoseconds since [t0] (a [Metrics.now_ns] reading): the wall
+   clock can step under NTP and make a row negative or huge. *)
+let elapsed_ns t0 = Int64.to_float (Int64.sub (Icfg_core.Metrics.now_ns ()) t0)
+
 let experiments =
   [
     ("table1", Experiments.table1);
@@ -183,20 +189,6 @@ let corpus_result : Icfg_harness.Matrix.t option ref = ref None
 
 (* Full trace tree of the last traced rewrite, for --trace FILE. *)
 let trace_json : string option ref = ref None
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.1f" f
 
@@ -350,11 +342,11 @@ let time_stage ~stage ~reps run jobs_list =
   let row jobs =
     (* warm up: fault in the domain pool and any lazy state *)
     ignore (Sys.opaque_identity (run jobs));
-    let t0 = Unix.gettimeofday () in
+    let t0 = Icfg_core.Metrics.now_ns () in
     for _ = 1 to reps do
       ignore (Sys.opaque_identity (run jobs))
     done;
-    let t = (Unix.gettimeofday () -. t0) /. float_of_int reps in
+    let t = elapsed_ns t0 /. 1e9 /. float_of_int reps in
     parallel_rows := !parallel_rows @ [ (stage, jobs, t) ];
     Printf.printf "  %-18s jobs=%d %12.0f ns/run  %10.1f runs/s\n%!" stage
       jobs (t *. 1e9) (1. /. t);
@@ -367,28 +359,29 @@ let time_stage ~stage ~reps run jobs_list =
         rest
   | [] -> ()
 
-(* A synthetic but representative item stream for the encode stage: labels,
+(* A synthetic but representative item stream for the encode stage, one
+   segment per "function" as the rewriter lays sections out: labels,
    plain instructions, resolved branches and address-holding data words
    (which produce relocations under PIE), so every chunk boundary shape is
    exercised. *)
 let encode_fixture () =
   let n = 4000 in
-  let items =
-    List.concat
-      (List.init n (fun i ->
-           [
-             Asm.Label (Printf.sprintf "L%d" i);
-             Asm.Insn (Insn.Mov (Reg.r0, Imm i));
-             Asm.Insn Insn.Nop;
-             Asm.Jmp_to (Printf.sprintf "L%d" (i / 2));
-             Asm.Data (W64, Asm.Addr (Printf.sprintf "L%d" (i / 3)), `Reloc);
-           ]))
+  let segs =
+    List.init n (fun i ->
+        ( i,
+          [
+            Asm.Label (Printf.sprintf "L%d" i);
+            Asm.Insn (Insn.Mov (Reg.r0, Imm i));
+            Asm.Insn Insn.Nop;
+            Asm.Jmp_to (Printf.sprintf "L%d" (i / 2));
+            Asm.Data (W64, Asm.Addr (Printf.sprintf "L%d" (i / 3)), `Reloc);
+          ] ))
   in
   let labels = Hashtbl.create (2 * n) in
-  let lay =
-    Asm.layout Arch.X86_64 ~pie:true ~labels ~base:0x400000 items
+  let r =
+    Asm.layout_pinned Arch.X86_64 ~pie:true ~labels ~base:0x400000 segs
   in
-  (labels, lay)
+  (labels, r)
 
 let run_parallel_micro () =
   print_endline "== Serial vs parallel stage timings (largest spec binary) ==";
@@ -408,24 +401,21 @@ let run_parallel_micro () =
     List.map (fun f -> f.Icfg_analysis.Parse.fa_cfg) parse.Icfg_analysis.Parse.funcs
   in
   let fm = Icfg_analysis.Failure_model.ours in
+  let map jobs = (Icfg_core.Cache.runner ~jobs ()).Icfg_analysis.Parse.map in
   time_stage ~stage:"func-ptr" ~reps:200
     (fun jobs ->
-      let par =
-        if jobs <= 1 then Icfg_analysis.Func_ptr.serial
-        else
-          { Icfg_analysis.Func_ptr.pmap = (fun f l -> Icfg_core.Pool.map ~jobs f l) }
-      in
-      Icfg_analysis.Func_ptr.analyze ~par bin fm cfgs)
+      Icfg_analysis.Func_ptr.analyze
+        ~map:(map jobs ~stage:"parse/fptr")
+        bin fm cfgs)
     [ 1; 4 ];
-  (* Section encoding against a frozen label table, chunked. *)
-  let labels, lay = encode_fixture () in
+  (* Section encoding against a frozen label table, one chunk per
+     segment. *)
+  let labels, r = encode_fixture () in
   time_stage ~stage:"encode" ~reps:100
     (fun jobs ->
-      if jobs <= 1 then Asm.encode Arch.X86_64 ~pie:true ~toc:0 ~labels lay
-      else
-        Asm.encode_sharded Arch.X86_64 ~pie:true ~toc:0 ~labels
-          ~par:{ Asm.pmap = (fun f l -> Icfg_core.Pool.map ~jobs f l) }
-          ~chunks:(4 * jobs) lay)
+      Asm.encode_chunks Arch.X86_64 ~pie:true ~toc:0 ~labels
+        ~map:(map jobs ~stage:"encode")
+        r.Asm.p_layout r.Asm.p_chunks)
     [ 1; 4 ]
 
 (* Per-stage wall-time rows sourced from Trace: one traced parse+rewrite per
@@ -501,11 +491,11 @@ let run_cache_micro () =
   in
   let row name ~reps ~counters run =
     ignore (Sys.opaque_identity (run ()));
-    let t0 = Unix.gettimeofday () in
+    let t0 = Icfg_core.Metrics.now_ns () in
     for _ = 1 to reps do
       ignore (Sys.opaque_identity (run ()))
     done;
-    let ns = (Unix.gettimeofday () -. t0) /. float_of_int reps *. 1e9 in
+    let ns = elapsed_ns t0 /. float_of_int reps in
     cache_rows := !cache_rows @ [ (name, ns, counters) ];
     Printf.printf "  %-24s %12.0f ns/run  (%s)\n%!" name ns
       (String.concat ", "
@@ -796,7 +786,7 @@ let run_serve_incremental_micro () =
        edits;
      let needfull = ref 0 and mismatches = ref 0 in
      let wire = ref 0 and full_bytes = ref 0 in
-     let t0 = Unix.gettimeofday () in
+     let t0 = Icfg_core.Metrics.now_ns () in
      List.iter
        (fun (base, edited, expected) ->
          let ranges = Protocol.diff_ranges ~base edited in
@@ -816,7 +806,7 @@ let run_serve_incremental_micro () =
          | Ok (Protocol.NeedFull _) -> incr needfull
          | _ -> incr mismatches)
        edits;
-     let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+     let wall_ns = elapsed_ns t0 in
      let n = List.length edits in
      row "serve-patch-stream"
        (wall_ns /. float_of_int (max 1 n))
@@ -871,9 +861,9 @@ let run_serve_incremental_micro () =
   (* Pass 2 (timed): the same requests re-sent as [Ref] digests — the
      resolved binary, and therefore the memo key, is identical, so every
      replay answers from the memo: no pipeline, no re-upload. *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Icfg_core.Metrics.now_ns () in
   let pass2 = List.map (raw_call (fun _ d -> Protocol.Ref d)) items in
-  let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+  let wall_ns = elapsed_ns t0 in
   let hits =
     Option.value ~default:0
       (M.find_counter (Server.snapshot srv) "response_cache.hit")

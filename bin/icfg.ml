@@ -413,13 +413,15 @@ let serve_cmd socket bound workers jobs cache_dir stats_interval =
    with _ -> ());
   (try Sys.set_signal Sys.sigusr1 (Sys.Signal_handle request_dump)
    with _ -> ());
-  let last = ref (Unix.gettimeofday ()) in
+  let now = Icfg_core.Metrics.now_ns in
+  let last = ref (now ()) in
   while not (Atomic.get stop) do
     Unix.sleepf 0.2;
     if Atomic.exchange dump false then serve_stats_line "live:" srv;
     match stats_interval with
-    | Some iv when iv > 0. && Unix.gettimeofday () -. !last >= iv ->
-        last := Unix.gettimeofday ();
+    | Some iv
+      when iv > 0. && Int64.to_float (Int64.sub (now ()) !last) >= iv *. 1e9 ->
+        last := now ();
         serve_stats_line "live:" srv
     | _ -> ()
   done;

@@ -3,6 +3,7 @@ module Binary = Icfg_obj.Binary
 module Section = Icfg_obj.Section
 module Symbol = Icfg_obj.Symbol
 module Reloc = Icfg_obj.Reloc
+module Key = Icfg_obj.Key
 
 type site =
   | Fp_slot of { slot : int; target : int; via_reloc : bool }
@@ -189,10 +190,6 @@ let dedup sites =
         true))
     sites
 
-type par = { pmap : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-
-let serial = { pmap = List.map }
-
 (* Serial pass: data-resident slots, which double as the slot-target map
    the forward slicer consults. Everything the per-CFG scan reads — the
    binary, the entry set and [slot_targets] — is frozen before the fan-out,
@@ -213,44 +210,37 @@ let data_slot_pass bin (fm : Failure_model.t) entries =
     data_sites;
   (data_sites, slot_targets)
 
-let analyze ?(par = serial) ?scan_map bin (fm : Failure_model.t)
+let analyze ?(map = fun ~key:_ f l -> List.map f l) bin (fm : Failure_model.t)
     (cfgs : Cfg.t list) =
   let entries = entry_set bin in
   let data_sites, slot_targets = data_slot_pass bin fm entries in
-  (* Per-CFG scans fan out through the injected mapper; the mapper is
-     order-preserving, so concatenating per-CFG results reproduces the
-     serial [List.concat_map] site order exactly, and dedup (which keeps
-     first occurrences) is schedule-independent. [scan_map] lets a caller
-     interpose a memoizing mapper (Parse threads the rewrite cache through
-     here); it must be observation-equivalent to [par.pmap]. *)
+  (* Per-CFG scans go through the injected mapper; it is order-preserving,
+     so concatenating per-CFG results reproduces the serial
+     [List.concat_map] site order exactly, and dedup (which keeps first
+     occurrences) is schedule-independent. *)
   let scan cfg =
     List.concat_map
       (fun b -> fp_scan_block bin fm entries slot_targets b)
       cfg.Cfg.blocks
   in
-  let per_cfg =
-    match scan_map with
-    | Some m ->
-        (* Canonical bytes of exactly the frozen cross-CFG state a scan
-           reads besides the CFG itself: the failure model, the TOC base,
-           the entry set and the slot-target map (tables folded to sorted
-           lists so the digest is independent of insertion order). A
-           memoizer combining this with the scanned CFG's content has
-           covered every input of [scan]. *)
-        let extra =
-          Marshal.to_string
-            ( fm,
-              bin.Binary.toc_base,
-              List.sort compare
-                (Hashtbl.fold (fun a () acc -> a :: acc) entries []),
-              List.sort compare
-                (Hashtbl.fold (fun s t acc -> (s, t) :: acc) slot_targets []) )
-            [ Marshal.No_sharing ]
-        in
-        m ~extra scan cfgs
-    | None -> par.pmap scan cfgs
+  (* Canonical bytes of exactly the frozen cross-CFG state a scan reads
+     besides the CFG itself: the failure model, the TOC base, the entry
+     set and the slot-target map (tables folded to sorted lists so the
+     digest is independent of insertion order). Together with the scanned
+     CFG's content this covers every input of [scan]. Lazy: a mapper that
+     does not memoize never asks for a key. *)
+  let extra =
+    lazy
+      (Key.dval
+         ( fm,
+           bin.Binary.toc_base,
+           List.sort compare
+             (Hashtbl.fold (fun a () acc -> a :: acc) entries []),
+           List.sort compare
+             (Hashtbl.fold (fun s t acc -> (s, t) :: acc) slot_targets []) ))
   in
-  dedup (data_sites @ List.concat per_cfg)
+  let key cfg = Key.kjoin [ Lazy.force extra; Key.dval cfg ] in
+  dedup (data_sites @ List.concat (map ~key scan cfgs))
 
 let derived_block_targets sites =
   List.filter_map

@@ -2,6 +2,7 @@ open Icfg_isa
 module Binary = Icfg_obj.Binary
 module Symbol = Icfg_obj.Symbol
 module Section = Icfg_obj.Section
+module Key = Icfg_obj.Key
 
 type jt_site =
   | Js_resolved of Jump_table.bound_cause
@@ -150,48 +151,28 @@ let finalize_function bin (fm : Failure_model.t) ~known_data fptr_targets
     fa_liveness = Liveness.analyze cfg1;
   }
 
-type par = { pmap : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-
-let serial = { pmap = List.map }
-
-(* Observability hooks injected by the caller (the core library's Trace sits
-   above this one, so it cannot be named here — same inversion as [par]).
-   The default probe is pass-through, so unprobed parses cost nothing. *)
-type probe = {
-  pspan : 'a. string -> (unit -> 'a) -> 'a;
-  pcount : string -> int -> unit;
-}
-
-let no_probe = { pspan = (fun _ f -> f ()); pcount = (fun _ _ -> ()) }
-
-(* Memoizing mapper injected by the caller (the content-addressed cache
-   lives in the core library, above this one — same inversion as [par] and
-   [probe]). [mmap ~stage ~key f xs] must be observation-equivalent to
-   [par.pmap f xs] whenever [f] is a pure function of what [key] digests. *)
-type memo = {
-  mmap :
+(* The stage runner injected by the caller (parallelism, the
+   content-addressed cache and the tracing layer all live in the core
+   library, above this one). The default runs every stage inline, never
+   calls [key], and records nothing. *)
+type runner = {
+  map :
     'a 'b.
     stage:string -> key:('a -> string) -> ('a -> 'b) -> 'a list -> 'b list;
+  span : 'a. string -> (unit -> 'a) -> 'a;
+  count : string -> int -> unit;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Cache keys (computed only when a [memo] is injected)                *)
-(* ------------------------------------------------------------------ *)
+let inline =
+  {
+    map = (fun ~stage:_ ~key:_ f l -> List.map f l);
+    span = (fun _ f -> f ());
+    count = (fun _ _ -> ());
+  }
 
-(* Canonical bytes of a structural value; [No_sharing] so equal values
-   digest equally regardless of sharing history. *)
-let mdig v = Marshal.to_string v [ Marshal.No_sharing ]
-
-(* Injective (length-prefixed) join of key parts. *)
-let kjoin parts =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun p ->
-      Buffer.add_string b (string_of_int (String.length p));
-      Buffer.add_char b ':';
-      Buffer.add_string b p)
-    parts;
-  Buffer.contents b
+(* ------------------------------------------------------------------ *)
+(* Cache keys (computed only when the runner memoizes)                 *)
+(* ------------------------------------------------------------------ *)
 
 (* Whole-binary context, split into per-section digests compared
    piecewise: each stage's key mixes in only the digests of what that
@@ -262,7 +243,7 @@ let context_digests bin fm syms =
   {
     cd_common =
       Digest.string
-        (mdig
+        (Key.dval
            ( bin.Binary.arch,
              bin.Binary.pie,
              bin.Binary.entry,
@@ -273,8 +254,8 @@ let context_digests bin fm syms =
              nameless_symbols,
              section_meta,
              head ));
-    cd_eh = Digest.string (mdig bin.Binary.eh_frame);
-    cd_data = Digest.string (mdig data_bodies);
+    cd_eh = Digest.string (Key.dval bin.Binary.eh_frame);
+    cd_data = Digest.string (Key.dval data_bodies);
   }
 
 (* A function's content slice: its text bytes extended to the next
@@ -306,21 +287,21 @@ let func_slices bin syms =
     let hi = max lo (min thi (max stop (sym.Symbol.addr + sym.Symbol.size))) in
     Bytes.sub_string text.Section.data (lo - tlo) (hi - lo)
 
-let parse ?(fm = Failure_model.ours) ?(par = serial) ?(probe = no_probe) ?memo
-    bin =
-  probe.pspan "parse" @@ fun () ->
+let parse ?(fm = Failure_model.ours) ?runner:(r = inline) bin =
+  r.span "parse" @@ fun () ->
   let syms = Binary.func_symbols bin in
-  (* Key machinery is forced only when a memo is injected, so the default
-     path costs (and does) exactly what it did before memoization. *)
+  (* Key machinery is forced only when the runner memoizes, so an
+     unmemoized parse costs (and does) exactly what it did before
+     memoization. *)
   let keys =
     lazy
       (let cd = context_digests bin fm syms in
        let slice = func_slices bin syms in
        fun pieces (sym : Symbol.t) ->
-         kjoin
+         Key.kjoin
            (pieces cd
            @ [
-               mdig (sym.Symbol.addr, sym.Symbol.size, sym.Symbol.name);
+               Key.dval (sym.Symbol.addr, sym.Symbol.size, sym.Symbol.name);
                slice sym;
              ]))
   in
@@ -328,29 +309,12 @@ let parse ?(fm = Failure_model.ours) ?(par = serial) ?(probe = no_probe) ?memo
      the piecewise comparison that keeps unrelated edits from flushing
      the stage. *)
   let fkey pieces sym = (Lazy.force keys) pieces sym in
-  let mmap ~stage ~key f l =
-    match memo with None -> par.pmap f l | Some m -> m.mmap ~stage ~key f l
-  in
-  (* The per-CFG function-pointer scans are keyed on exactly their
-     inputs: the scanned CFG's content plus the [extra] digest
-     {!Func_ptr.analyze} computes from its frozen cross-CFG state
-     (failure model, TOC base, entry set, slot-target map). No context
-     digest is needed — everything the scan reads is in those two
-     parts. *)
-  let scan_map stage =
-    Option.map
-      (fun m ~extra scan cfgs ->
-        m.mmap ~stage
-          ~key:(fun (cfg : Cfg.t) -> kjoin [ extra; mdig cfg ])
-          scan cfgs)
-      memo
-  in
   (* Pass 1 over every function: slices for global known-data collection.
      Per-function analysis only reads the (immutable) binary, so both
-     per-function passes fan out through [par]. *)
+     per-function passes fan out through the runner. *)
   let pass1 =
-    probe.pspan "pass1" (fun () ->
-        mmap ~stage:"parse/pass1"
+    r.span "pass1" (fun () ->
+        r.map ~stage:"parse/pass1"
           ~key:(fkey (fun cd -> [ cd.cd_common; cd.cd_eh ]))
           (fun sym ->
             let cfg0, slices, pres = analyze_function bin fm sym in
@@ -359,29 +323,27 @@ let parse ?(fm = Failure_model.ours) ?(par = serial) ?(probe = no_probe) ?memo
   in
   let all_pres = List.concat_map snd pass1 in
   let known_data =
-    probe.pspan "known-data" (fun () -> Jump_table.known_data bin all_pres)
+    r.span "known-data" (fun () -> Jump_table.known_data bin all_pres)
   in
   (* Function pointers need CFGs; use the pass-1 CFGs (pointer creation
      sites live in code reachable without jump-table edges, and case-body
      sites are found after the final CFG rebuild below if needed). The
-     per-CFG scans shard through the same injected mapper as the
-     per-function passes; only the data-slot pass stays serial. *)
-  let fpar = { Func_ptr.pmap = par.pmap } in
+     per-CFG scans go through the same runner as the per-function passes,
+     keyed by {!Func_ptr.analyze} on exactly their inputs; only the
+     data-slot pass stays serial. *)
   let cfg0s = List.map (fun ((_, c, _), _) -> c) pass1 in
   let fptrs =
-    probe.pspan "func-ptr" (fun () ->
-        Func_ptr.analyze ~par:fpar
-          ?scan_map:(scan_map "parse/fptr")
-          bin fm cfg0s)
+    r.span "func-ptr" (fun () ->
+        Func_ptr.analyze ~map:(r.map ~stage:"parse/fptr") bin fm cfg0s)
   in
   let pointer_targets = Func_ptr.derived_block_targets fptrs in
   (* Finalization also reads the cross-function results of round 1 and —
      alone among the text stages — dereferences data words (resolved
      table entries), so its key adds [round1] and [cd_data]. *)
-  let round1 = lazy (mdig (known_data, pointer_targets)) in
+  let round1 = lazy (Key.dval (known_data, pointer_targets)) in
   let funcs =
-    probe.pspan "finalize" (fun () ->
-        mmap ~stage:"parse/finalize"
+    r.span "finalize" (fun () ->
+        r.map ~stage:"parse/finalize"
           ~key:(fun ((sym, _, _), _) ->
             fkey
               (fun cd ->
@@ -399,24 +361,22 @@ let parse ?(fm = Failure_model.ours) ?(par = serial) ?(probe = no_probe) ?memo
      round-1 digest is needed, and an unchanged CFG hits even when a
      distant function's analysis moved. *)
   let fptrs =
-    probe.pspan "func-ptr-2" (fun () ->
-        Func_ptr.analyze ~par:fpar
-          ?scan_map:(scan_map "parse/fptr2")
-          bin fm
+    r.span "func-ptr-2" (fun () ->
+        Func_ptr.analyze ~map:(r.map ~stage:"parse/fptr2") bin fm
           (List.map (fun f -> f.fa_cfg) funcs))
   in
   let pointer_targets = Func_ptr.derived_block_targets fptrs in
   let t = { bin; fm; funcs; fptrs; pointer_targets } in
-  probe.pcount "parse/funcs" (List.length t.funcs);
-  probe.pcount "parse/instrumentable"
+  r.count "parse/funcs" (List.length t.funcs);
+  r.count "parse/instrumentable"
     (List.length (List.filter (fun f -> f.fa_instrumentable) t.funcs));
-  probe.pcount "parse/jump-tables"
+  r.count "parse/jump-tables"
     (List.fold_left (fun n f -> n + List.length f.fa_tables) 0 t.funcs);
-  probe.pcount "parse/tail-jumps"
+  r.count "parse/tail-jumps"
     (List.fold_left (fun n f -> n + List.length f.fa_tail_jumps) 0 t.funcs);
-  probe.pcount "parse/known-data-addrs" (List.length known_data);
-  probe.pcount "parse/fptr-sites" (List.length t.fptrs);
-  probe.pcount "parse/pointer-targets" (List.length t.pointer_targets);
+  r.count "parse/known-data-addrs" (List.length known_data);
+  r.count "parse/fptr-sites" (List.length t.fptrs);
+  r.count "parse/pointer-targets" (List.length t.pointer_targets);
   t
 
 let func t name =

@@ -38,70 +38,49 @@ type t = {
           targets, Listing 1) *)
 }
 
-type par = { pmap : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-(** An order-preserving map used to fan the per-function analysis passes out
-    across domains. The analysis layer stays scheduler-agnostic: callers
-    inject a parallel mapper (e.g. [Icfg_core.Pool.map ~jobs]); results must
-    come back in input order so parsing is deterministic for any mapper. *)
-
-val serial : par
-(** [List.map] — the default. *)
-
-type probe = {
-  pspan : 'a. string -> (unit -> 'a) -> 'a;
-  pcount : string -> int -> unit;
-}
-(** Observability hooks, injected the same way as [par] (the tracing layer
-    lives above this library): [pspan name f] times [f] as a nested span,
-    [pcount name n] bumps a named counter. Probes must be observation-only —
-    [parse] output does not depend on them. *)
-
-val no_probe : probe
-(** Pass-through — the default. *)
-
-type memo = {
-  mmap :
+type runner = {
+  map :
     'a 'b.
     stage:string -> key:('a -> string) -> ('a -> 'b) -> 'a list -> 'b list;
+  span : 'a. string -> (unit -> 'a) -> 'a;
+  count : string -> int -> unit;
 }
-(** A memoizing order-preserving map, injected like [par]/[probe] (the
-    content-addressed cache lives in the core library, above this one).
-    [mmap ~stage ~key f xs] must be observation-equivalent to
-    [par.pmap f xs]; [key x] digests every input [f x] reads, so the
-    memoizer may serve a stored result for an equal key. *)
+(** How the pipeline's per-item stages run, injected by the caller
+    (parallelism, the content-addressed cache and tracing all live in the
+    core library, above this one — see [Icfg_core.Cache.runner]).
 
-val parse :
-  ?fm:Failure_model.t ->
-  ?par:par ->
-  ?probe:probe ->
-  ?memo:memo ->
-  Icfg_obj.Binary.t ->
-  t
-(** Whole-binary parse. [par] parallelizes the two per-function passes
+    [map ~stage ~key f xs] must be observably [List.map f xs]: results in
+    input order, whatever the schedule. [key x] digests every input
+    [f x] reads, so a memoizing runner may serve a stored result for an
+    equal key under the same [stage] tag; a runner that does not memoize
+    never calls [key]. [span name f] times [f] as a nested span and
+    [count name n] bumps a named counter; both are observation-only —
+    [parse] output never depends on the runner. *)
+
+val parse : ?fm:Failure_model.t -> ?runner:runner -> Icfg_obj.Binary.t -> t
+(** Whole-binary parse. The default runner runs everything inline and
+    records nothing. [runner.map] carries the two per-function passes
     (initial CFG + jump-table slicing, then finalization + liveness) and
     the per-CFG function-pointer scans ({!Func_ptr.analyze}); only the
     cross-function steps (known-data collection, the data-slot pass) stay
-    serial. Output is independent of the mapper used. [probe] wraps each
-    stage in a span ([pass1], [known-data], [func-ptr], [finalize],
-    [func-ptr-2] under [parse]) and reports whole-binary counters
-    ([parse/funcs], [parse/instrumentable], [parse/jump-tables], ...).
+    serial. Spans: [pass1], [known-data], [func-ptr], [finalize] and
+    [func-ptr-2] under [parse]; whole-binary counters: [parse/funcs],
+    [parse/instrumentable], [parse/jump-tables], ...
 
-    [memo] memoizes the four per-function stages (stage tags
-    [parse/pass1], [parse/fptr], [parse/finalize], [parse/fptr2]). The
-    whole-binary context is digested per section kind and compared
-    piecewise: every stage key carries the common digest (ABI facts,
-    failure model, nameless symbol map, section metadata, pre-function
-    text bytes) plus the eh_frame digest; only [parse/finalize] — the
-    one stage that dereferences data words — adds the non-text section
-    bytes and the round-1 results, so a data-only edit keeps every other
-    text-stage hit and a one-symbol rename costs exactly that function's
-    entries. Per-function stages additionally key on the function's
-    symbol and content slice (extended to the next function start so
-    padding is owned); the per-CFG pointer scans key on the scanned
-    CFG's content plus the scan-input digest computed inside
-    {!Func_ptr.analyze}. Without [memo] the key machinery is never even
-    forced, so the default path is bit- and cost-identical to an
-    unmemoized parse. *)
+    Stage tags: [parse/pass1], [parse/fptr], [parse/finalize],
+    [parse/fptr2]. The whole-binary context is digested per section kind
+    and compared piecewise: every stage key carries the common digest
+    (ABI facts, failure model, nameless symbol map, section metadata,
+    pre-function text bytes) plus the eh_frame digest; only
+    [parse/finalize] — the one stage that dereferences data words — adds
+    the non-text section bytes and the round-1 results, so a data-only
+    edit keeps every other text-stage hit and a one-symbol rename costs
+    exactly that function's entries. Per-function stages additionally key
+    on the function's symbol and content slice (extended to the next
+    function start so padding is owned); the per-CFG pointer scans key on
+    the scanned CFG's content plus the scan-input digest computed inside
+    {!Func_ptr.analyze}. Keys are built lazily, so with a runner that
+    never calls [key] the key machinery is never even forced. *)
 
 val func : t -> string -> func_analysis option
 val func_at : t -> int -> func_analysis option

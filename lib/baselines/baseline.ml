@@ -6,30 +6,11 @@ module Failure_model = Icfg_analysis.Failure_model
 module Cfg = Icfg_analysis.Cfg
 module Rewriter = Icfg_core.Rewriter
 module Mode = Icfg_core.Mode
+module Cache = Icfg_core.Cache
 
 type outcome = Rewritten of Rewriter.t | Refused of string
 
 let default_payload = Rewriter.P_empty
-
-(* Shared pipeline wiring: every baseline consumes the same sharded,
-   memoizable parse the paper's system uses (identical to
-   [Runner.parse], which lives above this library), so a corpus sweep can
-   thread one pool and one cache through all of them. Output is
-   bit-identical for every [jobs] value and with or without a cache. *)
-let pipeline_parse ?fm ?(jobs = 1) ?cache bin =
-  let jobs = max 1 jobs in
-  let par = { Parse.pmap = (fun f l -> Icfg_core.Pool.map ~jobs f l) } in
-  let memo =
-    Option.map
-      (fun cache ->
-        {
-          Parse.mmap =
-            (fun ~stage ~key f l ->
-              Icfg_core.Cache.memo_map ~cache ~jobs ~stage ~key f l);
-        })
-      cache
-  in
-  Parse.parse ?fm ~par ~probe:(Icfg_core.Trace.parse_probe ()) ?memo bin
 
 let with_jobs ?jobs options =
   match jobs with
@@ -49,7 +30,11 @@ let srbi ?(payload = default_payload) ?jobs ?cache bin =
       "call emulation for C++ exceptions is only implemented on x86-64 in \
        Dyninst-10.2"
   else
-    let parse = pipeline_parse ~fm:Failure_model.srbi ?jobs ?cache bin in
+    let parse =
+      Parse.parse ~fm:Failure_model.srbi
+        ~runner:(Cache.runner ?jobs ?cache ())
+        bin
+    in
     let rw =
       Rewriter.rewrite ?cache
         ~options:(with_jobs ?jobs (Rewriter.srbi_like payload))
@@ -95,7 +80,7 @@ let ir_lowering ?(payload = default_payload) ?jobs ?cache bin =
   else if feat.Binary.symbol_versioning then
     Refused "cannot rewrite symbol versioning information (the libcuda failure)"
   else
-    let parse = pipeline_parse ?jobs ?cache bin in
+    let parse = Parse.parse ~runner:(Cache.runner ?jobs ?cache ()) bin in
     if Parse.coverage parse < 1.0 then
       let bad =
         List.find (fun f -> not f.Parse.fa_instrumentable) parse.Parse.funcs
@@ -141,7 +126,7 @@ let ir_lowering ?(payload = default_payload) ?jobs ?cache bin =
 (* ------------------------------------------------------------------ *)
 
 let insn_patching ?(payload = default_payload) ?jobs ?cache bin =
-  let parse = pipeline_parse ?jobs ?cache bin in
+  let parse = Parse.parse ~runner:(Cache.runner ?jobs ?cache ()) bin in
   let options =
     {
       Rewriter.default_options with
@@ -162,7 +147,7 @@ let insn_patching ?(payload = default_payload) ?jobs ?cache bin =
 (* ------------------------------------------------------------------ *)
 
 let dynamic_translation ?(payload = default_payload) ?jobs ?cache bin =
-  let parse = pipeline_parse ?jobs ?cache bin in
+  let parse = Parse.parse ~runner:(Cache.runner ?jobs ?cache ()) bin in
   let options =
     {
       Rewriter.default_options with
@@ -221,7 +206,7 @@ let bolt_block_reorder bin =
 (* ------------------------------------------------------------------ *)
 
 let ours ?(payload = default_payload) ?jobs ?cache ~mode bin =
-  let parse = pipeline_parse ?jobs ?cache bin in
+  let parse = Parse.parse ~runner:(Cache.runner ?jobs ?cache ()) bin in
   let options = { Rewriter.default_options with Rewriter.mode; payload } in
   Rewritten (Rewriter.rewrite ?cache ~options:(with_jobs ?jobs options) parse)
 

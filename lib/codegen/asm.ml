@@ -207,24 +207,11 @@ let encode arch ~pie ~toc ~labels lay =
   in
   (data, relocs)
 
-type par = { pmap : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-
-let serial = { pmap = List.map }
-
 type chunk = { c_items : (item * int) list; c_lo : int; c_hi : int }
-
-type memo = {
-  cmap :
-    stage:string ->
-    key:(chunk -> string) ->
-    (chunk -> Bytes.t * Icfg_obj.Reloc.t list) ->
-    chunk list ->
-    (Bytes.t * Icfg_obj.Reloc.t list) list;
-}
 
 (* Labels an item reads through the frozen table. A chunk's encoded bytes
    depend only on its placed items and the *values* of these labels, so a
-   memo key resolves them eagerly: identical layouts hit, shifted layouts
+   chunk key resolves them eagerly: identical layouts hit, shifted layouts
    change some resolved value and miss. *)
 let item_labels = function
   | Jmp_to l
@@ -254,9 +241,7 @@ let chunk_key arch ~pie ~toc ~labels ch =
       (fun (it, at) -> (it, at, List.map (label_exn labels) (item_labels it)))
       ch.c_items
   in
-  Marshal.to_string
-    (arch, pie, toc, ch.c_lo, ch.c_hi, resolved)
-    [ Marshal.No_sharing ]
+  Icfg_obj.Key.dval (arch, pie, toc, ch.c_lo, ch.c_hi, resolved)
 
 let encode_chunk arch ~pie ~toc ~labels ch =
   let citems = Array.of_list ch.c_items in
@@ -268,17 +253,24 @@ let encode_chunk arch ~pie ~toc ~labels ch =
   (data, relocs)
 
 (* Encode an explicit chunk list against a frozen label table, blitting
-   into one buffer spanning the layout. Chunks need not tile the extent:
-   address ranges no chunk covers (holes a pinned layout left behind)
-   stay zero-filled. Relocs concatenate in chunk (address) order. *)
-let encode_chunks arch ~pie ~toc ~labels ?(par = serial) ?memo lay chunks =
-  let enc = encode_chunk arch ~pie ~toc ~labels in
+   into one buffer spanning the layout. Layout is inherently sequential
+   (each address depends on every earlier item's size), but once the label
+   table is frozen, encoding any item depends only on its own
+   (item, address) pair and that read-only table — so chunks encode
+   independently, each into a private buffer sized by its address extent,
+   through whatever order-preserving [map] the caller injects (a domain
+   pool, a memoizer keyed by [chunk_key]). Chunks need not tile the
+   extent: address ranges no chunk covers (holes a pinned layout left
+   behind) stay zero-filled. Relocs concatenate in chunk (address) order,
+   which for chunks tiling the extent is the item-order reloc list of
+   {!encode} — the battery in [test_parallel] pins this byte-for-byte. *)
+let encode_chunks arch ~pie ~toc ~labels ?(map = fun ~key:_ f l -> List.map f l)
+    lay chunks =
   let encoded =
-    match memo with
-    | None -> par.pmap enc chunks
-    | Some m ->
-        m.cmap ~stage:"encode" ~key:(chunk_key arch ~pie ~toc ~labels) enc
-          chunks
+    map
+      ~key:(chunk_key arch ~pie ~toc ~labels)
+      (encode_chunk arch ~pie ~toc ~labels)
+      chunks
   in
   let data = Bytes.make (lay.l_end - lay.l_base) '\000' in
   List.iter2
@@ -286,42 +278,6 @@ let encode_chunks arch ~pie ~toc ~labels ?(par = serial) ?memo lay chunks =
       Bytes.blit d 0 data (ch.c_lo - lay.l_base) (Bytes.length d))
     chunks encoded;
   (data, List.concat_map snd encoded)
-
-(* Sharded second pass. Layout is inherently sequential (each address
-   depends on every earlier item's size), but once the label table is
-   frozen, encoding any item depends only on its own (item, address) pair
-   and that read-only table — so the item list splits into contiguous
-   chunks encoded independently, each into a private buffer sized by its
-   address extent. Item addresses are contiguous by construction
-   (next addr = addr + size), so chunk extents tile [l_base, l_end) and a
-   serial blit reassembles the exact serial image; per-chunk reloc lists
-   concatenated in chunk order reproduce the serial (item-order) reloc
-   list. Nothing about the result can depend on the schedule or the chunk
-   count — the battery in [test_parallel] pins this byte-for-byte.
-
-   With [memo], each chunk's (bytes, relocs) additionally goes through the
-   injected memoizer, keyed on the chunk content plus its resolved label
-   values — the memoizer's cache layer decides hit/miss/parallelism. *)
-let encode_sharded arch ~pie ~toc ~labels ?(par = serial) ?memo ?(chunks = 1)
-    lay =
-  let items = Array.of_list lay.items in
-  let n = Array.length items in
-  let chunks = max 1 (min chunks n) in
-  match memo with
-  | None when chunks <= 1 -> encode arch ~pie ~toc ~labels lay
-  | _ ->
-      let start k = k * n / chunks in
-      let addr_of i = if i >= n then lay.l_end else snd items.(i) in
-      let chs =
-        List.init chunks (fun k ->
-            let i0 = start k and i1 = start (k + 1) in
-            {
-              c_items = Array.to_list (Array.sub items i0 (i1 - i0));
-              c_lo = addr_of i0;
-              c_hi = addr_of i1;
-            })
-      in
-      encode_chunks arch ~pie ~toc ~labels ~par ?memo lay chs
 
 (* ------------------------------------------------------------------ *)
 (* Pinned-address incremental layout                                   *)
@@ -336,14 +292,13 @@ type seg_rec = {
 
 type pinned_result = {
   p_layout : layout;
-  p_recs : seg_rec list;
+  p_recs : seg_rec list Lazy.t;
   p_chunks : chunk list;
   p_pinned : int;
   p_moved : int;
 }
 
-let seg_digest items =
-  Digest.string (Marshal.to_string items [ Marshal.No_sharing ])
+let seg_digest items = Digest.string (Icfg_obj.Key.dval items)
 
 let seg_len arch ~pie ~start items =
   List.fold_left (fun at it -> at + item_size arch ~pie ~at it) start items
@@ -360,19 +315,23 @@ let seg_len arch ~pie ~start items =
    tail hole degenerates to sequential emission-order placement — bit- and
    address-identical to {!layout} over the concatenated item lists, which
    is what makes a cold pinned layout indistinguishable from the plain
-   one. *)
+   one. Digests are lazy: a segment's is computed only when a previous
+   record could pin it or when the caller forces [p_recs] to persist
+   them, so a cacheless layout never digests anything. *)
 let layout_pinned arch ~pie ~labels ~base ?(prev = []) segs =
   let prev_tbl = Hashtbl.create 64 in
   List.iter (fun r -> Hashtbl.replace prev_tbl r.sr_id r) prev;
   let tagged =
-    List.mapi (fun eidx (id, items) -> (eidx, id, items, seg_digest items)) segs
+    List.mapi
+      (fun eidx (id, items) -> (eidx, id, items, lazy (seg_digest items)))
+      segs
   in
   let pinned_segs, dirty_segs =
     List.partition_map
       (fun (eidx, id, items, dg) ->
         match Hashtbl.find_opt prev_tbl id with
         | Some r
-          when r.sr_digest = dg && r.sr_start >= base
+          when r.sr_digest = Lazy.force dg && r.sr_start >= base
                && seg_len arch ~pie ~start:r.sr_start items = r.sr_len ->
             Either.Left (eidx, id, items, dg, r.sr_start, r.sr_len, true)
         | _ -> Either.Right (eidx, id, items, dg))
@@ -457,10 +416,16 @@ let layout_pinned arch ~pie ~labels ~base ?(prev = []) segs =
         l_end;
       };
     p_recs =
-      List.map
-        (fun (id, dg, s, l, _, _) ->
-          { sr_id = id; sr_digest = dg; sr_start = s; sr_len = l })
-        seg_placed;
+      lazy
+        (List.map
+           (fun (id, dg, s, l, _, _) ->
+             {
+               sr_id = id;
+               sr_digest = Lazy.force dg;
+               sr_start = s;
+               sr_len = l;
+             })
+           seg_placed);
     p_chunks =
       List.filter_map
         (fun (_, _, s, l, _, pi) ->

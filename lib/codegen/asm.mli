@@ -74,67 +74,36 @@ val encode :
     {!Icfg_isa.Encode.Not_encodable} if a resolved displacement or a narrow
     data word overflows its field. *)
 
-type par = { pmap : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-(** An order-preserving map used to fan chunk encoding out across domains
-    (same shape as [Parse.par]; duplicated so the codegen layer needs no
-    scheduler dependency). *)
-
-val serial : par
-(** [List.map] — the default. *)
-
 type chunk = { c_items : (item * int) list; c_lo : int; c_hi : int }
 (** A contiguous run of placed items covering addresses
     [[c_lo, c_hi)] — the unit of sharded (and memoized) encoding. *)
-
-type memo = {
-  cmap :
-    stage:string ->
-    key:(chunk -> string) ->
-    (chunk -> Bytes.t * Icfg_obj.Reloc.t list) ->
-    chunk list ->
-    (Bytes.t * Icfg_obj.Reloc.t list) list;
-}
-(** Injected memoizing map (same inversion as [par]: the codegen layer
-    cannot name the cache living above it). [key] digests a chunk's items
-    {e plus the resolved values of every label they reference}, so equal
-    layouts hit and shifted layouts miss — the memoizer never has to
-    re-fix bytes against a new label table. *)
-
-val encode_sharded :
-  Icfg_isa.Arch.t ->
-  pie:bool ->
-  toc:int ->
-  labels:(string, int) Hashtbl.t ->
-  ?par:par ->
-  ?memo:memo ->
-  ?chunks:int ->
-  layout ->
-  Bytes.t * Icfg_obj.Reloc.t list
-(** {!encode}, with the item list split into [chunks] contiguous runs
-    encoded independently through [par] (the label table is frozen after
-    {!layout}, so chunk encoding is pure). Bytes and reloc order are
-    identical to {!encode} for every [par], [memo] and [chunks] — chunk
-    extents tile the section and per-chunk reloc lists concatenate in
-    chunk order. [chunks <= 1] without [memo] is exactly {!encode}; with
-    [memo], per-chunk encoding goes through [memo.cmap] under stage
-    ["encode"] instead of [par]. *)
 
 val encode_chunks :
   Icfg_isa.Arch.t ->
   pie:bool ->
   toc:int ->
   labels:(string, int) Hashtbl.t ->
-  ?par:par ->
-  ?memo:memo ->
+  ?map:
+    (key:(chunk -> string) ->
+    (chunk -> Bytes.t * Icfg_obj.Reloc.t list) ->
+    chunk list ->
+    (Bytes.t * Icfg_obj.Reloc.t list) list) ->
   layout ->
   chunk list ->
   Bytes.t * Icfg_obj.Reloc.t list
-(** Encode an explicit chunk list (e.g. {!pinned_result.p_chunks}) against
-    a frozen label table into one buffer spanning
-    [[lay.l_base, lay.l_end)]. Unlike {!encode_sharded} the chunks need
-    not tile the extent: uncovered holes (gaps a pinned layout left
-    behind) stay zero-filled. Relocs concatenate in chunk (address)
-    order. *)
+(** Encode an explicit chunk list (e.g. {!pinned_result.p_chunks})
+    against a frozen label table into one buffer spanning
+    [[lay.l_base, lay.l_end)]. Each chunk encodes independently through
+    [map] (default: [List.map], ignoring [key]), which must be an
+    order-preserving observation-equivalent of [List.map] — the Rewriter
+    passes its stage runner's [map] to fan chunks out and memoize them.
+    [key ch] digests the chunk's items {e plus the resolved values of
+    every label they reference}, so equal layouts hit and shifted layouts
+    miss — a memoizer never has to re-fix bytes against a new label
+    table. The chunks need not tile the extent: uncovered holes (gaps a
+    pinned layout left behind) stay zero-filled. Relocs concatenate in
+    chunk (address) order; for chunks that tile the extent, bytes and
+    relocs are exactly {!encode}'s. *)
 
 (** {1 Pinned-address incremental layout}
 
@@ -156,7 +125,9 @@ type seg_rec = {
 
 type pinned_result = {
   p_layout : layout;  (** placed items in address order *)
-  p_recs : seg_rec list;  (** records to persist for the next run *)
+  p_recs : seg_rec list Lazy.t;
+      (** records to persist for the next run; forcing it digests every
+          segment, so a caller that persists nothing never pays for it *)
   p_chunks : chunk list;
       (** one chunk per nonzero-length segment, in address order — feed to
           {!encode_chunks} *)

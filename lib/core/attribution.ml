@@ -278,21 +278,6 @@ let pp ppf t =
     (fun (c, n) -> Format.fprintf ppf "    %-28s %6d@." (key c) n)
     (histogram t)
 
-(* Hand-rolled JSON, same policy as [Trace.to_json]: no JSON dependency. *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let cause_hist_json b causes =
   let tbl = Hashtbl.create 8 in
   List.iter
@@ -335,7 +320,7 @@ let to_json ?dir t =
       if i > 0 then Buffer.add_char b ',';
       Printf.bprintf b "\n    {\"name\": \"%s\", \"addr\": %d, \
                         \"instrumented\": %b, \"fail\": "
-        (json_escape r.fr_name) r.fr_addr r.fr_instrumented;
+        (Stats.json_escape r.fr_name) r.fr_addr r.fr_instrumented;
       (match r.fr_fail with
       | Some c -> Printf.bprintf b "\"%s\"" (key c)
       | None -> Buffer.add_string b "null");

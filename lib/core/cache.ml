@@ -10,10 +10,10 @@
 
    The disk tier is optionally size-bounded: [create ~max_disk_bytes]
    caps the total bytes of .entry files, evicting least-recently-used
-   entries (by an in-process access tick; ties broken by key so the
-   victim order is deterministic). Evicted entries keep their in-memory
-   copy — LRU eviction limits the store's footprint, not this process's
-   working set. *)
+   entries through {!Lru} (by an in-process access tick; ties broken by
+   key so the victim order is deterministic). Evicted entries keep their
+   in-memory copy — LRU eviction limits the store's footprint, not this
+   process's working set. *)
 
 let schema_version = 2
 
@@ -28,14 +28,11 @@ type stats = {
 
 type t = {
   cdir : string option;
-  max_disk : int option;
   mem : (string, string) Hashtbl.t;
-  (* On-disk .entry accounting for the LRU bound: key -> (encoded file
-     size, last-access tick). Slots (.slot files) are deliberately not
-     tracked — they are a bounded handful of layout snapshots. *)
-  disk_entries : (string, int * int) Hashtbl.t;
-  mutable disk_total : int;
-  mutable tick : int;
+  (* On-disk .entry accounting for the LRU bound (encoded file sizes).
+     Slots (.slot files) are deliberately not tracked — they are a
+     bounded handful of layout snapshots. *)
+  disk : unit Lru.t;
   lock : Mutex.t;
   mutable hits : int;
   mutable misses : int;
@@ -67,30 +64,25 @@ let file_size path =
 
 let create ?dir ?max_disk_bytes () =
   Option.iter mkdir_p dir;
-  let disk_entries = Hashtbl.create 256 in
-  let disk_total = ref 0 in
-  (* Seed the LRU table from entries already on disk (tick 0: anything
-     present before this process touched it is the coldest). *)
+  let disk = Lru.create ?capacity:max_disk_bytes () in
+  (* Seed the LRU table from entries already on disk (coldest: anything
+     present before this process touched it). *)
   (match dir with
   | None -> ()
   | Some d ->
       let names = try Array.to_list (Sys.readdir d) with Sys_error _ -> [] in
       List.iter
         (fun n ->
-          if Filename.check_suffix n entry_ext then begin
-            let key = Filename.chop_suffix n entry_ext in
-            let size = file_size (Filename.concat d n) in
-            Hashtbl.replace disk_entries key (size, 0);
-            disk_total := !disk_total + size
-          end)
-        (List.sort String.compare names));
+          if Filename.check_suffix n entry_ext then
+            Lru.seed disk
+              (Filename.chop_suffix n entry_ext)
+              ()
+              ~size:(file_size (Filename.concat d n)))
+        names);
   {
     cdir = dir;
-    max_disk = max_disk_bytes;
     mem = Hashtbl.create 256;
-    disk_entries;
-    disk_total = !disk_total;
-    tick = 0;
+    disk;
     lock = Mutex.create ();
     hits = 0;
     misses = 0;
@@ -104,11 +96,8 @@ let clone c =
   let mem = Mutex.protect c.lock (fun () -> Hashtbl.copy c.mem) in
   {
     cdir = None;
-    max_disk = None;
     mem;
-    disk_entries = Hashtbl.create 16;
-    disk_total = 0;
-    tick = 0;
+    disk = Lru.create ();
     lock = Mutex.create ();
     hits = 0;
     misses = 0;
@@ -139,26 +128,11 @@ let dir c = c.cdir
 (* Keys                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* [No_sharing] flattens the value, so two structurally equal values
-   marshal identically regardless of how they were built (a cache
-   round-trip must not change downstream keys). Cached pipeline values
-   are acyclic plain data, so flattening always terminates. *)
-let dval v = Marshal.to_string v [ Marshal.No_sharing ]
-
-let kjoin parts =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun p ->
-      Buffer.add_string b (string_of_int (String.length p));
-      Buffer.add_char b ':';
-      Buffer.add_string b p)
-    parts;
-  Buffer.contents b
-
 let final_key ~stage raw =
   Digest.to_hex
     (Digest.string
-       (kjoin [ "icfg-cache"; string_of_int schema_version; stage; raw ]))
+       (Icfg_obj.Key.kjoin
+          [ "icfg-cache"; string_of_int schema_version; stage; raw ]))
 
 (* ------------------------------------------------------------------ *)
 (* Disk tier                                                           *)
@@ -224,19 +198,12 @@ let decode_entry key s =
 
 (* All disk-accounting helpers below assume [c.lock] is held. *)
 
-let disk_forget c key =
-  match Hashtbl.find_opt c.disk_entries key with
-  | Some (size, _) ->
-      Hashtbl.remove c.disk_entries key;
-      c.disk_total <- c.disk_total - size
-  | None -> ()
-
 let disk_remove c key ext =
   match c.cdir with
   | None -> ()
   | Some d ->
       (try Sys.remove (file_path d key ext) with Sys_error _ -> ());
-      if ext = entry_ext then disk_forget c key
+      if ext = entry_ext then Lru.remove c.disk key
 
 let count_evict c =
   c.evict_corrupt <- c.evict_corrupt + 1;
@@ -257,8 +224,11 @@ let disk_find c key ext =
             match decode_entry key s with
             | Some payload ->
                 if ext = entry_ext then begin
-                  c.tick <- c.tick + 1;
-                  Hashtbl.replace c.disk_entries key (String.length s, c.tick)
+                  (* A file another writer stored after [create] joins
+                     the accounting; a hit refreshes the entry's tick. *)
+                  if not (Lru.mem c.disk key) then
+                    Lru.seed c.disk key () ~size:(String.length s);
+                  ignore (Lru.find c.disk key)
                 end;
                 Some payload
             | None ->
@@ -266,25 +236,18 @@ let disk_find c key ext =
                 count_evict c;
                 None))
 
-(* Pick the least-recently-used on-disk entry other than [keep]: minimal
-   (tick, key) — the key tie-break makes the victim order deterministic
-   for entries seeded from a pre-existing store (all tick 0). *)
-let lru_victim c ~keep =
-  Hashtbl.fold
-    (fun key (_, tick) best ->
-      if key = keep then best
-      else
-        match best with
-        | Some (bt, bk) when (bt, bk) <= (tick, key) -> best
-        | _ -> Some (tick, key))
-    c.disk_entries None
+let evict_lru c key =
+  disk_remove c key entry_ext;
+  c.evict_lru <- c.evict_lru + 1;
+  if Trace.active () then Trace.incr "cache.evict_lru"
 
 (* Best-effort atomic write: a same-directory temp file renamed into
    place, so concurrent readers never observe a torn entry. Failures
    (read-only store, races) silently cost a future recompute. After a
    successful .entry write, the LRU bound is enforced: coldest entries
-   lose their disk file (the in-memory copy stays) until the store fits.
-   Caller holds [c.lock]. *)
+   lose their disk file (the in-memory copy stays) until the store fits,
+   and an entry larger than the whole bound keeps only its in-memory
+   copy. Caller holds [c.lock]. *)
 let disk_store c key payload ext =
   match c.cdir with
   | None -> ()
@@ -304,26 +267,10 @@ let disk_store c key payload ext =
           (try Sys.remove tmp with Sys_error _ -> ());
           false
       in
-      if written && ext = entry_ext then begin
-        disk_forget c key;
-        c.tick <- c.tick + 1;
-        Hashtbl.replace c.disk_entries key (String.length encoded, c.tick);
-        c.disk_total <- c.disk_total + String.length encoded;
-        match c.max_disk with
-        | None -> ()
-        | Some limit ->
-            let rec shrink () =
-              if c.disk_total > limit then
-                match lru_victim c ~keep:key with
-                | Some (_, victim) ->
-                    disk_remove c victim entry_ext;
-                    c.evict_lru <- c.evict_lru + 1;
-                    if Trace.active () then Trace.incr "cache.evict_lru";
-                    shrink ()
-                | None -> ()
-            in
-            shrink ()
-      end)
+      if written && ext = entry_ext then
+        match Lru.add c.disk key () ~size:(String.length encoded) with
+        | Some victims -> List.iter (evict_lru c) victims
+        | None -> evict_lru c key)
 
 (* ------------------------------------------------------------------ *)
 (* Store operations                                                    *)
@@ -473,3 +420,16 @@ let memo_map (type a b) ?cache ~jobs ~stage ~(key : a -> string)
         (fun (_, k, hit) ->
           match hit with Some v -> v | None -> Hashtbl.find fresh k)
         probed
+
+(* ------------------------------------------------------------------ *)
+(* The stage runner                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let runner ?cache ?(jobs = 1) () =
+  let jobs = max 1 jobs in
+  {
+    Icfg_analysis.Parse.map =
+      (fun ~stage ~key f xs -> memo_map ?cache ~jobs ~stage ~key f xs);
+    span = Trace.span;
+    count = Trace.add;
+  }

@@ -2,13 +2,14 @@
 
     Every pure per-item stage of the pipeline — per-function CFG /
     jump-table analysis, finalization + liveness, function-pointer scans,
-    relocation, trampoline placement planning, and [Asm.encode_sharded]
-    chunk encoding — is a deterministic function of plain data. A cache
-    entry is keyed by a digest of {e everything} that function reads
-    (function bytes, whole-binary context, failure model, rewrite options,
-    stage tag, {!schema_version}), so a stale entry can never match: any
-    input change changes the key and the entry is simply never found again.
-    There is no mutation-based invalidation to get wrong.
+    relocation, trampoline placement planning, and per-function chunk
+    encoding ([Asm.encode_chunks]) — is a deterministic function of
+    plain data. A cache entry is keyed by a digest of {e everything} that
+    function reads (function bytes, whole-binary context, failure model,
+    rewrite options, stage tag, {!schema_version}), so a stale entry can
+    never match: any input change changes the key and the entry is simply
+    never found again. There is no mutation-based invalidation to get
+    wrong.
 
     Two tiers share one {!t}:
 
@@ -44,9 +45,10 @@ val create : ?dir:string -> ?max_disk_bytes:int -> unit -> t
     [max_disk_bytes], the on-disk tier is LRU-bounded: entries already
     present in [dir] are accounted as coldest, and every store that
     pushes the total over the bound evicts least-recently-used disk
-    files (deterministically: minimal access tick, ties by key) until it
-    fits again. Eviction removes only the disk file — the in-memory copy
-    is kept. *)
+    files (deterministically, by {!Lru}: minimal access tick, ties by
+    key) until it fits again. Eviction removes only the disk file — the
+    in-memory copy is kept; an entry larger than the whole bound is kept
+    in memory only. *)
 
 val clone : t -> t
 (** Snapshot: a new cache sharing nothing with [t] but pre-populated with
@@ -70,22 +72,6 @@ val hit_rate : stats -> float
 
 val dir : t -> string option
 
-(** {1 Key construction}
-
-    Stages build raw keys from these and pass them to {!memo_map}, which
-    digests [kjoin [magic; schema_version; stage; raw_key]] into the final
-    key — so equal raw keys in different stages never collide. *)
-
-val dval : 'a -> string
-(** Canonical bytes of a structural value ([Marshal] with [No_sharing],
-    so structurally equal values digest equally regardless of sharing
-    history). Only for plain data — no closures, no custom blocks, no
-    cycles. *)
-
-val kjoin : string list -> string
-(** Length-prefixed concatenation: injective, so adjacent key parts can
-    never alias each other. *)
-
 val memo_map :
   ?cache:t ->
   jobs:int ->
@@ -99,11 +85,13 @@ val memo_map :
     ([key] is never called). With a cache: keys are computed and looked
     up serially in input order, misses are computed with
     [Pool.map ~jobs] and stored, and results are reassembled in input
-    order. [f] must be a pure function of what [key] digests, and ['b]
-    must be marshal-safe plain data. Counters ([cache.hit],
-    [cache.hit:<stage>], [cache.miss], [cache.miss:<stage>],
-    [cache.bytes_reused], [cache.evict_corrupt]) are recorded on the
-    ambient {!Trace} when one is installed. *)
+    order. Stages build raw keys with {!Icfg_obj.Key}; the final key
+    digests [kjoin [magic; schema_version; stage; key x]], so equal raw
+    keys in different stages never collide. [f] must be a pure function
+    of what [key] digests, and ['b] must be marshal-safe plain data.
+    Counters ([cache.hit], [cache.hit:<stage>], [cache.miss],
+    [cache.miss:<stage>], [cache.bytes_reused], [cache.evict_corrupt])
+    are recorded on the ambient {!Trace} when one is installed. *)
 
 val entry_files : t -> string list
 (** Absolute paths of the on-disk entries currently present (sorted);
@@ -129,3 +117,11 @@ val find_slot : t -> string -> 'a option
 
 val store_slot : t -> string -> 'a -> unit
 (** [store_slot c raw v] (over)writes the slot named by [raw]. *)
+
+(** {1 The stage runner} *)
+
+val runner : ?cache:t -> ?jobs:int -> unit -> Icfg_analysis.Parse.runner
+(** The one way the pipeline runs its per-item stages, shared by
+    [Parse.parse] and [Rewriter.rewrite]: [map] is {!memo_map} under
+    [cache] over [jobs] domains (default 1; values below 1 mean 1), [span]
+    is {!Trace.span} and [count] is {!Trace.add} on the ambient trace. *)

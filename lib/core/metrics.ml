@@ -138,41 +138,26 @@ let find_histo s name = List.assoc_opt name s.s_histos
 
 (* ---------------- expositions ---------------- *)
 
-(* Hand-rolled JSON, same policy as Trace/bench: no JSON dependency. *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json s =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"schema\": \"icfg-metrics/1\",\n  \"counters\": {";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\n    \"%s\": %d" (json_escape k) v)
+      Printf.bprintf b "\n    \"%s\": %d" (Stats.json_escape k) v)
     s.s_counters;
   Buffer.add_string b "\n  },\n  \"gauges\": {";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\n    \"%s\": %d" (json_escape k) v)
+      Printf.bprintf b "\n    \"%s\": %d" (Stats.json_escape k) v)
     s.s_gauges;
   Buffer.add_string b "\n  },\n  \"histograms\": {";
   List.iteri
     (fun i (k, h) ->
       if i > 0 then Buffer.add_char b ',';
       Printf.bprintf b "\n    \"%s\": {\"count\": %d, \"sum\": %d, \"buckets\": {"
-        (json_escape k) h.h_count h.h_sum;
+        (Stats.json_escape k) h.h_count h.h_sum;
       List.iteri
         (fun j (idx, n) ->
           if j > 0 then Buffer.add_string b ", ";

@@ -12,6 +12,7 @@ module Func_ptr = Icfg_analysis.Func_ptr
 module Liveness = Icfg_analysis.Liveness
 module Trampoline = Icfg_isa.Trampoline
 module Ra_map = Icfg_runtime.Runtime_lib.Ra_map
+module Key = Icfg_obj.Key
 
 type payload = P_empty | P_count
 
@@ -758,7 +759,10 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
     then [ "runtime.findfunc"; "runtime.pcvalue" ]
     else []
   in
-  let jobs = max 1 opts.jobs in
+  (* Every per-item stage below (relocation, placement planning, chunk
+     encoding) runs through the one stage runner: [opts.jobs] domains,
+     memoized under [cache]. *)
+  let run = Cache.runner ?cache ~jobs:opts.jobs () in
   let mk_ctx (fa : Parse.func_analysis) =
     {
       p;
@@ -789,9 +793,9 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
      like every other pipeline observable. *)
   let cache_ctx =
     lazy
-      (Cache.kjoin
+      (Key.kjoin
          [
-           Cache.dval
+           Key.dval
              ( { opts with jobs = 0 },
                arch,
                pie,
@@ -809,7 +813,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
               the name-sensitive inputs — [go_hook_funcs], the [only]
               selection — are digested above), so a one-symbol rename
               invalidates only that function's own entries via [dval fa]. *)
-           Cache.dval
+           Key.dval
              ( bin.Binary.eh_frame,
                List.map
                  (fun (s : Symbol.t) -> (s.Symbol.addr, s.Symbol.size))
@@ -829,8 +833,8 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
   in
   let fimgs =
     Trace.span "relocate" @@ fun () ->
-    Cache.memo_map ?cache ~jobs ~stage:"rewrite/relocate"
-      ~key:(fun fa -> Cache.kjoin [ Lazy.force cache_ctx; Cache.dval fa ])
+    run.Parse.map ~stage:"rewrite/relocate"
+      ~key:(fun fa -> Key.kjoin [ Lazy.force cache_ctx; Key.dval fa ])
       (fun fa ->
         let ctx = mk_ctx fa in
         relocate_function ctx fa go_hook_funcs;
@@ -838,8 +842,6 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
       emission_funcs
   in
   let merge proj = List.concat_map (fun c -> List.rev (proj c)) fimgs in
-  let instr_items = merge (fun c -> c.ri_items) in
-  let jt_items = merge (fun c -> c.ri_jt_items) in
   let all_ra_pairs = merge (fun c -> c.ri_ra_pairs) in
   let all_throw_pairs = merge (fun c -> c.ri_throw_pairs) in
   let all_block_pairs = merge (fun c -> c.ri_block_pairs) in
@@ -847,125 +849,85 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
   let all_pending_traps = merge (fun c -> c.ri_pending_traps) in
   let all_dt_sites = merge (fun c -> c.ri_dt_sites) in
   let n_cloned = List.fold_left (fun acc c -> acc + c.ri_n_cloned) 0 fimgs in
-  (* 5. Assemble .instr and .jtnew in one label namespace. Layout
-     (address/label assignment) is inherently sequential; encoding then
-     runs against the frozen label table, so it shards into contiguous
-     chunks across the same domain pool. Several chunks per lane keep the
-     lanes busy when chunk costs are skewed (data-heavy vs code-heavy
-     runs); bytes and reloc order are chunking-independent.
+  (* 5. Assemble .instr and .jtnew in one label namespace, one segment per
+     function. Layout (address/label assignment) is inherently sequential;
+     encoding then runs per function against the frozen label table, so
+     the chunks fan out (and memoize) through the stage runner. Chunk
+     boundaries — hence chunk cache keys and hit/miss counts — are
+     function boundaries, fixed by the binary rather than by [jobs].
 
-     With a cache, layout goes through {!Asm.layout_pinned} over
-     per-function segments instead: the previous run's placement (persisted
-     in the cache's slot tier) pins every unchanged function at its prior
-     address, so a perturbed warm run re-solves and re-encodes only the
-     functions whose content actually changed — everything downstream of
-     an edit keeps its addresses, its encode-chunk hits and its placement
-     plans. A cold cache has no snapshot and the pinned layout degenerates
-     to exactly the sequential one. *)
+     Layout is Zipr-style ({!Asm.layout_pinned}): with a cache, the
+     previous run's placement (persisted in the cache's slot tier) pins
+     every unchanged function at its prior address, so a perturbed warm
+     run re-solves and re-encodes only the functions whose content
+     actually changed — everything downstream of an edit keeps its
+     addresses, its encode-chunk hits and its placement plans. Without a
+     previous snapshot (no cache, or a cold one) the pinned layout is
+     exactly the sequential one, and segment digests are only computed
+     when a cache will store them. *)
   let labels = Hashtbl.create 1024 in
-  let pinned =
-    match cache with
-    | None -> None
-    | Some c ->
-        let seg_of proj =
-          List.map2
-            (fun (fa : Parse.func_analysis) img ->
-              (fa.Parse.fa_sym.Symbol.addr, List.rev (proj img)))
-            emission_funcs fimgs
-        in
-        let snap_key =
-          Cache.dval
-            ("layout-snap", bin.Binary.name, arch, pie, toc,
-             { opts with jobs = 0 })
-        in
-        let prev_instr, prev_jt_base, prev_jt =
-          match (Cache.find_slot c snap_key : layout_snap option) with
-          | Some sn when sn.sn_instr_base = instr_base ->
-              (sn.sn_instr, sn.sn_jt_base, sn.sn_jt)
-          | _ -> ([], -1, [])
-        in
-        let pi =
-          Trace.span "layout:instr" @@ fun () ->
-          Asm.layout_pinned arch ~pie ~labels ~base:instr_base
-            ~prev:prev_instr
-            (seg_of (fun img -> img.ri_items))
-        in
-        (* The jump-table base is always derived from the instr extent the
-           run actually produced — never pinned — so the two sections can
-           not collide when the instr section grows. *)
-        let jt_base = align_up pi.Asm.p_layout.Asm.l_end 0x100 in
-        let pj =
-          Trace.span "layout:jtnew" @@ fun () ->
-          Asm.layout_pinned arch ~pie ~labels ~base:jt_base
-            ~prev:(if jt_base = prev_jt_base then prev_jt else [])
-            (seg_of (fun img -> img.ri_jt_items))
-        in
-        Cache.store_slot c snap_key
-          {
-            sn_instr_base = instr_base;
-            sn_jt_base = jt_base;
-            sn_instr = pi.Asm.p_recs;
-            sn_jt = pj.Asm.p_recs;
-          };
-        Trace.add "layout.pinned" (pi.Asm.p_pinned + pj.Asm.p_pinned);
-        Trace.add "layout.moved" (pi.Asm.p_moved + pj.Asm.p_moved);
-        Some (pi, jt_base, pj)
+  let seg_of proj =
+    List.map2
+      (fun (fa : Parse.func_analysis) img ->
+        (fa.Parse.fa_sym.Symbol.addr, List.rev (proj img)))
+      emission_funcs fimgs
   in
-  let instr_lay, jt_base, jt_lay =
-    match pinned with
-    | Some (pi, jt_base, pj) -> (pi.Asm.p_layout, jt_base, pj.Asm.p_layout)
-    | None ->
-        let instr_lay =
-          Trace.span "layout:instr" @@ fun () ->
-          Asm.layout arch ~pie ~labels ~base:instr_base instr_items
-        in
-        let jt_base = align_up instr_lay.Asm.l_end 0x100 in
-        let jt_lay =
-          Trace.span "layout:jtnew" @@ fun () ->
-          Asm.layout arch ~pie ~labels ~base:jt_base jt_items
-        in
-        (instr_lay, jt_base, jt_lay)
+  let snap_key =
+    lazy
+      (Key.dval
+         ( "layout-snap",
+           bin.Binary.name,
+           arch,
+           pie,
+           toc,
+           { opts with jobs = 0 } ))
   in
-  let apar =
-    if jobs <= 1 then Asm.serial
-    else { Asm.pmap = (fun f l -> Pool.map ~jobs f l) }
+  let prev_instr, prev_jt_base, prev_jt =
+    match
+      Option.bind cache (fun c ->
+          (Cache.find_slot c (Lazy.force snap_key) : layout_snap option))
+    with
+    | Some sn when sn.sn_instr_base = instr_base ->
+        (sn.sn_instr, sn.sn_jt_base, sn.sn_jt)
+    | _ -> ([], -1, [])
   in
-  let amemo =
-    match cache with
-    | None -> None
-    | Some _ ->
-        Some
-          {
-            Asm.cmap =
-              (fun ~stage ~key f l -> Cache.memo_map ?cache ~jobs ~stage ~key f l);
-          }
+  let pi =
+    Trace.span "layout:instr" @@ fun () ->
+    Asm.layout_pinned arch ~pie ~labels ~base:instr_base ~prev:prev_instr
+      (seg_of (fun img -> img.ri_items))
   in
-  let enc_chunks = if jobs <= 1 then 1 else 4 * jobs in
-  (* With a cache, encoding follows the pinned layout's per-function
-     chunks: chunk boundaries — hence chunk cache keys and hit/miss
-     counts — are function boundaries, fixed by the binary rather than
-     jobs-derived, and a pinned function's chunk key is bit-identical
-     across runs (same items, same addresses, same resolved labels). *)
+  (* The jump-table base is always derived from the instr extent the run
+     actually produced — never pinned — so the two sections can not
+     collide when the instr section grows. *)
+  let jt_base = align_up pi.Asm.p_layout.Asm.l_end 0x100 in
+  let pj =
+    Trace.span "layout:jtnew" @@ fun () ->
+    Asm.layout_pinned arch ~pie ~labels ~base:jt_base
+      ~prev:(if jt_base = prev_jt_base then prev_jt else [])
+      (seg_of (fun img -> img.ri_jt_items))
+  in
+  Option.iter
+    (fun c ->
+      Cache.store_slot c (Lazy.force snap_key)
+        {
+          sn_instr_base = instr_base;
+          sn_jt_base = jt_base;
+          sn_instr = Lazy.force pi.Asm.p_recs;
+          sn_jt = Lazy.force pj.Asm.p_recs;
+        };
+      Trace.add "layout.pinned" (pi.Asm.p_pinned + pj.Asm.p_pinned);
+      Trace.add "layout.moved" (pi.Asm.p_moved + pj.Asm.p_moved))
+    cache;
+  let encode (r : Asm.pinned_result) =
+    Asm.encode_chunks arch ~pie ~toc ~labels
+      ~map:(run.Parse.map ~stage:"encode")
+      r.Asm.p_layout r.Asm.p_chunks
+  in
   let instr_bytes, instr_relocs =
-    Trace.span "encode:instr" @@ fun () ->
-    match pinned with
-    | Some (pi, _, _) ->
-        Asm.encode_chunks arch ~pie ~toc ~labels ~par:apar ?memo:amemo
-          pi.Asm.p_layout pi.Asm.p_chunks
-    | None ->
-        Asm.encode_sharded arch ~pie ~toc ~labels ~par:apar ?memo:amemo
-          ~chunks:enc_chunks instr_lay
+    Trace.span "encode:instr" @@ fun () -> encode pi
   in
-  let jt_bytes, jt_relocs =
-    Trace.span "encode:jtnew" @@ fun () ->
-    match pinned with
-    | Some (_, _, pj) ->
-        Asm.encode_chunks arch ~pie ~toc ~labels ~par:apar ?memo:amemo
-          pj.Asm.p_layout pj.Asm.p_chunks
-    | None ->
-        Asm.encode_sharded arch ~pie ~toc ~labels ~par:apar ?memo:amemo
-          ~chunks:enc_chunks jt_lay
-  in
+  let jt_bytes, jt_relocs = Trace.span "encode:jtnew" @@ fun () -> encode pj in
+  let jt_lay = pj.Asm.p_layout in
   let label_addr l = Asm.label_exn labels l in
   let reloc_of a = label_addr (block_label a) in
   (* 6. RA map, counter-site map, trap seeds from relocated code. *)
@@ -1109,17 +1071,17 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
           Hashtbl.find_opt labels (block_label b.Cfg.b_start))
         fa.Parse.fa_cfg.Cfg.blocks
     in
-    Cache.kjoin
+    Key.kjoin
       [
         Lazy.force cache_ctx;
-        Cache.dval fa;
-        Cache.dval (nxt, block_labels);
+        Key.dval fa;
+        Key.dval (nxt, block_labels);
         pad;
       ]
   in
   let plans =
     Trace.span "place:plan" @@ fun () ->
-    Cache.memo_map ?cache ~jobs ~stage:"rewrite/plan" ~key:plan_key
+    run.Parse.map ~stage:"rewrite/plan" ~key:plan_key
       plan_function sorted_ifuncs
   in
   (* ...then a serial replay in sorted function order threads the scratch

@@ -123,15 +123,19 @@ type t = {
 val rewrite : ?cache:Cache.t -> ?options:options -> Icfg_analysis.Parse.t -> t
 (** Rewrite the parsed binary. The input binary is not mutated.
 
-    [cache] memoizes the pure per-item stages — per-function relocation
-    (stage [rewrite/relocate]), trampoline placement plans
-    ([rewrite/plan]) and encode chunks ([encode]) — keyed on everything
-    each stage reads, so warm identical re-rewrites are dominated by the
-    serial layout/replay/emit tail. Output bytes are identical with and
-    without a cache for every mode, failure model and jobs count (pinned
-    by the determinism battery), and all cache counters are
-    jobs-independent: with a cache the encode chunk count is a fixed
-    constant, and lookups happen serially in input order. *)
+    The pure per-item stages — per-function relocation (stage
+    [rewrite/relocate]), trampoline placement plans ([rewrite/plan]) and
+    per-function encode chunks ([encode]) — run through
+    {!Cache.runner}: fanned out over [options.jobs] domains and, with
+    [cache], memoized on everything each stage reads, so warm identical
+    re-rewrites are dominated by the serial layout/replay/emit tail.
+    Layout is always {!Icfg_codegen.Asm.layout_pinned}; [cache] also
+    carries the previous run's placement, so unchanged functions keep
+    their addresses. Output bytes are identical with and without a cache
+    for every mode, failure model and jobs count (pinned by the
+    determinism battery), and all cache counters are jobs-independent:
+    chunks are function boundaries, and lookups happen serially in input
+    order. *)
 
 val vm_config_for : t -> Icfg_runtime.Vm.config -> Icfg_runtime.Vm.config
 (** Install the trap map and (when enabled) the RA-translation hooks into a

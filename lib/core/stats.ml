@@ -25,3 +25,19 @@ let ratio ~den ~num =
    counted at all. *)
 let share ~total ~part =
   if total <= 0 then 0. else 100. *. float_of_int part /. float_of_int total
+
+(* Hand-rolled JSON (no JSON dependency): the string-literal escape every
+   report writer shares. *)
+let json_escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b

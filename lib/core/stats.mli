@@ -1,6 +1,6 @@
 (** Small numeric/formatting helpers shared by the rewriter's statistics
-    output and the harness's experiment reports (the harness [Stats] module
-    re-exports these, so both layers render percentages identically). *)
+    output, the harness's experiment reports and every JSON writer, so all
+    layers render percentages and strings identically. *)
 
 val mean : float list -> float
 val max_f : float list -> float
@@ -19,3 +19,7 @@ val ratio : den:int -> num:int -> float
 
 val share : total:int -> part:int -> float
 (** [part] as a percentage of [total], or [0.] when [total <= 0]. *)
+
+val json_escape : string -> string
+(** Escape a string for a JSON string literal: quote, backslash, newline
+    and the other control characters ([\u00XX]). *)

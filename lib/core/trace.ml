@@ -146,32 +146,18 @@ let rows t =
       { r_path = path; r_count = !c; r_ns = !ns })
     !order
 
-(* Hand-rolled JSON, same policy as bench/main.ml: no JSON dependency. *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"schema\": \"icfg-trace/1\",\n  \"counters\": {";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\n    \"%s\": %d" (json_escape k) v)
+      Printf.bprintf b "\n    \"%s\": %d" (Stats.json_escape k) v)
     (counters t);
   Buffer.add_string b "\n  },\n  \"spans\": [";
   let rec node buf n =
-    Printf.bprintf buf "{\"name\": \"%s\", \"ns\": %d" (json_escape n.n_name)
+    Printf.bprintf buf "{\"name\": \"%s\", \"ns\": %d"
+      (Stats.json_escape n.n_name)
       (ns_of n);
     (match List.rev n.n_children with
     | [] -> ()
@@ -223,9 +209,3 @@ let add_vm ~prefix (r : Icfg_runtime.Vm.result) =
       (fun (bucket, cycles) -> add (prefix ^ "/cycles:" ^ bucket) cycles)
       r.cycle_buckets
   end
-
-let parse_probe () =
-  {
-    Icfg_analysis.Parse.pspan = (fun name f -> span name f);
-    pcount = add;
-  }

@@ -93,8 +93,3 @@ val add_vm : prefix:string -> Icfg_runtime.Vm.result -> unit
 (** Record a finished VM run's runtime counters under [prefix] (e.g.
     ["vm/rewritten"]): cycles (total and per cost bucket), steps, traps
     delivered, RA translations, icache hits/misses, unwind steps. *)
-
-val parse_probe : unit -> Icfg_analysis.Parse.probe
-(** Probe record wired to the ambient trace, for injection into
-    [Parse.parse] (the analysis layer sits below this library and cannot
-    call [span]/[add] directly). *)

@@ -9,6 +9,7 @@ module Capabilities = Icfg_baselines.Capabilities
 module Spec_suite = Icfg_workloads.Spec_suite
 module Apps = Icfg_workloads.Apps
 module Vm = Icfg_runtime.Vm
+module Stats = Icfg_core.Stats
 
 let buf_out f =
   let b = Buffer.create 4096 in

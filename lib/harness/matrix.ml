@@ -88,14 +88,14 @@ let cls_of_string s =
    overflow); that is a [Crashed] cell, not the end of the sweep — and
    in the serve daemon, a typed error, not a dead process. *)
 let eval_cell ~orig ~approach ?(jobs = 1) ?cache bin =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Icfg_core.Metrics.now_ns () in
   let c =
     match Runner.drive ~approach ~jobs ?cache bin with
     | None -> Crashed ("unknown approach: " ^ approach)
     | Some outcome -> classify ~orig outcome
     | exception e -> Crashed (Printexc.to_string e)
   in
-  let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+  let ns = Int64.to_float (Int64.sub (Icfg_core.Metrics.now_ns ()) t0) in
   (match c with
   | Verified -> Trace.add "corpus.verified" 1
   | Diverged -> Trace.add "corpus.diverged" 1

@@ -1,7 +1,6 @@
 module Vm = Icfg_runtime.Vm
 module Runtime_lib = Icfg_runtime.Runtime_lib
 module Rewriter = Icfg_core.Rewriter
-module Pool = Icfg_core.Pool
 module Parse = Icfg_analysis.Parse
 module Binary = Icfg_obj.Binary
 module Baseline = Icfg_baselines.Baseline
@@ -10,21 +9,8 @@ module Baseline = Icfg_baselines.Baseline
 (* The sharded rewriting pipeline entry points                         *)
 (* ------------------------------------------------------------------ *)
 
-let par_of_jobs jobs = { Parse.pmap = (fun f l -> Pool.map ~jobs f l) }
-
-let memo_of_cache ~jobs cache =
-  {
-    Parse.mmap =
-      (fun ~stage ~key f l ->
-        Icfg_core.Cache.memo_map ~cache ~jobs ~stage ~key f l);
-  }
-
-let parse ?fm ?(jobs = 1) ?cache bin =
-  let jobs = max 1 jobs in
-  Parse.parse ?fm ~par:(par_of_jobs jobs)
-    ~probe:(Icfg_core.Trace.parse_probe ())
-    ?memo:(Option.map (memo_of_cache ~jobs) cache)
-    bin
+let parse ?fm ?jobs ?cache bin =
+  Parse.parse ?fm ~runner:(Icfg_core.Cache.runner ?cache ?jobs ()) bin
 
 let rewrite ?fm ?(options = Rewriter.default_options) ?jobs ?cache bin =
   let jobs = max 1 (Option.value ~default:options.Rewriter.jobs jobs) in
@@ -285,7 +271,7 @@ let evaluate ~orig ~coverage ~orig_size outcome =
       }
   | Baseline.Rewritten rw ->
       let size_pct =
-        Stats.ratio_pct ~base:orig_size
+        Icfg_core.Stats.ratio_pct ~base:orig_size
           ~value:rw.Rewriter.rw_stats.Rewriter.s_new_size
       in
       let r = run_rewritten rw in

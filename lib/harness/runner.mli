@@ -12,18 +12,14 @@
     Output is bit-identical for every [jobs] value; [test_parallel]
     enforces this. *)
 
-val par_of_jobs : int -> Icfg_analysis.Parse.par
-(** A {!Icfg_core.Pool}-backed mapper for [Parse.parse ~par]. *)
-
-val memo_of_cache : jobs:int -> Icfg_core.Cache.t -> Icfg_analysis.Parse.memo
-(** A {!Icfg_core.Cache.memo_map}-backed memoizer for [Parse.parse ~memo]. *)
-
 val parse :
   ?fm:Icfg_analysis.Failure_model.t ->
   ?jobs:int ->
   ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   Icfg_analysis.Parse.t
+(** [Parse.parse] under {!Icfg_core.Cache.runner} (traced, [jobs] domains,
+    memoized when [cache] is given). *)
 
 val rewrite :
   ?fm:Icfg_analysis.Failure_model.t ->

@@ -92,25 +92,14 @@ let snapshot t =
   Mutex.unlock t.m;
   s
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let summary_json s =
   Printf.sprintf
     "{\"id\": %d, \"approach\": \"%s\", \"outcome\": \"%s\", \"ns\": %d, \
      \"errored\": %b}"
-    s.fs_id (json_escape s.fs_approach) (json_escape s.fs_outcome) s.fs_ns
+    s.fs_id
+    (Icfg_core.Stats.json_escape s.fs_approach)
+    (Icfg_core.Stats.json_escape s.fs_outcome)
+    s.fs_ns
     s.fs_errored
 
 let to_json snap =

@@ -105,7 +105,7 @@ let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?(jobs = 1) ?workers ?bound
               0 bin_strs)
   in
   let next = Atomic.make 0 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Icfg_core.Metrics.now_ns () in
   let client_body () =
     Client.with_connection path @@ fun c ->
     let rec pull () =
@@ -155,7 +155,7 @@ let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?(jobs = 1) ?workers ?bound
     List.init clients (fun _ -> Thread.create client_body ())
   in
   List.iter Thread.join threads;
-  let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+  let wall_ns = Int64.to_float (Int64.sub (Icfg_core.Metrics.now_ns ()) t0) in
   let st = Server.stats srv in
   let cstats = Cache.stats (Server.cache srv) in
   (* Snapshot before stop: same merged view a live [Stats] frame gets. *)

@@ -247,7 +247,7 @@ let test_pinned_no_prev () =
    the dirty segment into its own hole, so every address survives. *)
 let test_pinned_stable () =
   let r1, l1 = pin base_segs in
-  let r2, l2 = pin ~prev:r1.Asm.p_recs base_segs in
+  let r2, l2 = pin ~prev:(Lazy.force r1.Asm.p_recs) base_segs in
   Alcotest.(check bool) "warm layout identical" true
     (r2.Asm.p_layout = r1.Asm.p_layout);
   Alcotest.(check bool) "warm labels identical" true
@@ -255,7 +255,7 @@ let test_pinned_stable () =
   Alcotest.(check int) "all pinned" 3 r2.Asm.p_pinned;
   Alcotest.(check int) "none moved" 0 r2.Asm.p_moved;
   let edited = [ seg 0 "AAAA"; seg 1 "ZZ"; seg 2 "CCCCCCCC" ] in
-  let r3, l3 = pin ~prev:r1.Asm.p_recs edited in
+  let r3, l3 = pin ~prev:(Lazy.force r1.Asm.p_recs) edited in
   Alcotest.(check bool) "same-length edit keeps every address" true
     (bindings l1 = bindings l3);
   Alcotest.(check int) "two pinned" 2 r3.Asm.p_pinned;
@@ -269,7 +269,7 @@ let test_pinned_growth () =
   let r1, l1 = pin base_segs in
   let grown = "BBBBBBBBBBBB" in
   let edited = [ seg 0 "AAAA"; seg 1 grown; seg 2 "CCCCCCCC" ] in
-  let r, labels = pin ~prev:r1.Asm.p_recs edited in
+  let r, labels = pin ~prev:(Lazy.force r1.Asm.p_recs) edited in
   Alcotest.(check int) "two pinned" 2 r.Asm.p_pinned;
   Alcotest.(check int) "one moved" 1 r.Asm.p_moved;
   let addr tbl s = Asm.label_exn tbl s in

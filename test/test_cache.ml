@@ -7,6 +7,7 @@
 
 module Cache = Icfg_core.Cache
 module Runner = Icfg_harness.Runner
+module Key = Icfg_obj.Key
 
 let spec_bin () =
   let arch = Icfg_isa.Arch.X86_64 in
@@ -20,13 +21,13 @@ let spec_bin () =
 let key_injectivity () =
   (* Length-prefixing makes adjacent parts unable to alias. *)
   Alcotest.(check bool) "kjoin [ab;c] <> kjoin [a;bc]" true
-    (Cache.kjoin [ "ab"; "c" ] <> Cache.kjoin [ "a"; "bc" ]);
+    (Key.kjoin [ "ab"; "c" ] <> Key.kjoin [ "a"; "bc" ]);
   Alcotest.(check bool) "kjoin [] <> kjoin [empty]" true
-    (Cache.kjoin [] <> Cache.kjoin [ "" ]);
+    (Key.kjoin [] <> Key.kjoin [ "" ]);
   (* dval is structural: equal values digest equally however built. *)
   let a = [ 1; 2; 3 ] in
   let b = 1 :: List.tl [ 0; 2; 3 ] in
-  Alcotest.(check string) "dval structural" (Cache.dval a) (Cache.dval b)
+  Alcotest.(check string) "dval structural" (Key.dval a) (Key.dval b)
 
 (* ------------------------------------------------------------------ *)
 (* memo_map contract                                                   *)
@@ -52,7 +53,7 @@ let memo_map_basic () =
     Atomic.incr calls;
     (x, string_of_int x)
   in
-  let key x = Cache.dval x in
+  let key x = Key.dval x in
   let r1 = Cache.memo_map ~cache:c ~jobs:2 ~stage:"t" ~key f xs in
   Alcotest.(check int) "cold: one call per item" 50 (Atomic.get calls);
   let r2 = Cache.memo_map ~cache:c ~jobs:2 ~stage:"t" ~key f xs in
@@ -71,7 +72,7 @@ let clone_isolation () =
   let c = Cache.create () in
   let xs = [ 1; 2; 3 ] in
   let f x = x + 1 in
-  let key x = Cache.dval x in
+  let key x = Key.dval x in
   ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f xs);
   let k = Cache.clone c in
   Alcotest.(check int) "clone stats start at zero" 0 (Cache.stats k).Cache.c_hits;
@@ -186,7 +187,7 @@ let disk_lru_bound () =
         calls := x :: !calls;
         String.make 2048 (Char.chr (x land 0xff))
       in
-      let key x = Cache.dval x in
+      let key x = Key.dval x in
       let xs = List.init 8 (fun i -> i) in
       let c = Cache.create ~dir ~max_disk_bytes:(3 * 2200) () in
       ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f xs);
@@ -215,7 +216,7 @@ let disk_lru_bound () =
 let disk_lru_refresh () =
   Test_parallel.with_temp_dir (fun dir ->
       let f x = String.make 2048 (Char.chr (x land 0xff)) in
-      let key x = Cache.dval x in
+      let key x = Key.dval x in
       let seed = Cache.create ~dir () in
       ignore (Cache.memo_map ~cache:seed ~jobs:1 ~stage:"t" ~key f [ 0; 1; 2 ]);
       let c = Cache.create ~dir ~max_disk_bytes:(3 * 2200) () in
@@ -229,6 +230,95 @@ let disk_lru_refresh () =
       ignore (Cache.memo_map ~cache:c2 ~jobs:1 ~stage:"t" ~key f [ 0 ]);
       Alcotest.(check int) "the touched seed survived" 1
         (Cache.stats c2).Cache.c_hits)
+
+(* An entry larger than the whole bound is refused by the disk tier: it
+   keeps only its in-memory copy (counted as an LRU eviction) and flushes
+   none of the entries that fit. *)
+let disk_lru_oversized () =
+  Test_parallel.with_temp_dir (fun dir ->
+      let f n = String.make n 'x' in
+      let key n = Key.dval n in
+      let c = Cache.create ~dir ~max_disk_bytes:2200 () in
+      ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f [ 1024 ]);
+      ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f [ 4096 ]);
+      Alcotest.(check int) "oversized entry dropped from disk" 1
+        (Cache.stats c).Cache.c_evict_lru;
+      ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f [ 4096 ]);
+      Alcotest.(check int) "oversized entry still served from memory" 1
+        (Cache.stats c).Cache.c_hits;
+      (* A fresh cache over the directory finds exactly the entry that
+         fits. *)
+      let c2 = Cache.create ~dir () in
+      ignore (Cache.memo_map ~cache:c2 ~jobs:1 ~stage:"t" ~key f [ 1024 ]);
+      Alcotest.(check int) "small entry on disk" 1
+        (Cache.stats c2).Cache.c_hits;
+      ignore (Cache.memo_map ~cache:c2 ~jobs:1 ~stage:"t" ~key f [ 4096 ]);
+      Alcotest.(check int) "oversized entry not on disk" 1
+        (Cache.stats c2).Cache.c_misses)
+
+(* The shared LRU policy in isolation (the disk tier above and the
+   daemon's stores both evict through it). *)
+module Lru = Icfg_core.Lru
+
+let lru_policy () =
+  let evict lru k size =
+    match Lru.add lru k () ~size with
+    | Some victims -> victims
+    | None -> Alcotest.failf "add %s refused" k
+  in
+  (* Seeded entries tie on tick: they go in key order, before anything
+     added since. *)
+  let lru = Lru.create ~capacity:10 () in
+  List.iter (fun k -> Lru.seed lru k () ~size:3) [ "c"; "a"; "b" ];
+  Alcotest.(check int) "seeded footprint" 9 (Lru.total lru);
+  Alcotest.(check (list string)) "seeds evicted in key order" [ "a"; "b" ]
+    (evict lru "x" 5);
+  Alcotest.(check (list string)) "then the last seed" [ "c" ]
+    (evict lru "y" 4);
+  (* A hit refreshes: "x" outlives the older "y". *)
+  ignore (Lru.find lru "x");
+  Alcotest.(check (list string)) "untouched entry goes first" [ "y" ]
+    (evict lru "z" 4);
+  Alcotest.(check bool) "refreshed entry kept" true (Lru.mem lru "x");
+  (* Oversized values are refused and change nothing. *)
+  let before = (Lru.total lru, Lru.length lru) in
+  Alcotest.(check bool) "oversized refused" true
+    (Lru.add lru "huge" () ~size:11 = None);
+  Alcotest.(check (pair int int)) "refusal changes nothing" before
+    (Lru.total lru, Lru.length lru);
+  (* Replacing a key keeps the footprint exact and never evicts the key
+     itself. *)
+  Alcotest.(check (list string)) "replace fits without eviction" []
+    (evict lru "z" 2);
+  Alcotest.(check (pair int int)) "footprint after same-key replace" (7, 2)
+    (Lru.total lru, Lru.length lru);
+  Alcotest.(check (list string)) "full-capacity replace evicts the rest"
+    [ "x" ] (evict lru "z" 10);
+  Alcotest.(check (pair int int)) "only the replaced key left" (10, 1)
+    (Lru.total lru, Lru.length lru)
+
+(* Store evicts in the same order through its own API: a hit protects an
+   older entry, misses and [mem] probes do not. *)
+let store_eviction_order () =
+  let module Store = Icfg_service.Store in
+  let st = Store.create ~max_bytes:12 () in
+  let add k = ignore (Store.add st ~key:k (String.make 4 k.[0])) in
+  List.iter add [ "a"; "b"; "c" ];
+  ignore (Store.find st "a");
+  ignore (Store.mem st "b");
+  add "d";
+  Alcotest.(check (list bool)) "b evicted, refreshed a kept"
+    [ true; false; true; true ]
+    (List.map (Store.mem st) [ "a"; "b"; "c"; "d" ]);
+  add "e";
+  Alcotest.(check bool) "then c" false (Store.mem st "c");
+  Alcotest.(check bool) "oversized rejected" false
+    (Store.add st ~key:"f" (String.make 13 'f'));
+  let s = Store.stats st in
+  Alcotest.(check (list int)) "evictions, rejections, bytes, entries"
+    [ 2; 1; 12; 3 ]
+    [ s.Store.st_evictions; s.Store.st_rejected; s.Store.st_bytes;
+      s.Store.st_entries ]
 
 (* ------------------------------------------------------------------ *)
 (* Slots                                                               *)
@@ -400,6 +490,12 @@ let suite =
         Alcotest.test_case "disk: forged payload" `Quick disk_forged_payload;
         Alcotest.test_case "disk: LRU size bound" `Quick disk_lru_bound;
         Alcotest.test_case "disk: LRU hit refresh" `Quick disk_lru_refresh;
+        Alcotest.test_case "disk: entry over the whole bound" `Quick
+          disk_lru_oversized;
+        Alcotest.test_case "lru: victim order, refresh, refusal, replace"
+          `Quick lru_policy;
+        Alcotest.test_case "store: LRU eviction order" `Quick
+          store_eviction_order;
         Alcotest.test_case "slots: round-trip, clone, corruption" `Quick
           slot_battery;
         Alcotest.test_case "serve: twin cross-request all-hits" `Slow

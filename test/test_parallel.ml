@@ -175,8 +175,9 @@ let parse_battery () =
 
 module Func_ptr = Icfg_analysis.Func_ptr
 
-let pool_fpar jobs =
-  { Func_ptr.pmap = (fun f l -> Icfg_core.Pool.map ~jobs f l) }
+(* The per-CFG scans go through the same runner map the parse uses. *)
+let pool_map jobs ~key f l =
+  (Cache.runner ~jobs ()).Parse.map ~stage:"t" ~key f l
 
 let funcptr_battery () =
   List.iter
@@ -189,7 +190,7 @@ let funcptr_battery () =
       let serial = Func_ptr.analyze bin fm cfgs in
       List.iter
         (fun jobs ->
-          let par = Func_ptr.analyze ~par:(pool_fpar jobs) bin fm cfgs in
+          let par = Func_ptr.analyze ~map:(pool_map jobs) bin fm cfgs in
           Alcotest.(check bool)
             (Printf.sprintf "func-ptr %s jobs=%d" (Arch.name arch) jobs)
             true (serial = par))
@@ -201,6 +202,22 @@ let funcptr_battery () =
 (* ------------------------------------------------------------------ *)
 
 module Asm = Icfg_codegen.Asm
+
+(* Split a layout's items into [k] contiguous chunks (clamped to the item
+   count), uneven when [k] does not divide it. Zero-size items (labels)
+   make some chunks degenerate: empty address extents. *)
+let tile (lay : Asm.layout) k =
+  let items = Array.of_list lay.Asm.items in
+  let n = Array.length items in
+  let k = max 1 (min k n) in
+  let addr_of i = if i >= n then lay.Asm.l_end else snd items.(i) in
+  List.init k (fun c ->
+      let i0 = c * n / k and i1 = (c + 1) * n / k in
+      {
+        Asm.c_items = Array.to_list (Array.sub items i0 (i1 - i0));
+        c_lo = addr_of i0;
+        c_hi = addr_of i1;
+      })
 
 (* An item stream exercising every boundary shape a chunk split can cut
    through: zero-size labels, address-dependent alignment, multi-insn
@@ -241,9 +258,8 @@ let asm_shard_battery () =
           List.iter
             (fun chunks ->
               let bytes, relocs =
-                Asm.encode_sharded arch ~pie ~toc:0 ~labels
-                  ~par:{ Asm.pmap = (fun f l -> Icfg_core.Pool.map ~jobs:4 f l) }
-                  ~chunks lay
+                Asm.encode_chunks arch ~pie ~toc:0 ~labels ~map:(pool_map 4)
+                  lay (tile lay chunks)
               in
               let what =
                 Printf.sprintf "encode %s pie=%b chunks=%d" (Arch.name arch)
@@ -379,61 +395,93 @@ let with_temp_dir f =
         Sys.rmdir dir))
     (fun () -> f dir)
 
-(* Cached rewrites are byte-identical to uncached ones for every mode and
-   jobs value, cold and warm alike, and the hit/miss statistics are
-   jobs-independent (the ISSUE's observation-safety requirement). *)
+(* Every uncached rewrite lays out and encodes through the same pinned,
+   per-function-chunk path a cached one takes, so the equivalence is
+   checked across ISAs and corpus shapes: the first spec binary of each
+   ISA plus the first seed-7 corpus entry of every shape except the
+   35 MiB starved one. *)
+let cache_inputs () =
+  let spec =
+    List.map
+      (fun arch ->
+        let bench = List.hd (Icfg_workloads.Spec_suite.benchmarks arch) in
+        ( Printf.sprintf "%s/%s" (Arch.name arch)
+            bench.Icfg_workloads.Spec_suite.bench_name,
+          fst (Icfg_workloads.Spec_suite.compile arch bench) ))
+      Arch.all
+  in
+  let module Corpus = Icfg_workloads.Corpus in
+  let entries =
+    Corpus.generate ~seed:7 ~count:(Array.length Corpus.all_shapes)
+  in
+  let corpus =
+    List.filter_map
+      (fun (e : Corpus.entry) ->
+        if e.Corpus.e_shape = Corpus.Starved then None
+        else
+          Some
+            ( Printf.sprintf "corpus%d/%s" e.Corpus.e_id
+                (Corpus.shape_name e.Corpus.e_shape),
+              Corpus.build e ))
+      entries
+  in
+  spec @ corpus
+
+(* Cached rewrites are byte-identical to uncached ones for every input,
+   mode and jobs value, cold and warm alike, and the hit/miss statistics
+   are jobs-independent (the observation-safety requirement). *)
 let cache_battery () =
-  let arch = Arch.X86_64 in
-  let bench = List.hd (Icfg_workloads.Spec_suite.benchmarks arch) in
-  let bin, _ = Icfg_workloads.Spec_suite.compile arch bench in
   List.iter
-    (fun mode ->
-      let options = opts mode in
-      let uncached = Runner.rewrite ~options ~jobs:1 bin in
-      let stats_by_jobs =
-        List.map
-          (fun jobs ->
-            let c = Cache.create () in
-            let cold = Runner.rewrite ~options ~jobs ~cache:c bin in
-            check_same
-              ~what:(Printf.sprintf "%s cold jobs=%d" (Mode.name mode) jobs)
-              uncached cold;
-            let cold_stats = Cache.stats c in
-            Alcotest.(check int)
-              (Printf.sprintf "%s cold jobs=%d: no hits" (Mode.name mode) jobs)
-              0 cold_stats.Cache.c_hits;
-            Alcotest.(check bool)
-              (Printf.sprintf "%s cold jobs=%d: misses" (Mode.name mode) jobs)
-              true
-              (cold_stats.Cache.c_misses > 0);
-            (* Warm replay through a clone: fresh statistics, shared
-               entries. Everything per-function must hit. *)
-            let wc = Cache.clone c in
-            let warm = Runner.rewrite ~options ~jobs ~cache:wc bin in
-            check_same
-              ~what:(Printf.sprintf "%s warm jobs=%d" (Mode.name mode) jobs)
-              uncached warm;
-            let warm_stats = Cache.stats wc in
-            Alcotest.(check int)
-              (Printf.sprintf "%s warm jobs=%d: no misses" (Mode.name mode) jobs)
-              0 warm_stats.Cache.c_misses;
-            Alcotest.(check int)
-              (Printf.sprintf "%s warm jobs=%d: all hits" (Mode.name mode) jobs)
-              cold_stats.Cache.c_misses warm_stats.Cache.c_hits;
-            (cold_stats, warm_stats))
-          [ 1; 2; 4 ]
-      in
-      match stats_by_jobs with
-      | ref_stats :: rest ->
-          List.iteri
-            (fun i s ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: stats jobs-independent (%d)" (Mode.name mode)
-                   i)
-                true (s = ref_stats))
-            rest
-      | [] -> ())
-    Mode.all
+    (fun (name, bin) ->
+      List.iter
+        (fun mode ->
+          let what fmt =
+            Printf.ksprintf
+              (fun s -> Printf.sprintf "%s %s %s" name (Mode.name mode) s)
+              fmt
+          in
+          let options = opts mode in
+          let uncached = Runner.rewrite ~options ~jobs:1 bin in
+          let stats_by_jobs =
+            List.map
+              (fun jobs ->
+                let c = Cache.create () in
+                let cold = Runner.rewrite ~options ~jobs ~cache:c bin in
+                check_same ~what:(what "cold jobs=%d" jobs) uncached cold;
+                let cold_stats = Cache.stats c in
+                Alcotest.(check int)
+                  (what "cold jobs=%d: no hits" jobs)
+                  0 cold_stats.Cache.c_hits;
+                Alcotest.(check bool)
+                  (what "cold jobs=%d: misses" jobs)
+                  true
+                  (cold_stats.Cache.c_misses > 0);
+                (* Warm replay through a clone: fresh statistics, shared
+                   entries. Everything per-function must hit. *)
+                let wc = Cache.clone c in
+                let warm = Runner.rewrite ~options ~jobs ~cache:wc bin in
+                check_same ~what:(what "warm jobs=%d" jobs) uncached warm;
+                let warm_stats = Cache.stats wc in
+                Alcotest.(check int)
+                  (what "warm jobs=%d: no misses" jobs)
+                  0 warm_stats.Cache.c_misses;
+                Alcotest.(check int)
+                  (what "warm jobs=%d: all hits" jobs)
+                  cold_stats.Cache.c_misses warm_stats.Cache.c_hits;
+                (cold_stats, warm_stats))
+              [ 1; 2; 4 ]
+          in
+          match stats_by_jobs with
+          | ref_stats :: rest ->
+              List.iteri
+                (fun i s ->
+                  Alcotest.(check bool)
+                    (what "stats jobs-independent (%d)" i)
+                    true (s = ref_stats))
+                rest
+          | [] -> ())
+        Mode.all)
+    (cache_inputs ())
 
 (* The on-disk tier: a second cache instance over the same directory (a
    fresh process in real life) serves every per-function artifact from
