@@ -36,8 +36,8 @@
                                        rows: warm-perturbed must stay
                                        within r (default 1.3) of
                                        warm-identical, and the data-edit
-                                       row must show zero text-stage
-                                       misses; non-zero exit on failure
+                                       row must show zero misses in every
+                                       stage; non-zero exit on failure
      bench/main.exe serve-check [--seed N] [--count N] [--clients N] [--jobs N]
                                     -- daemon equivalence gate: stream the
                                        corpus slice through a live icfg
@@ -472,7 +472,8 @@ let run_cache_micro () =
   in
   (* Representative runs execute under a private trace so the row also
      records per-stage miss counters ("miss:parse/pass1", ...): the
-     warm-data-edit row gates on text-stage misses staying exactly zero. *)
+     warm-data-edit row gates on every stage's misses staying exactly
+     zero. *)
   let with_misses f =
     let t = Icfg_core.Trace.create () in
     let r = Icfg_core.Trace.with_current t f in
@@ -965,7 +966,8 @@ let run_diff args =
 (* The warm-path gate: `bench/main.exe check-cache FILE [--max-ratio r]`
    asserts the cache section of a bench JSON keeps warm-perturbed within
    the target ratio of warm-identical, and the data-only-edit row with
-   zero text-stage misses (CI runs this against the refreshed artifact). *)
+   zero misses in every stage (CI runs this against the refreshed
+   artifact). *)
 let run_check_cache args =
   let rec split_flag flag acc = function
     | f :: v :: rest when f = flag -> (Some v, List.rev_append acc rest)

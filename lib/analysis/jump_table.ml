@@ -342,7 +342,14 @@ let known_data bin pres =
 
 type result = Resolved of table | Unresolved of unres * string
 
-let finalize bin (fm : Failure_model.t) ~known_data (cfg : Cfg.t) p =
+(* The bound-and-read step of [finalize]: the entry count that the guard,
+   the bound policy and the known-data clamp settle on, and the table word
+   at each of those entries ([None] where a word is not mapped). These
+   words are the only image bytes [finalize] reads, and which words they
+   are depends only on [p], [fm] and [known_data] — so a cached finalize
+   keys on exactly this list ({!Parse}). [None] when no bound can be
+   inferred. *)
+let table_words bin (fm : Failure_model.t) ~known_data p =
   let entry_bytes = Insn.width_bytes p.p_width in
   let count =
     match (p.p_guard, fm.bound_policy) with
@@ -351,9 +358,8 @@ let finalize bin (fm : Failure_model.t) ~known_data (cfg : Cfg.t) p =
     | Some n, Failure_model.Bound_over k -> Some (n + k)
     | None, _ -> None
   in
-  match count with
-  | None -> Unresolved (U_no_bound, "cannot infer the table bound")
-  | Some count ->
+  Option.map
+    (fun count ->
       (* Assumption 2: never let the table run into known non-table data or
          another jump table. *)
       let count =
@@ -367,14 +373,18 @@ let finalize bin (fm : Failure_model.t) ~known_data (cfg : Cfg.t) p =
           min count (max 1 cap)
         else count
       in
+      List.init count (fun i ->
+          try Some (Binary.read bin (p.p_table + (i * entry_bytes)) p.p_width)
+          with Invalid_argument _ -> None))
+    count
+
+let finalize bin (fm : Failure_model.t) ~known_data (cfg : Cfg.t) p =
+  match table_words bin fm ~known_data p with
+  | None -> Unresolved (U_no_bound, "cannot infer the table bound")
+  | Some words ->
       let flo = cfg.Cfg.fsym.Icfg_obj.Symbol.addr in
       let fhi = flo + cfg.Cfg.fsym.Icfg_obj.Symbol.size in
-      let entries =
-        List.init count (fun i ->
-            try Some (Binary.read bin (p.p_table + (i * entry_bytes)) p.p_width)
-            with Invalid_argument _ -> None)
-      in
-      let entries = List.filter_map (fun x -> x) entries in
+      let entries = List.filter_map Fun.id words in
       let raw_targets =
         List.map
           (fun x ->

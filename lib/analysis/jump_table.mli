@@ -83,6 +83,18 @@ type result =
   | Resolved of table
   | Unresolved of unres * string
 
+val table_words :
+  Icfg_obj.Binary.t ->
+  Failure_model.t ->
+  known_data:int list ->
+  pre_table ->
+  int option list option
+(** The bound-and-read step of {!finalize}: one entry per table slot the
+    bound policy and the known-data clamp admit, holding the word read
+    there ([None] if unmapped). [None] when no bound can be inferred.
+    These words are every image byte {!finalize} reads, so a cached
+    finalize keys on them. *)
+
 val finalize :
   Icfg_obj.Binary.t ->
   Failure_model.t ->

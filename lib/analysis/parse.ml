@@ -184,9 +184,13 @@ let inline =
      consume), per-section metadata, and the text bytes before the first
      function. Read by every per-function text stage.
    - [cd_eh]: the eh_frame tables ([Cfg.build] reads landing pads).
-   - [cd_data]: every non-text section's bytes. Only jump-table
-     finalization dereferences data words, so a data-only edit costs the
-     finalize stage and keeps every other text-stage hit.
+
+   No digest covers data bytes. The only data words a text stage reads
+   are the jump-table entries [parse/finalize] dereferences, and its key
+   holds exactly those words ({!Jump_table.table_words}); the
+   function-pointer stages key on their own slot reads (the [extra]
+   computed inside {!Func_ptr.analyze}). A data edit outside every read
+   set therefore costs no stage at all.
 
    Symbol {e names} are deliberately excluded from [cd_common]: no
    per-function analysis of function [f] reads another function's name,
@@ -194,19 +198,13 @@ let inline =
    one symbol costs exactly that function's entries instead of flushing
    the store. Relocations are excluded entirely: their only cached
    consumers are the function-pointer scans, whose keys digest the
-   reloc-derived slot-target map directly (the [extra] computed inside
-   {!Func_ptr.analyze}). The binary's [name] is excluded too — renaming
-   a file must not invalidate its entries.
+   reloc-derived slot-target map directly. The binary's [name] is
+   excluded too — renaming a file must not invalidate its entries.
 
-   Each digest is collapsed to 16 bytes here: the raw marshals can be
-   tens of MiB for bulk-data binaries, and these strings are copied into
-   every per-function key of every stage — digesting once per parse
-   keeps key construction O(function size), not O(binary size). *)
-type context_digests = {
-  cd_common : string;
-  cd_eh : string;
-  cd_data : string;
-}
+   Each digest is collapsed to 16 bytes here, because these strings are
+   copied into every per-function key of every stage: digesting once per
+   parse keeps key construction O(function size). *)
+type context_digests = { cd_common : string; cd_eh : string }
 
 let context_digests bin fm syms =
   let text = Binary.text bin in
@@ -233,13 +231,6 @@ let context_digests bin fm syms =
         (s.Symbol.addr, s.Symbol.size, s.Symbol.kind, s.Symbol.global, s.Symbol.version))
       bin.Binary.symbols
   in
-  let data_bodies =
-    List.filter_map
-      (fun (s : Section.t) ->
-        if s.Section.name = text.Section.name then None
-        else Some (s.Section.name, Bytes.to_string s.Section.data))
-      bin.Binary.sections
-  in
   {
     cd_common =
       Digest.string
@@ -255,7 +246,6 @@ let context_digests bin fm syms =
              section_meta,
              head ));
     cd_eh = Digest.string (Key.dval bin.Binary.eh_frame);
-    cd_data = Digest.string (Key.dval data_bodies);
   }
 
 (* A function's content slice: its text bytes extended to the next
@@ -338,16 +328,30 @@ let parse ?(fm = Failure_model.ours) ?runner:(r = inline) bin =
   in
   let pointer_targets = Func_ptr.derived_block_targets fptrs in
   (* Finalization also reads the cross-function results of round 1 and —
-     alone among the text stages — dereferences data words (resolved
-     table entries), so its key adds [round1] and [cd_data]. *)
+     alone among the text stages — dereferences image words outside the
+     function's slice: the entries of its tables. Which words it reads is
+     fixed by the pass-1 pre-tables, [fm] and [known_data], all already in
+     the key, so the key adds [round1] and the words themselves, read by
+     the same {!Jump_table.table_words} that [finalize] calls. *)
   let round1 = lazy (Key.dval (known_data, pointer_targets)) in
+  let words_read slices =
+    Key.dval
+      (List.filter_map
+         (function
+           | _, Jump_table.S_table p ->
+               Some (Jump_table.table_words bin fm ~known_data p)
+           | _ -> None)
+         slices)
+  in
   let funcs =
     r.span "finalize" (fun () ->
         r.map ~stage:"parse/finalize"
-          ~key:(fun ((sym, _, _), _) ->
+          ~key:(fun ((sym, _, slices), _) ->
             fkey
               (fun cd ->
-                [ cd.cd_common; cd.cd_eh; cd.cd_data; Lazy.force round1 ])
+                [
+                  cd.cd_common; cd.cd_eh; Lazy.force round1; words_read slices;
+                ])
               sym)
           (fun ((sym, cfg0, slices), _) ->
             finalize_function bin fm ~known_data pointer_targets

@@ -71,11 +71,12 @@ val parse : ?fm:Failure_model.t -> ?runner:runner -> Icfg_obj.Binary.t -> t
     [parse/fptr2]. The whole-binary context is digested per section kind
     and compared piecewise: every stage key carries the common digest
     (ABI facts, failure model, nameless symbol map, section metadata,
-    pre-function text bytes) plus the eh_frame digest; only
-    [parse/finalize] — the one stage that dereferences data words — adds
-    the non-text section bytes and the round-1 results, so a data-only
-    edit keeps every other text-stage hit and a one-symbol rename costs
-    exactly that function's entries. Per-function stages additionally key
+    pre-function text bytes) plus the eh_frame digest; no key digests
+    data bytes. [parse/finalize] — the one stage that dereferences data
+    words — adds the round-1 results and exactly the jump-table words it
+    reads ({!Jump_table.table_words}), so a data edit misses only the
+    functions whose tables read an edited word, and a one-symbol rename
+    costs exactly that function's entries. Per-function stages additionally key
     on the function's symbol and content slice (extended to the next
     function start so padding is owned); the per-CFG pointer scans key on
     the scanned CFG's content plus the scan-input digest computed inside

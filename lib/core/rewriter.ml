@@ -1194,9 +1194,10 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
         Option.value ~default:0 (Hashtbl.find_opt blocks_tbl a))
       p
   in
-  (* 8. Build the output binary. *)
+  (* 8. Build the output binary: collect every byte range emit writes
+     into one list, then copy only the sections that list touches — every
+     other section keeps sharing its buffer with the input. *)
   Trace.span "emit" @@ fun () ->
-  let out = Binary.copy bin in
   (* Rename the retired dynamic-linking sections and make them executable
      scratch. *)
   let renamed_sections =
@@ -1205,28 +1206,27 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
         if List.mem s.Section.name [ ".dynsym"; ".dynstr"; ".rela_dyn" ] then
           { s with Section.name = s.Section.name ^ ".old"; perm = Section.r_x }
         else s)
-      out.Binary.sections
+      bin.Binary.sections
   in
-  let out = Binary.with_sections out renamed_sections in
   (* Overwrite relocated functions with illegal bytes (the strong test). *)
-  if opts.overwrite_original then
-    List.iter
-      (fun fa ->
-        let sym = fa.Parse.fa_sym in
-        Binary.write_string out sym.Symbol.addr
-          (String.make sym.Symbol.size '\000'))
-      ifuncs;
-  (* Restore preserved in-code tables. *)
-  List.iter
-    (fun (lo, hi) ->
-      let b = Bytes.create (hi - lo) in
-      for i = 0 to hi - lo - 1 do
-        Bytes.set_uint8 b i (Binary.read8 bin (lo + i) land 0xff)
-      done;
-      Binary.write_string out lo (Bytes.to_string b))
-    !preserved_ranges;
-  (* Install trampolines (and hop chunks). *)
-  List.iter (fun (addr, bytes) -> Binary.write_string out addr bytes) !writes;
+  let overwrites =
+    if opts.overwrite_original then
+      List.map
+        (fun fa ->
+          let sym = fa.Parse.fa_sym in
+          (sym.Symbol.addr, String.make sym.Symbol.size '\000'))
+        ifuncs
+    else []
+  in
+  (* Restore preserved in-code tables from the input. *)
+  let restores =
+    List.map
+      (fun (lo, hi) ->
+        ( lo,
+          String.init (hi - lo) (fun i ->
+              Char.chr (Binary.read8 bin (lo + i) land 0xff)) ))
+      !preserved_ranges
+  in
   (* Rewrite function-pointer data slots. *)
   let slot_patches = Hashtbl.create 16 in
   if Mode.rewrites_func_ptrs opts.mode then (
@@ -1247,7 +1247,22 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
             | None -> ())
         | _ -> ())
       p.Parse.fptrs);
-  Hashtbl.iter (fun slot v -> Binary.write64 out slot v) slot_patches;
+  let slot_writes =
+    List.rev
+      (Hashtbl.fold
+         (fun slot v acc ->
+           let b = Bytes.create 8 in
+           Bytes.set_int64_le b 0 (Int64.of_int v);
+           (slot, Bytes.unsafe_to_string b) :: acc)
+         slot_patches [])
+  in
+  (* Trampolines and hop chunks ([writes]) land between the restored
+     tables and the slot patches. *)
+  let out =
+    Binary.patch
+      (Binary.with_sections bin renamed_sections)
+      (overwrites @ restores @ !writes @ slot_writes)
+  in
   (* Original relocations into repurposed bytes (cloned in-code tables and
      overwritten text of instrumented functions) must be dropped, or the
      loader would clobber installed trampolines and scratch chunks. *)

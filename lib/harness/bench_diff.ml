@@ -609,14 +609,15 @@ let diff_files ?gate old_path new_path =
 (* -------------------------------------------------------------------- *)
 
 (* The per-stage miss counters that must stay exactly zero on the
-   data-only-edit warm row: with piecewise context digests, a validated
-   data edit invalidates only [parse/finalize] (the one stage that
-   dereferences data words) — any other stage going cold means a digest
-   leaked data bytes into a text-stage key. *)
+   data-only-edit warm row. No key digests data bytes, and
+   [parse/finalize] (the one stage that dereferences data words) keys on
+   exactly the table words it reads, which a validated data edit never
+   flips — any stage going cold means data bytes leaked into a key. *)
 let data_edit_zero_misses =
   [
     "miss:parse/pass1";
     "miss:parse/fptr";
+    "miss:parse/finalize";
     "miss:parse/fptr2";
     "miss:rewrite/relocate";
     "miss:rewrite/plan";

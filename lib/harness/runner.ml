@@ -102,11 +102,11 @@ let perturb_function (p : Parse.t) =
    identical analysis — CFGs, jump tables, pointer sites — so the edit's
    only cache-visible effect is the data bytes themselves. This is the
    probe behind the data-only-edit battery and the [cache-warm-data-edit]
-   bench row: with piecewise context digests, only [parse/finalize] (the
-   one stage that dereferences data words) may go cold. Read-only
-   sections are tried first — writable words feed the value-match pointer
-   scan on non-PIE binaries — and [.eh_frame] is excluded because its
-   bytes are a text-stage input. *)
+   bench row: an identical analysis means no jump-table word flipped, and
+   no key reads any other data byte, so a warm rewrite misses no stage at
+   all. Read-only sections are tried first — writable words feed the
+   value-match pointer scan on non-PIE binaries — and [.eh_frame] is
+   excluded because its bytes are a text-stage input. *)
 let perturb_data (p : Parse.t) =
   let bin = p.Parse.bin in
   let digest_of (q : Parse.t) =

@@ -55,10 +55,9 @@ val perturb_data : Icfg_analysis.Parse.t -> (Icfg_obj.Binary.t * string) option
 (** A copy of the parsed binary with one byte flipped in one loaded
     non-executable section (plus that section's name), validated by
     re-parsing: the perturbed binary must reproduce the identical analysis,
-    so the edit's only cache-visible input change is the data bytes — with
-    piecewise context digests, a warm rewrite re-runs only
-    [parse/finalize]. [None] if no validated site is found within the
-    attempt budget. *)
+    so the edit flips no jump-table word [parse/finalize] reads and a warm
+    rewrite misses no stage at all. [None] if no validated site is found
+    within the attempt budget. *)
 
 val perturb_symbol :
   Icfg_analysis.Parse.t -> (Icfg_obj.Binary.t * string) option

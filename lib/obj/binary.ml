@@ -185,6 +185,23 @@ let copy t =
         t.sections;
   }
 
+let patch t writes =
+  let touched = List.filter_map (fun (addr, _) -> section_at t addr) writes in
+  let out =
+    {
+      t with
+      sections =
+        List.map
+          (fun s ->
+            if List.memq s touched then
+              { s with Section.data = Bytes.copy s.Section.data }
+            else s)
+          t.sections;
+    }
+  in
+  List.iter (fun (addr, s) -> write_string out addr s) writes;
+  out
+
 let loaded_size t =
   List.fold_left
     (fun acc s -> if s.Section.loaded then acc + Section.size s else acc)

@@ -92,7 +92,15 @@ val write_string : t -> int -> string -> unit
 (** In-place mutation of section bytes (the container shares [Bytes.t]). *)
 
 val copy : t -> t
-(** Deep copy (fresh byte buffers) so rewriting never mutates the input. *)
+(** Deep copy: every section gets a fresh byte buffer. Binaries share
+    section buffers freely — a {!patch} result shares every section it
+    does not write with its input — so mutate only a [copy]. *)
+
+val patch : t -> (int * string) list -> t
+(** [patch t writes] is [t] with each [(addr, bytes)] written in list
+    order. Only the sections the writes land in are copied; every other
+    section shares its buffer with [t], which is left unchanged. Raises
+    [Invalid_argument] like {!write_string} on an unmapped write. *)
 
 (** {1 Measures} *)
 

@@ -48,7 +48,13 @@ let lang_of_tag = function
   | n -> invalid_arg (Printf.sprintf "Binfile: bad language tag %d" n)
 
 let to_buffer (bin : Binary.t) =
-  let b = Buffer.create 4096 in
+  (* Sized to the section bytes plus 4 KB for the metadata, so a large
+     image is written without the buffer regrowing and copying what it
+     already holds. *)
+  let b =
+    Buffer.create
+      (List.fold_left (fun n s -> n + Section.size s) 4096 bin.Binary.sections)
+  in
   Buffer.add_string b magic;
   wstr b bin.Binary.name;
   w8 b (arch_tag bin.Binary.arch);
@@ -76,7 +82,8 @@ let to_buffer (bin : Binary.t) =
         lor (if s.Section.perm.Section.write then 2 else 0)
         lor if s.Section.perm.Section.execute then 4 else 0);
       wbool b s.Section.loaded;
-      wstr b (Bytes.to_string s.Section.data))
+      w64 b (Section.size s);
+      Buffer.add_bytes b s.Section.data)
     bin.Binary.sections;
   (* symbols *)
   wlist b
@@ -149,13 +156,16 @@ let r64 r =
   r.pos <- r.pos + 8;
   v
 
-let rstr r =
+(* A length-prefixed byte run, taken out of the buffer with one copy. *)
+let rsub sub r =
   let n = r64 r in
   if n < 0 || n > Bytes.length r.buf then invalid_arg "Binfile: bad string";
   need r n;
-  let s = Bytes.sub_string r.buf r.pos n in
+  let s = sub r.buf r.pos n in
   r.pos <- r.pos + n;
   s
+
+let rstr r = rsub Bytes.sub_string r
 
 let rbool r = r8 r <> 0
 let ropt r f = if r8 r = 0 then None else Some (f ())
@@ -207,7 +217,7 @@ let of_bytes buf =
           }
         in
         let loaded = rbool r in
-        let data = Bytes.of_string (rstr r) in
+        let data = rsub Bytes.sub r in
         Section.make ~loaded ~name ~vaddr ~perm data)
   in
   let symbols =

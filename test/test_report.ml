@@ -493,11 +493,11 @@ let bench_diff_cache_section () =
 
 (* The warm-path gate ([check_cache]): the perturbed/identical ratio must
    stay under the limit, the data-edit row must report zero misses on
-   every text-stage counter (absent keys are the passing zero — the
-   tracer only emits nonzero counters), and malformed documents fail
-   loudly rather than passing silently. *)
+   every stage counter, finalize included (absent keys are the passing
+   zero — the tracer only emits nonzero counters), and malformed
+   documents fail loudly rather than passing silently. *)
 let bench_check_cache () =
-  let mk ?(ratio = 1.02) ?(data = Some [ ("miss:parse/finalize", 18) ]) () =
+  let mk ?(ratio = 1.02) ?(data = Some []) () =
     let rows =
       [
         ("cache-warm-identical", 1_000_000., [ ("hits", 130) ]);
@@ -523,8 +523,8 @@ let bench_check_cache () =
          x.Bench_diff.f_severity = Bench_diff.Info
          && x.Bench_diff.f_metric = "cache:warm-perturbed-ratio")
        f);
-  Alcotest.(check bool) "no data-edit misses at all also passes" false
-    (Bench_diff.has_regression (check (mk ~data:(Some []) ())));
+  Alcotest.(check bool) "data-edit hits alone pass" false
+    (Bench_diff.has_regression (check (mk ~data:(Some [ ("hits", 130) ]) ())));
   Alcotest.(check bool) "ratio over the default limit gates" true
     (Bench_diff.has_regression (check (mk ~ratio:1.5 ())));
   Alcotest.(check bool) "tighter --max-ratio gates" true
@@ -532,6 +532,9 @@ let bench_check_cache () =
   Alcotest.(check bool) "text-stage miss on a data edit gates" true
     (Bench_diff.has_regression
        (check (mk ~data:(Some [ ("miss:encode", 2) ]) ())));
+  Alcotest.(check bool) "a finalize miss on a data edit gates" true
+    (Bench_diff.has_regression
+       (check (mk ~data:(Some [ ("miss:parse/finalize", 18) ]) ())));
   Alcotest.(check bool) "missing data-edit row gates" true
     (Bench_diff.has_regression (check (mk ~data:None ())));
   Alcotest.(check bool) "missing warm rows gate" true

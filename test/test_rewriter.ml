@@ -630,6 +630,58 @@ let test_no_overwrite_mode () =
       check_roundtrip (Arch.name arch ^ "/no-overwrite") rt)
     Arch.all
 
+(* Emit copies only the sections it writes, so an output shares every
+   other section buffer with its input. Pinned over every ISA and ours/*
+   mode: a rewrite leaves its input's image byte-identical. On ppc64le
+   602.gcc_s the 40 MiB .bigdata, which no write touches, is the input's
+   own buffer, while the overwritten and trampolined .text is not. *)
+let test_output_shares_unwritten_sections () =
+  let module Spec = Icfg_workloads.Spec_suite in
+  let module Section = Icfg_obj.Section in
+  let image (b : Binary.t) =
+    List.map
+      (fun (s : Section.t) -> (s.Section.name, Digest.bytes s.Section.data))
+      b.Binary.sections
+  in
+  let rewrite approach bin =
+    match Icfg_harness.Runner.drive ~approach bin with
+    | Some (Icfg_baselines.Baseline.Rewritten rw) -> rw.Rewriter.rw_binary
+    | Some (Icfg_baselines.Baseline.Refused r) ->
+        Alcotest.failf "%s refused: %s" approach r
+    | None -> Alcotest.failf "%s is not on the roster" approach
+  in
+  let approaches = [ "ours/dir"; "ours/jt"; "ours/func-ptr" ] in
+  let gcc =
+    List.find
+      (fun (b : Spec.bench) -> b.Spec.bench_name = "602.gcc_s")
+      (Spec.benchmarks Arch.Ppc64le)
+  in
+  List.iter
+    (fun (arch, bench) ->
+      let bin, _ = Spec.compile arch bench in
+      let before = image bin in
+      List.iter
+        (fun approach ->
+          let what =
+            Printf.sprintf "%s %s %s" (Arch.name arch) bench.Spec.bench_name
+              approach
+          in
+          let out = rewrite approach bin in
+          Alcotest.(check bool)
+            (what ^ ": input unchanged")
+            true
+            (image bin = before);
+          if bench == gcc then begin
+            let data name b = (Binary.section_exn b name).Section.data in
+            Alcotest.(check bool) (what ^ ": .bigdata shared") true
+              (data ".bigdata" out == data ".bigdata" bin);
+            Alcotest.(check bool) (what ^ ": .text copied") true
+              (data ".text" out != data ".text" bin)
+          end)
+        approaches)
+    ((Arch.Ppc64le, gcc)
+    :: List.map (fun arch -> (arch, List.hd (Spec.benchmarks arch))) Arch.all)
+
 let suite =
   [
     ( "rewriter:modes",
@@ -688,5 +740,7 @@ let suite =
           test_cfl_fewer_with_stronger_modes;
         Alcotest.test_case "bounce reduction" `Quick test_bounce_reduction;
         Alcotest.test_case "ra map and sections" `Quick test_ra_map_present;
+        Alcotest.test_case "output shares unwritten sections" `Quick
+          test_output_shares_unwritten_sections;
       ] );
   ]
