@@ -1,6 +1,7 @@
 open Icfg_isa
 module Binary = Icfg_obj.Binary
 module Symbol = Icfg_obj.Symbol
+module Section = Icfg_obj.Section
 
 type edge_kind = E_fallthrough | E_branch | E_jump_table of int
 
@@ -20,29 +21,56 @@ type t = {
   tail_targets : int list;
 }
 
+(* Edges already added, as [src * n + dst] offsets times three plus the
+   kind (a jump-table edge's table is always its source jump). *)
+module Edge_set = Hashtbl.Make (Int)
+
+let kind_code = function E_fallthrough -> 0 | E_branch -> 1 | E_jump_table _ -> 2
+
 let build ?(extra_targets = []) ?(jump_table_edges = []) bin (fsym : Symbol.t) =
   let lo = fsym.addr and hi = fsym.addr + fsym.size in
   let in_range a = a >= lo && a < hi in
   let jt_tbl = Hashtbl.create 4 in
   List.iter (fun (j, ts) -> Hashtbl.replace jt_tbl j ts) jump_table_edges;
-  let decoded : (int, Insn.t * int) Hashtbl.t = Hashtbl.create 64 in
-  let leaders : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let add_leader a = if in_range a then Hashtbl.replace leaders a () in
-  let insn_edges : (int, (int * edge_kind) list) Hashtbl.t = Hashtbl.create 16 in
+  (* Per-instruction tables, indexed by offset into the function: the
+     decoded instruction and its length (0 = not decoded), the leader flag,
+     and the instruction's out-edges, most recent first. They stop where
+     the last executable section ends, since nothing past it decodes: a
+     symbol whose size overshoots its code costs no more than its code.
+     Every edge is followed as soon as it is added, so an edge past the
+     tables needs no slot: decoding its target raises. *)
+  let code_hi =
+    List.fold_left
+      (fun m (s : Section.t) ->
+        if s.Section.perm.execute then max m (Section.end_vaddr s) else m)
+      lo bin.Binary.sections
+  in
+  let n = max 0 (min hi code_hi - lo) in
+  let in_table a = a >= lo && a < lo + n in
+  let insn_at = Array.make n Insn.Nop in
+  let len_at = Bytes.make n '\000' in
+  let decoded a = in_table a && Bytes.get_uint8 len_at (a - lo) <> 0 in
+  let leader = Bytes.make n '\000' in
+  let is_leader a = in_table a && Bytes.get leader (a - lo) <> '\000' in
+  let add_leader a = if in_table a then Bytes.set leader (a - lo) '\001' in
+  let edges_at = Array.make n [] in
+  let seen = Edge_set.create 16 in
   let add_edge src dst kind =
-    if in_range dst then (
+    if in_table dst then (
       add_leader dst;
-      let existing = Option.value ~default:[] (Hashtbl.find_opt insn_edges src) in
-      if not (List.mem (dst, kind) existing) then
-        Hashtbl.replace insn_edges src ((dst, kind) :: existing))
+      let key = ((((src - lo) * n) + (dst - lo)) * 3) + kind_code kind in
+      if not (Edge_set.mem seen key) then (
+        Edge_set.add seen key ();
+        edges_at.(src - lo) <- (dst, kind) :: edges_at.(src - lo)))
   in
   let calls = ref [] in
   let ind_jumps = ref [] in
   let tail_targets = ref [] in
   let rec traverse addr =
-    if in_range addr && not (Hashtbl.mem decoded addr) then (
+    if in_range addr && not (decoded addr) then (
       let insn, len = Binary.decode_at bin addr in
-      Hashtbl.replace decoded addr (insn, len);
+      insn_at.(addr - lo) <- insn;
+      Bytes.set_uint8 len_at (addr - lo) len;
       let next = addr + len in
       match insn with
       | Jmp d ->
@@ -95,7 +123,7 @@ let build ?(extra_targets = []) ?(jump_table_edges = []) bin (fsym : Symbol.t) =
     extra_targets;
   List.iter
     (fun (j, ts) ->
-      if Hashtbl.mem decoded j then
+      if decoded j then
         List.iter
           (fun t ->
             if in_range t then (
@@ -115,26 +143,26 @@ let build ?(extra_targets = []) ?(jump_table_edges = []) bin (fsym : Symbol.t) =
         fde.Icfg_obj.Ehframe.landing_pads
   | None -> ());
   (* Form blocks by walking decode chains from each leader. *)
-  let leader_list = List.sort compare (Hashtbl.fold (fun k () l -> k :: l) leaders []) in
-  let blocks =
-    List.filter_map
-      (fun start ->
-        if not (Hashtbl.mem decoded start) then None
-        else
-          let rec collect addr acc =
-            match Hashtbl.find_opt decoded addr with
-            | None -> (List.rev acc, addr)
-            | Some (insn, len) ->
-                let acc = (addr, insn, len) :: acc in
-                let next = addr + len in
-                if Insn.is_terminator insn then (List.rev acc, next)
-                else if Hashtbl.mem leaders next then (List.rev acc, next)
-                else collect next acc
-          in
-          let insns, b_end = collect start [] in
-          Some { b_start = start; b_end; b_insns = insns })
-      leader_list
+  let collect start =
+    let rec go addr acc =
+      if not (decoded addr) then (List.rev acc, addr)
+      else
+        let insn = insn_at.(addr - lo) in
+        let len = Bytes.get_uint8 len_at (addr - lo) in
+        let acc = (addr, insn, len) :: acc in
+        let next = addr + len in
+        if Insn.is_terminator insn then (List.rev acc, next)
+        else if is_leader next then (List.rev acc, next)
+        else go next acc
+    in
+    let insns, b_end = go start [] in
+    { b_start = start; b_end; b_insns = insns }
   in
+  let blocks = ref [] in
+  for a = lo + n - 1 downto lo do
+    if is_leader a && decoded a then blocks := collect a :: !blocks
+  done;
+  let blocks = !blocks in
   (* Map instruction-level edges to block-level ones. *)
   let succs = Hashtbl.create 16 and preds = Hashtbl.create 16 in
   List.iter
@@ -142,13 +170,13 @@ let build ?(extra_targets = []) ?(jump_table_edges = []) bin (fsym : Symbol.t) =
       let out =
         List.concat_map
           (fun (addr, insn, len) ->
-            let direct = Option.value ~default:[] (Hashtbl.find_opt insn_edges addr) in
+            let direct = edges_at.(addr - lo) in
             (* Fall-through off the end of a block into the next leader. *)
             let fall =
               if
                 addr + len = b.b_end
                 && (not (Insn.is_terminator insn))
-                && Hashtbl.mem decoded b.b_end
+                && decoded b.b_end
               then [ (b.b_end, E_fallthrough) ]
               else []
             in

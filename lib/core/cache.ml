@@ -15,7 +15,7 @@
    in-memory copy — LRU eviction limits the store's footprint, not this
    process's working set. *)
 
-let schema_version = 2
+let schema_version = 3
 
 type stats = {
   c_hits : int;

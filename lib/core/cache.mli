@@ -31,7 +31,7 @@
     depend on the parallel schedule) and only fans the {e misses} out
     across the pool. Hit payloads are unmarshalled freshly per lookup, so
     mutable structures inside cached values (CFG succ/pred tables,
-    liveness tables) are never aliased between runs. *)
+    liveness arrays) are never aliased between runs. *)
 
 val schema_version : int
 (** Bumped whenever the marshalled shape of any cached value changes;

@@ -47,14 +47,13 @@ let lang_of_tag = function
   | 4 -> Binary.Go
   | n -> invalid_arg (Printf.sprintf "Binfile: bad language tag %d" n)
 
-let to_buffer (bin : Binary.t) =
-  (* Sized to the section bytes plus 4 KB for the metadata, so a large
-     image is written without the buffer regrowing and copying what it
-     already holds. *)
-  let b =
-    Buffer.create
-      (List.fold_left (fun n s -> n + Section.size s) 4096 bin.Binary.sections)
-  in
+(* The metadata goes into a small buffer; each section body is recorded
+   as a splice point (the metadata length when its body is due) and blitted
+   in place once, so the exact-size result is the only image-sized
+   allocation. *)
+let to_bytes (bin : Binary.t) =
+  let b = Buffer.create 4096 in
+  let splices = ref [] in
   Buffer.add_string b magic;
   wstr b bin.Binary.name;
   w8 b (arch_tag bin.Binary.arch);
@@ -83,7 +82,7 @@ let to_buffer (bin : Binary.t) =
         lor if s.Section.perm.Section.execute then 4 else 0);
       wbool b s.Section.loaded;
       w64 b (Section.size s);
-      Buffer.add_bytes b s.Section.data)
+      splices := (Buffer.length b, s.Section.data) :: !splices)
     bin.Binary.sections;
   (* symbols *)
   wlist b
@@ -125,14 +124,26 @@ let to_buffer (bin : Binary.t) =
           w64 b h)
         f.Ehframe.landing_pads)
     (Ehframe.fdes bin.Binary.eh_frame);
-  b
+  let meta = Buffer.length b in
+  let out =
+    Bytes.create
+      (List.fold_left (fun n (_, d) -> n + Bytes.length d) meta !splices)
+  in
+  let from, dst =
+    List.fold_left
+      (fun (from, dst) (at, data) ->
+        Buffer.blit b from out dst (at - from);
+        let dst = dst + (at - from) in
+        Bytes.blit data 0 out dst (Bytes.length data);
+        (at, dst + Bytes.length data))
+      (0, 0) (List.rev !splices)
+  in
+  Buffer.blit b from out dst (meta - from);
+  out
 
-let to_bytes bin = Buffer.to_bytes (to_buffer bin)
-
-(* [Buffer.contents] is the one copy an immutable result needs; callers
-   shipping container bytes over a wire (the serve daemon) avoid the
-   extra [Bytes.to_string] round-trip [to_bytes] would force. *)
-let to_string bin = Buffer.contents (to_buffer bin)
+(* [to_bytes] never touches its result again, so the string can take it
+   over without a copy. *)
+let to_string bin = Bytes.unsafe_to_string (to_bytes bin)
 
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)

@@ -10,7 +10,8 @@ val of_bytes : Bytes.t -> Binary.t
 
 val to_string : Binary.t -> string
 (** [to_bytes] without the extra [Bytes.to_string] copy — for callers
-    that ship container bytes as immutable strings (the serve wire). *)
+    that ship container bytes as immutable strings (the serve wire).
+    Either way the image is allocated once, at its exact size. *)
 
 val of_string : string -> Binary.t
 (** Zero-copy twin of {!of_bytes}: decodes directly from the string

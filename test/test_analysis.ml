@@ -574,6 +574,91 @@ let test_liveness_conservative_on_args () =
       Alcotest.(check bool) (Arch.name arch ^ " r0 live") true (Reg.Set.mem Reg.r0 live);
       Alcotest.(check bool) "r1 live" true (Reg.Set.mem Reg.r1 live))
 
+(* One function of [pairs] [cmp r1, 0; jcc +next] pairs followed by
+   [out r5; ret]: a chain of [pairs + 1] blocks in which r5 is read only
+   by the last. *)
+let chain_binary arch pairs =
+  let enc = Encode.encode arch in
+  let jcc = Insn.Jcc (Insn.Eq, Encode.length arch (Insn.Jcc (Insn.Eq, 0))) in
+  let code =
+    String.concat ""
+      (List.concat
+         (List.init pairs (fun _ -> [ enc (Insn.Cmp (Reg.r1, Insn.Imm 0)); enc jcc ]))
+      @ [ enc (Insn.Out Reg.r5); enc Insn.Ret ])
+  in
+  let base = 0x1000 in
+  let text =
+    Icfg_obj.Section.make ~name:".text" ~vaddr:base ~perm:Icfg_obj.Section.r_x
+      (Bytes.of_string code)
+  in
+  let sym =
+    Icfg_obj.Symbol.make ~name:"chain" ~addr:base ~size:(String.length code)
+      Icfg_obj.Symbol.Func
+  in
+  (Binary.make ~name:"chain" ~arch ~entry:base ~symbols:[ sym ] [ text ], sym)
+
+let test_cfg_oversized_symbol () =
+  (* A symbol whose size runs far past the code decodes the same blocks,
+     and the per-offset tables stop at the end of the code. *)
+  on_all_arches (fun arch ->
+      let bin, sym = chain_binary arch 3 in
+      let huge = { sym with Icfg_obj.Symbol.size = 1 lsl 40 } in
+      let starts cfg = List.map (fun b -> (b.Cfg.b_start, b.Cfg.b_end)) cfg.Cfg.blocks in
+      Alcotest.(check (list (pair int int)))
+        (Arch.name arch ^ " same blocks")
+        (starts (Cfg.build bin sym))
+        (starts (Cfg.build bin huge)))
+
+let test_liveness_long_chain () =
+  (* An address-order sweep moves liveness back one block per sweep, so a
+     sweep cap of 100 left r5 dead at the entry of a 151-block chain. *)
+  on_all_arches (fun arch ->
+      let bin, sym = chain_binary arch 150 in
+      let cfg = Cfg.build bin sym in
+      Alcotest.(check int) (Arch.name arch ^ " blocks") 151 (List.length cfg.Cfg.blocks);
+      let lv = Liveness.analyze cfg in
+      let entry = (Cfg.entry_block cfg).Cfg.b_start in
+      Alcotest.(check bool)
+        (Arch.name arch ^ " r5 live at entry")
+        true
+        (Reg.Set.mem Reg.r5 (Liveness.live_in lv entry));
+      Alcotest.(check bool)
+        (Arch.name arch ^ " r5 not a scratch candidate")
+        false
+        (Reg.Set.mem Reg.r5 (Liveness.dead_in arch lv entry)))
+
+(* Every block of every function agrees with the reference fixpoint. *)
+let check_liveness_matches_reference what bin =
+  let p = Parse.parse bin in
+  List.iter
+    (fun fa ->
+      match Liveness_ref.mismatches fa.Parse.fa_cfg fa.Parse.fa_liveness with
+      | [] -> ()
+      | (a, got, want) :: _ ->
+          Alcotest.failf "%s %s block 0x%x: live-in {%s}, reference {%s}" what
+            fa.Parse.fa_sym.Icfg_obj.Symbol.name a
+            (String.concat "," (List.map Reg.to_string (Reg.Set.elements got)))
+            (String.concat "," (List.map Reg.to_string (Reg.Set.elements want))))
+    p.Parse.funcs
+
+let test_liveness_reference_spec () =
+  on_all_arches (fun arch ->
+      List.iter
+        (fun bench ->
+          let bin, _ = Icfg_workloads.Spec_suite.compile arch bench in
+          check_liveness_matches_reference
+            (Arch.name arch ^ "/" ^ bin.Binary.name)
+            bin)
+        (Icfg_workloads.Spec_suite.benchmarks arch))
+
+let test_liveness_reference_corpus () =
+  List.iter
+    (fun e ->
+      check_liveness_matches_reference
+        (Printf.sprintf "corpus entry %d" e.Icfg_workloads.Corpus.e_id)
+        (Icfg_workloads.Corpus.build e))
+    (Icfg_workloads.Corpus.generate ~seed:7 ~count:60)
+
 (* ------------------------------------------------------------------ *)
 (* Whole-binary parse                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -599,6 +684,7 @@ let suite =
         Alcotest.test_case "call edges" `Quick test_cfg_call_edges;
         Alcotest.test_case "embedded table skipped" `Quick
           test_cfg_skips_embedded_table;
+        Alcotest.test_case "oversized symbol" `Quick test_cfg_oversized_symbol;
       ] );
     ( "analysis:jump-table",
       [
@@ -641,6 +727,12 @@ let suite =
         Alcotest.test_case "dead temps at entry" `Quick test_liveness_dead_temps;
         Alcotest.test_case "args live at entry" `Quick
           test_liveness_conservative_on_args;
+        Alcotest.test_case "151-block chain: no sweep cap" `Quick
+          test_liveness_long_chain;
+        Alcotest.test_case "= reference: spec suite x 3 ISAs" `Quick
+          test_liveness_reference_spec;
+        Alcotest.test_case "= reference: seed-7 corpus" `Quick
+          test_liveness_reference_corpus;
       ] );
     ( "analysis:parse",
       [ Alcotest.test_case "coverage" `Quick test_parse_coverage ] );

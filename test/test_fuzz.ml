@@ -180,11 +180,26 @@ let go_roundtrip =
       orig.Vm.outcome = Vm.Halted && r.Vm.outcome = Vm.Halted
       && orig.Vm.output = r.Vm.output)
 
+(* The bit-set worklist liveness equals the [Reg.Set] reference fixpoint
+   at every block start of every function of a random program. *)
+let liveness_reference =
+  QCheck2.Test.make ~count:40 ~name:"fuzz: liveness = reference fixpoint"
+    ~print:(fun (spec, arch) ->
+      Printf.sprintf "seed=%d sw=%d disp=%d %s" spec.Gen.seed spec.Gen.n_switch
+        spec.Gen.n_dispatch (Arch.name arch))
+    QCheck2.Gen.(pair spec_gen (oneofl Arch.all))
+    (fun (spec, arch) ->
+      let bin, _ = Icfg_codegen.Compile.compile arch (Gen.build spec) in
+      List.for_all
+        (fun fa -> Liveness_ref.mismatches fa.Parse.fa_cfg fa.Parse.fa_liveness = [])
+        (Parse.parse bin).Parse.funcs)
+
 let suite =
   [
     ( "fuzz",
       [
         QCheck_alcotest.to_alcotest rewrite_roundtrip;
         QCheck_alcotest.to_alcotest go_roundtrip;
+        QCheck_alcotest.to_alcotest liveness_reference;
       ] );
   ]

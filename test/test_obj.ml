@@ -208,6 +208,24 @@ let test_binfile_rejects_garbage () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "truncated input must be rejected"
 
+let test_binfile_string_is_bytes () =
+  (* [to_string] and [to_bytes] write the same container, and it decodes
+     back to the input — also with an empty section, and with none. *)
+  let mk sections =
+    Binary.make ~name:"edge" ~arch:Arch.Aarch64 ~entry:0x1000 ~symbols:[] sections
+  in
+  let text = Section.make ~name:".text" ~vaddr:0x1000 ~perm:Section.r_x (Bytes.make 16 '\x2a') in
+  let empty = Section.make ~name:".bss" ~vaddr:0x2000 ~perm:Section.r_w Bytes.empty in
+  let data = Section.make ~name:".data" ~vaddr:0x3000 ~perm:Section.r_w (Bytes.of_string "tail") in
+  List.iter
+    (fun (what, bin) ->
+      let b = Binfile.to_bytes bin in
+      Alcotest.(check string) (what ^ ": to_string = to_bytes") (Bytes.to_string b)
+        (Binfile.to_string bin);
+      Alcotest.(check bool) (what ^ ": roundtrip") true
+        (binary_equal bin (Binfile.of_string (Binfile.to_string bin))))
+    [ ("no sections", mk []); ("empty section", mk [ text; empty; data ]) ]
+
 let test_binfile_rewritten_runs_after_reload () =
   (* The full producer-consumer flow: rewrite, save, load, run — the loaded
      binary behaves like the in-memory one (the trap map is re-derivable
@@ -293,6 +311,8 @@ let suite =
       [
         Alcotest.test_case "roundtrip" `Quick test_binfile_roundtrip;
         Alcotest.test_case "rejects garbage" `Quick test_binfile_rejects_garbage;
+        Alcotest.test_case "to_string = to_bytes; empty/no sections" `Quick
+          test_binfile_string_is_bytes;
         Alcotest.test_case "save/load/run" `Quick
           test_binfile_rewritten_runs_after_reload;
       ] );

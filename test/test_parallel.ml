@@ -134,10 +134,11 @@ let variant_battery () =
 (* Parallel parsing is deterministic                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Liveness carries hashtables, so compare a projection instead of the
-   whole structure. The full function-pointer site list is included: the
-   per-CFG scans shard across domains, and both site order and site
-   contents must be schedule-independent. *)
+(* CFGs carry hashtables, so compare a projection instead of the whole
+   structure: per block, its start and live-in registers. The full
+   function-pointer site list is included: the per-CFG scans shard across
+   domains, and both site order and site contents must be
+   schedule-independent. *)
 let parse_view (p : Parse.t) =
   ( List.map
       (fun fa ->
@@ -146,7 +147,11 @@ let parse_view (p : Parse.t) =
           fa.Parse.fa_instrumentable,
           fa.Parse.fa_fail_reason,
           List.map
-            (fun (b : Icfg_analysis.Cfg.block) -> b.Icfg_analysis.Cfg.b_start)
+            (fun (b : Icfg_analysis.Cfg.block) ->
+              ( b.Icfg_analysis.Cfg.b_start,
+                Reg.Set.elements
+                  (Icfg_analysis.Liveness.live_in fa.Parse.fa_liveness
+                     b.Icfg_analysis.Cfg.b_start) ))
             fa.Parse.fa_cfg.Icfg_analysis.Cfg.blocks,
           List.length fa.Parse.fa_tables,
           fa.Parse.fa_tail_jumps ))
