@@ -1,46 +1,46 @@
-(** The bench regression gate: compare two [BENCH_micro.json] runs
-    (schema [icfg-bench-micro/1]) — micro rows, parallel rows, per-stage
-    trace rows and their merged counter totals — and classify every
+(** The bench regression gate: compare two bench runs (schema
+    [icfg-bench-micro/2], written by [bench/main.ml]) and classify every
     difference.
+
+    A document is [{"schema"; "cores"; "rows": [...]}], and every row of
+    every section has one shape,
+    [{"section"; "name"; "times"; "counters"; "gates"}]: [times] and
+    [counters] map field names to numbers, and [gates] maps a field name
+    (in either bag) to the policy that field is held to. Rows match
+    across runs by ["section:name"], and findings are named
+    ["section:name:field"].
 
     Policy:
 
-    - Counters are compared exactly per [(stage, jobs, name)]. An increase
-      in a worse-is-higher counter (trap trampolines, runtime traps, size
-      growth, icache misses) is a {e regression}; any other change is
-      informational (deterministic counters should not move, but a changed
-      workload legitimately moves them).
-    - Time metrics ([ns_per_run], stage [ns]) are gated only when [gate]
-      is given {e and} both runs report the same core count — wall-clock
-      comparisons across machines are noise. A new value above
-      [old * (1 + gate/100)] that also grew by more than an absolute
-      50µs noise floor is a regression (one-shot sub-µs spans jitter by
-      integer factors and must not flap the gate).
-    - A row present in OLD but missing in NEW is a regression (lost
-      coverage), except [lane-*] trace rows, which exist only when the
-      domain pool actually spawns and are schedule-dependent.
-    - A row (or counter) present only in NEW carries the explicit
+    - {b Times} are gated only when [gate] is given {e and} both runs
+      report the same core count — wall-clock comparisons across machines
+      are noise. A new value above [old * (1 + gate/100)] that also grew
+      by more than an absolute 50µs noise floor is a regression (one-shot
+      sub-µs spans jitter by integer factors and must not flap the gate).
+    - {b Counters} without a gate are informational when they move.
+    - {b Gates} are the exceptions, and OLD's declarations are the
+      contract NEW is judged by. A gate is a string policy or an object
+      [{"policy": ...}] with parameters:
+      {ul
+      {- ["worse_higher"] / ["worse_lower"]: NEW moving up (down) from
+         OLD is a regression; moving the other way is informational. An
+         [if_same] parameter names a field that must be equal in both
+         rows for the comparison to apply (a corpus pass rate compares
+         only sweeps of the same [cells]).}
+      {- ["exact"]: any change is a regression.}
+      {- ["bound"] with [max] or [min] [k]: NEW's value must stay [<= k]
+         ([>= k]), independent of OLD and of [gate]. With
+         [of: [section, name, field]] the limit is [k] times that field
+         of the NEW run. A passing bound is reported as
+         {!severity.Info} with its value.}}
+    - A field OLD gates (or times, under [gate] on equal cores) that NEW
+      lacks is a regression; an ungated one is informational. A row
+      present in OLD but missing in NEW is a regression (lost coverage).
+    - A row, field or gate present only in NEW carries the explicit
       {!severity.Added} classification: always reported — a growing
-      suite should be visible — and never gating, so landing new bench
-      rows (e.g. the cache cold/warm rows) cannot trip the gate against
-      an older baseline.
-    - Corpus robustness rows ([corpus] section, keyed by approach) hold a
-      deterministic [pass_rate_pct]: a drop is a regression
-      {e unconditionally} — no [gate], no noise floor, no same-cores
-      requirement — unless the two runs swept different corpus sizes
-      ([cells] differ), in which case the rates measure different
-      populations and only the mismatch is reported. Refusal-histogram
-      counts moving are informational, new refusal keys are
-      {!severity.Added}, and the per-approach [p50_ns]/[p95_ns] wall
-      times follow the normal time policy above.
-    - Telemetry rows ([metrics] section, keyed by name) hold only
-      counters that are deterministic functions of the served stream
-      (request/outcome totals, per-approach × per-outcome latency
-      histogram observation counts, eviction counters), so any drift in
-      either direction is a regression — a dropped count is a lost
-      request as surely as a risen error count is a new fault. Counters
-      only NEW knows are {!severity.Added}; the ns sums in the row's
-      [times] bag follow the normal time policy. *)
+      suite should be visible — and never gating, so landing new rows or
+      gates cannot trip the gate against an older baseline. A new gate
+      applies once a refreshed baseline declares it. *)
 
 type json =
   | Null
@@ -58,11 +58,13 @@ type severity = Regression | Added | Info
 
 type finding = { f_severity : severity; f_metric : string; f_msg : string }
 
+val schema : string
+(** ["icfg-bench-micro/2"], the only schema {!diff} accepts. *)
+
 val diff : ?gate:float -> json -> json -> (finding list, string) result
-(** [diff ?gate old new] compares two parsed [icfg-bench-micro/1]
-    documents. [gate] is the allowed time growth in percent; when absent,
-    times are never gated. [Error] on documents that are not bench-micro
-    objects. *)
+(** [diff ?gate old new] compares two parsed bench documents. [gate] is
+    the allowed time growth in percent; when absent, times are never
+    gated. [Error] on documents of another schema. *)
 
 val diff_strings : ?gate:float -> string -> string -> (finding list, string) result
 
@@ -70,25 +72,6 @@ val diff_files :
   ?gate:float -> string -> string -> (finding list, string) result
 (** [diff_files ?gate old_path new_path]. [Error] on unreadable files or
     parse failures. *)
-
-val check_cache : ?max_ratio:float -> json -> (finding list, string) result
-(** Warm-path gate over the ["cache"] section of a parsed
-    [icfg-bench-micro/1] (or standalone [icfg-bench-cache/1]) document:
-    the [cache-warm-perturbed] row's time must stay within [max_ratio]
-    (default [1.3]) of [cache-warm-identical], and the
-    [cache-warm-data-edit] row must report zero misses for every stage
-    counter ([miss:parse/pass1], [miss:parse/fptr],
-    [miss:parse/finalize], [miss:parse/fptr2], [miss:rewrite/relocate],
-    [miss:rewrite/plan], [miss:encode]) — a data-only edit that flips no
-    jump-table word costs no stage at all.
-    Violations come back as [Regression] findings (the passing ratio is
-    reported as [Info]); [Error] on non-bench documents. *)
-
-val check_cache_string :
-  ?max_ratio:float -> string -> (finding list, string) result
-
-val check_cache_file :
-  ?max_ratio:float -> string -> (finding list, string) result
 
 val has_regression : finding list -> bool
 

@@ -16,9 +16,11 @@
       [Jt_bound_under], spill-tracking off -> [Jt_unresolved_spill].
 
    4. The bench regression gate ([Bench_diff]) classifies differences per
-      its policy: worse-is-higher counter increases and lost rows gate,
-      time growth gates only under --gate with matching core counts,
-      lane rows and new rows never gate.
+      the gates OLD's rows declare: lost rows and gated fields gate, time
+      growth gates only under --gate with matching core counts, new rows,
+      fields and gates never gate, and every gate declared in the
+      committed baselines trips when its field is pushed past its policy
+      or removed.
 
    5. Failure-path observability: [Trace.with_file] writes the trace even
       when the traced function raises, and [Verify.strong_test] returns a
@@ -281,58 +283,40 @@ let graded_causes_qcheck =
 (* 4. The bench regression gate                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* A minimal icfg-bench-micro/1 document builder. *)
-let counters_json counters =
+(* A minimal icfg-bench-micro/2 document builder: [row] renders one row,
+   gates given as raw JSON policies. *)
+let bag render l =
   String.concat ", "
-    (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v) counters)
+    (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k (render v)) l)
 
-let doc ?(cores = 1) ?(micro = []) ?(stages = []) ?(cache = []) ?(corpus = [])
-    () =
-  let micro_json =
-    String.concat ", "
-      (List.map
-         (fun (name, ns) ->
-           Printf.sprintf "{\"name\": \"%s\", \"ns_per_run\": %.1f}" name ns)
-         micro)
-  in
-  let stages_json =
-    String.concat ", "
-      (List.map
-         (fun (stage, jobs, ns, counters) ->
-           Printf.sprintf
-             "{\"stage\": \"%s\", \"jobs\": %d, \"spans\": 1, \"ns\": %d, \
-              \"counters\": {%s}}"
-             stage jobs ns (counters_json counters))
-         stages)
-  in
-  let cache_json =
-    String.concat ", "
-      (List.map
-         (fun (name, ns, counters) ->
-           Printf.sprintf
-             "{\"name\": \"%s\", \"ns_per_run\": %.1f, \"counters\": {%s}}"
-             name ns (counters_json counters))
-         cache)
-  in
-  let corpus_json =
-    String.concat ", "
-      (List.map
-         (fun (approach, cells, pass, p50, p95, refusals) ->
-           Printf.sprintf
-             "{\"approach\": \"%s\", \"cells\": %d, \"pass_rate_pct\": %.1f, \
-              \"p50_ns\": %.1f, \"p95_ns\": %.1f, \"refusals\": {%s}}"
-             approach cells pass p50 p95 (counters_json refusals))
-         corpus)
-  in
+let row ?(times = []) ?(counters = []) ?(gates = []) section name =
   Printf.sprintf
-    "{\"schema\": \"icfg-bench-micro/1\", \"cores\": %d, \"micro\": [%s], \
-     \"parallel\": [], \"stages\": [%s], \"cache\": [%s], \"corpus\": [%s]}"
-    cores micro_json stages_json cache_json corpus_json
+    "{\"section\": \"%s\", \"name\": \"%s\", \"times\": {%s}, \"counters\": \
+     {%s}, \"gates\": {%s}}"
+    section name
+    (bag (Printf.sprintf "%.1f") times)
+    (bag (Printf.sprintf "%g") counters)
+    (bag Fun.id gates)
+
+let doc ?(cores = 1) rows =
+  Printf.sprintf
+    "{\"schema\": \"icfg-bench-micro/2\", \"cores\": %d, \"rows\": [%s]}" cores
+    (String.concat ", " rows)
+
+let worse_higher = {|"worse_higher"|}
+let at_most_0 = {|{"policy": "bound", "max": 0}|}
 
 let diff_ok ?gate old_s new_s =
   match Bench_diff.diff_strings ?gate old_s new_s with
   | Ok findings -> findings
   | Error e -> Alcotest.failf "diff failed: %s" e
+
+let regressed metric fs =
+  List.exists
+    (fun f ->
+      f.Bench_diff.f_severity = Bench_diff.Regression
+      && f.Bench_diff.f_metric = metric)
+    fs
 
 let bench_diff_parser () =
   (match Bench_diff.parse_json "{\"a\": [1, -2.5e3, \"x\\n\\\"y\", null, true]}" with
@@ -362,40 +346,49 @@ let bench_diff_parser () =
 let bench_diff_self () =
   let d =
     doc
-      ~micro:[ ("parse", 100.) ]
-      ~stages:[ ("rewrite", 1, 500, [ ("rewrite/trampolines:trap", 3) ]) ]
-      ()
+      [
+        row "micro" "parse" ~times:[ ("ns_per_run", 100.) ];
+        row "stages" "counters@j1"
+          ~counters:[ ("rewrite/trampolines:trap", 3.) ]
+          ~gates:[ ("rewrite/trampolines:trap", worse_higher) ];
+      ]
   in
   Alcotest.(check int) "self-diff is clean" 0
     (List.length (diff_ok ~gate:10. d d))
 
 let bench_diff_counters () =
-  let mk trap blocks =
+  let trap = "rewrite/trampolines:trap" in
+  let mk ?(gated = true) counters =
     doc
-      ~stages:
-        [
-          ( "rewrite",
-            1,
-            500,
-            [ ("rewrite/blocks", blocks); ("rewrite/trampolines:trap", trap) ]
-          );
-        ]
-      ()
+      [
+        row "stages" "counters@j1" ~counters
+          ~gates:(if gated then [ (trap, worse_higher) ] else []);
+      ]
   in
+  let mk' trap_n blocks = mk [ ("rewrite/blocks", blocks); (trap, trap_n) ] in
   (* Worse-is-higher counter increase gates... *)
-  let f = diff_ok (mk 3 100) (mk 4 100) in
+  let f = diff_ok (mk' 3. 100.) (mk' 4. 100.) in
   Alcotest.(check bool) "trap counter increase is a regression" true
     (Bench_diff.has_regression f);
   (* ...its decrease and any neutral-counter movement do not. *)
   Alcotest.(check bool) "trap counter decrease is informational" false
-    (Bench_diff.has_regression (diff_ok (mk 4 100) (mk 3 100)));
-  let f = diff_ok (mk 3 100) (mk 3 150) in
+    (Bench_diff.has_regression (diff_ok (mk' 4. 100.) (mk' 3. 100.)));
+  let f = diff_ok (mk' 3. 100.) (mk' 3. 150.) in
   Alcotest.(check bool) "neutral counter change reported" true (f <> []);
   Alcotest.(check bool) "neutral counter change not a regression" false
+    (Bench_diff.has_regression f);
+  (* A gated counter that vanishes from NEW is a regression; an ungated
+     one is only reported. *)
+  let f = diff_ok (mk' 0. 100.) (mk [ ("rewrite/blocks", 100.) ]) in
+  Alcotest.(check bool) "vanished gated counter is a regression" true
+    (regressed ("stages:counters@j1:" ^ trap) f);
+  let f = diff_ok (mk' 0. 100.) (mk [ (trap, 0.) ]) in
+  Alcotest.(check bool) "vanished ungated counter is reported" true (f <> []);
+  Alcotest.(check bool) "vanished ungated counter never gates" false
     (Bench_diff.has_regression f)
 
 let bench_diff_times () =
-  let mk ?cores ns = doc ?cores ~micro:[ ("parse", ns) ] () in
+  let mk ?cores ns = doc ?cores [ row "micro" "parse" ~times:[ ("ns_per_run", ns) ] ] in
   Alcotest.(check bool) "time growth beyond the gate is a regression" true
     (Bench_diff.has_regression (diff_ok ~gate:50. (mk 100_000.) (mk 200_000.)));
   Alcotest.(check bool) "time growth within the gate passes" false
@@ -409,54 +402,73 @@ let bench_diff_times () =
        (diff_ok ~gate:50. (mk ~cores:1 100_000.) (mk ~cores:8 10_000_000.)))
 
 let bench_diff_rows () =
-  let with_rows stages = doc ~stages () in
-  let both = with_rows [ ("rewrite", 1, 500, []); ("rewrite/lane-0", 1, 20, []) ] in
+  let with_rows names =
+    doc (List.map (fun n -> row "stages" n ~times:[ ("ns", 500.) ]) names)
+  in
   Alcotest.(check bool) "lost row is a regression" true
     (Bench_diff.has_regression
-       (diff_ok both (with_rows [ ("rewrite/lane-0", 1, 20, []) ])));
-  Alcotest.(check bool) "lost lane row is informational" false
-    (Bench_diff.has_regression
-       (diff_ok both (with_rows [ ("rewrite", 1, 500, []) ])));
+       (diff_ok (with_rows [ "rewrite@j1"; "emit@j1" ]) (with_rows [ "emit@j1" ])));
   Alcotest.(check bool) "new row is informational" false
     (Bench_diff.has_regression
-       (diff_ok
-          (with_rows [ ("rewrite", 1, 500, []) ])
-          (with_rows [ ("rewrite", 1, 500, []); ("emit", 1, 9, []) ])))
+       (diff_ok (with_rows [ "rewrite@j1" ]) (with_rows [ "rewrite@j1"; "emit@j1" ])))
 
 (* The added-row policy: anything only the NEW run knows about is reported
    with the distinct [Added] severity and never gates — landing new bench
-   rows (the cache cold/warm rows) must not trip the gate against an older
+   rows, fields or gates must not trip the gate against an older
    baseline. *)
 let bench_diff_added () =
   let added fs =
     List.filter (fun f -> f.Bench_diff.f_severity = Bench_diff.Added) fs
   in
   (* New micro row -> one Added finding, no regression. *)
+  let micro names =
+    doc (List.map (fun (n, ns) -> row "micro" n ~times:[ ("ns_per_run", ns) ]) names)
+  in
   let f =
     diff_ok ~gate:50.
-      (doc ~micro:[ ("parse", 100_000.) ] ())
-      (doc ~micro:[ ("parse", 100_000.); ("cache-cold", 900_000.) ] ())
+      (micro [ ("parse", 100_000.) ])
+      (micro [ ("parse", 100_000.); ("cache-cold", 900_000.) ])
   in
   Alcotest.(check int) "new row is Added" 1 (List.length (added f));
   Alcotest.(check bool) "new row never gates" false (Bench_diff.has_regression f);
-  (* New counter on an existing row -> Added, no regression — even for a
-     worse-is-higher counter name, since there is nothing to compare. *)
+  (* New counter on an existing row -> Added, no regression — even with a
+     worse-is-higher gate declared, since there is nothing to compare. *)
   let f =
     diff_ok ~gate:50.
-      (doc ~stages:[ ("rewrite", 1, 500, []) ] ())
+      (doc [ row "stages" "counters@j1" ])
       (doc
-         ~stages:
-           [ ("rewrite", 1, 500, [ ("cache.evict_corrupt", 2 ) ]) ]
-         ())
+         [
+           row "stages" "counters@j1"
+             ~counters:[ ("cache.evict_corrupt", 2.) ]
+             ~gates:[ ("cache.evict_corrupt", worse_higher) ];
+         ])
   in
   Alcotest.(check int) "new counter is Added" 1 (List.length (added f));
   Alcotest.(check bool) "new counter never gates" false
     (Bench_diff.has_regression f);
+  (* A gate only NEW declares is Added and waits for the next baseline. *)
+  let f =
+    diff_ok
+      (doc [ row "cache" "warm" ~counters:[ ("mismatches", 0.) ] ])
+      (doc
+         [
+           row "cache" "warm"
+             ~counters:[ ("mismatches", 3.) ]
+             ~gates:[ ("mismatches", at_most_0) ];
+         ])
+  in
+  Alcotest.(check int) "new gate is Added" 1 (List.length (added f));
+  Alcotest.(check bool) "new gate never gates" false (Bench_diff.has_regression f);
   (* A whole new section in NEW (old run predates the cache rows) is all
      Added findings. *)
   let f =
-    diff_ok ~gate:50. (doc ())
-      (doc ~cache:[ ("cache-warm-identical", 100_000., [ ("hits", 9) ]) ] ())
+    diff_ok ~gate:50. (doc [])
+      (doc
+         [
+           row "cache" "cache-warm-identical"
+             ~times:[ ("ns_per_run", 100_000.) ]
+             ~counters:[ ("hits", 9.) ];
+         ])
   in
   Alcotest.(check bool) "new cache section never gates" false
     (Bench_diff.has_regression f);
@@ -470,76 +482,111 @@ let bench_diff_added () =
   Alcotest.(check bool) "render has an added section" true
     (has_sub "added" (Bench_diff.render f))
 
-(* The cache section itself: time rows gate like micro rows, counters are
-   exact, and only [evict_corrupt] growth is a regression. *)
+(* Cache rows: times gate like micro rows, counters are reported when they
+   move, and the declared [evict_corrupt] gate trips on growth. *)
 let bench_diff_cache_section () =
-  let mk ?(ns = 100_000.) counters = doc ~cache:[ ("cache-warm", ns, counters) ] () in
+  let mk ?(ns = 100_000.) ?(corrupt = 0.) counters =
+    doc
+      [
+        row "cache" "cache-warm"
+          ~times:[ ("ns_per_run", ns) ]
+          ~counters:(("evict_corrupt", corrupt) :: counters)
+          ~gates:[ ("evict_corrupt", worse_higher) ];
+      ]
+  in
   Alcotest.(check int) "identical cache rows diff clean" 0
-    (List.length (diff_ok ~gate:50. (mk [ ("hits", 9) ]) (mk [ ("hits", 9) ])));
+    (List.length (diff_ok ~gate:50. (mk [ ("hits", 9.) ]) (mk [ ("hits", 9.) ])));
   Alcotest.(check bool) "cache time growth beyond the gate is a regression" true
     (Bench_diff.has_regression
        (diff_ok ~gate:50. (mk []) (mk ~ns:200_000. [])));
   Alcotest.(check bool) "evict_corrupt increase is a regression" true
-    (Bench_diff.has_regression
-       (diff_ok
-          (mk [ ("evict_corrupt", 0) ])
-          (mk [ ("evict_corrupt", 1) ])));
-  let f = diff_ok (mk [ ("hits", 9) ]) (mk [ ("hits", 3) ]) in
+    (Bench_diff.has_regression (diff_ok (mk []) (mk ~corrupt:1. [])));
+  let f = diff_ok (mk [ ("hits", 9.) ]) (mk [ ("hits", 3.) ]) in
   Alcotest.(check bool) "hit-count movement is reported" true (f <> []);
   Alcotest.(check bool) "hit-count movement never gates" false
     (Bench_diff.has_regression f);
   Alcotest.(check bool) "lost cache row is a regression" true
-    (Bench_diff.has_regression (diff_ok (mk []) (doc ())))
+    (Bench_diff.has_regression (diff_ok (mk []) (doc [])))
 
-(* The warm-path gate ([check_cache]): the perturbed/identical ratio must
-   stay under the limit, the data-edit row must report zero misses on
-   every stage counter, finalize included (absent keys are the passing
-   zero — the tracer only emits nonzero counters), and malformed
-   documents fail loudly rather than passing silently. *)
-let bench_check_cache () =
-  let mk ?(ratio = 1.02) ?(data = Some []) () =
-    let rows =
-      [
-        ("cache-warm-identical", 1_000_000., [ ("hits", 130) ]);
-        ("cache-warm-perturbed", 1_000_000. *. ratio, [ ("miss:encode", 1) ]);
-      ]
+(* The warm-path gate, declared on the cache rows as within-run bounds:
+   warm-perturbed stays within the declared multiple of warm-identical,
+   and the data-edit row reports zero misses on every stage counter,
+   finalize included. Bounds judge NEW alone, with or without --gate, and
+   a passing bound is reported as [Info]. *)
+let bench_diff_warm_path () =
+  let stage_misses =
+    [
+      "miss:parse/pass1"; "miss:parse/fptr"; "miss:parse/finalize";
+      "miss:parse/fptr2"; "miss:rewrite/relocate"; "miss:rewrite/plan";
+      "miss:encode";
+    ]
+  in
+  let zero = List.map (fun k -> (k, 0.)) stage_misses in
+  let mk ?(ratio = 1.02) ?(limit = 1.3) ?(data = Some zero) () =
+    doc
+      ([
+         row "cache" "cache-warm-identical"
+           ~times:[ ("ns_per_run", 1_000_000.) ]
+           ~counters:[ ("hits", 130.) ];
+         row "cache" "cache-warm-perturbed"
+           ~times:[ ("ns_per_run", 1_000_000. *. ratio) ]
+           ~counters:[ ("miss:encode", 1.) ]
+           ~gates:
+             [
+               ( "ns_per_run",
+                 Printf.sprintf
+                   {|{"policy": "bound", "max": %g, "of": ["cache", "cache-warm-identical", "ns_per_run"]}|}
+                   limit );
+             ];
+       ]
       @
       match data with
-      | Some counters -> [ ("cache-warm-data-edit", 3_000_000., counters) ]
-      | None -> []
-    in
-    doc ~cache:rows ()
+      | Some counters ->
+          [
+            row "cache" "cache-warm-data-edit"
+              ~times:[ ("ns_per_run", 3_000_000.) ]
+              ~counters
+              ~gates:(List.map (fun k -> (k, at_most_0)) stage_misses);
+          ]
+      | None -> [])
   in
-  let check ?max_ratio s =
-    match Bench_diff.check_cache_string ?max_ratio s with
-    | Ok f -> f
-    | Error e -> Alcotest.failf "check_cache failed: %s" e
-  in
+  let check ?(base = mk ()) s = diff_ok base s in
   let f = check (mk ()) in
   Alcotest.(check bool) "healthy doc passes" false (Bench_diff.has_regression f);
   Alcotest.(check bool) "passing ratio is reported as Info" true
     (List.exists
        (fun x ->
          x.Bench_diff.f_severity = Bench_diff.Info
-         && x.Bench_diff.f_metric = "cache:warm-perturbed-ratio")
+         && x.Bench_diff.f_metric = "cache:cache-warm-perturbed:ns_per_run")
        f);
   Alcotest.(check bool) "data-edit hits alone pass" false
-    (Bench_diff.has_regression (check (mk ~data:(Some [ ("hits", 130) ]) ())));
-  Alcotest.(check bool) "ratio over the default limit gates" true
+    (Bench_diff.has_regression
+       (check (mk ~data:(Some (("hits", 130.) :: zero)) ())));
+  Alcotest.(check bool) "ratio over the declared limit gates" true
     (Bench_diff.has_regression (check (mk ~ratio:1.5 ())));
-  Alcotest.(check bool) "tighter --max-ratio gates" true
-    (Bench_diff.has_regression (check ~max_ratio:1.01 (mk ())));
+  Alcotest.(check bool) "a tighter declared limit gates" true
+    (Bench_diff.has_regression (check ~base:(mk ~limit:1.01 ()) (mk ())));
+  let data_edit k v =
+    mk ~data:(Some ((k, v) :: List.remove_assoc k zero)) ()
+  in
   Alcotest.(check bool) "text-stage miss on a data edit gates" true
-    (Bench_diff.has_regression
-       (check (mk ~data:(Some [ ("miss:encode", 2) ]) ())));
+    (Bench_diff.has_regression (check (data_edit "miss:encode" 2.)));
   Alcotest.(check bool) "a finalize miss on a data edit gates" true
-    (Bench_diff.has_regression
-       (check (mk ~data:(Some [ ("miss:parse/finalize", 18) ]) ())));
+    (Bench_diff.has_regression (check (data_edit "miss:parse/finalize" 18.)));
+  Alcotest.(check bool) "a renamed finalize miss counter gates" true
+    (regressed "cache:cache-warm-data-edit:miss:parse/finalize"
+       (check
+          (mk
+             ~data:
+               (Some
+                  (("miss:parse/finalise", 18.)
+                  :: List.remove_assoc "miss:parse/finalize" zero))
+             ())));
   Alcotest.(check bool) "missing data-edit row gates" true
     (Bench_diff.has_regression (check (mk ~data:None ())));
   Alcotest.(check bool) "missing warm rows gate" true
-    (Bench_diff.has_regression (check (doc ())));
-  match Bench_diff.check_cache_string "{\"schema\": \"nope\"}" with
+    (Bench_diff.has_regression (check (doc [])));
+  match Bench_diff.diff_strings (mk ()) "{\"schema\": \"nope\"}" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "foreign schema must be an error"
 
@@ -548,11 +595,20 @@ let bench_check_cache () =
    informational, new refusal keys are Added, incomparable sweeps (cells
    differ) never gate, and row loss gates like everywhere else. *)
 let bench_diff_corpus_section () =
-  let row ?(cells = 48) ?(p50 = 1_000_000.) ?(refusals = []) pass =
-    ("ours/jt", cells, pass, p50, 10. *. p50, refusals)
-  in
-  let mk ?cells ?p50 ?refusals pass =
-    doc ~corpus:[ row ?cells ?p50 ?refusals pass ] ()
+  let mk ?(cells = 48.) ?(p50 = 1_000_000.) ?(refusals = []) pass =
+    doc
+      [
+        row "corpus" "ours/jt"
+          ~times:[ ("p50_ns", p50); ("p95_ns", 10. *. p50) ]
+          ~counters:
+            ([ ("cells", cells); ("pass_rate_pct", pass) ]
+            @ List.map (fun (k, n) -> ("refusal:" ^ k, n)) refusals)
+          ~gates:
+            [
+              ( "pass_rate_pct",
+                {|{"policy": "worse_lower", "if_same": "cells"}|} );
+            ];
+      ]
   in
   Alcotest.(check int) "identical corpus rows diff clean" 0
     (List.length (diff_ok ~gate:50. (mk 100.) (mk 100.)));
@@ -562,7 +618,7 @@ let bench_diff_corpus_section () =
   Alcotest.(check bool) "pass-rate rise is reported" true (f <> []);
   Alcotest.(check bool) "pass-rate rise never gates" false
     (Bench_diff.has_regression f);
-  let f = diff_ok (mk ~cells:48 100.) (mk ~cells:96 97.9) in
+  let f = diff_ok (mk ~cells:48. 100.) (mk ~cells:96. 97.9) in
   Alcotest.(check bool) "incomparable corpus sizes never gate" false
     (Bench_diff.has_regression f);
   Alcotest.(check bool) "incomparable corpus sizes are reported" true (f <> []);
@@ -570,16 +626,16 @@ let bench_diff_corpus_section () =
      gates. *)
   let f =
     diff_ok
-      (mk ~refusals:[ ("tramp/trap", 3) ] 90.)
-      (mk ~refusals:[ ("tramp/trap", 5) ] 90.)
+      (mk ~refusals:[ ("tramp/trap", 3.) ] 90.)
+      (mk ~refusals:[ ("tramp/trap", 5.) ] 90.)
   in
   Alcotest.(check bool) "refusal-count movement is reported" true (f <> []);
   Alcotest.(check bool) "refusal-count movement never gates" false
     (Bench_diff.has_regression f);
   let f =
     diff_ok
-      (mk ~refusals:[ ("tramp/trap", 3) ] 90.)
-      (mk ~refusals:[ ("tramp/trap", 3); ("feature/non-pie", 1) ] 90.)
+      (mk ~refusals:[ ("tramp/trap", 3.) ] 90.)
+      (mk ~refusals:[ ("tramp/trap", 3.); ("feature/non-pie", 1.) ] 90.)
   in
   Alcotest.(check bool) "new refusal key is Added" true
     (List.exists (fun x -> x.Bench_diff.f_severity = Bench_diff.Added) f);
@@ -595,39 +651,173 @@ let bench_diff_corpus_section () =
   (* Rows: loss gates, a corpus section the OLD baseline predates is all
      Added and passes. *)
   Alcotest.(check bool) "lost corpus row is a regression" true
-    (Bench_diff.has_regression (diff_ok (mk 100.) (doc ())));
-  let f = diff_ok ~gate:50. (doc ()) (mk 100.) in
+    (Bench_diff.has_regression (diff_ok (mk 100.) (doc [])));
+  let f = diff_ok ~gate:50. (doc []) (mk 100.) in
   Alcotest.(check bool) "new corpus section never gates" false
     (Bench_diff.has_regression f);
   Alcotest.(check bool) "new corpus section is reported as Added" true
     (List.exists (fun x -> x.Bench_diff.f_severity = Bench_diff.Added) f)
 
-(* The real harness output must parse and self-diff clean — guards the
-   bench/main.ml writer and this parser against drifting apart. The
-   within-run serve gates report their passing ratios as [Info] lines
-   even when OLD = NEW, so "clean" means no findings above [Info]. *)
+(* The committed baselines against themselves and against mutated copies
+   of themselves. Each must pass every gate it declares, list every bound
+   as [Info], and report a Regression naming each gated field when that
+   field is pushed past its policy by the smallest step or removed. This
+   also guards the bench/main.ml writer and the parser against drifting
+   apart. *)
+let baseline name =
+  let path =
+    List.find_opt Sys.file_exists
+      [ "bench/baseline/" ^ name; "../bench/baseline/" ^ name ]
+  in
+  match path with
+  | None -> Alcotest.failf "bench/baseline/%s not found" name
+  | Some p -> (
+      match
+        Bench_diff.parse_json (In_channel.with_open_bin p In_channel.input_all)
+      with
+      | Ok j -> j
+      | Error e -> Alcotest.failf "%s: %s" name e)
+
+let member k = function Bench_diff.Obj l -> List.assoc_opt k l | _ -> None
+let rows_of d =
+  match member "rows" d with Some (Bench_diff.List l) -> l | _ -> []
+
+let key_of r =
+  match (member "section" r, member "name" r) with
+  | Some (Bench_diff.Str s), Some (Bench_diff.Str n) -> s ^ ":" ^ n
+  | _ -> ""
+
+let value_of d ~key ~field =
+  let r = List.find (fun r -> key_of r = key) (rows_of d) in
+  match
+    List.find_map
+      (fun b -> Option.bind (member b r) (member field))
+      [ "times"; "counters" ]
+  with
+  | Some (Bench_diff.Num v) -> v
+  | _ -> Alcotest.failf "%s:%s has no value" key field
+
+(* [d] with [field] of row [key] set to [v], or removed when [v] is None. *)
+let mutate d ~key ~field v =
+  let map f = function Bench_diff.Obj l -> Bench_diff.Obj (f l) | j -> j in
+  let set =
+    List.filter_map (fun (k, x) ->
+        if k <> field then Some (k, x)
+        else Option.map (fun v -> (k, Bench_diff.Num v)) v)
+  in
+  let row r =
+    if key_of r <> key then r
+    else
+      map
+        (List.map (fun (k, b) ->
+             (k, if k = "times" || k = "counters" then map set b else b)))
+        r
+  in
+  map
+    (List.map (fun (k, x) ->
+         (k, if k = "rows" then Bench_diff.List (List.map row (rows_of d)) else x)))
+    d
+
+(* The value that breaks gate [g] on [key:field] by the smallest step. *)
+let violation d ~key ~field g =
+  let v = value_of d ~key ~field in
+  let policy =
+    match (g, member "policy" g) with
+    | Bench_diff.Str p, _ | _, Some (Bench_diff.Str p) -> p
+    | _ -> "?"
+  in
+  let scale () =
+    match member "of" g with
+    | Some (Bench_diff.List [ Str s; Str n; Str f ]) ->
+        value_of d ~key:(s ^ ":" ^ n) ~field:f
+    | _ -> 1.
+  in
+  match (policy, member "max" g, member "min" g) with
+  | ("worse_higher" | "exact"), _, _ -> v +. 1.
+  | "worse_lower", _, _ -> v -. 1.
+  | "bound", Some (Bench_diff.Num k), _ -> (k *. scale ()) +. 1.
+  | "bound", _, Some (Bench_diff.Num k) -> (k *. scale ()) -. 1.
+  | _ -> Alcotest.failf "%s:%s: unknown gate %s" key field policy
+
 let bench_diff_real_baseline () =
-  let path = "bench/baseline/BENCH_micro.json" in
-  if Sys.file_exists path then (
-    let findings =
-      match Bench_diff.diff_files ~gate:50. path path with
-      | Ok f -> f
-      | Error e -> Alcotest.failf "baseline self-diff failed: %s" e
-    in
-    let gating =
-      List.filter (fun x -> x.Bench_diff.f_severity <> Bench_diff.Info) findings
-    in
-    Alcotest.(check int) "committed baseline self-diffs clean" 0
-      (List.length gating);
-    (* The three serve gates must actually have run against this
-       baseline — a silent skip (missing rows) would void the claim. *)
-    let has name =
-      List.exists (fun x -> x.Bench_diff.f_metric = name) findings
-    in
-    Alcotest.(check bool) "replay speedup gate ran" true
-      (has "serve:replay:speedup");
-    Alcotest.(check bool) "patch wire gate ran" true
-      (has "serve:patch:wire-bytes"))
+  let diff old nw =
+    match Bench_diff.diff ~gate:50. old nw with
+    | Ok f -> f
+    | Error e -> Alcotest.failf "diff failed: %s" e
+  in
+  let docs =
+    List.map (fun n -> (n, baseline n)) [ "BENCH_micro.json"; "BENCH_corpus.json" ]
+  in
+  let declared =
+    List.concat_map
+      (fun (n, d) ->
+        List.concat_map
+          (fun r ->
+            match member "gates" r with
+            | Some (Bench_diff.Obj gs) ->
+                List.map (fun (f, g) -> (n, d, key_of r, f, g)) gs
+            | _ -> [])
+          (rows_of d))
+      docs
+  in
+  (* Unmutated: no regression, and every bound is listed with its value. *)
+  List.iter
+    (fun (n, d) ->
+      let f = diff d d in
+      Alcotest.(check (list string))
+        (n ^ " passes every gate it declares") []
+        (List.filter_map
+           (fun x ->
+             if x.Bench_diff.f_severity = Bench_diff.Info then None
+             else Some x.Bench_diff.f_metric)
+           f);
+      List.iter
+        (fun (n', _, key, field, g) ->
+          if n' = n && member "policy" g = Some (Bench_diff.Str "bound") then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s:%s bound listed as Info" key field)
+              true
+              (List.exists
+                 (fun x ->
+                   x.Bench_diff.f_severity = Bench_diff.Info
+                   && x.Bench_diff.f_metric = key ^ ":" ^ field)
+                 f))
+        declared)
+    docs;
+  (* Every declared gate, pushed past its policy and removed. *)
+  List.iter
+    (fun (_, d, key, field, g) ->
+      let metric = key ^ ":" ^ field in
+      Alcotest.(check bool) (metric ^ " pushed past its gate regresses") true
+        (regressed metric
+           (diff d (mutate d ~key ~field (Some (violation d ~key ~field g)))));
+      Alcotest.(check bool) (metric ^ " removed regresses") true
+        (regressed metric (diff d (mutate d ~key ~field None))))
+    declared;
+  (* Five doctored values, each well past its gate: a trap count of 99,
+     three daemon errors, a 42% memo hit rate, a 90% pass rate and a
+     warm-perturbed row at 1.5x warm-identical. *)
+  List.iter
+    (fun (n, key, field, v) ->
+      let d = List.assoc n docs in
+      let metric = key ^ ":" ^ field in
+      Alcotest.(check bool) (metric ^ " is declared") true
+        (List.exists (fun (_, _, k, f, _) -> k = key && f = field) declared);
+      Alcotest.(check bool) (metric ^ " doctored regresses") true
+        (regressed metric (diff d (mutate d ~key ~field (Some (v d))))))
+    [
+      ( "BENCH_micro.json", "stages:counters@j1", "rewrite/trampolines:trap",
+        fun _ -> 99. );
+      ( "BENCH_micro.json", "metrics:serve-metrics-c1", "serve.errors",
+        fun _ -> 3. );
+      ( "BENCH_micro.json", "serve:serve-replay-stream", "response_hit_rate_pct",
+        fun _ -> 42. );
+      ("BENCH_corpus.json", "corpus:ours/jt", "pass_rate_pct", fun _ -> 90.);
+      ( "BENCH_micro.json", "cache:cache-warm-perturbed", "ns_per_run",
+        fun d ->
+          1.5
+          *. value_of d ~key:"cache:cache-warm-identical" ~field:"ns_per_run" );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* 5. Failure-path observability                                       *)
@@ -736,7 +926,7 @@ let suite =
         Alcotest.test_case "bench diff: cache section" `Quick
           bench_diff_cache_section;
         Alcotest.test_case "bench diff: warm-path gate" `Quick
-          bench_check_cache;
+          bench_diff_warm_path;
         Alcotest.test_case "bench diff: corpus section" `Quick
           bench_diff_corpus_section;
         Alcotest.test_case "bench diff: committed baseline" `Quick
