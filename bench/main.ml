@@ -298,20 +298,16 @@ let run_parallel_micro () =
     List.map (fun f -> f.Icfg_analysis.Parse.fa_cfg) parse.Icfg_analysis.Parse.funcs
   in
   let fm = Icfg_analysis.Failure_model.ours in
-  let map jobs = (Icfg_core.Cache.runner ~jobs ()).Icfg_analysis.Parse.map in
+  let map jobs = (Icfg_core.Pool.runner ~jobs ()).Icfg_analysis.Parse.map in
   time_stage ~stage:"func-ptr" ~reps:200
-    (fun jobs ->
-      Icfg_analysis.Func_ptr.analyze
-        ~map:(map jobs ~stage:"parse/fptr")
-        bin fm cfgs)
+    (fun jobs -> Icfg_analysis.Func_ptr.analyze ~map:(map jobs) bin fm cfgs)
     [ 1; 4 ];
   (* Section encoding against a frozen label table, one chunk per
      segment. *)
   let labels, r = encode_fixture () in
   time_stage ~stage:"encode" ~reps:100
     (fun jobs ->
-      Asm.encode_chunks Arch.X86_64 ~pie:true ~toc:0 ~labels
-        ~map:(map jobs ~stage:"encode")
+      Asm.encode_chunks Arch.X86_64 ~pie:true ~toc:0 ~labels ~map:(map jobs)
         r.Asm.p_layout r.Asm.p_chunks)
     [ 1; 4 ]
 
@@ -353,14 +349,16 @@ let run_trace_stages () =
       trace_json := Some (Icfg_core.Trace.to_json t))
     [ 1; 4 ]
 
-(* Cold-vs-warm incremental cache rows: a full rewrite populating a fresh
-   cache, an identical re-rewrite against a warm cache (the headline: only
-   layout + emit remain), and a re-rewrite after perturbing one function's
-   bytes (exactly that function's entries miss). Each row also records the
-   cache counters of one representative run, and [mismatches] counts a
-   cached output that is not byte-identical to the uncached rewrite. *)
+(* Layout-slot rows: an uncached rewrite, a rewrite that fills a fresh
+   cache, and warm rewrites through a clone of a warmed cache — of the
+   identical binary, after a one-function edit and after a data edit.
+   Every stage is recomputed on every row; the cache only pins the
+   layout, so each warm row is bounded at 1.3x the uncached rewrite. Each
+   row records one representative run's [layout.pinned]/[layout.moved]
+   segment counts, and [mismatches] counts an output that is not
+   byte-identical to the uncached rewrite of the same input. *)
 let run_cache_micro () =
-  print_endline "== Incremental cache: cold vs warm rewrites (largest spec binary) ==";
+  print_endline "== Layout slots: uncached vs warm rewrites (largest spec binary) ==";
   let module Cache = Icfg_core.Cache in
   let module Runner = Icfg_harness.Runner in
   let arch = Arch.X86_64 in
@@ -369,109 +367,78 @@ let run_cache_micro () =
   let fingerprint (rw : Icfg_core.Rewriter.t) =
     Digest.to_hex (Digest.string (Marshal.to_string rw.Icfg_core.Rewriter.rw_binary []))
   in
-  (* Every cached stage's miss counter, written even when zero (the tracer
-     records only nonzero counters): the data-edit row bounds each at 0, so
-     a stage that stops reporting must not read as a pass. *)
-  let stage_misses =
-    List.map
-      (fun stage -> "miss:" ^ stage)
-      [
-        "parse/pass1"; "parse/fptr"; "parse/finalize"; "parse/fptr2";
-        "rewrite/relocate"; "rewrite/plan"; "encode";
-      ]
-  in
-  (* One representative run under a private trace, for the row's counters:
-     the store's totals plus the per-stage misses. *)
+  (* One representative run under a private trace, for the row's
+     counters. The layout counters are written even when zero (the tracer
+     records only nonzero counters), so a row that stops reporting one
+     fails its exact gate. *)
   let representative ~expect c b =
     let t = Icfg_core.Trace.create () in
     let rw = Icfg_core.Trace.with_current t (fun () -> rewrite ~cache:c b) in
-    let misses =
-      List.filter_map
-        (fun (k, v) ->
-          (* "cache.miss:<stage>" -> "miss:<stage>" *)
-          if String.starts_with ~prefix:"cache.miss:" k then
-            Some (String.sub k 6 (String.length k - 6), v)
-          else None)
-        (Icfg_core.Trace.counters t)
+    let layout k =
+      (k, Option.value ~default:0 (Icfg_core.Trace.find_counter t k))
     in
-    let s = Cache.stats c in
     [
-      ("hits", s.Cache.c_hits);
-      ("misses", s.Cache.c_misses);
-      ("stores", s.Cache.c_stores);
-      ("bytes_reused", s.Cache.c_bytes_reused);
-      ("evict_corrupt", s.Cache.c_evict_corrupt);
-      ("evict_lru", s.Cache.c_evict_lru);
+      layout "layout.pinned";
+      layout "layout.moved";
+      ("evict_corrupt", (Cache.stats c).Cache.c_evict_corrupt);
       ("mismatches", if fingerprint rw = expect then 0 else 1);
     ]
-    @ List.sort compare
-        (misses
-        @ List.filter_map
-            (fun k -> if List.mem_assoc k misses then None else Some (k, 0))
-            stage_misses)
   in
   let base_fp = fingerprint (rewrite bin) in
   (* Warm store shared by the warm rows; each representative/timed run
-     replays it through a clone so per-run counters start from zero and
-     stores never accumulate across reps. *)
+     replays it through a clone so per-run counters start from zero. *)
   let warm = Cache.create () in
   ignore (Sys.opaque_identity (rewrite ~cache:warm bin));
   let p = Icfg_analysis.Parse.parse bin in
-  (* A warm rewrite against an edited binary, checked byte-identical to the
-     uncached rewrite of the same edit. *)
-  let warm_edited name ~gates pbin =
+  let slot_gates =
+    [
+      ("layout.pinned", exact);
+      ("layout.moved", exact);
+      ("evict_corrupt", worse_higher);
+      ("mismatches", at_most 0.);
+    ]
+  in
+  let warm_gates =
+    ( "ns_per_run",
+      at_most 1.3 ~of_:("cache", "cache-uncached-rewrite", "ns_per_run") )
+    :: slot_gates
+  in
+  (* A warm rewrite of [b], checked byte-identical to its uncached
+     rewrite. *)
+  let warm_row name b =
     ( name,
-      representative ~expect:(fingerprint (rewrite pbin)) (Cache.clone warm) pbin,
-      gates,
-      fun () -> rewrite ~cache:(Cache.clone warm) pbin )
+      representative ~expect:(fingerprint (rewrite b)) (Cache.clone warm) b,
+      warm_gates,
+      fun () -> rewrite ~cache:(Cache.clone warm) b )
+  in
+  let uncached =
+    ("cache-uncached-rewrite", [], [], fun () -> rewrite bin)
   in
   let cold =
     ( "cache-cold-rewrite",
       representative ~expect:base_fp (Cache.create ()) bin,
-      [],
+      slot_gates,
       fun () -> rewrite ~cache:(Cache.create ()) bin )
   in
-  let identical =
-    ( "cache-warm-identical",
-      representative ~expect:base_fp (Cache.clone warm) bin,
-      [],
-      fun () -> rewrite ~cache:(Cache.clone warm) bin )
+  let edited what probe name =
+    match probe p with
+    | None ->
+        Printf.printf "  (no safely perturbable %s; skipping %s)\n%!" what name;
+        []
+    | Some (pbin, site) ->
+        Printf.printf "  (perturbed %s: %s)\n%!" what site;
+        [ warm_row name pbin ]
   in
   let perturbed =
-    match Runner.perturb_function p with
-    | None ->
-        print_endline "  (no safely perturbable function; skipping perturbed row)";
-        []
-    | Some (pbin, fname) ->
-        Printf.printf "  (perturbed function: %s)\n%!" fname;
-        (* The incremental promise: a one-function edit costs about a fully
-           warm rewrite. *)
-        [
-          warm_edited "cache-warm-perturbed" pbin
-            ~gates:
-              [
-                ( "ns_per_run",
-                  at_most 1.3 ~of_:("cache", "cache-warm-identical", "ns_per_run")
-                );
-              ];
-        ]
+    edited "function" Runner.perturb_function "cache-warm-perturbed"
   in
   let data_edit =
-    match Runner.perturb_data p with
-    | None ->
-        print_endline "  (no safely perturbable data byte; skipping data-edit row)";
-        []
-    | Some (pbin, sname) ->
-        Printf.printf "  (perturbed data section: %s)\n%!" sname;
-        (* No key digests data bytes, and parse/finalize keys on exactly the
-           table words it reads, which a validated data edit never flips:
-           every stage stays warm. *)
-        [
-          warm_edited "cache-warm-data-edit" pbin
-            ~gates:(List.map (fun k -> (k, at_most 0.)) stage_misses);
-        ]
+    edited "data section" Runner.perturb_data "cache-warm-data-edit"
   in
-  let cases = (cold :: identical :: perturbed) @ data_edit in
+  let cases =
+    [ uncached; cold; warm_row "cache-warm-identical" bin ]
+    @ perturbed @ data_edit
+  in
   (* The rows are bounded against each other, so they are timed together:
      each of [reps] rounds runs every row once, in turn, and a row's time
      is its median round. Drift in the host's speed then lands on all rows
@@ -493,35 +460,29 @@ let run_cache_micro () =
         Array.sort compare a;
         let ns = a.(reps / 2) in
         add_row "cache" name ~times:[ ("ns_per_run", ns) ]
-          ~counters:(ints counters)
-          ~gates:
-            ([ ("evict_corrupt", worse_higher); ("mismatches", at_most 0.) ]
-            @ gates);
+          ~counters:(ints counters) ~gates;
         Printf.printf "  %-24s %12.0f ns/run  (%s)\n%!" name ns
           (String.concat ", "
              (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters));
         (name, ns))
       cases samples
   in
-  let ratio a b = List.assoc a times /. List.assoc b times in
-  Printf.printf "  %-24s cold/warm speedup: %.2fx\n%!" "cache"
-    (ratio "cache-cold-rewrite" "cache-warm-identical");
-  if List.mem_assoc "cache-warm-perturbed" times then
-    Printf.printf "  %-24s warm-perturbed/warm-identical: %.2fx\n%!" "cache"
-      (ratio "cache-warm-perturbed" "cache-warm-identical")
+  List.iter
+    (fun (name, ns) ->
+      if name <> "cache-uncached-rewrite" then
+        Printf.printf "  %-24s /uncached: %.2fx\n%!" name
+          (ns /. List.assoc "cache-uncached-rewrite" times))
+    times
 
 (* Daemon throughput: a twin-bearing corpus slice streamed through a live
    [icfg serve] instance as classify requests, at 1 and 4 concurrent
-   clients, all sharing the daemon's one cross-request cache. Cross-
-   approach parse reuse makes the cache hit across requests, so the rows
-   bound hits at >= 1 (the twins themselves now answer from the response
-   memo without re-entering the pipeline); overloaded and errors are
-   deterministically zero (in-flight is bounded by the client count,
-   classification never answers Error). *)
+   clients. The twins answer from the response memo without re-entering
+   the pipeline; overloaded and errors are deterministically zero
+   (in-flight is bounded by the client count, classification never
+   answers Error). *)
 let run_serve_micro () =
   print_endline "== Rewrite-as-a-service: daemon request streams ==";
   let module Sweep = Icfg_service.Sweep in
-  let module Cache = Icfg_core.Cache in
   List.iter
     (fun clients ->
       let r = Sweep.run ~seed:7 ~count:12 ~clients () in
@@ -537,16 +498,8 @@ let run_serve_micro () =
                ("requests", r.Sweep.sw_requests);
                ("overloaded", r.Sweep.sw_overloaded);
                ("errors", r.Sweep.sw_errors);
-               ("hits", r.Sweep.sw_cache.Cache.c_hits);
-               ("misses", r.Sweep.sw_cache.Cache.c_misses);
-               ("hit_rate_pct", int_of_float (100. *. r.Sweep.sw_hit_rate));
              ])
-        ~gates:
-          [
-            ("overloaded", worse_higher);
-            ("errors", worse_higher);
-            ("hits", at_least 1.);
-          ];
+        ~gates:[ ("overloaded", worse_higher); ("errors", worse_higher) ];
       (* Distill the daemon's telemetry snapshot into the gateable
          metrics row for this stream. *)
       let module M = Icfg_core.Metrics in
@@ -564,8 +517,7 @@ let run_serve_micro () =
       let scalar_allowlist =
         [
           "serve.requests"; "serve.overloaded"; "serve.errors";
-          "serve.needfull"; "serve.rejected";
-          "cache.evict_corrupt"; "cache.evict_lru";
+          "serve.needfull"; "serve.rejected"; "cache.evict_corrupt";
         ]
         @ (if clients = 1 then
              [ "sched.jobs"; "response_cache.hit"; "response_cache.miss" ]
@@ -609,11 +561,9 @@ let run_serve_micro () =
         ~gates:(List.map (fun (k, _) -> (k, exact)) counters);
       Printf.printf
         "  %-18s %12.0f ns/request  %7.1f req/s  (%d requests, %d \
-         overloaded, %d errors, cache %d/%d = %.1f%% hits)\n%!"
+         overloaded, %d errors)\n%!"
         name ns_per_request r.Sweep.sw_rps r.Sweep.sw_requests
-        r.Sweep.sw_overloaded r.Sweep.sw_errors r.Sweep.sw_cache.Cache.c_hits
-        (r.Sweep.sw_cache.Cache.c_hits + r.Sweep.sw_cache.Cache.c_misses)
-        (100. *. r.Sweep.sw_hit_rate);
+        r.Sweep.sw_overloaded r.Sweep.sw_errors;
       List.iter
         (fun (k, h) ->
           if has_prefix "request.latency:" k then
@@ -638,7 +588,7 @@ let run_serve_micro () =
                         [Ref] digests (the incremental client's steady
                         state: pass 1's full uploads registered every
                         binary) and every one must answer from the
-                        response memo with zero pipeline stage misses
+                        response memo with zero scheduled pipeline jobs
                         and byte-identical payloads, >= 10x faster per
                         request than serve-stream-c1. Both are declared
                         as within-run bounds on the rows. *)
@@ -651,7 +601,6 @@ let run_serve_incremental_micro () =
   let module Protocol = Icfg_service.Protocol in
   let module Store = Icfg_service.Store in
   let module Binfile = Icfg_obj.Binfile in
-  let module Cache = Icfg_core.Cache in
   let module M = Icfg_core.Metrics in
   let sock tag =
     Filename.concat
@@ -812,25 +761,20 @@ let run_serve_incremental_micro () =
   (* Pass 1 (untimed): compute every response once through the pipeline;
      the full uploads register every binary as a side effect. *)
   let pass1 = List.map (raw_call (fun s _ -> Protocol.Full s)) items in
-  let hits0 =
-    Option.value ~default:0
-      (M.find_counter (Server.snapshot srv) "response_cache.hit")
+  let counter k =
+    Option.value ~default:0 (M.find_counter (Server.snapshot srv) k)
   in
-  let pipeline_misses0 = (Cache.stats (Server.cache srv)).Cache.c_misses in
+  let hits0 = counter "response_cache.hit" in
+  let jobs0 = counter "sched.jobs" in
   (* Pass 2 (timed): the same requests re-sent as [Ref] digests — the
      resolved binary, and therefore the memo key, is identical, so every
      replay answers from the memo: no pipeline, no re-upload. *)
   let t0 = Icfg_core.Metrics.now_ns () in
   let pass2 = List.map (raw_call (fun _ d -> Protocol.Ref d)) items in
   let wall_ns = elapsed_ns t0 in
-  let hits =
-    Option.value ~default:0
-      (M.find_counter (Server.snapshot srv) "response_cache.hit")
-    - hits0
-  in
-  let pipeline_misses =
-    (Cache.stats (Server.cache srv)).Cache.c_misses - pipeline_misses0
-  in
+  let hits = counter "response_cache.hit" - hits0 in
+  (* A replay that entered the pipeline was scheduled as a job. *)
+  let scheduled_jobs = counter "sched.jobs" - jobs0 in
   let mismatches =
     List.fold_left2
       (fun acc a b -> if String.equal a b then acc else acc + 1)
@@ -844,14 +788,14 @@ let run_serve_incremental_micro () =
         ( "ns_per_request",
           at_most 0.1 ~of_:("serve", "serve-stream-c1", "ns_per_request") );
         ("response_hit_rate_pct", at_least 100.);
-        ("pipeline_misses", at_most 0.);
+        ("scheduled_jobs", at_most 0.);
         ("mismatches", at_most 0.);
       ]
     [
       ("requests", n);
       ("response_hits", hits);
       ("response_hit_rate_pct", 100 * hits / max 1 n);
-      ("pipeline_misses", pipeline_misses);
+      ("scheduled_jobs", scheduled_jobs);
       ("mismatches", mismatches);
     ]
 
@@ -887,13 +831,12 @@ let run_micro () =
   run_serve_incremental_micro ()
 
 (* The corpus-scale robustness matrix: every roster baseline and every
-   mode of ours swept over a seeded adversarial corpus under one shared
-   cache. Classification is deterministic (seeded corpus, serial cache
-   probing), so each approach's pass rate gates on any drop against a
-   sweep of the same size, with no --gate and no noise floor. *)
+   mode of ours swept over a seeded adversarial corpus. Classification is
+   deterministic (seeded corpus, serial cells), so each approach's pass
+   rate gates on any drop against a sweep of the same size, with no
+   --gate and no noise floor. *)
 let run_corpus ~seed ~count ~jobs =
   let module Matrix = Icfg_harness.Matrix in
-  let module Cache = Icfg_core.Cache in
   let m =
     Matrix.run ~seed ~count ~jobs
       ~progress:(fun i ->
@@ -902,18 +845,8 @@ let run_corpus ~seed ~count ~jobs =
       ()
   in
   print_string (Matrix.render m);
-  let c = m.Matrix.m_cache in
   add_row "corpus" "sweep"
-    ~counters:
-      (ints
-         [
-           ("seed", m.Matrix.m_seed);
-           ("count", m.Matrix.m_count);
-           ("hits", c.Cache.c_hits);
-           ("misses", c.Cache.c_misses);
-           ("stores", c.Cache.c_stores);
-         ]
-      @ [ ("hit_rate_pct", 100. *. m.Matrix.m_hit_rate) ]);
+    ~counters:(ints [ ("seed", m.Matrix.m_seed); ("count", m.Matrix.m_count) ]);
   List.iter
     (fun (r : Matrix.row) ->
       add_row "corpus" r.Matrix.row_approach
@@ -989,19 +922,14 @@ let run_serve_check args =
        N] [--jobs N]\n";
     exit 2);
   let module Sweep = Icfg_service.Sweep in
-  let module Cache = Icfg_core.Cache in
   Printf.printf
     "serve-check: daemon vs in-process sweep (seed %d, %d binaries, %d \
      clients, jobs %d)\n%!"
     seed count clients jobs;
   let ok, report, r = Sweep.check ~seed ~count ~clients ~jobs () in
   print_string report;
-  Printf.printf
-    "daemon: %d requests, %d overloaded, %d errors, %.1f req/s, cache %d \
-     hits / %d misses (%.1f%%)\n%!"
-    r.Sweep.sw_requests r.Sweep.sw_overloaded r.Sweep.sw_errors r.Sweep.sw_rps
-    r.Sweep.sw_cache.Cache.c_hits r.Sweep.sw_cache.Cache.c_misses
-    (100. *. r.Sweep.sw_hit_rate);
+  Printf.printf "daemon: %d requests, %d overloaded, %d errors, %.1f req/s\n%!"
+    r.Sweep.sw_requests r.Sweep.sw_overloaded r.Sweep.sw_errors r.Sweep.sw_rps;
   if not ok then (
     Printf.eprintf "serve-check: daemon and in-process sweeps disagree\n";
     exit 1);

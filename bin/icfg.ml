@@ -119,12 +119,14 @@ let cache_t =
     & opt (some string) None
     & info [ "cache" ]
         ~doc:
-          "Reuse per-function rewrite artifacts from the content-addressed \
-           cache rooted at $(docv) (created if missing). Warm re-rewrites \
-           skip analysis, relocation, planning and chunk encoding for \
-           unchanged functions; output bytes are identical with or without \
-           the cache, and corrupt or stale entries silently degrade to \
-           misses."
+          "Keep layout slots in $(docv) (created if missing): each rewrite \
+           stores its layout there, and the next rewrite of the same binary \
+           name under the same options keeps every unchanged function at \
+           its previous address. Every stage is still recomputed. Output \
+           bytes are identical to a rewrite without the cache unless a \
+           function's relocated size changed since the stored layout; then \
+           unchanged functions keep their addresses. Corrupt or stale slots \
+           read as absent."
         ~docv:"DIR")
 
 let cache_of dir = Option.map (fun d -> Icfg_core.Cache.create ~dir:d ()) dir
@@ -134,9 +136,10 @@ let pp_cache_line = function
   | Some c ->
       let s = Icfg_core.Cache.stats c in
       Format.printf
-        "cache: %d hits, %d misses, %d bytes reused, %d corrupt evictions@."
+        "cache slots: %d found, %d absent, %d stored, %d corrupt \
+         evictions@."
         s.Icfg_core.Cache.c_hits s.Icfg_core.Cache.c_misses
-        s.Icfg_core.Cache.c_bytes_reused s.Icfg_core.Cache.c_evict_corrupt
+        s.Icfg_core.Cache.c_stores s.Icfg_core.Cache.c_evict_corrupt
 
 (* Run [f] under an ambient trace when [--trace FILE] was given, then write
    the JSON report — also when [f] raises or exits, so a failed pipeline
@@ -258,8 +261,8 @@ let report_cmd workload arch pie mode jobs json trace cache_dir =
   let bin, _ = load_workload workload arch pie in
   let cache = cache_of cache_dir in
   with_trace trace @@ fun () ->
-  (* Both rewrites (the mode and its Dir baseline) share the cache: parse
-     artifacts hit across modes, mode-dependent stages key apart. *)
+  (* Both rewrites (the mode and its Dir baseline) use the cache; their
+     options differ, so each keeps its own layout slot. *)
   let rewrite mode =
     Icfg_harness.Runner.rewrite
       ~options:{ Rewriter.default_options with Rewriter.mode }
@@ -380,12 +383,11 @@ let serve_stats_line tag srv =
   let cs = Icfg_core.Cache.stats (Icfg_service.Server.cache srv) in
   Format.printf
     "icfg serve: %s %d requests (%d overloaded, %d errors; %d queued, %d in \
-     flight); cross-request cache: %d hits, %d misses (%.1f%% hit rate)@."
+     flight); layout slots: %d found, %d absent, %d stored@."
     tag st.Icfg_service.Server.requests st.Icfg_service.Server.overloaded
     st.Icfg_service.Server.errors st.Icfg_service.Server.pending
     st.Icfg_service.Server.in_flight cs.Icfg_core.Cache.c_hits
-    cs.Icfg_core.Cache.c_misses
-    (100. *. Icfg_core.Cache.hit_rate cs)
+    cs.Icfg_core.Cache.c_misses cs.Icfg_core.Cache.c_stores
 
 let serve_cmd socket bound workers jobs cache_dir stats_interval =
   let jobs = resolve_jobs jobs in
@@ -430,8 +432,8 @@ let serve_cmd socket bound workers jobs cache_dir stats_interval =
 
 let pp_counters counters =
   let get n = Option.value ~default:0 (List.assoc_opt n counters) in
-  Format.printf "request counters: %d cache hits, %d misses@." (get "cache.hit")
-    (get "cache.miss")
+  Format.printf "request counters: %d layout segments pinned, %d moved@."
+    (get "layout.pinned") (get "layout.moved")
 
 let load_binfile_bytes path =
   Icfg_obj.Binfile.to_string (Icfg_obj.Binfile.load path)
@@ -669,11 +671,9 @@ let top_cmd socket interval iterations =
       (get "serve.overloaded" snap)
       (Option.value ~default:0 (M.find_gauge snap "sched.queue_depth"))
       (Option.value ~default:0 (M.find_gauge snap "sched.in_flight"));
-    let hits = get "cache.hits" snap and misses = get "cache.misses" snap in
-    Format.printf "cache    %d hits / %d misses (%.1f%% hit rate)@." hits
-      misses
-      (if hits + misses = 0 then 0.
-       else 100. *. float_of_int hits /. float_of_int (hits + misses));
+    Format.printf "slots    %d found / %d absent / %d stored@."
+      (get "cache.hits" snap) (get "cache.misses" snap)
+      (get "cache.stores" snap);
     let latencies =
       List.filter
         (fun (k, _) -> String.length k >= 8 && String.sub k 0 8 = "request.")
@@ -799,7 +799,7 @@ let cmd_serve =
        ~doc:
          "Run the rewrite daemon: accept framed rewrite/classify requests on \
           a Unix socket, schedule them across a bounded queue of executor \
-          domains, and reuse one content-addressed cache across every \
+          domains, and share one store of layout slots across every \
           request. A full queue answers with a typed Overloaded frame; a \
           crashing driver answers with a typed Error frame; the daemon keeps \
           serving through both.")
@@ -856,7 +856,7 @@ let cmd_top =
     (Cmd.info "top"
        ~doc:
          "Refreshing terminal view of a running daemon: request/error \
-          totals, queue and in-flight gauges, cache hit rate, per-approach \
+          totals, queue and in-flight gauges, layout-slot counts, per-approach \
           latency histograms with sparklines.")
     Term.(
       const top_cmd $ socket_t

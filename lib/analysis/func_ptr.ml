@@ -3,7 +3,6 @@ module Binary = Icfg_obj.Binary
 module Section = Icfg_obj.Section
 module Symbol = Icfg_obj.Symbol
 module Reloc = Icfg_obj.Reloc
-module Key = Icfg_obj.Key
 
 type site =
   | Fp_slot of { slot : int; target : int; via_reloc : bool }
@@ -210,8 +209,7 @@ let data_slot_pass bin (fm : Failure_model.t) entries =
     data_sites;
   (data_sites, slot_targets)
 
-let analyze ?(map = fun ~key:_ f l -> List.map f l) bin (fm : Failure_model.t)
-    (cfgs : Cfg.t list) =
+let analyze ?(map = List.map) bin (fm : Failure_model.t) (cfgs : Cfg.t list) =
   let entries = entry_set bin in
   let data_sites, slot_targets = data_slot_pass bin fm entries in
   (* Per-CFG scans go through the injected mapper; it is order-preserving,
@@ -223,24 +221,7 @@ let analyze ?(map = fun ~key:_ f l -> List.map f l) bin (fm : Failure_model.t)
       (fun b -> fp_scan_block bin fm entries slot_targets b)
       cfg.Cfg.blocks
   in
-  (* Canonical bytes of exactly the frozen cross-CFG state a scan reads
-     besides the CFG itself: the failure model, the TOC base, the entry
-     set and the slot-target map (tables folded to sorted lists so the
-     digest is independent of insertion order). Together with the scanned
-     CFG's content this covers every input of [scan]. Lazy: a mapper that
-     does not memoize never asks for a key. *)
-  let extra =
-    lazy
-      (Key.dval
-         ( fm,
-           bin.Binary.toc_base,
-           List.sort compare
-             (Hashtbl.fold (fun a () acc -> a :: acc) entries []),
-           List.sort compare
-             (Hashtbl.fold (fun s t acc -> (s, t) :: acc) slot_targets []) ))
-  in
-  let key cfg = Key.kjoin [ Lazy.force extra; Key.dval cfg ] in
-  dedup (data_sites @ List.concat (map ~key scan cfgs))
+  dedup (data_sites @ List.concat (map scan cfgs))
 
 let derived_block_targets sites =
   List.filter_map

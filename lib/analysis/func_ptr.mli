@@ -28,11 +28,7 @@ type site =
           adjusted value lands on the relocated block of [target + adjust] *)
 
 val analyze :
-  ?map:
-    (key:(Cfg.t -> string) ->
-    (Cfg.t -> site list) ->
-    Cfg.t list ->
-    site list list) ->
+  ?map:((Cfg.t -> site list) -> Cfg.t list -> site list list) ->
   Icfg_obj.Binary.t ->
   Failure_model.t ->
   Cfg.t list ->
@@ -40,14 +36,11 @@ val analyze :
 (** Two-phase analysis: a serial data-slot pass (relocation- and
     value-match slots, which also builds the slot-target map the forward
     slicer reads) followed by per-CFG code scans run through [map]
-    (default: [List.map], ignoring [key]). The scans read only frozen
-    state and results are merged in CFG order, so the site list is
-    independent of the mapper, which must be an order-preserving
-    observation-equivalent of [List.map] — Parse passes its runner's
-    [map] here to fan the scans out and memoize them. [key cfg] covers
-    every input of the scan of [cfg]: the CFG's content plus the canonical
-    bytes of the cross-CFG state the scan reads (failure model, TOC base,
-    entry set, slot-target map), built lazily on the first call. *)
+    (default: [List.map]). The scans read only frozen state and results
+    are merged in CFG order, so the site list is independent of the
+    mapper, which must be an order-preserving observation-equivalent of
+    [List.map] — Parse passes its runner's [map] here to fan the scans
+    out. *)
 
 val dedup : site list -> site list
 (** Keep the first occurrence of each distinct site: materializations are

@@ -344,11 +344,8 @@ type result = Resolved of table | Unresolved of unres * string
 
 (* The bound-and-read step of [finalize]: the entry count that the guard,
    the bound policy and the known-data clamp settle on, and the table word
-   at each of those entries ([None] where a word is not mapped). These
-   words are the only image bytes [finalize] reads, and which words they
-   are depends only on [p], [fm] and [known_data] — so a cached finalize
-   keys on exactly this list ({!Parse}). [None] when no bound can be
-   inferred. *)
+   at each of those entries ([None] where a word is not mapped). [None]
+   when no bound can be inferred. *)
 let table_words bin (fm : Failure_model.t) ~known_data p =
   let entry_bytes = Insn.width_bytes p.p_width in
   let count =

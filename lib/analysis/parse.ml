@@ -1,8 +1,6 @@
 open Icfg_isa
 module Binary = Icfg_obj.Binary
 module Symbol = Icfg_obj.Symbol
-module Section = Icfg_obj.Section
-module Key = Icfg_obj.Key
 
 type jt_site =
   | Js_resolved of Jump_table.bound_cause
@@ -151,161 +149,27 @@ let finalize_function bin (fm : Failure_model.t) ~known_data fptr_targets
     fa_liveness = Liveness.analyze cfg1;
   }
 
-(* The stage runner injected by the caller (parallelism, the
-   content-addressed cache and the tracing layer all live in the core
-   library, above this one). The default runs every stage inline, never
-   calls [key], and records nothing. *)
+(* The stage runner injected by the caller (parallelism and the tracing
+   layer live in the core library, above this one). The default runs
+   every stage inline and records nothing. *)
 type runner = {
-  map :
-    'a 'b.
-    stage:string -> key:('a -> string) -> ('a -> 'b) -> 'a list -> 'b list;
+  map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list;
   span : 'a. string -> (unit -> 'a) -> 'a;
   count : string -> int -> unit;
 }
 
 let inline =
-  {
-    map = (fun ~stage:_ ~key:_ f l -> List.map f l);
-    span = (fun _ f -> f ());
-    count = (fun _ _ -> ());
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Cache keys (computed only when the runner memoizes)                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Whole-binary context, split into per-section digests compared
-   piecewise: each stage's key mixes in only the digests of what that
-   stage actually reads, so an edit invalidates the stages that depend
-   on it and nothing else.
-
-   - [cd_common]: arch/ABI facts, the failure model, the nameless symbol
-     map (addresses/sizes/kinds — what CFG building and entry detection
-     consume), per-section metadata, and the text bytes before the first
-     function. Read by every per-function text stage.
-   - [cd_eh]: the eh_frame tables ([Cfg.build] reads landing pads).
-
-   No digest covers data bytes. The only data words a text stage reads
-   are the jump-table entries [parse/finalize] dereferences, and its key
-   holds exactly those words ({!Jump_table.table_words}); the
-   function-pointer stages key on their own slot reads (the [extra]
-   computed inside {!Func_ptr.analyze}). A data edit outside every read
-   set therefore costs no stage at all.
-
-   Symbol {e names} are deliberately excluded from [cd_common]: no
-   per-function analysis of function [f] reads another function's name,
-   and [f]'s own name is already in its per-function key — so renaming
-   one symbol costs exactly that function's entries instead of flushing
-   the store. Relocations are excluded entirely: their only cached
-   consumers are the function-pointer scans, whose keys digest the
-   reloc-derived slot-target map directly. The binary's [name] is
-   excluded too — renaming a file must not invalidate its entries.
-
-   Each digest is collapsed to 16 bytes here, because these strings are
-   copied into every per-function key of every stage: digesting once per
-   parse keeps key construction O(function size). *)
-type context_digests = { cd_common : string; cd_eh : string }
-
-let context_digests bin fm syms =
-  let text = Binary.text bin in
-  let first_func =
-    List.fold_left
-      (fun acc (s : Symbol.t) -> min acc s.Symbol.addr)
-      (Section.end_vaddr text) syms
-  in
-  let head_len = max 0 (first_func - text.Section.vaddr) in
-  let head = Bytes.sub_string text.Section.data 0 head_len in
-  let section_meta =
-    List.map
-      (fun (s : Section.t) ->
-        ( s.Section.name,
-          s.Section.vaddr,
-          s.Section.perm,
-          s.Section.loaded,
-          Bytes.length s.Section.data ))
-      bin.Binary.sections
-  in
-  let nameless_symbols =
-    List.map
-      (fun (s : Symbol.t) ->
-        (s.Symbol.addr, s.Symbol.size, s.Symbol.kind, s.Symbol.global, s.Symbol.version))
-      bin.Binary.symbols
-  in
-  {
-    cd_common =
-      Digest.string
-        (Key.dval
-           ( bin.Binary.arch,
-             bin.Binary.pie,
-             bin.Binary.entry,
-             bin.Binary.toc_base,
-             bin.Binary.dynsyms,
-             bin.Binary.features,
-             fm,
-             nameless_symbols,
-             section_meta,
-             head ));
-    cd_eh = Digest.string (Key.dval bin.Binary.eh_frame);
-  }
-
-(* A function's content slice: its text bytes extended to the next
-   function start (clamped to the text section), so the padding bytes that
-   gap classification and trampoline-region discovery read are part of the
-   owning function's key. *)
-let func_slices bin syms =
-  let text = Binary.text bin in
-  let tlo = text.Section.vaddr in
-  let thi = Section.end_vaddr text in
-  let starts =
-    List.sort_uniq compare (List.map (fun (s : Symbol.t) -> s.Symbol.addr) syms)
-  in
-  let next = Hashtbl.create 64 in
-  let rec link = function
-    | a :: (b :: _ as rest) ->
-        Hashtbl.replace next a b;
-        link rest
-    | _ -> ()
-  in
-  link starts;
-  fun (sym : Symbol.t) ->
-    let lo = max tlo (min thi sym.Symbol.addr) in
-    let stop =
-      match Hashtbl.find_opt next sym.Symbol.addr with
-      | Some nxt -> nxt
-      | None -> thi
-    in
-    let hi = max lo (min thi (max stop (sym.Symbol.addr + sym.Symbol.size))) in
-    Bytes.sub_string text.Section.data (lo - tlo) (hi - lo)
+  { map = List.map; span = (fun _ f -> f ()); count = (fun _ _ -> ()) }
 
 let parse ?(fm = Failure_model.ours) ?runner:(r = inline) bin =
   r.span "parse" @@ fun () ->
   let syms = Binary.func_symbols bin in
-  (* Key machinery is forced only when the runner memoizes, so an
-     unmemoized parse costs (and does) exactly what it did before
-     memoization. *)
-  let keys =
-    lazy
-      (let cd = context_digests bin fm syms in
-       let slice = func_slices bin syms in
-       fun pieces (sym : Symbol.t) ->
-         Key.kjoin
-           (pieces cd
-           @ [
-               Key.dval (sym.Symbol.addr, sym.Symbol.size, sym.Symbol.name);
-               slice sym;
-             ]))
-  in
-  (* [pieces] selects which context digests this stage's key mixes in —
-     the piecewise comparison that keeps unrelated edits from flushing
-     the stage. *)
-  let fkey pieces sym = (Lazy.force keys) pieces sym in
   (* Pass 1 over every function: slices for global known-data collection.
      Per-function analysis only reads the (immutable) binary, so both
      per-function passes fan out through the runner. *)
   let pass1 =
     r.span "pass1" (fun () ->
-        r.map ~stage:"parse/pass1"
-          ~key:(fkey (fun cd -> [ cd.cd_common; cd.cd_eh ]))
+        r.map
           (fun sym ->
             let cfg0, slices, pres = analyze_function bin fm sym in
             ((sym, cfg0, slices), pres))
@@ -318,56 +182,26 @@ let parse ?(fm = Failure_model.ours) ?runner:(r = inline) bin =
   (* Function pointers need CFGs; use the pass-1 CFGs (pointer creation
      sites live in code reachable without jump-table edges, and case-body
      sites are found after the final CFG rebuild below if needed). The
-     per-CFG scans go through the same runner as the per-function passes,
-     keyed by {!Func_ptr.analyze} on exactly their inputs; only the
-     data-slot pass stays serial. *)
+     per-CFG scans go through the same runner as the per-function passes;
+     only the data-slot pass stays serial. *)
   let cfg0s = List.map (fun ((_, c, _), _) -> c) pass1 in
   let fptrs =
-    r.span "func-ptr" (fun () ->
-        Func_ptr.analyze ~map:(r.map ~stage:"parse/fptr") bin fm cfg0s)
+    r.span "func-ptr" (fun () -> Func_ptr.analyze ~map:r.map bin fm cfg0s)
   in
   let pointer_targets = Func_ptr.derived_block_targets fptrs in
-  (* Finalization also reads the cross-function results of round 1 and —
-     alone among the text stages — dereferences image words outside the
-     function's slice: the entries of its tables. Which words it reads is
-     fixed by the pass-1 pre-tables, [fm] and [known_data], all already in
-     the key, so the key adds [round1] and the words themselves, read by
-     the same {!Jump_table.table_words} that [finalize] calls. *)
-  let round1 = lazy (Key.dval (known_data, pointer_targets)) in
-  let words_read slices =
-    Key.dval
-      (List.filter_map
-         (function
-           | _, Jump_table.S_table p ->
-               Some (Jump_table.table_words bin fm ~known_data p)
-           | _ -> None)
-         slices)
-  in
   let funcs =
     r.span "finalize" (fun () ->
-        r.map ~stage:"parse/finalize"
-          ~key:(fun ((sym, _, slices), _) ->
-            fkey
-              (fun cd ->
-                [
-                  cd.cd_common; cd.cd_eh; Lazy.force round1; words_read slices;
-                ])
-              sym)
+        r.map
           (fun ((sym, cfg0, slices), _) ->
             finalize_function bin fm ~known_data pointer_targets
               (sym, cfg0, slices))
           pass1)
   in
   (* Second function-pointer pass over the final CFGs (covers pointer
-     materializations inside switch-case blocks). The per-CFG keys digest
-     the finalized CFGs themselves, which already embed every round-1
-     influence (jump-table edges, pointer-target leaders) — so no extra
-     round-1 digest is needed, and an unchanged CFG hits even when a
-     distant function's analysis moved. *)
+     materializations inside switch-case blocks). *)
   let fptrs =
     r.span "func-ptr-2" (fun () ->
-        Func_ptr.analyze ~map:(r.map ~stage:"parse/fptr2") bin fm
-          (List.map (fun f -> f.fa_cfg) funcs))
+        Func_ptr.analyze ~map:r.map bin fm (List.map (fun f -> f.fa_cfg) funcs))
   in
   let pointer_targets = Func_ptr.derived_block_targets fptrs in
   let t = { bin; fm; funcs; fptrs; pointer_targets } in

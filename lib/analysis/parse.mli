@@ -39,49 +39,29 @@ type t = {
 }
 
 type runner = {
-  map :
-    'a 'b.
-    stage:string -> key:('a -> string) -> ('a -> 'b) -> 'a list -> 'b list;
+  map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list;
   span : 'a. string -> (unit -> 'a) -> 'a;
   count : string -> int -> unit;
 }
 (** How the pipeline's per-item stages run, injected by the caller
-    (parallelism, the content-addressed cache and tracing all live in the
-    core library, above this one — see [Icfg_core.Cache.runner]).
+    (parallelism and tracing live in the core library, above this one —
+    see [Icfg_core.Pool.runner]).
 
-    [map ~stage ~key f xs] must be observably [List.map f xs]: results in
-    input order, whatever the schedule. [key x] digests every input
-    [f x] reads, so a memoizing runner may serve a stored result for an
-    equal key under the same [stage] tag; a runner that does not memoize
-    never calls [key]. [span name f] times [f] as a nested span and
-    [count name n] bumps a named counter; both are observation-only —
-    [parse] output never depends on the runner. *)
+    [map f xs] must be observably [List.map f xs]: results in input
+    order, whatever the schedule. [span name f] times [f] as a nested
+    span and [count name n] bumps a named counter; both are
+    observation-only — [parse] output never depends on the runner. *)
 
 val parse : ?fm:Failure_model.t -> ?runner:runner -> Icfg_obj.Binary.t -> t
-(** Whole-binary parse. The default runner runs everything inline and
-    records nothing. [runner.map] carries the two per-function passes
-    (initial CFG + jump-table slicing, then finalization + liveness) and
-    the per-CFG function-pointer scans ({!Func_ptr.analyze}); only the
-    cross-function steps (known-data collection, the data-slot pass) stay
-    serial. Spans: [pass1], [known-data], [func-ptr], [finalize] and
-    [func-ptr-2] under [parse]; whole-binary counters: [parse/funcs],
-    [parse/instrumentable], [parse/jump-tables], ...
-
-    Stage tags: [parse/pass1], [parse/fptr], [parse/finalize],
-    [parse/fptr2]. The whole-binary context is digested per section kind
-    and compared piecewise: every stage key carries the common digest
-    (ABI facts, failure model, nameless symbol map, section metadata,
-    pre-function text bytes) plus the eh_frame digest; no key digests
-    data bytes. [parse/finalize] — the one stage that dereferences data
-    words — adds the round-1 results and exactly the jump-table words it
-    reads ({!Jump_table.table_words}), so a data edit misses only the
-    functions whose tables read an edited word, and a one-symbol rename
-    costs exactly that function's entries. Per-function stages additionally key
-    on the function's symbol and content slice (extended to the next
-    function start so padding is owned); the per-CFG pointer scans key on
-    the scanned CFG's content plus the scan-input digest computed inside
-    {!Func_ptr.analyze}. Keys are built lazily, so with a runner that
-    never calls [key] the key machinery is never even forced. *)
+(** Whole-binary parse, computed in full on every call. The default
+    runner runs everything inline and records nothing. [runner.map]
+    carries the two per-function passes (initial CFG + jump-table
+    slicing, then finalization + liveness) and the per-CFG
+    function-pointer scans ({!Func_ptr.analyze}); only the cross-function
+    steps (known-data collection, the data-slot pass) stay serial. Spans:
+    [pass1], [known-data], [func-ptr], [finalize] and [func-ptr-2] under
+    [parse]; whole-binary counters: [parse/funcs],
+    [parse/instrumentable], [parse/jump-tables], ... *)
 
 val func : t -> string -> func_analysis option
 val func_at : t -> int -> func_analysis option

@@ -6,7 +6,7 @@ module Failure_model = Icfg_analysis.Failure_model
 module Cfg = Icfg_analysis.Cfg
 module Rewriter = Icfg_core.Rewriter
 module Mode = Icfg_core.Mode
-module Cache = Icfg_core.Cache
+module Pool = Icfg_core.Pool
 
 type outcome = Rewritten of Rewriter.t | Refused of string
 
@@ -32,7 +32,7 @@ let srbi ?(payload = default_payload) ?jobs ?cache bin =
   else
     let parse =
       Parse.parse ~fm:Failure_model.srbi
-        ~runner:(Cache.runner ?jobs ?cache ())
+        ~runner:(Pool.runner ?jobs ())
         bin
     in
     let rw =
@@ -80,7 +80,7 @@ let ir_lowering ?(payload = default_payload) ?jobs ?cache bin =
   else if feat.Binary.symbol_versioning then
     Refused "cannot rewrite symbol versioning information (the libcuda failure)"
   else
-    let parse = Parse.parse ~runner:(Cache.runner ?jobs ?cache ()) bin in
+    let parse = Parse.parse ~runner:(Pool.runner ?jobs ()) bin in
     if Parse.coverage parse < 1.0 then
       let bad =
         List.find (fun f -> not f.Parse.fa_instrumentable) parse.Parse.funcs
@@ -126,7 +126,7 @@ let ir_lowering ?(payload = default_payload) ?jobs ?cache bin =
 (* ------------------------------------------------------------------ *)
 
 let insn_patching ?(payload = default_payload) ?jobs ?cache bin =
-  let parse = Parse.parse ~runner:(Cache.runner ?jobs ?cache ()) bin in
+  let parse = Parse.parse ~runner:(Pool.runner ?jobs ()) bin in
   let options =
     {
       Rewriter.default_options with
@@ -147,7 +147,7 @@ let insn_patching ?(payload = default_payload) ?jobs ?cache bin =
 (* ------------------------------------------------------------------ *)
 
 let dynamic_translation ?(payload = default_payload) ?jobs ?cache bin =
-  let parse = Parse.parse ~runner:(Cache.runner ?jobs ?cache ()) bin in
+  let parse = Parse.parse ~runner:(Pool.runner ?jobs ()) bin in
   let options =
     {
       Rewriter.default_options with
@@ -206,7 +206,7 @@ let bolt_block_reorder bin =
 (* ------------------------------------------------------------------ *)
 
 let ours ?(payload = default_payload) ?jobs ?cache ~mode bin =
-  let parse = Parse.parse ~runner:(Cache.runner ?jobs ?cache ()) bin in
+  let parse = Parse.parse ~runner:(Pool.runner ?jobs ()) bin in
   let options = { Rewriter.default_options with Rewriter.mode; payload } in
   Rewritten (Rewriter.rewrite ?cache ~options:(with_jobs ?jobs options) parse)
 

@@ -12,9 +12,10 @@ type outcome =
 
 (** Every rewriting baseline below accepts [?jobs] (fan the per-function
     pipeline stages out over that many {!Icfg_core.Pool} domains) and
-    [?cache] (memoize per-function artifacts in a shared
-    {!Icfg_core.Cache}). Both default to the serial, uncached pipeline;
-    output is bit-identical for every combination. *)
+    [?cache] (the layout slot {!Icfg_core.Rewriter.rewrite} pins
+    against). Both default to the serial, uncached pipeline; output is
+    bit-identical for every [jobs], and identical with a cache unless a
+    function's relocated size changed since the slot's snapshot. *)
 
 (** {1 Dyninst-10.2 / SRBI} *)
 

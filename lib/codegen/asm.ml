@@ -209,40 +209,6 @@ let encode arch ~pie ~toc ~labels lay =
 
 type chunk = { c_items : (item * int) list; c_lo : int; c_hi : int }
 
-(* Labels an item reads through the frozen table. A chunk's encoded bytes
-   depend only on its placed items and the *values* of these labels, so a
-   chunk key resolves them eagerly: identical layouts hit, shifted layouts
-   change some resolved value and miss. *)
-let item_labels = function
-  | Jmp_to l
-  | Jcc_to (_, l)
-  | Call_to l
-  | Lea_of (_, l)
-  | Adrp_of (_, l)
-  | Addlo_page (_, l)
-  | Addis_toc (_, l)
-  | Addlo_toc (_, l)
-  | Movabs_of (_, l)
-  | Movhi_of (_, l)
-  | Orlo_of (_, l)
-  | Data (_, Addr l, _)
-  | Data (_, Diff_const (l, _, _), _) ->
-      [ l ]
-  | Data (_, Diff (a, b, _), _) -> [ a; b ]
-  | Insn _ | Jmp_abs _ | Jcc_abs _ | Call_abs _ | Mater_const _ | Label _
-  | Align _
-  | Data (_, Const _, _)
-  | Raw _ | Space _ ->
-      []
-
-let chunk_key arch ~pie ~toc ~labels ch =
-  let resolved =
-    List.map
-      (fun (it, at) -> (it, at, List.map (label_exn labels) (item_labels it)))
-      ch.c_items
-  in
-  Icfg_obj.Key.dval (arch, pie, toc, ch.c_lo, ch.c_hi, resolved)
-
 let encode_chunk arch ~pie ~toc ~labels ch =
   let citems = Array.of_list ch.c_items in
   let data = Bytes.make (ch.c_hi - ch.c_lo) '\000' in
@@ -259,19 +225,13 @@ let encode_chunk arch ~pie ~toc ~labels ch =
    (item, address) pair and that read-only table — so chunks encode
    independently, each into a private buffer sized by its address extent,
    through whatever order-preserving [map] the caller injects (a domain
-   pool, a memoizer keyed by [chunk_key]). Chunks need not tile the
-   extent: address ranges no chunk covers (holes a pinned layout left
-   behind) stay zero-filled. Relocs concatenate in chunk (address) order,
-   which for chunks tiling the extent is the item-order reloc list of
-   {!encode} — the battery in [test_parallel] pins this byte-for-byte. *)
-let encode_chunks arch ~pie ~toc ~labels ?(map = fun ~key:_ f l -> List.map f l)
-    lay chunks =
-  let encoded =
-    map
-      ~key:(chunk_key arch ~pie ~toc ~labels)
-      (encode_chunk arch ~pie ~toc ~labels)
-      chunks
-  in
+   pool). Chunks need not tile the extent: address ranges no chunk covers
+   (holes a pinned layout left behind) stay zero-filled. Relocs
+   concatenate in chunk (address) order, which for chunks tiling the
+   extent is the item-order reloc list of {!encode} — the battery in
+   [test_parallel] pins this byte-for-byte. *)
+let encode_chunks arch ~pie ~toc ~labels ?(map = List.map) lay chunks =
+  let encoded = map (encode_chunk arch ~pie ~toc ~labels) chunks in
   let data = Bytes.make (lay.l_end - lay.l_base) '\000' in
   List.iter2
     (fun ch (d, _) ->

@@ -76,7 +76,7 @@ val encode :
 
 type chunk = { c_items : (item * int) list; c_lo : int; c_hi : int }
 (** A contiguous run of placed items covering addresses
-    [[c_lo, c_hi)] — the unit of sharded (and memoized) encoding. *)
+    [[c_lo, c_hi)] — the unit of sharded encoding. *)
 
 val encode_chunks :
   Icfg_isa.Arch.t ->
@@ -84,8 +84,7 @@ val encode_chunks :
   toc:int ->
   labels:(string, int) Hashtbl.t ->
   ?map:
-    (key:(chunk -> string) ->
-    (chunk -> Bytes.t * Icfg_obj.Reloc.t list) ->
+    ((chunk -> Bytes.t * Icfg_obj.Reloc.t list) ->
     chunk list ->
     (Bytes.t * Icfg_obj.Reloc.t list) list) ->
   layout ->
@@ -94,16 +93,12 @@ val encode_chunks :
 (** Encode an explicit chunk list (e.g. {!pinned_result.p_chunks})
     against a frozen label table into one buffer spanning
     [[lay.l_base, lay.l_end)]. Each chunk encodes independently through
-    [map] (default: [List.map], ignoring [key]), which must be an
-    order-preserving observation-equivalent of [List.map] — the Rewriter
-    passes its stage runner's [map] to fan chunks out and memoize them.
-    [key ch] digests the chunk's items {e plus the resolved values of
-    every label they reference}, so equal layouts hit and shifted layouts
-    miss — a memoizer never has to re-fix bytes against a new label
-    table. The chunks need not tile the extent: uncovered holes (gaps a
-    pinned layout left behind) stay zero-filled. Relocs concatenate in
-    chunk (address) order; for chunks that tile the extent, bytes and
-    relocs are exactly {!encode}'s. *)
+    [map] (default: [List.map]), which must be an order-preserving
+    observation-equivalent of [List.map] — the Rewriter passes its stage
+    runner's [map] to fan chunks out. The chunks need not tile the
+    extent: uncovered holes (gaps a pinned layout left behind) stay
+    zero-filled. Relocs concatenate in chunk (address) order; for chunks
+    that tile the extent, bytes and relocs are exactly {!encode}'s. *)
 
 (** {1 Pinned-address incremental layout}
 
@@ -112,8 +107,8 @@ val encode_chunks :
     segments whose content and recorded placement still fit are pinned at
     their previous addresses, and only the dirty segments are re-solved
     into the holes the pinned extents leave. A segment that keeps its
-    address keeps every label it defines, so downstream chunk-encode keys
-    and placement replays for it stay warm. *)
+    address keeps every label it defines, so the rewritten code of an
+    unchanged function keeps its address after an edit. *)
 
 type seg_rec = {
   sr_id : int;  (** caller-chosen stable segment identity *)

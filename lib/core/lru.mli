@@ -1,6 +1,6 @@
 (** Size-accounted, deterministic least-recently-used bookkeeping — the
-    one eviction policy behind the cache's on-disk tier ({!Cache}) and the
-    daemon's byte stores ([Icfg_service.Store]).
+    eviction policy behind the daemon's byte stores
+    ([Icfg_service.Store]).
 
     Every entry carries a size and an access tick from a per-structure
     counter. When an insert pushes the footprint over the capacity, the

@@ -153,3 +153,10 @@ let map ~jobs f xs =
   | [ x ] -> [ f x ]
   | _ when jobs <= 1 -> List.map f xs
   | _ -> Array.to_list (map_array ~jobs f (Array.of_list xs))
+
+let runner ?(jobs = 1) () =
+  {
+    Icfg_analysis.Parse.map = (fun f xs -> map ~jobs f xs);
+    span = Trace.span;
+    count = Trace.add;
+  }

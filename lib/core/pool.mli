@@ -53,3 +53,9 @@ val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 val map_array : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Array flavour of {!map}; same ordering and exception guarantees. *)
+
+val runner : ?jobs:int -> unit -> Icfg_analysis.Parse.runner
+(** The one way the pipeline runs its per-item stages, shared by
+    [Parse.parse], [Rewriter.rewrite] and the baselines: [map] is {!map}
+    over [jobs] domains (default 1; values below 1 mean 1), [span] is
+    {!Trace.span} and [count] is {!Trace.add} on the ambient trace. *)

@@ -12,7 +12,6 @@ module Func_ptr = Icfg_analysis.Func_ptr
 module Liveness = Icfg_analysis.Liveness
 module Trampoline = Icfg_isa.Trampoline
 module Ra_map = Icfg_runtime.Runtime_lib.Ra_map
-module Key = Icfg_obj.Key
 
 type payload = P_empty | P_count
 
@@ -236,36 +235,6 @@ type rctx = {
   (* per-function stats *)
   mutable n_cloned : int;
 }
-
-(* The marshal-safe residue of a finished relocation context: exactly the
-   accumulator fields the pipeline reads back out of [relocate_function],
-   so a cached relocation is indistinguishable from a fresh one. Lists are
-   kept in the context's (reversed) accumulation order; [merge] below
-   re-reverses them either way. *)
-type reloc_image = {
-  ri_items : Asm.item list;
-  ri_jt_items : Asm.item list;
-  ri_ra_pairs : (string * int) list;
-  ri_throw_pairs : (string * int) list;
-  ri_block_pairs : (string * int) list;
-  ri_counter_sites : (string * int) list;
-  ri_pending_traps : (string * int) list;
-  ri_dt_sites : (string * Reg.t) list;
-  ri_n_cloned : int;
-}
-
-let image_of_ctx ctx =
-  {
-    ri_items = ctx.items;
-    ri_jt_items = ctx.jt_items;
-    ri_ra_pairs = ctx.ra_pairs;
-    ri_throw_pairs = ctx.throw_pairs;
-    ri_block_pairs = ctx.block_pairs;
-    ri_counter_sites = ctx.counter_sites;
-    ri_pending_traps = ctx.pending_traps;
-    ri_dt_sites = ctx.dt_sites;
-    ri_n_cloned = ctx.n_cloned;
-  }
 
 let fresh_label ctx prefix =
   ctx.fresh <- ctx.fresh + 1;
@@ -692,11 +661,11 @@ type place_plan = {
   pl_events : place_event list;  (** in serial placement order *)
 }
 
-(* The previous run's section layout, persisted in the cache's slot tier
-   so a warm run can pin unchanged functions at their prior addresses
+(* The previous run's section layout, persisted in a cache slot so a
+   warm run can pin unchanged functions at their prior addresses
    (Zipr-style incremental placement) instead of re-solving the whole
    section — which would shift every address downstream of the first
-   changed function and cold the encode and plan stages. *)
+   function whose relocated size changed. *)
 type layout_snap = {
   sn_instr_base : int;
   sn_jt_base : int;
@@ -760,9 +729,9 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
     else []
   in
   (* Every per-item stage below (relocation, placement planning, chunk
-     encoding) runs through the one stage runner: [opts.jobs] domains,
-     memoized under [cache]. *)
-  let run = Cache.runner ?cache ~jobs:opts.jobs () in
+     encoding) runs through the one stage runner, over [opts.jobs]
+     domains. *)
+  let run = Pool.runner ~jobs:opts.jobs () in
   let mk_ctx (fa : Parse.func_analysis) =
     {
       p;
@@ -786,95 +755,55 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
       n_cloned = 0;
     }
   in
-  (* Everything the per-function relocation and planning stages read
-     besides the function's own analysis record, digested once per run.
-     Lazy, so the cacheless path never pays for it. [jobs] is normalized
-     out: cache keys — hence hit/miss counters — must be jobs-independent
-     like every other pipeline observable. *)
-  let cache_ctx =
-    lazy
-      (Key.kjoin
-         [
-           Key.dval
-             ( { opts with jobs = 0 },
-               arch,
-               pie,
-               toc,
-               instr_base,
-               far,
-               IntSet.elements instr_entries,
-               go_hook_funcs,
-               Array.to_list dynsyms,
-               p.Parse.fptrs,
-               p.Parse.pointer_targets );
-           (* Function symbols enter namelessly: nothing cross-function the
-              relocator or planner reads depends on a name (labels are
-              address-namespaced, [next_start_of] compares addresses, and
-              the name-sensitive inputs — [go_hook_funcs], the [only]
-              selection — are digested above), so a one-symbol rename
-              invalidates only that function's own entries via [dval fa]. *)
-           Key.dval
-             ( bin.Binary.eh_frame,
-               List.map
-                 (fun (s : Symbol.t) -> (s.Symbol.addr, s.Symbol.size))
-                 (Binary.func_symbols bin) );
-         ])
-  in
   (* 4. Relocate all instrumented functions — one context per function,
      fanned out across domains, merged back in emission order. The merged
      streams are a pure function of the (deterministic) emission order, so
-     any jobs count yields bit-identical output. With a cache, each
-     function's finished accumulator image is memoized against the shared
-     context plus its analysis record. *)
+     any jobs count yields bit-identical output. *)
   let emission_funcs =
     match opts.order with
     | `Original | `Reverse_blocks -> ifuncs
     | `Reverse_funcs -> List.rev ifuncs
   in
-  let fimgs =
+  let fctxs =
     Trace.span "relocate" @@ fun () ->
-    run.Parse.map ~stage:"rewrite/relocate"
-      ~key:(fun fa -> Key.kjoin [ Lazy.force cache_ctx; Key.dval fa ])
+    run.Parse.map
       (fun fa ->
         let ctx = mk_ctx fa in
         relocate_function ctx fa go_hook_funcs;
-        image_of_ctx ctx)
+        ctx)
       emission_funcs
   in
-  let merge proj = List.concat_map (fun c -> List.rev (proj c)) fimgs in
-  let all_ra_pairs = merge (fun c -> c.ri_ra_pairs) in
-  let all_throw_pairs = merge (fun c -> c.ri_throw_pairs) in
-  let all_block_pairs = merge (fun c -> c.ri_block_pairs) in
-  let all_counter_sites = merge (fun c -> c.ri_counter_sites) in
-  let all_pending_traps = merge (fun c -> c.ri_pending_traps) in
-  let all_dt_sites = merge (fun c -> c.ri_dt_sites) in
-  let n_cloned = List.fold_left (fun acc c -> acc + c.ri_n_cloned) 0 fimgs in
+  let merge proj = List.concat_map (fun c -> List.rev (proj c)) fctxs in
+  let all_ra_pairs = merge (fun c -> c.ra_pairs) in
+  let all_throw_pairs = merge (fun c -> c.throw_pairs) in
+  let all_block_pairs = merge (fun c -> c.block_pairs) in
+  let all_counter_sites = merge (fun c -> c.counter_sites) in
+  let all_pending_traps = merge (fun c -> c.pending_traps) in
+  let all_dt_sites = merge (fun c -> c.dt_sites) in
+  let n_cloned = List.fold_left (fun acc c -> acc + c.n_cloned) 0 fctxs in
   (* 5. Assemble .instr and .jtnew in one label namespace, one segment per
      function. Layout (address/label assignment) is inherently sequential;
      encoding then runs per function against the frozen label table, so
-     the chunks fan out (and memoize) through the stage runner. Chunk
-     boundaries — hence chunk cache keys and hit/miss counts — are
-     function boundaries, fixed by the binary rather than by [jobs].
+     the chunks fan out through the stage runner.
 
      Layout is Zipr-style ({!Asm.layout_pinned}): with a cache, the
-     previous run's placement (persisted in the cache's slot tier) pins
-     every unchanged function at its prior address, so a perturbed warm
-     run re-solves and re-encodes only the functions whose content
-     actually changed — everything downstream of an edit keeps its
-     addresses, its encode-chunk hits and its placement plans. Without a
-     previous snapshot (no cache, or a cold one) the pinned layout is
-     exactly the sequential one, and segment digests are only computed
-     when a cache will store them. *)
+     previous run's placement (persisted in the cache's layout slot) pins
+     every unchanged function at its prior address, so an edit that
+     changes one function's relocated size moves only that function and
+     leaves everything downstream of it in place. Without a previous
+     snapshot (no cache, or a cold one) the pinned layout is exactly the
+     sequential one, and segment digests are only computed when a cache
+     will store them. *)
   let labels = Hashtbl.create 1024 in
   let seg_of proj =
     List.map2
-      (fun (fa : Parse.func_analysis) img ->
-        (fa.Parse.fa_sym.Symbol.addr, List.rev (proj img)))
-      emission_funcs fimgs
+      (fun (fa : Parse.func_analysis) c ->
+        (fa.Parse.fa_sym.Symbol.addr, List.rev (proj c)))
+      emission_funcs fctxs
   in
   let snap_key =
     lazy
-      (Key.dval
+      (Icfg_obj.Key.dval
          ( "layout-snap",
            bin.Binary.name,
            arch,
@@ -894,7 +823,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
   let pi =
     Trace.span "layout:instr" @@ fun () ->
     Asm.layout_pinned arch ~pie ~labels ~base:instr_base ~prev:prev_instr
-      (seg_of (fun img -> img.ri_items))
+      (seg_of (fun c -> c.items))
   in
   (* The jump-table base is always derived from the instr extent the run
      actually produced — never pinned — so the two sections can not
@@ -904,7 +833,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
     Trace.span "layout:jtnew" @@ fun () ->
     Asm.layout_pinned arch ~pie ~labels ~base:jt_base
       ~prev:(if jt_base = prev_jt_base then prev_jt else [])
-      (seg_of (fun img -> img.ri_jt_items))
+      (seg_of (fun c -> c.jt_items))
   in
   Option.iter
     (fun c ->
@@ -919,8 +848,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
       Trace.add "layout.moved" (pi.Asm.p_moved + pj.Asm.p_moved))
     cache;
   let encode (r : Asm.pinned_result) =
-    Asm.encode_chunks arch ~pie ~toc ~labels
-      ~map:(run.Parse.map ~stage:"encode")
+    Asm.encode_chunks arch ~pie ~toc ~labels ~map:run.Parse.map
       r.Asm.p_layout r.Asm.p_chunks
   in
   let instr_bytes, instr_relocs =
@@ -1048,41 +976,8 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
       pl_events = List.rev !events;
     }
   in
-  (* A plan reads: the shared context, the function's analysis, its
-     relocated-block label values, and the trailing padding bytes up to the
-     next function start (the only binary bytes [function_regions] decodes
-     beyond what [fa] already fixes) — so that is exactly what its cache
-     key digests. *)
-  let plan_key fa =
-    let sym = fa.Parse.fa_sym in
-    let fend = sym.Symbol.addr + sym.Symbol.size in
-    let nxt = next_start_of fa in
-    let lim = min nxt (Section.end_vaddr text) in
-    let pad =
-      if lim > fend && fend >= text.Section.vaddr then
-        Bytes.sub_string text.Section.data
-          (fend - text.Section.vaddr)
-          (lim - fend)
-      else ""
-    in
-    let block_labels =
-      List.map
-        (fun (b : Cfg.block) ->
-          Hashtbl.find_opt labels (block_label b.Cfg.b_start))
-        fa.Parse.fa_cfg.Cfg.blocks
-    in
-    Key.kjoin
-      [
-        Lazy.force cache_ctx;
-        Key.dval fa;
-        Key.dval (nxt, block_labels);
-        pad;
-      ]
-  in
   let plans =
-    Trace.span "place:plan" @@ fun () ->
-    run.Parse.map ~stage:"rewrite/plan" ~key:plan_key
-      plan_function sorted_ifuncs
+    Trace.span "place:plan" @@ fun () -> run.Parse.map plan_function sorted_ifuncs
   in
   (* ...then a serial replay in sorted function order threads the scratch
      pool and the deferred-hop list exactly as a serial pass would. *)

@@ -62,7 +62,7 @@ let strong_test ?(options = Rewriter.default_options) ?fm bin =
   let trace = Trace.create () in
   Trace.with_current trace @@ fun () ->
   let parse =
-    Parse.parse ?fm ~runner:(Cache.runner ~jobs:options.Rewriter.jobs ()) bin
+    Parse.parse ?fm ~runner:(Pool.runner ~jobs:options.Rewriter.jobs ()) bin
   in
   let rw = Rewriter.rewrite ~options parse in
   (* Which functions were actually instrumented (instrumentable + filter)? *)

@@ -1,6 +1,5 @@
 module Vm = Icfg_runtime.Vm
 module Baseline = Icfg_baselines.Baseline
-module Cache = Icfg_core.Cache
 module Trace = Icfg_core.Trace
 module Corpus = Icfg_workloads.Corpus
 
@@ -27,8 +26,6 @@ type t = {
   m_count : int;
   m_jobs : int;
   m_rows : row list;
-  m_cache : Cache.stats;
-  m_hit_rate : float;
 }
 
 let pass_rate_pct r =
@@ -130,12 +127,9 @@ let row_of ~approach cells =
 let run ?(seed = 7) ?(count = 300) ?(jobs = 1) ?(progress = fun _ -> ()) () =
   let jobs = max 1 jobs in
   let entries = Corpus.generate ~seed ~count in
-  let cache = Cache.create () in
-  (* One shared cache, cells evaluated serially in corpus order: hit/miss
-     counts (and thus the corpus-wide hit rate) are jobs-independent,
-     because [Cache.memo_map] probes serially and only fans misses out.
-     Parallelism lives inside each cell's parse/rewrite pipeline — the
-     pool must not be entered twice (no nested [Pool.map]). *)
+  (* Cells are evaluated serially in corpus order. Parallelism lives
+     inside each cell's parse/rewrite pipeline — the pool must not be
+     entered twice (no nested [Pool.map]). *)
   let cells = Hashtbl.create 8 in
   List.iter
     (fun (name, _) -> Hashtbl.replace cells name [])
@@ -146,7 +140,7 @@ let run ?(seed = 7) ?(count = 300) ?(jobs = 1) ?(progress = fun _ -> ()) () =
       let orig = Runner.run_original bin in
       List.iter
         (fun (name, _) ->
-          let cell = eval_cell ~orig ~approach:name ~jobs ~cache bin in
+          let cell = eval_cell ~orig ~approach:name ~jobs bin in
           Hashtbl.replace cells name (cell :: Hashtbl.find cells name))
         Baseline.approaches;
       progress (i + 1))
@@ -157,15 +151,7 @@ let run ?(seed = 7) ?(count = 300) ?(jobs = 1) ?(progress = fun _ -> ()) () =
         row_of ~approach:name (List.rev (Hashtbl.find cells name)))
       Baseline.approaches
   in
-  let stats = Cache.stats cache in
-  {
-    m_seed = seed;
-    m_count = count;
-    m_jobs = jobs;
-    m_rows = rows;
-    m_cache = stats;
-    m_hit_rate = Cache.hit_rate stats;
-  }
+  { m_seed = seed; m_count = count; m_jobs = jobs; m_rows = rows }
 
 let render m =
   let b = Buffer.create 1024 in
@@ -196,8 +182,4 @@ let render m =
                 r.row_refusals)))
       with_refusals
   end;
-  Printf.bprintf b
-    "  cache: %d hits, %d misses, %d stores (corpus-wide hit-rate %.1f%%)\n"
-    m.m_cache.Cache.c_hits m.m_cache.Cache.c_misses m.m_cache.Cache.c_stores
-    (100. *. m.m_hit_rate);
   Buffer.contents b

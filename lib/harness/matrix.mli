@@ -3,13 +3,11 @@
     classified by what actually happened, aggregated into per-approach
     pass-rate / refusal-histogram / latency rows.
 
-    Cells are evaluated serially in corpus order against one shared
-    {!Icfg_core.Cache}; parallelism ([jobs]) lives {e inside} each cell's
-    parse/rewrite pipeline (the {!Icfg_core.Pool} must not be entered
-    twice). Because {!Icfg_core.Cache.memo_map} probes serially, every
-    classification count and the corpus-wide hit rate are deterministic:
-    independent of [jobs] and of the machine. Only the [p50]/[p95] wall
-    times vary between runs. *)
+    Cells are evaluated serially in corpus order, uncached; parallelism
+    ([jobs]) lives {e inside} each cell's parse/rewrite pipeline (the
+    {!Icfg_core.Pool} must not be entered twice). Every classification
+    count is deterministic: independent of [jobs] and of the machine.
+    Only the [p50]/[p95] wall times vary between runs. *)
 
 (** What one (binary, approach) cell did. *)
 type cls =
@@ -39,8 +37,6 @@ type t = {
   m_count : int;
   m_jobs : int;
   m_rows : row list;  (** one per roster entry, in roster order *)
-  m_cache : Icfg_core.Cache.stats;  (** shared-cache stats for the sweep *)
-  m_hit_rate : float;  (** corpus-wide {!Icfg_core.Cache.hit_rate} *)
 }
 
 val pass_rate_pct : row -> float
@@ -92,4 +88,4 @@ val run :
 
 val render : t -> string
 (** Human-readable table: one line per approach, then the non-empty
-    refusal histograms and the shared-cache summary. *)
+    refusal histograms. *)

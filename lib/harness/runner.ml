@@ -9,12 +9,12 @@ module Baseline = Icfg_baselines.Baseline
 (* The sharded rewriting pipeline entry points                         *)
 (* ------------------------------------------------------------------ *)
 
-let parse ?fm ?jobs ?cache bin =
-  Parse.parse ?fm ~runner:(Icfg_core.Cache.runner ?cache ?jobs ()) bin
+let parse ?fm ?jobs bin =
+  Parse.parse ?fm ~runner:(Icfg_core.Pool.runner ?jobs ()) bin
 
 let rewrite ?fm ?(options = Rewriter.default_options) ?jobs ?cache bin =
   let jobs = max 1 (Option.value ~default:options.Rewriter.jobs jobs) in
-  let p = parse ?fm ~jobs ?cache bin in
+  let p = parse ?fm ~jobs bin in
   Rewriter.rewrite ?cache ~options:{ options with Rewriter.jobs } p
 
 (* Name-addressed driving: the one resolution point shared by the corpus
@@ -31,7 +31,7 @@ let drive ~approach ?jobs ?cache bin =
     (List.assoc_opt approach Baseline.approaches)
 
 (* ------------------------------------------------------------------ *)
-(* Content perturbation (cache invalidation probes)                    *)
+(* Content perturbation (edit probes)                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Flip the low bit of one mov-immediate in one function, choosing a site
@@ -41,8 +41,8 @@ let drive ~approach ?jobs ?cache bin =
    function entry, and the address is outside every [Fp_mater]
    provenance), and the re-encoded instruction has the same length. The
    perturbed binary then parses and rewrites identically except for that
-   one function — the probe the incremental-cache tests and benchmarks
-   use to pin per-function invalidation. *)
+   one function — the function edit the pinned-layout tests and
+   benchmarks replay. *)
 let perturb_function (p : Parse.t) =
   let bin = p.Parse.bin in
   let arch = bin.Binary.arch in
@@ -100,11 +100,11 @@ let perturb_function (p : Parse.t) =
    that provably changes nothing the text-stage analyses compute: the
    perturbed binary is re-parsed (serially) and must reproduce the
    identical analysis — CFGs, jump tables, pointer sites — so the edit's
-   only cache-visible effect is the data bytes themselves. This is the
-   probe behind the data-only-edit battery and the [cache-warm-data-edit]
-   bench row: an identical analysis means no jump-table word flipped, and
-   no key reads any other data byte, so a warm rewrite misses no stage at
-   all. Read-only sections are tried first — writable words feed the
+   only effect is the data bytes themselves. This is the probe behind the
+   data-only-edit battery and the [cache-warm-data-edit] bench row: an
+   identical analysis means no jump-table word flipped, so every function
+   keeps its relocated code and a warm rewrite pins every segment.
+   Read-only sections are tried first — writable words feed the
    value-match pointer scan on non-PIE binaries — and [.eh_frame] is
    excluded because its bytes are a text-stage input. *)
 let perturb_data (p : Parse.t) =
@@ -159,11 +159,10 @@ let perturb_data (p : Parse.t) =
 
 (* Rename one instrumentable function symbol. Symbol names are not
    analysis or layout inputs anywhere else — relocated-block labels are
-   address-namespaced and the cache digests other functions' symbols
-   namelessly — so a rename must cost exactly the renamed function's own
-   cache entries and nothing downstream (in particular zero encode
-   misses), which is what the one-symbol-edit battery pins. Go-hook names
-   are skipped: those are matched by name in the rewriter. *)
+   address-namespaced — so a rename changes no relocated code and a warm
+   rewrite pins every segment, which is what the one-symbol-edit battery
+   pins. Go-hook names are skipped: those are matched by name in the
+   rewriter. *)
 let perturb_symbol (p : Parse.t) =
   let bin = p.Parse.bin in
   let hook n = n = "runtime.findfunc" || n = "runtime.pcvalue" in

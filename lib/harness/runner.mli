@@ -15,11 +15,10 @@
 val parse :
   ?fm:Icfg_analysis.Failure_model.t ->
   ?jobs:int ->
-  ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   Icfg_analysis.Parse.t
-(** [Parse.parse] under {!Icfg_core.Cache.runner} (traced, [jobs] domains,
-    memoized when [cache] is given). *)
+(** [Parse.parse] under {!Icfg_core.Pool.runner} (traced, [jobs]
+    domains). *)
 
 val rewrite :
   ?fm:Icfg_analysis.Failure_model.t ->
@@ -28,9 +27,11 @@ val rewrite :
   ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   Icfg_core.Rewriter.t
-(** Parse + rewrite. [jobs] (default: [options.jobs]) and [cache] are
-    threaded through both stages; output is bit-identical with and without
-    a cache. *)
+(** Parse + rewrite. [jobs] (default: [options.jobs]) is threaded
+    through both stages; [cache] holds the layout slot
+    {!Icfg_core.Rewriter.rewrite} pins against. Output is identical to an
+    uncached rewrite unless a function's relocated size changed since the
+    slot's snapshot; then unchanged functions keep their addresses. *)
 
 val drive :
   approach:string ->
@@ -47,25 +48,24 @@ val drive :
 val perturb_function : Icfg_analysis.Parse.t -> (Icfg_obj.Binary.t * string) option
 (** A copy of the parsed binary with the low bit of one mov-immediate
     flipped in one function (plus that function's name), chosen so only
-    that function's analysis/rewrite artifacts change — the probe the
-    incremental-cache tests use to prove per-function invalidation.
-    [None] if no safely perturbable site exists. *)
+    that function's analysis/rewrite artifacts change and its length
+    stays the same — the function edit of the pinned-layout tests and
+    benchmarks. [None] if no safely perturbable site exists. *)
 
 val perturb_data : Icfg_analysis.Parse.t -> (Icfg_obj.Binary.t * string) option
 (** A copy of the parsed binary with one byte flipped in one loaded
     non-executable section (plus that section's name), validated by
     re-parsing: the perturbed binary must reproduce the identical analysis,
-    so the edit flips no jump-table word [parse/finalize] reads and a warm
-    rewrite misses no stage at all. [None] if no validated site is found
-    within the attempt budget. *)
+    so the edit flips no jump-table word the parse reads and a warm
+    rewrite pins every segment of the layout. [None] if no validated site
+    is found within the attempt budget. *)
 
 val perturb_symbol :
   Icfg_analysis.Parse.t -> (Icfg_obj.Binary.t * string) option
 (** A copy of the parsed binary with one instrumentable function's symbol
-    renamed (plus the original name): names feed only that function's own
-    cache keys, so a warm rewrite after a rename costs exactly that
-    function's per-function entries and zero encode chunks. [None] if no
-    suitable symbol exists. *)
+    renamed (plus the original name): relocated code is
+    address-namespaced, so the rename changes no segment and a warm
+    rewrite pins every one. [None] if no suitable symbol exists. *)
 
 type run = {
   r_outcome : Icfg_runtime.Vm.outcome;

@@ -15,8 +15,9 @@ module Matrix = Icfg_harness.Matrix
    scheduler's dedicated executor domains, each under a fresh
    [Trace.with_current] — per-domain ambient traces are what keeps two
    concurrent requests' counters from bleeding into each other. One
-   [Cache.t] is shared across every request for the life of the daemon:
-   cross-request reuse is the point of serving.
+   [Cache.t] of layout slots is shared across every request for the life
+   of the daemon, so a rewrite of an edited binary keeps its unchanged
+   functions at the addresses the previous rewrite gave them.
 
    Crash containment: the request body catches everything and returns a
    typed [Error] response; the accept loop and connection loops never
@@ -31,7 +32,7 @@ module Matrix = Icfg_harness.Matrix
    garbage; nothing per-request is kept alive. [Stats] requests are
    answered inline on the connection thread, like [Ping]: a saturated
    daemon still answers, and a scrape never touches the request queue,
-   the cache, or any per-request state it is observing.
+   the slot store, or any per-request state it is observing.
 
    Incremental protocol (DESIGN §15): two bounded [Store.t]s make the
    service boundary incremental. The *binary store* holds registered
@@ -94,7 +95,7 @@ let flight t = t.fl
 let store t = t.store
 let response_memo t = t.memo
 
-(* Registry snapshot + the shared cache's/stores' lifetime counters (each
+(* Registry snapshot + the slot store's/stores' lifetime counters (each
    keeps its own stats; mirroring them per-lookup would double-count). *)
 let snapshot t =
   let cs = Cache.stats t.srv_cache in
@@ -107,7 +108,6 @@ let snapshot t =
         [
           ("cache.bytes_reused", cs.Cache.c_bytes_reused);
           ("cache.evict_corrupt", cs.Cache.c_evict_corrupt);
-          ("cache.evict_lru", cs.Cache.c_evict_lru);
           ("cache.hits", cs.Cache.c_hits);
           ("cache.misses", cs.Cache.c_misses);
           ("cache.stores", cs.Cache.c_stores);

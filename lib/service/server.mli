@@ -1,6 +1,7 @@
 (** The [icfg serve] daemon: a Unix-socket server speaking {!Protocol},
-    scheduling request bodies on {!Scheduler} executor domains, reusing
-    one {!Icfg_core.Cache.t} across every request it ever serves.
+    scheduling request bodies on {!Scheduler} executor domains, sharing
+    one {!Icfg_core.Cache.t} of layout slots across every request it ever
+    serves.
 
     Isolation contract: each request body runs under a fresh per-domain
     ambient trace ({!Icfg_core.Trace.with_current}), so two concurrent
@@ -43,8 +44,8 @@ val start :
     the accept thread and [workers] executor domains (default 2).
     [bound] (default 64) is the request-queue bound. [jobs] (default 1)
     is the per-request pipeline parallelism used when a request carries
-    [jobs <= 0]. [cache] (default: fresh) is the shared cross-request
-    cache. [flight] (default: fresh with default bounds) is the flight
+    [jobs <= 0]. [cache] (default: fresh) is the shared layout-slot
+    store. [flight] (default: fresh with default bounds) is the flight
     recorder — injectable so tests can shrink the bounds.
 
     Incremental-protocol knobs: [max_frame] (default
@@ -98,9 +99,9 @@ val response_memo : t -> Store.t
 
 val snapshot : t -> Icfg_core.Metrics.snapshot
 (** What a [Stats] frame answers: the registry snapshot merged with the
-    shared cache's lifetime counters ([cache.hits], [cache.misses],
-    [cache.stores], [cache.bytes_reused], [cache.evict_corrupt],
-    [cache.evict_lru]), the binary store's ([store.hits], [store.misses],
+    slot store's lifetime counters ([cache.hits], [cache.misses],
+    [cache.stores], [cache.bytes_reused], [cache.evict_corrupt]), the
+    binary store's ([store.hits], [store.misses],
     [store.stores], [store.evict_lru], [store.rejected] + [store.bytes]
     / [store.entries] gauges) and the response memo's, mirrored as
     [response_cache.hit], [response_cache.miss], [response_cache.stores],

@@ -1,11 +1,11 @@
 (* Bounded in-memory byte store with deterministic LRU eviction — the
    daemon's binary store and its whole-response memo are both instances.
 
-   Eviction is [Icfg_core.Lru]'s, shared with the cache's disk tier: every
-   access stamps the entry with a monotonically increasing tick, and when
-   an insert would push the store past [max_bytes] the victim is the entry
-   with the smallest tick, ties broken by key — so the victim order is a
-   deterministic function of the access history, never of hash order.
+   Eviction is [Icfg_core.Lru]'s: every access stamps the entry with a
+   monotonically increasing tick, and when an insert would push the store
+   past [max_bytes] the victim is the entry with the smallest tick, ties
+   broken by key — so the victim order is a deterministic function of the
+   access history, never of hash order.
 
    A value larger than the whole store is refused ([add] returns
    [false]) rather than evicting everything for nothing: the caller

@@ -2,11 +2,10 @@
     daemon's content-addressed binary store and its whole-response memo
     are both instances of this one structure.
 
-    Eviction is {!Icfg_core.Lru}, the policy the cache's disk tier also
-    uses: least-recently-used by an in-process access tick, ties broken by
-    key, so the victim order is a deterministic function of the access
-    history. A value
-    larger than the whole store is refused ([add] returns [false]) —
+    Eviction is {!Icfg_core.Lru}: least-recently-used by an in-process
+    access tick, ties broken by key, so the victim order is a
+    deterministic function of the access history. A value larger than
+    the whole store is refused ([add] returns [false]) —
     the server turns that into a typed [Rejected] frame. Thread-safe. *)
 
 type t

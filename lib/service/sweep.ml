@@ -1,4 +1,3 @@
-module Cache = Icfg_core.Cache
 module Baseline = Icfg_baselines.Baseline
 module Corpus = Icfg_workloads.Corpus
 module Matrix = Icfg_harness.Matrix
@@ -12,9 +11,9 @@ module Matrix = Icfg_harness.Matrix
 
    Client model: [clients] threads, each with its own connection,
    pulling (entry, approach) work items off one shared index in corpus-
-   major order. Classifications are interleaving-independent because
-   cache hits are content-addressed (a hit returns exactly what a miss
-   would compute); only wall times and the hit/miss split vary. *)
+   major order. Classifications are interleaving-independent: a cell's
+   result depends only on its binary and approach; only wall times
+   vary. *)
 
 type payload_mode = Full_upload | By_ref
 
@@ -26,8 +25,6 @@ type result = {
   sw_requests : int;
   sw_overloaded : int;
   sw_errors : int;
-  sw_cache : Cache.stats;
-  sw_hit_rate : float;
   sw_wall_ns : float;
   sw_rps : float;
   sw_metrics : Icfg_core.Metrics.snapshot;
@@ -157,7 +154,6 @@ let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?(jobs = 1) ?workers ?bound
   List.iter Thread.join threads;
   let wall_ns = Int64.to_float (Int64.sub (Icfg_core.Metrics.now_ns ()) t0) in
   let st = Server.stats srv in
-  let cstats = Cache.stats (Server.cache srv) in
   (* Snapshot before stop: same merged view a live [Stats] frame gets. *)
   let msnap = Server.snapshot srv in
   Server.stop srv;
@@ -200,8 +196,6 @@ let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?(jobs = 1) ?workers ?bound
     sw_requests = st.Server.requests;
     sw_overloaded = st.Server.overloaded;
     sw_errors = Atomic.get errors;
-    sw_cache = cstats;
-    sw_hit_rate = Cache.hit_rate cstats;
     sw_wall_ns = wall_ns;
     sw_rps =
       (if wall_ns > 0. then float_of_int n_items /. (wall_ns /. 1e9) else 0.);
@@ -236,11 +230,9 @@ let check ?(seed = 7) ?(count = 48) ?(clients = 4) ?(jobs = 1) () =
   let b = Buffer.create 512 in
   Printf.bprintf b
     "serve-check: seed %d, %d binaries, %d clients, jobs %d — %d requests, \
-     %d overloaded, %d transport errors, cache hit-rate %.1f%%, %.1f req/s\n"
+     %d overloaded, %d transport errors, %.1f req/s\n"
     seed count clients jobs daemon.sw_requests daemon.sw_overloaded
-    daemon.sw_errors
-    (100. *. daemon.sw_hit_rate)
-    daemon.sw_rps;
+    daemon.sw_errors daemon.sw_rps;
   let ok = ref (daemon.sw_errors = 0 && daemon.sw_overloaded = 0) in
   if not !ok then
     Buffer.add_string b "  FAIL: sweep saw transport errors or refusals\n";

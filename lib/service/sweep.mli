@@ -21,8 +21,6 @@ type result = {
   sw_requests : int;  (** daemon-side answered work requests *)
   sw_overloaded : int;  (** should be 0: the sweep bounds in-flight by clients *)
   sw_errors : int;  (** client-observed transport/Error responses *)
-  sw_cache : Icfg_core.Cache.stats;  (** the daemon's cross-request cache *)
-  sw_hit_rate : float;
   sw_wall_ns : float;
   sw_rps : float;  (** cells per second through the daemon *)
   sw_metrics : Icfg_core.Metrics.snapshot;

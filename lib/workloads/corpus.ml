@@ -167,10 +167,10 @@ let generate ~seed ~count =
   List.init count (fun id ->
       let e =
         (* Every sixth entry past the first shape cycle duplicates an
-           earlier entry byte-for-byte (same spec, same name): the
-           cross-binary cache-sharing probe. A fresh entry's draws are
-           consumed either way so twin placement never shifts later
-           entries' contents. *)
+           earlier entry byte-for-byte (same spec, same name): a replay
+           the daemon's whole-response memo answers without rerunning
+           the pipeline. A fresh entry's draws are consumed either way so
+           twin placement never shifts later entries' contents. *)
         let f = fresh rng id in
         if id >= Array.length all_shapes && id mod 6 = 3 then
           let src = Rng.int rng id in

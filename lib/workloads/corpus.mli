@@ -7,8 +7,8 @@
     drawn serially from a single {!Rng} stream, so the same seed yields
     byte-identical programs regardless of how the builds are later fanned
     out, and distinct seeds yield distinct corpora. A fraction of entries
-    are {e twins} — exact duplicates of an earlier entry — so a shared
-    content-addressed cache measurably hits across binaries. *)
+    are {e twins} — exact duplicates of an earlier entry — which the
+    daemon's response memo answers without rerunning the pipeline. *)
 
 type shape =
   | Plain  (** suite-like mix of compute/switch/dispatch kernels *)
@@ -39,7 +39,7 @@ type entry = {
   e_symver : bool;  (** salt: symbol versioning flagged post-compile *)
   e_spec : Gen.spec;
   e_twin_of : int option;
-      (** [Some j]: exact duplicate of entry [j] (the cache-sharing probe) *)
+      (** [Some j]: exact duplicate of entry [j] (a byte-identical replay) *)
 }
 
 val generate : seed:int -> count:int -> entry list

@@ -1,93 +1,17 @@
-(* The content-addressed cache in isolation: key construction, the
-   memo_map contract, clone semantics, and — the part that earns its own
-   battery — fault tolerance of the on-disk tier. A corrupt, truncated,
-   version-skewed or hand-forged entry must degrade to a silent miss with
-   a correct rewrite and a counted eviction; it must never surface as an
-   error or as wrong bytes. *)
+(* The layout-slot store in isolation: slot round-trips, clone
+   semantics, and fault tolerance of the slot files. A corrupt,
+   truncated, version-skewed or hand-forged slot must degrade to a cold
+   layout with a correct rewrite and a counted eviction; it must never
+   surface as an error or as wrong bytes. Plus the LRU policy the
+   daemon's stores share, and the daemon's use of the store. *)
 
 module Cache = Icfg_core.Cache
 module Runner = Icfg_harness.Runner
-module Key = Icfg_obj.Key
 
 let spec_bin () =
   let arch = Icfg_isa.Arch.X86_64 in
   let bench = List.hd (Icfg_workloads.Spec_suite.benchmarks arch) in
   fst (Icfg_workloads.Spec_suite.compile arch bench)
-
-(* ------------------------------------------------------------------ *)
-(* Keys                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let key_injectivity () =
-  (* Length-prefixing makes adjacent parts unable to alias. *)
-  Alcotest.(check bool) "kjoin [ab;c] <> kjoin [a;bc]" true
-    (Key.kjoin [ "ab"; "c" ] <> Key.kjoin [ "a"; "bc" ]);
-  Alcotest.(check bool) "kjoin [] <> kjoin [empty]" true
-    (Key.kjoin [] <> Key.kjoin [ "" ]);
-  (* dval is structural: equal values digest equally however built. *)
-  let a = [ 1; 2; 3 ] in
-  let b = 1 :: List.tl [ 0; 2; 3 ] in
-  Alcotest.(check string) "dval structural" (Key.dval a) (Key.dval b)
-
-(* ------------------------------------------------------------------ *)
-(* memo_map contract                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let memo_map_no_cache () =
-  (* Without a cache, memo_map is Pool.map and the key function is never
-     consulted. *)
-  let xs = List.init 100 (fun i -> i) in
-  let r =
-    Cache.memo_map ~jobs:4 ~stage:"t"
-      ~key:(fun _ -> Alcotest.fail "key called without a cache")
-      (fun x -> x * x)
-      xs
-  in
-  Alcotest.(check (list int)) "identity with Pool.map" (List.map (fun x -> x * x) xs) r
-
-let memo_map_basic () =
-  let c = Cache.create () in
-  let xs = List.init 50 (fun i -> i) in
-  let calls = Atomic.make 0 in
-  let f x =
-    Atomic.incr calls;
-    (x, string_of_int x)
-  in
-  let key x = Key.dval x in
-  let r1 = Cache.memo_map ~cache:c ~jobs:2 ~stage:"t" ~key f xs in
-  Alcotest.(check int) "cold: one call per item" 50 (Atomic.get calls);
-  let r2 = Cache.memo_map ~cache:c ~jobs:2 ~stage:"t" ~key f xs in
-  Alcotest.(check int) "warm: no new calls" 50 (Atomic.get calls);
-  Alcotest.(check bool) "warm result identical" true (r1 = r2);
-  let s = Cache.stats c in
-  Alcotest.(check int) "misses" 50 s.Cache.c_misses;
-  Alcotest.(check int) "hits" 50 s.Cache.c_hits;
-  Alcotest.(check int) "stores" 50 s.Cache.c_stores;
-  (* Same raw key under a different stage tag is a different entry. *)
-  let r3 = Cache.memo_map ~cache:c ~jobs:1 ~stage:"u" ~key f xs in
-  Alcotest.(check int) "stage tag separates entries" 100 (Atomic.get calls);
-  Alcotest.(check bool) "other-stage result identical" true (r1 = r3)
-
-let clone_isolation () =
-  let c = Cache.create () in
-  let xs = [ 1; 2; 3 ] in
-  let f x = x + 1 in
-  let key x = Key.dval x in
-  ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f xs);
-  let k = Cache.clone c in
-  Alcotest.(check int) "clone stats start at zero" 0 (Cache.stats k).Cache.c_hits;
-  ignore (Cache.memo_map ~cache:k ~jobs:1 ~stage:"t" ~key f xs);
-  Alcotest.(check int) "clone serves the copied entries" 3
-    (Cache.stats k).Cache.c_hits;
-  (* New entries stored into the clone do not leak back. *)
-  ignore (Cache.memo_map ~cache:k ~jobs:1 ~stage:"t" ~key f [ 99 ]);
-  ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f [ 99 ]);
-  Alcotest.(check int) "original missed the clone's entry" 4
-    (Cache.stats c).Cache.c_misses
-
-(* ------------------------------------------------------------------ *)
-(* Disk-tier fault tolerance                                           *)
-(* ------------------------------------------------------------------ *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -101,163 +25,24 @@ let write_file path s =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc s)
 
-(* Warm an on-disk store with a full rewrite, mangle one entry with
-   [damage], then rewrite through a fresh cache over the same directory:
-   the output must still be byte-identical to the uncached rewrite, the
-   damaged entry must be silently evicted (one counted eviction, one
-   miss), and everything else must hit. *)
-let damage_case ~what damage =
-  Test_parallel.with_temp_dir (fun dir ->
-      let bin = spec_bin () in
-      let options = Test_parallel.opts Icfg_core.Mode.Jt in
-      let uncached = Runner.rewrite ~options ~jobs:1 bin in
-      let c1 = Cache.create ~dir () in
-      ignore (Runner.rewrite ~options ~jobs:1 ~cache:c1 bin);
-      let total = (Cache.stats c1).Cache.c_misses in
-      let victim =
-        match Cache.entry_files c1 with
-        | f :: _ -> f
-        | [] -> Alcotest.fail "no on-disk entries after a cold rewrite"
-      in
-      damage victim;
-      let c2 = Cache.create ~dir () in
-      let rw = Runner.rewrite ~options ~jobs:1 ~cache:c2 bin in
-      Test_parallel.check_same ~what uncached rw;
-      let s = Cache.stats c2 in
-      Alcotest.(check int) (what ^ ": one eviction") 1 s.Cache.c_evict_corrupt;
-      Alcotest.(check int) (what ^ ": one miss") 1 s.Cache.c_misses;
-      Alcotest.(check int) (what ^ ": rest hits") (total - 1) s.Cache.c_hits;
-      (* The miss re-stored a valid entry: a third run is all hits. *)
-      let c3 = Cache.create ~dir () in
-      ignore (Runner.rewrite ~options ~jobs:1 ~cache:c3 bin);
-      Alcotest.(check int) (what ^ ": store healed") 0
-        (Cache.stats c3).Cache.c_misses)
+(* A clone starts with the source's slots and zeroed statistics, and
+   slots stored on either side afterwards stay on that side. *)
+let clone_isolation () =
+  let c = Cache.create () in
+  Cache.store_slot c "a" 1;
+  let k = Cache.clone c in
+  Alcotest.(check int) "clone stats start at zero" 0
+    (Cache.stats k).Cache.c_stores;
+  Alcotest.(check (option int)) "clone serves the copied slot" (Some 1)
+    (Cache.find_slot k "a");
+  Cache.store_slot k "b" 2;
+  Cache.store_slot c "a" 3;
+  Alcotest.(check (option int)) "the clone's slot does not leak back" None
+    (Cache.find_slot c "b");
+  Alcotest.(check (option int)) "the source's overwrite does not leak in"
+    (Some 1) (Cache.find_slot k "a")
 
-let disk_truncated () =
-  damage_case ~what:"truncated entry" (fun path ->
-      let s = read_file path in
-      write_file path (String.sub s 0 (String.length s / 2)))
-
-let disk_garbage () =
-  damage_case ~what:"garbage entry" (fun path ->
-      write_file path (String.make 64 '\xfe'))
-
-let disk_empty () =
-  damage_case ~what:"empty entry" (fun path -> write_file path "")
-
-let disk_version_skew () =
-  (* A future format version: same layout, bumped magic. Must read as
-     stale, not as valid. *)
-  damage_case ~what:"version-skewed entry" (fun path ->
-      let s = read_file path in
-      let i = String.index s '\n' in
-      write_file path ("icfgcache/2" ^ String.sub s i (String.length s - i)))
-
-let disk_forged_payload () =
-  (* A foreign writer with a self-consistent entry (magic, key echo,
-     length and digest all valid) around a payload that is not a marshal
-     image. The disk layer accepts it; memo_map must catch the unmarshal
-     failure, evict, and recompute. *)
-  damage_case ~what:"forged payload" (fun path ->
-      let key = Filename.chop_suffix (Filename.basename path) ".entry" in
-      let payload = "not a marshal image" in
-      write_file path
-        (String.concat "\n"
-           [
-             "icfgcache/1";
-             key;
-             string_of_int (String.length payload);
-             Digest.to_hex (Digest.string payload);
-             payload;
-           ]))
-
-(* ------------------------------------------------------------------ *)
-(* Disk-tier size bound (LRU)                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Payloads dwarf the per-entry framing, so "how many entries fit" is
-   easy to pin: a bound of three payloads holds exactly the three most
-   recently stored of eight. Eviction loses only the disk file — the
-   in-memory copies keep serving — and a fresh cache over the directory
-   misses exactly the five oldest. *)
-let disk_lru_bound () =
-  Test_parallel.with_temp_dir (fun dir ->
-      let calls = ref [] in
-      let f x =
-        calls := x :: !calls;
-        String.make 2048 (Char.chr (x land 0xff))
-      in
-      let key x = Key.dval x in
-      let xs = List.init 8 (fun i -> i) in
-      let c = Cache.create ~dir ~max_disk_bytes:(3 * 2200) () in
-      ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f xs);
-      let s = Cache.stats c in
-      Alcotest.(check int) "evictions counted" 5 s.Cache.c_evict_lru;
-      Alcotest.(check int) "bound holds three disk entries" 3
-        (List.length (Cache.entry_files c));
-      (* The in-memory tier kept every evicted entry. *)
-      calls := [];
-      ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f xs);
-      Alcotest.(check (list int)) "warm run recomputes nothing" [] !calls;
-      Alcotest.(check int) "warm run all hits" 8 (Cache.stats c).Cache.c_hits;
-      (* A fresh cache sees only the survivors: the five oldest stores
-         lost their files and recompute. *)
-      let c2 = Cache.create ~dir () in
-      ignore (Cache.memo_map ~cache:c2 ~jobs:1 ~stage:"t" ~key f xs);
-      let s2 = Cache.stats c2 in
-      Alcotest.(check int) "survivors hit" 3 s2.Cache.c_hits;
-      Alcotest.(check int) "evicted miss" 5 s2.Cache.c_misses;
-      Alcotest.(check (list int)) "victims were the oldest" [ 0; 1; 2; 3; 4 ]
-        (List.sort compare !calls))
-
-(* A disk hit refreshes the entry's LRU tick: entries seeded from a
-   pre-existing store are all equally cold, and touching one protects it
-   from the next eviction. *)
-let disk_lru_refresh () =
-  Test_parallel.with_temp_dir (fun dir ->
-      let f x = String.make 2048 (Char.chr (x land 0xff)) in
-      let key x = Key.dval x in
-      let seed = Cache.create ~dir () in
-      ignore (Cache.memo_map ~cache:seed ~jobs:1 ~stage:"t" ~key f [ 0; 1; 2 ]);
-      let c = Cache.create ~dir ~max_disk_bytes:(3 * 2200) () in
-      (* Disk hit on item 0: its tick is now newer than the other seeds. *)
-      ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f [ 0 ]);
-      (* A fourth store overflows the bound; the victim must be one of
-         the untouched seeds. *)
-      ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f [ 3 ]);
-      Alcotest.(check int) "one eviction" 1 (Cache.stats c).Cache.c_evict_lru;
-      let c2 = Cache.create ~dir () in
-      ignore (Cache.memo_map ~cache:c2 ~jobs:1 ~stage:"t" ~key f [ 0 ]);
-      Alcotest.(check int) "the touched seed survived" 1
-        (Cache.stats c2).Cache.c_hits)
-
-(* An entry larger than the whole bound is refused by the disk tier: it
-   keeps only its in-memory copy (counted as an LRU eviction) and flushes
-   none of the entries that fit. *)
-let disk_lru_oversized () =
-  Test_parallel.with_temp_dir (fun dir ->
-      let f n = String.make n 'x' in
-      let key n = Key.dval n in
-      let c = Cache.create ~dir ~max_disk_bytes:2200 () in
-      ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f [ 1024 ]);
-      ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f [ 4096 ]);
-      Alcotest.(check int) "oversized entry dropped from disk" 1
-        (Cache.stats c).Cache.c_evict_lru;
-      ignore (Cache.memo_map ~cache:c ~jobs:1 ~stage:"t" ~key f [ 4096 ]);
-      Alcotest.(check int) "oversized entry still served from memory" 1
-        (Cache.stats c).Cache.c_hits;
-      (* A fresh cache over the directory finds exactly the entry that
-         fits. *)
-      let c2 = Cache.create ~dir () in
-      ignore (Cache.memo_map ~cache:c2 ~jobs:1 ~stage:"t" ~key f [ 1024 ]);
-      Alcotest.(check int) "small entry on disk" 1
-        (Cache.stats c2).Cache.c_hits;
-      ignore (Cache.memo_map ~cache:c2 ~jobs:1 ~stage:"t" ~key f [ 4096 ]);
-      Alcotest.(check int) "oversized entry not on disk" 1
-        (Cache.stats c2).Cache.c_misses)
-
-(* The shared LRU policy in isolation (the disk tier above and the
-   daemon's stores both evict through it). *)
+(* The LRU policy in isolation (the daemon's stores evict through it). *)
 module Lru = Icfg_core.Lru
 
 let lru_policy () =
@@ -340,14 +125,12 @@ let slot_battery () =
       Cache.store_slot c "layout" [ 9 ];
       Alcotest.(check (list int)) "overwrite" [ 9 ]
         (Option.get (Cache.find_slot c "layout"));
-      (* Slots are invisible to statistics and the entry tier. *)
+      (* Statistics count slot lookups and writes. *)
       let s = Cache.stats c in
-      Alcotest.(check int) "no hits" 0 s.Cache.c_hits;
-      Alcotest.(check int) "no misses" 0 s.Cache.c_misses;
-      Alcotest.(check int) "no stores" 0 s.Cache.c_stores;
-      Alcotest.(check (list string)) "no entry files" [] (Cache.entry_files c);
+      Alcotest.(check (list int)) "hits, misses, stores" [ 2; 1; 2 ]
+        [ s.Cache.c_hits; s.Cache.c_misses; s.Cache.c_stores ];
       Alcotest.(check int) "one slot file" 1 (List.length (slot_files dir));
-      (* clone carries slots into warm replays (and drops the disk tier). *)
+      (* clone carries slots into warm replays (and drops the directory). *)
       let k = Cache.clone c in
       Alcotest.(check (list int)) "clone carries the slot" [ 9 ]
         (Option.get (Cache.find_slot k "layout"));
@@ -367,26 +150,200 @@ let slot_battery () =
       Alcotest.(check (list string)) "corrupt slot file removed" []
         (slot_files dir))
 
+
+(* Warm a slot directory with a full rewrite, mangle its one slot file
+   with [damage], then rewrite through a fresh cache over the same
+   directory: the slot reads as absent (one counted eviction, no hit),
+   the layout is solved cold, and the output is byte-identical to the
+   uncached rewrite. *)
+let damage_case ~what damage =
+  Test_parallel.with_temp_dir (fun dir ->
+      let bin = spec_bin () in
+      let options = Test_parallel.opts Icfg_core.Mode.Jt in
+      let uncached = Runner.rewrite ~options ~jobs:1 bin in
+      ignore (Runner.rewrite ~options ~jobs:1 ~cache:(Cache.create ~dir ()) bin);
+      (match slot_files dir with
+      | [ f ] -> damage (Filename.concat dir f)
+      | fs -> Alcotest.failf "%s: %d slot files" what (List.length fs));
+      let c = Cache.create ~dir () in
+      let rw = Runner.rewrite ~options ~jobs:1 ~cache:c bin in
+      Test_parallel.check_same ~what uncached rw;
+      let s = Cache.stats c in
+      Alcotest.(check (list int)) (what ^ ": evictions, hits")
+        [ 1; 0 ] [ s.Cache.c_evict_corrupt; s.Cache.c_hits ];
+      (* The rewrite re-stored a valid slot: a third run finds it. *)
+      let c3 = Cache.create ~dir () in
+      ignore (Runner.rewrite ~options ~jobs:1 ~cache:c3 bin);
+      Alcotest.(check int) (what ^ ": store healed") 1
+        (Cache.stats c3).Cache.c_hits)
+
+let disk_truncated () =
+  damage_case ~what:"truncated slot" (fun path ->
+      let s = read_file path in
+      write_file path (String.sub s 0 (String.length s / 2)))
+
+let disk_garbage () =
+  damage_case ~what:"garbage slot" (fun path ->
+      write_file path (String.make 64 '\xfe'))
+
+let disk_empty () =
+  damage_case ~what:"empty slot" (fun path -> write_file path "")
+
+let disk_version_skew () =
+  (* A future format version: same layout, bumped magic. Must read as
+     stale, not as valid. *)
+  damage_case ~what:"version-skewed slot" (fun path ->
+      let s = read_file path in
+      let i = String.index s '\n' in
+      write_file path ("icfgcache/2" ^ String.sub s i (String.length s - i)))
+
+let disk_forged_payload () =
+  (* A foreign writer with a self-consistent file (magic, key echo,
+     length and digest all valid) around a payload that is not a marshal
+     image: the file validates, the unmarshal fails. *)
+  damage_case ~what:"forged payload" (fun path ->
+      let key = Filename.chop_suffix (Filename.basename path) ".slot" in
+      let payload = "not a marshal image" in
+      write_file path
+        (String.concat "\n"
+           [
+             "icfgcache/1";
+             key;
+             string_of_int (String.length payload);
+             Digest.to_hex (Digest.string payload);
+             payload;
+           ]))
+
+(* A valid slot file copied over another key's file: its key echo no
+   longer matches the name it is read under, so it reads as absent and
+   is evicted — a slot never answers for a key it was not stored
+   under — while the original keeps reading. *)
+let disk_foreign_key () =
+  Test_parallel.with_temp_dir (fun dir ->
+      let c = Cache.create ~dir () in
+      Cache.store_slot c "a" 1;
+      let fa = slot_files dir in
+      Cache.store_slot c "b" 2;
+      let fb = List.filter (fun f -> not (List.mem f fa)) (slot_files dir) in
+      (match (fa, fb) with
+      | [ fa ], [ fb ] ->
+          write_file (Filename.concat dir fb)
+            (read_file (Filename.concat dir fa))
+      | _ -> Alcotest.fail "expected one slot file per key");
+      let c2 = Cache.create ~dir () in
+      Alcotest.(check (option int)) "copied slot reads as absent" None
+        (Cache.find_slot c2 "b");
+      Alcotest.(check (option int)) "the original still reads" (Some 1)
+        (Cache.find_slot c2 "a");
+      let s = Cache.stats c2 in
+      Alcotest.(check (list int)) "evictions, hits, misses" [ 1; 1; 1 ]
+        [ s.Cache.c_evict_corrupt; s.Cache.c_hits; s.Cache.c_misses ];
+      Alcotest.(check (list string)) "only the original's file left" fa
+        (slot_files dir))
+
+(* [c_bytes_reused] counts the marshalled bytes of the slots found:
+   misses and writes add nothing, and a slot read back from disk counts
+   like one found in memory. *)
+let slot_bytes_reused () =
+  Test_parallel.with_temp_dir (fun dir ->
+      let v = List.init 100 (fun i -> i) in
+      let n = String.length (Marshal.to_string v []) in
+      let c = Cache.create ~dir () in
+      ignore (Cache.find_slot c "layout" : int list option);
+      Cache.store_slot c "layout" v;
+      Alcotest.(check int) "a miss and a write reuse nothing" 0
+        (Cache.stats c).Cache.c_bytes_reused;
+      ignore (Cache.find_slot c "layout" : int list option);
+      ignore (Cache.find_slot c "layout" : int list option);
+      Alcotest.(check int) "two hits" (2 * n)
+        (Cache.stats c).Cache.c_bytes_reused;
+      let c2 = Cache.create ~dir () in
+      Alcotest.(check (option (list int))) "read from disk" (Some v)
+        (Cache.find_slot c2 "layout");
+      Alcotest.(check int) "a disk hit" n (Cache.stats c2).Cache.c_bytes_reused)
+
+(* The daemon's executor domains share one store. Domains that overwrite
+   and read back their own slot and one shared slot lose no write, never
+   read a torn value, and leave statistics that add up exactly. *)
+let slots_concurrent () =
+  let domains = 3 and rounds = 400 in
+  let c = Cache.create () in
+  Cache.store_slot c "shared" (0, 0);
+  let own d = Printf.sprintf "own-%d" d in
+  let worker d () =
+    for i = 1 to rounds do
+      Cache.store_slot c (own d) i;
+      (match (Cache.find_slot c (own d) : int option) with
+      | Some v when v = i -> ()
+      | _ -> Alcotest.failf "domain %d: own slot lost at round %d" d i);
+      Cache.store_slot c "shared" (d, i);
+      match (Cache.find_slot c "shared" : (int * int) option) with
+      | Some (d', i') when d' >= 0 && d' < domains && i' >= 0 && i' <= rounds
+        ->
+          ()
+      | _ -> Alcotest.failf "domain %d: torn shared slot" d
+    done
+  in
+  List.iter Domain.join (List.init domains (fun d -> Domain.spawn (worker d)));
+  List.iter
+    (fun d ->
+      Alcotest.(check (option int)) (own d ^ " holds its last write")
+        (Some rounds) (Cache.find_slot c (own d)))
+    (List.init domains Fun.id);
+  let s = Cache.stats c in
+  Alcotest.(check (list int)) "hits, misses, stores"
+    [ (2 * domains * rounds) + domains; 0; 1 + (2 * domains * rounds) ]
+    [ s.Cache.c_hits; s.Cache.c_misses; s.Cache.c_stores ]
+
 (* ------------------------------------------------------------------ *)
-(* Cross-request reuse through the serve daemon                        *)
+(* The daemon's slot store                                             *)
 (* ------------------------------------------------------------------ *)
 
-module Corpus = Icfg_workloads.Corpus
 module Protocol = Icfg_service.Protocol
 module Server = Icfg_service.Server
 module Client = Icfg_service.Client
 
-let rewritten_counters ~what = function
-  | Ok (Protocol.Rewritten { counters; _ }) -> counters
-  | Ok _ -> Alcotest.failf "%s: unexpected response kind" what
-  | Error m -> Alcotest.failf "%s: transport error %s" what m
+(* The daemon's shared cache holds layout slots and nothing else: after
+   Rewrite requests for k distinct (binary, approach) pairs — each sent
+   twice, the replay answered by the response memo — it has stored at
+   most one slot per pair. *)
+let serve_keeps_only_slots () =
+  let bins =
+    List.map
+      (fun arch ->
+        let b = List.hd (Icfg_workloads.Spec_suite.benchmarks arch) in
+        fst (Icfg_workloads.Spec_suite.compile arch b))
+      Icfg_isa.Arch.all
+  in
+  let approaches = List.map fst Icfg_baselines.Baseline.approaches in
+  Test_serve.with_server ~workers:2 () @@ fun srv path ->
+  Client.with_connection path @@ fun c ->
+  let k = ref 0 in
+  List.iter
+    (fun bin ->
+      List.iter
+        (fun approach ->
+          incr k;
+          for _ = 1 to 2 do
+            match Client.rewrite c ~approach bin with
+            | Ok (Protocol.Rewritten _ | Protocol.Refused _) -> ()
+            | Ok _ -> Alcotest.failf "%s: unexpected response kind" approach
+            | Error m -> Alcotest.failf "%s: transport error %s" approach m
+          done)
+        approaches)
+    bins;
+  let s = Cache.stats (Server.cache srv) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d stores for %d pairs" s.Cache.c_stores !k)
+    true
+    (s.Cache.c_stores <= !k)
 
-(* The PR 6 twin entries, as separate daemon requests: the daemon's one
-   cross-request cache makes the twin's rewrite hit on every stage the
-   source stored — zero misses in any text stage (or anywhere else),
-   and exactly as many hits as the source had misses. This is the
-   cross-request payoff the serve mode exists for. *)
-let serve_twin_hits () =
+(* Corpus twins — exact duplicates of an earlier entry, name included —
+   sent as separate daemon requests: the twin is answered from the
+   response memo with the source's bytes and never reaches the
+   scheduler, so it stores no layout slot of its own. *)
+let serve_twin_memo () =
+  let module Corpus = Icfg_workloads.Corpus in
   let entries = Corpus.generate ~seed:7 ~count:10 in
   let twin_entry = List.nth entries 9 in
   let src_id =
@@ -396,111 +353,90 @@ let serve_twin_hits () =
   in
   let src_bin = Corpus.build (List.nth entries src_id) in
   let twin_bin = Corpus.build twin_entry in
-  Test_serve.with_server ~workers:1 () @@ fun _srv path ->
+  Test_serve.with_server ~workers:1 () @@ fun srv path ->
   Client.with_connection path @@ fun c ->
-  let c_src =
-    rewritten_counters ~what:"source request"
-      (Client.rewrite c ~approach:"ours/jt" src_bin)
+  let payload what bin =
+    match Client.rewrite c ~approach:"ours/jt" bin with
+    | Ok r -> Protocol.response_to_payload r
+    | Error m -> Alcotest.failf "%s: transport error %s" what m
   in
-  (* The twin is byte-identical to the source, so at equal jobs the
-     daemon would answer it from the whole-response memo without running
-     anything — correct service behavior, but this test pins the *stage*
-     cache. jobs=2 changes the memo key (never the counters: totals are
-     jobs-independent), forcing a real pipeline run over the shared
-     cache. *)
-  let c_twin =
-    rewritten_counters ~what:"twin request"
-      (Client.rewrite c ~approach:"ours/jt" ~jobs:2 twin_bin)
-  in
-  let get l n = Option.value ~default:0 (List.assoc_opt n l) in
-  Alcotest.(check bool) "source request ran cold" true
-    (get c_src "cache.miss" > 0 && get c_src "cache.hit" = 0);
-  List.iter
-    (fun stage ->
-      Alcotest.(check int)
-        (Printf.sprintf "twin request: zero misses in %s" stage)
-        0
-        (get c_twin ("cache.miss:" ^ stage)))
-    [
-      "parse/pass1"; "parse/fptr"; "parse/finalize"; "parse/fptr2";
-      "rewrite/relocate"; "rewrite/plan"; "encode";
-    ];
-  Alcotest.(check int) "twin request: zero misses anywhere" 0
-    (get c_twin "cache.miss");
-  Alcotest.(check int) "twin hits everything the source stored"
-    (get c_src "cache.miss") (get c_twin "cache.hit")
+  let p_src = payload "source" src_bin in
+  let snap1 = Server.snapshot srv in
+  let stores1 = (Cache.stats (Server.cache srv)).Cache.c_stores in
+  let p_twin = payload "twin" twin_bin in
+  let snap2 = Server.snapshot srv in
+  Alcotest.(check bool) "twin response is byte-identical" true
+    (p_src = p_twin);
+  Alcotest.(check (pair int int)) "source missed, twin hit the memo" (0, 1)
+    ( Test_serve.counter snap1 "response_cache.hit",
+      Test_serve.counter snap2 "response_cache.hit" );
+  Alcotest.(check int) "twin never entered the scheduler"
+    (Test_serve.counter snap1 "sched.jobs")
+    (Test_serve.counter snap2 "sched.jobs");
+  Alcotest.(check int) "twin stored no slot" stores1
+    (Cache.stats (Server.cache srv)).Cache.c_stores
 
-(* The LRU disk bound holds while requests are in flight: concurrent
-   requests store through the daemon's shared disk-backed cache, and
-   when the dust settles the entry tier is within the bound with the
-   evictions counted — no request ever saw an error. *)
-let serve_lru_eviction () =
-  Test_parallel.with_temp_dir @@ fun dir ->
-  let bound = 64 * 1024 in
-  let cache = Cache.create ~dir ~max_disk_bytes:bound () in
-  let bins =
-    List.map
-      (fun arch ->
-        let b = List.hd (Icfg_workloads.Spec_suite.benchmarks arch) in
-        fst (Icfg_workloads.Spec_suite.compile arch b))
-      Icfg_isa.Arch.all
-  in
-  Test_serve.with_server ~workers:2 ~cache () @@ fun srv path ->
-  let threads =
-    List.map
-      (fun bin ->
-        Thread.create
-          (fun () ->
-            Client.with_connection path @@ fun c ->
-            ignore
-              (rewritten_counters ~what:"in-flight rewrite"
-                 (Client.rewrite c ~approach:"ours/jt" bin)))
-          ())
-      bins
-  in
-  List.iter Thread.join threads;
-  let st = Server.stats srv in
-  Alcotest.(check int) "no error responses" 0 st.Server.errors;
-  let cstats = Cache.stats (Server.cache srv) in
-  Alcotest.(check bool) "evictions happened under service" true
-    (cstats.Cache.c_evict_lru > 0);
-  let disk_bytes =
-    List.fold_left
-      (fun acc f -> acc + (Unix.stat f).Unix.st_size)
-      0 (Cache.entry_files cache)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "disk entry tier within bound (%d <= %d)" disk_bytes bound)
-    true (disk_bytes <= bound)
+(* The daemon's [cache.*] counters are the slot store's: a rewrite and
+   its replay at another jobs count (a different memo key, so the replay
+   re-enters the pipeline) miss, then hit, the one layout slot, and the
+   snapshot mirrors [Cache.stats] with no stage-cache counter left. *)
+let serve_slot_counters () =
+  let module Metrics = Icfg_core.Metrics in
+  let bin = Test_serve.first_bench Icfg_isa.Arch.X86_64 in
+  Test_serve.with_server ~workers:1 () @@ fun srv path ->
+  Client.with_connection path @@ fun c ->
+  List.iter
+    (fun jobs ->
+      match Client.rewrite c ~approach:"ours/jt" ~jobs bin with
+      | Ok (Protocol.Rewritten _) -> ()
+      | Ok _ -> Alcotest.failf "jobs=%d: unexpected response kind" jobs
+      | Error m -> Alcotest.failf "jobs=%d: transport error %s" jobs m)
+    [ 1; 2 ];
+  let s = Cache.stats (Server.cache srv) in
+  Alcotest.(check (list int)) "hits, misses, stores" [ 1; 1; 2 ]
+    [ s.Cache.c_hits; s.Cache.c_misses; s.Cache.c_stores ];
+  let snap = Server.snapshot srv in
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check (option int)) name (Some v)
+        (Metrics.find_counter snap name))
+    [
+      ("cache.hits", s.Cache.c_hits);
+      ("cache.misses", s.Cache.c_misses);
+      ("cache.stores", s.Cache.c_stores);
+      ("cache.bytes_reused", s.Cache.c_bytes_reused);
+      ("cache.evict_corrupt", s.Cache.c_evict_corrupt);
+    ];
+  Alcotest.(check (option int)) "no cache.evict_lru" None
+    (Metrics.find_counter snap "cache.evict_lru")
 
 let suite =
   [
     ( "cache",
       [
-        Alcotest.test_case "key injectivity" `Quick key_injectivity;
-        Alcotest.test_case "memo_map: no cache = Pool.map" `Quick
-          memo_map_no_cache;
-        Alcotest.test_case "memo_map: basic hit/miss/stage" `Quick
-          memo_map_basic;
         Alcotest.test_case "clone isolation" `Quick clone_isolation;
-        Alcotest.test_case "disk: truncated entry" `Quick disk_truncated;
-        Alcotest.test_case "disk: garbage entry" `Quick disk_garbage;
-        Alcotest.test_case "disk: empty entry" `Quick disk_empty;
-        Alcotest.test_case "disk: version skew" `Quick disk_version_skew;
-        Alcotest.test_case "disk: forged payload" `Quick disk_forged_payload;
-        Alcotest.test_case "disk: LRU size bound" `Quick disk_lru_bound;
-        Alcotest.test_case "disk: LRU hit refresh" `Quick disk_lru_refresh;
-        Alcotest.test_case "disk: entry over the whole bound" `Quick
-          disk_lru_oversized;
         Alcotest.test_case "lru: victim order, refresh, refusal, replace"
           `Quick lru_policy;
         Alcotest.test_case "store: LRU eviction order" `Quick
           store_eviction_order;
         Alcotest.test_case "slots: round-trip, clone, corruption" `Quick
           slot_battery;
-        Alcotest.test_case "serve: twin cross-request all-hits" `Slow
-          serve_twin_hits;
-        Alcotest.test_case "serve: LRU bound under in-flight requests" `Quick
-          serve_lru_eviction;
+        Alcotest.test_case "slots: bytes reused count found payloads" `Quick
+          slot_bytes_reused;
+        Alcotest.test_case "slots: concurrent domains share one table" `Quick
+          slots_concurrent;
+        Alcotest.test_case "disk: truncated entry" `Quick disk_truncated;
+        Alcotest.test_case "disk: garbage entry" `Quick disk_garbage;
+        Alcotest.test_case "disk: empty entry" `Quick disk_empty;
+        Alcotest.test_case "disk: version skew" `Quick disk_version_skew;
+        Alcotest.test_case "disk: forged payload" `Quick disk_forged_payload;
+        Alcotest.test_case "disk: slot copied under another key" `Quick
+          disk_foreign_key;
+        Alcotest.test_case "serve: daemon keeps only layout slots" `Quick
+          serve_keeps_only_slots;
+        Alcotest.test_case "serve: twin request answered by the memo" `Quick
+          serve_twin_memo;
+        Alcotest.test_case "serve: snapshot counts slot lookups" `Quick
+          serve_slot_counters;
       ] );
   ]

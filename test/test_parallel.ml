@@ -181,8 +181,7 @@ let parse_battery () =
 module Func_ptr = Icfg_analysis.Func_ptr
 
 (* The per-CFG scans go through the same runner map the parse uses. *)
-let pool_map jobs ~key f l =
-  (Cache.runner ~jobs ()).Parse.map ~stage:"t" ~key f l
+let pool_map jobs f l = (Pool.runner ~jobs ()).Parse.map f l
 
 let funcptr_battery () =
   List.iter
@@ -378,8 +377,7 @@ let go_battery () =
     Arch.all
 
 (* ------------------------------------------------------------------ *)
-(* Incremental cache: cached == uncached, jobs-independent counters,   *)
-(* per-function invalidation                                           *)
+(* Layout slots: cached == uncached, pinned layouts after edits        *)
 (* ------------------------------------------------------------------ *)
 
 module Cache = Icfg_core.Cache
@@ -432,9 +430,24 @@ let cache_inputs () =
   in
   spec @ corpus
 
-(* Cached rewrites are byte-identical to uncached ones for every input,
-   mode and jobs value, cold and warm alike, and the hit/miss statistics
-   are jobs-independent (the observation-safety requirement). *)
+(* A rewrite through [cache] under a private trace, with the number of
+   layout segments it pinned and moved. *)
+let traced_rewrite ~options ?(jobs = 1) cache bin =
+  let t = Trace.create () in
+  let rw =
+    Trace.with_current t (fun () -> Runner.rewrite ~options ~jobs ~cache bin)
+  in
+  let get k = Option.value ~default:0 (Trace.find_counter t k) in
+  (rw, get "layout.pinned", get "layout.moved")
+
+let spec_head arch =
+  let bench = List.hd (Icfg_workloads.Spec_suite.benchmarks arch) in
+  fst (Icfg_workloads.Spec_suite.compile arch bench)
+
+(* Rewrites through a cache are byte-identical to uncached ones for every
+   input, mode and jobs value, cold (a fresh cache) and warm (a clone of
+   the cold run's cache). The warm run finds the cold run's slot and pins
+   every segment the cold run placed. *)
 let cache_battery () =
   List.iter
     (fun (name, bin) ->
@@ -447,189 +460,79 @@ let cache_battery () =
           in
           let options = opts mode in
           let uncached = Runner.rewrite ~options ~jobs:1 bin in
-          let stats_by_jobs =
-            List.map
-              (fun jobs ->
-                let c = Cache.create () in
-                let cold = Runner.rewrite ~options ~jobs ~cache:c bin in
-                check_same ~what:(what "cold jobs=%d" jobs) uncached cold;
-                let cold_stats = Cache.stats c in
-                Alcotest.(check int)
-                  (what "cold jobs=%d: no hits" jobs)
-                  0 cold_stats.Cache.c_hits;
-                Alcotest.(check bool)
-                  (what "cold jobs=%d: misses" jobs)
-                  true
-                  (cold_stats.Cache.c_misses > 0);
-                (* Warm replay through a clone: fresh statistics, shared
-                   entries. Everything per-function must hit. *)
-                let wc = Cache.clone c in
-                let warm = Runner.rewrite ~options ~jobs ~cache:wc bin in
-                check_same ~what:(what "warm jobs=%d" jobs) uncached warm;
-                let warm_stats = Cache.stats wc in
-                Alcotest.(check int)
-                  (what "warm jobs=%d: no misses" jobs)
-                  0 warm_stats.Cache.c_misses;
-                Alcotest.(check int)
-                  (what "warm jobs=%d: all hits" jobs)
-                  cold_stats.Cache.c_misses warm_stats.Cache.c_hits;
-                (cold_stats, warm_stats))
-              [ 1; 2; 4 ]
-          in
-          match stats_by_jobs with
-          | ref_stats :: rest ->
-              List.iteri
-                (fun i s ->
-                  Alcotest.(check bool)
-                    (what "stats jobs-independent (%d)" i)
-                    true (s = ref_stats))
-                rest
-          | [] -> ())
+          List.iter
+            (fun jobs ->
+              let c = Cache.create () in
+              let cold, _, placed = traced_rewrite ~options ~jobs c bin in
+              check_same ~what:(what "cold jobs=%d" jobs) uncached cold;
+              let warm, pinned, moved =
+                traced_rewrite ~options ~jobs (Cache.clone c) bin
+              in
+              check_same ~what:(what "warm jobs=%d" jobs) uncached warm;
+              Alcotest.(check (pair int int))
+                (what "warm jobs=%d: every segment pinned" jobs)
+                (placed, 0) (pinned, moved))
+            [ 1; 2; 4 ])
         Mode.all)
     (cache_inputs ())
 
-(* The on-disk tier: a second cache instance over the same directory (a
-   fresh process in real life) serves every per-function artifact from
-   disk — zero misses — and the output stays byte-identical. *)
+(* The slot files: a second cache over the same directory (a fresh
+   process in real life) reads the first run's layout from disk and pins
+   every segment, and the output stays byte-identical. *)
 let cache_disk_battery () =
-  let arch = Arch.X86_64 in
-  let bench = List.hd (Icfg_workloads.Spec_suite.benchmarks arch) in
-  let bin, _ = Icfg_workloads.Spec_suite.compile arch bench in
+  let bin = spec_head Arch.X86_64 in
   let options = opts Mode.Jt in
   let uncached = Runner.rewrite ~options ~jobs:1 bin in
   with_temp_dir (fun dir ->
-      let c1 = Cache.create ~dir () in
-      let cold = Runner.rewrite ~options ~jobs:1 ~cache:c1 bin in
+      let cold, _, placed = traced_rewrite ~options (Cache.create ~dir ()) bin in
       check_same ~what:"disk cold" uncached cold;
-      Alcotest.(check bool) "entries on disk" true (Cache.entry_files c1 <> []);
       let c2 = Cache.create ~dir () in
-      let warm = Runner.rewrite ~options ~jobs:2 ~cache:c2 bin in
+      let warm, pinned, moved = traced_rewrite ~options ~jobs:2 c2 bin in
       check_same ~what:"disk warm" uncached warm;
-      let s = Cache.stats c2 in
-      Alcotest.(check int) "disk warm: no misses" 0 s.Cache.c_misses;
-      Alcotest.(check int) "disk warm: all hits" (Cache.stats c1).Cache.c_misses
-        s.Cache.c_hits;
-      Alcotest.(check bool) "disk warm: bytes reused" true
-        (s.Cache.c_bytes_reused > 0))
+      Alcotest.(check int) "disk warm: slot read from disk" 1
+        (Cache.stats c2).Cache.c_hits;
+      Alcotest.(check (pair int int)) "disk warm: every segment pinned"
+        (placed, 0) (pinned, moved))
 
-(* Perturbing one function's bytes invalidates exactly that function's
-   entries: each per-function stage misses once, everything else hits, and
-   the rewrite of the perturbed binary is still byte-identical to its
-   uncached rewrite. *)
-let cache_invalidation () =
-  let arch = Arch.X86_64 in
-  let bench = List.hd (Icfg_workloads.Spec_suite.benchmarks arch) in
-  let bin, _ = Icfg_workloads.Spec_suite.compile arch bench in
+(* A warm rewrite of an edit that keeps every relocated size — [probe]
+   picks it — is byte-identical to the uncached rewrite of the edited
+   binary, and re-solves exactly [moved] segments: the ones whose
+   relocated code the edit changed, each back into its own hole. *)
+let cache_edit ?(arch = Arch.X86_64) ~probe ~moved:want () =
+  let bin = spec_head arch in
   let options = opts Mode.Jt in
   let warm = Cache.create () in
-  ignore (Runner.rewrite ~options ~jobs:1 ~cache:warm bin);
-  match Runner.perturb_function (Runner.parse ~jobs:1 bin) with
-  | None -> Alcotest.fail "no safely perturbable function in the spec binary"
-  | Some (pbin, fname) ->
+  let _, _, placed = traced_rewrite ~options warm bin in
+  match probe (Runner.parse ~jobs:1 bin) with
+  | None -> Alcotest.fail "no edit site in the spec binary"
+  | Some (pbin, site) ->
       let uncached = Runner.rewrite ~options ~jobs:1 pbin in
-      let t = Trace.create () in
-      let rw =
-        Trace.with_current t (fun () ->
-            Runner.rewrite ~options ~jobs:1 ~cache:(Cache.clone warm) pbin)
-      in
-      check_same ~what:(Printf.sprintf "perturbed %s" fname) uncached rw;
-      let get name = Option.value ~default:0 (Trace.find_counter t name) in
-      List.iter
-        (fun stage ->
-          Alcotest.(check int)
-            (Printf.sprintf "one miss in %s" stage)
-            1
-            (get ("cache.miss:" ^ stage)))
-        [
-          "parse/pass1"; "parse/fptr"; "parse/finalize"; "parse/fptr2";
-          "rewrite/relocate"; "rewrite/plan";
-        ];
-      (* Encode chunks under a cache are per-function, and the pinned
-         layout re-places the (same-length) perturbed function back into
-         its old slot, so every other function's chunk key is untouched:
-         exactly the perturbed function's chunk re-encodes. *)
-      Alcotest.(check int) "exactly one encode miss" 1
-        (get "cache.miss:encode");
-      (* Everything else hits: total activity matches the cold run. *)
-      let cold = Cache.stats warm in
-      Alcotest.(check int) "hits + misses = cold misses"
-        cold.Cache.c_misses
-        (get "cache.hit" + get "cache.miss")
+      let rw, pinned, moved = traced_rewrite ~options (Cache.clone warm) pbin in
+      check_same ~what:(Printf.sprintf "edit at %s" site) uncached rw;
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "%d segment(s) re-solved" want)
+        (placed - want, want) (pinned, moved)
 
-(* A data-only edit — one byte flipped in a loaded data section,
-   validated to leave the parsed analysis identical — costs no stage at
-   all: no key digests data bytes, and the one stage that dereferences
-   data words ([parse/finalize]) keys on exactly the table words it reads,
-   which a validated edit never flips. The cached rewrite still matches
-   the uncached rewrite of the edited binary byte-for-byte. *)
-let cache_data_edit () =
-  let arch = Arch.X86_64 in
-  let bench = List.hd (Icfg_workloads.Spec_suite.benchmarks arch) in
-  let bin, _ = Icfg_workloads.Spec_suite.compile arch bench in
-  let options = opts Mode.Jt in
-  let warm = Cache.create () in
-  ignore (Runner.rewrite ~options ~jobs:1 ~cache:warm bin);
-  match Runner.perturb_data (Runner.parse ~jobs:1 bin) with
-  | None -> Alcotest.fail "no safely perturbable data byte in the spec binary"
-  | Some (pbin, sname) ->
-      let uncached = Runner.rewrite ~options ~jobs:1 pbin in
-      let t = Trace.create () in
-      let rw =
-        Trace.with_current t (fun () ->
-            Runner.rewrite ~options ~jobs:1 ~cache:(Cache.clone warm) pbin)
-      in
-      check_same ~what:(Printf.sprintf "data edit in %s" sname) uncached rw;
-      let get name = Option.value ~default:0 (Trace.find_counter t name) in
-      List.iter
-        (fun stage ->
-          Alcotest.(check int)
-            (Printf.sprintf "zero misses in %s" stage)
-            0
-            (get ("cache.miss:" ^ stage)))
-        [
-          "parse/pass1"; "parse/fptr"; "parse/finalize"; "parse/fptr2";
-          "rewrite/relocate"; "rewrite/plan"; "encode";
-        ];
-      Alcotest.(check int) "zero misses overall" 0 (get "cache.miss")
-
-(* The reference a warm rewrite of [pbin] must match: the same layout
-   history with nothing reused. When an edit changes a function's
-   relocated size, the pinned layout places it by the previous run's
-   slots, so a plain uncached rewrite of [pbin] lays out differently by
-   design. A cache that keeps only those slots (its entry files deleted)
-   recomputes every stage under the same history instead. *)
-let slots_only_reference ~options bin pbin =
-  with_temp_dir (fun dir ->
-      let c = Cache.create ~dir () in
-      ignore (Runner.rewrite ~options ~jobs:1 ~cache:c bin);
-      List.iter Sys.remove (Cache.entry_files c);
-      let c = Cache.create ~dir () in
-      let rw = Runner.rewrite ~options ~jobs:1 ~cache:c pbin in
-      Alcotest.(check int) "reference reuses no entry" 0
-        (Cache.stats c).Cache.c_hits;
-      rw)
-
-(* A one-bit edit inside a resolved jump table's entries — the one data
-   edit that must reach [parse/finalize]. The flip sets the top bit of the
-   table's last entry, moving that entry's target out of the function.
-   The warm cached rewrite matches a rewrite that reuses nothing, and
-   finalize misses exactly the functions whose table ranges cover the
-   flipped byte. The pass-1 CFGs never decode table words, so the first
-   function-pointer pass stays warm. One binary per ISA, since aarch64
-   tables hold 1- and 2-byte entries. x86-64 and aarch64 place tables in
-   .rodata, where pass 1 reads no table word either; ppc64le embeds every
-   table in its function's .text, so there the owning function's pass-1
-   slice changes too. *)
+(* A one-bit edit inside a resolved jump table's entries. The flip sets
+   the top bit of the table's last entry, moving that entry's target out
+   of the function, so the functions whose tables cover the byte analyse
+   and relocate differently and may change size — the case where the
+   pinned layout departs from an uncached rewrite by design. Every
+   function the edit left unchanged keeps its relocated addresses,
+   exactly the changed segments are re-solved, and the rewritten binary
+   still behaves like the edited original under the Vm. One binary per
+   ISA, since aarch64 tables hold 1- and 2-byte entries and ppc64le
+   embeds every table in its function's .text. *)
 let cache_table_edit arch () =
   let module Jt = Icfg_analysis.Jump_table in
+  let module Cfg = Icfg_analysis.Cfg in
   let first_table (p : Parse.t) =
     let tables = List.concat_map (fun fa -> fa.Parse.fa_tables) p.Parse.funcs in
     match List.find_opt (fun (t : Jt.table) -> not t.Jt.t_in_code) tables with
     | Some _ as t -> t
     | None -> List.nth_opt tables 0
   in
-  let bench = List.hd (Icfg_workloads.Spec_suite.benchmarks arch) in
-  let bin, _ = Icfg_workloads.Spec_suite.compile arch bench in
+  let bin = spec_head arch in
   let p = Runner.parse ~jobs:1 bin in
   match first_table p with
   | None -> Alcotest.fail "no resolved jump table in the spec binary"
@@ -640,85 +543,78 @@ let cache_table_edit arch () =
       let addr = snd (extent t) - 1 in
       let pbin = Binary.copy bin in
       Binary.write8 pbin addr (Binary.read8 bin addr lxor 0x80);
-      let covering =
-        List.length
-          (List.filter
-             (fun (fa : Parse.func_analysis) ->
-               List.exists
-                 (fun t ->
-                   let lo, hi = extent t in
-                   addr >= lo && addr < hi)
-                 fa.Parse.fa_tables)
-             p.Parse.funcs)
-      in
       let options = opts Mode.Jt in
       let warm = Cache.create () in
-      ignore (Runner.rewrite ~options ~jobs:1 ~cache:warm bin);
-      let tr = Trace.create () in
-      let rw =
-        Trace.with_current tr (fun () ->
-            Runner.rewrite ~options ~jobs:1 ~cache:(Cache.clone warm) pbin)
+      let base = Runner.rewrite ~options ~jobs:1 ~cache:warm bin in
+      let rw, _, moved = traced_rewrite ~options (Cache.clone warm) pbin in
+      (* What relocation reads of a function: its blocks, tables and jump
+         outcomes. *)
+      let view (fa : Parse.func_analysis) =
+        ( fa.Parse.fa_instrumentable,
+          List.map
+            (fun (b : Cfg.block) -> (b.Cfg.b_start, b.Cfg.b_insns))
+            fa.Parse.fa_cfg.Cfg.blocks,
+          fa.Parse.fa_tables,
+          fa.Parse.fa_tail_jumps,
+          fa.Parse.fa_jt_sites )
       in
-      check_same
-        ~what:(Printf.sprintf "table edit at 0x%x" addr)
-        (slots_only_reference ~options bin pbin)
-        rw;
-      let get name = Option.value ~default:0 (Trace.find_counter tr name) in
-      Alcotest.(check int) "parse/pass1 misses"
-        (if t.Jt.t_in_code then covering else 0)
-        (get "cache.miss:parse/pass1");
-      Alcotest.(check int) "zero misses in parse/fptr" 0
-        (get "cache.miss:parse/fptr");
+      let pairs =
+        List.combine p.Parse.funcs (Runner.parse ~jobs:1 pbin).Parse.funcs
+      in
+      let changed, unchanged =
+        List.partition (fun (a, b) -> view a <> view b) pairs
+      in
       Alcotest.(check bool) "the flipped byte is some table's" true
-        (covering > 0);
-      Alcotest.(check int) "finalize misses exactly the covering functions"
-        covering
-        (get "cache.miss:parse/finalize")
-
-(* Renaming one function symbol costs exactly that function's own
-   entries: symbol names are digested namelessly in every cross-function
-   key and relocated-block labels are address-namespaced, so each
-   per-function stage misses once for the renamed function — and encode
-   misses zero chunks, because the pinned layout keeps every address and
-   no chunk's items or resolved labels change. *)
-let cache_symbol_edit () =
-  let arch = Arch.X86_64 in
-  let bench = List.hd (Icfg_workloads.Spec_suite.benchmarks arch) in
-  let bin, _ = Icfg_workloads.Spec_suite.compile arch bench in
-  let options = opts Mode.Jt in
-  let warm = Cache.create () in
-  ignore (Runner.rewrite ~options ~jobs:1 ~cache:warm bin);
-  match Runner.perturb_symbol (Runner.parse ~jobs:1 bin) with
-  | None -> Alcotest.fail "no renamable function symbol in the spec binary"
-  | Some (pbin, fname) ->
-      let uncached = Runner.rewrite ~options ~jobs:1 pbin in
-      let t = Trace.create () in
-      let rw =
-        Trace.with_current t (fun () ->
-            Runner.rewrite ~options ~jobs:1 ~cache:(Cache.clone warm) pbin)
-      in
-      check_same ~what:(Printf.sprintf "renamed %s" fname) uncached rw;
-      let get name = Option.value ~default:0 (Trace.find_counter t name) in
+        (List.exists
+           (fun ((fa : Parse.func_analysis), _) ->
+             List.exists
+               (fun t ->
+                 let lo, hi = extent t in
+                 lo <= addr && addr < hi)
+               fa.Parse.fa_tables)
+           pairs);
       List.iter
-        (fun stage ->
-          Alcotest.(check int)
-            (Printf.sprintf "one miss in %s" stage)
-            1
-            (get ("cache.miss:" ^ stage)))
-        [
-          "parse/pass1"; "parse/fptr"; "parse/finalize"; "parse/fptr2";
-          "rewrite/relocate"; "rewrite/plan";
-        ];
-      Alcotest.(check int) "zero encode misses" 0 (get "cache.miss:encode")
+        (fun ((fa : Parse.func_analysis), _) ->
+          List.iter
+            (fun (b : Cfg.block) ->
+              let a = b.Cfg.b_start in
+              Alcotest.(check (option int))
+                (Printf.sprintf "%s block 0x%x keeps its address"
+                   fa.Parse.fa_sym.Icfg_obj.Symbol.name a)
+                (base.Rewriter.rw_relocated_entry a)
+                (rw.Rewriter.rw_relocated_entry a))
+            fa.Parse.fa_cfg.Cfg.blocks)
+        unchanged;
+      (* A changed instrumented function re-solves its .instr segment and,
+         when it still has tables to clone, its .jtnew segment. The
+         .jtnew base follows the .instr extent, which this edit leaves in
+         place. *)
+      let jt_base (r : Rewriter.t) =
+        Option.map
+          (fun (s : Section.t) -> s.Section.vaddr)
+          (Binary.section r.Rewriter.rw_binary ".jtnew")
+      in
+      Alcotest.(check (option int)) ".jtnew keeps its base" (jt_base base)
+        (jt_base rw);
+      let segments (_, (fa : Parse.func_analysis)) =
+        if not fa.Parse.fa_instrumentable then 0
+        else if fa.Parse.fa_tables = [] then 1
+        else 2
+      in
+      Alcotest.(check int) "exactly the changed segments re-solved"
+        (List.fold_left (fun n f -> n + segments f) 0 changed)
+        moved;
+      let orig = Runner.run_original pbin in
+      let out = Runner.run_rewritten rw in
+      Alcotest.(check (list int)) "Vm output matches the edited original"
+        orig.Runner.r_output out.Runner.r_output
 
 (* The pinned incremental layout is jobs-independent: warm rewrites of a
-   perturbed binary at any jobs count produce identical cache statistics
+   perturbed binary at any jobs count produce identical slot statistics
    and bit-identical output (the layout/pin decisions are serial; only
    encoding fans out). *)
 let cache_pinning_jobs () =
-  let arch = Arch.X86_64 in
-  let bench = List.hd (Icfg_workloads.Spec_suite.benchmarks arch) in
-  let bin, _ = Icfg_workloads.Spec_suite.compile arch bench in
+  let bin = spec_head Arch.X86_64 in
   let options = opts Mode.Jt in
   let warm = Cache.create () in
   ignore (Runner.rewrite ~options ~jobs:1 ~cache:warm bin);
@@ -746,6 +642,78 @@ let cache_pinning_jobs () =
                 true (s = s0))
             rest
       | [] -> ())
+
+(* One cache across binaries and modes: every (binary, options) pair
+   has a slot of its own, so no rewrite pins against another pair's
+   layout. Each output equals its uncached rewrite, the first pass
+   misses once per pair and the replay pass hits once per pair. *)
+let cache_slot_keys () =
+  let c = Cache.create () in
+  let pairs =
+    List.concat_map
+      (fun arch ->
+        let bin = spec_head arch in
+        List.map (fun mode -> (bin, opts mode)) Mode.all)
+      Arch.all
+  in
+  let n = List.length pairs in
+  let pass () =
+    List.iter
+      (fun (bin, options) ->
+        check_same
+          ~what:
+            (Printf.sprintf "%s %s" bin.Binary.name
+               (Mode.name options.Rewriter.mode))
+          (Runner.rewrite ~options ~jobs:1 bin)
+          (Runner.rewrite ~options ~jobs:1 ~cache:c bin))
+      pairs
+  in
+  pass ();
+  let s1 = Cache.stats c in
+  Alcotest.(check (pair int int)) "first pass: one miss per pair" (0, n)
+    (s1.Cache.c_hits, s1.Cache.c_misses);
+  pass ();
+  let s2 = Cache.stats c in
+  Alcotest.(check (pair int int)) "replay: one hit per pair" (n, n)
+    (s2.Cache.c_hits, s2.Cache.c_misses)
+
+(* [Pool.runner] is the pipeline's one stage runner: its [map] is
+   [List.map] at every jobs count (values below 1 mean 1), and its
+   [span]/[count] record into the ambient trace, and only there. *)
+let pool_runner () =
+  let xs = List.init 100 Fun.id in
+  let sq x = x * x in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "map = List.map at jobs=%d" jobs)
+        (List.map sq xs)
+        ((Pool.runner ~jobs ()).Parse.map sq xs))
+    [ -1; 0; 1; 2; 4 ];
+  let r = Pool.runner ~jobs:2 () in
+  let stage () =
+    r.Parse.span "stage" (fun () ->
+        r.Parse.count "items" 3;
+        r.Parse.count "items" 4;
+        List.length (r.Parse.map sq xs))
+  in
+  Alcotest.(check int) "untraced span is the call" 100 (stage ());
+  let t = Trace.create () in
+  Alcotest.(check int) "traced span is the call" 100
+    (Trace.with_current t stage);
+  Alcotest.(check (option int)) "counts summed" (Some 7)
+    (Trace.find_counter t "items");
+  (* The map's lanes nest under the span that ran it. *)
+  match Trace.rows t with
+  | first :: rest ->
+      Alcotest.(check (pair string int)) "one root span" ("stage", 1)
+        (first.Trace.r_path, first.Trace.r_count);
+      List.iter
+        (fun (r : Trace.row) ->
+          Alcotest.(check bool) (r.Trace.r_path ^ " nests under stage") true
+            (String.starts_with ~prefix:"stage/" r.Trace.r_path))
+        rest
+  | [] -> Alcotest.fail "no span recorded"
 
 (* ------------------------------------------------------------------ *)
 (* Random programs: differential property                              *)
@@ -812,24 +780,35 @@ let suite =
         Alcotest.test_case "pool: incomplete-map diagnostic" `Quick
           pool_incomplete_diag;
         Alcotest.test_case "go binaries" `Quick go_battery;
-        Alcotest.test_case "cache: cached = uncached, jobs-independent" `Quick
+        Alcotest.test_case "cache: cached = uncached, warm run pins all" `Quick
           cache_battery;
-        Alcotest.test_case "cache: disk tier round-trip" `Quick
+        Alcotest.test_case "cache: slot files pin across instances" `Quick
           cache_disk_battery;
-        Alcotest.test_case "cache: per-function invalidation" `Quick
-          cache_invalidation;
-        Alcotest.test_case "cache: data-only edit keeps text stages warm"
-          `Quick cache_data_edit;
+        Alcotest.test_case "cache: one-function edit re-solves one segment"
+          `Quick
+          (cache_edit ~probe:Runner.perturb_function ~moved:1);
+        Alcotest.test_case "cache: data-only edit pins every segment" `Quick
+          (cache_edit ~probe:Runner.perturb_data ~moved:0);
         Alcotest.test_case "cache: table-word edit x86_64" `Quick
           (cache_table_edit Arch.X86_64);
         Alcotest.test_case "cache: table-word edit aarch64" `Quick
           (cache_table_edit Arch.Aarch64);
         Alcotest.test_case "cache: table-word edit ppc64le" `Quick
           (cache_table_edit Arch.Ppc64le);
-        Alcotest.test_case "cache: one-symbol edit is function-local" `Quick
-          cache_symbol_edit;
+        Alcotest.test_case "cache: one-symbol edit pins every segment" `Quick
+          (cache_edit ~probe:Runner.perturb_symbol ~moved:0);
         Alcotest.test_case "cache: pinned layout jobs-independent" `Quick
           cache_pinning_jobs;
+        Alcotest.test_case "cache: one-function edit aarch64" `Quick
+          (cache_edit ~arch:Arch.Aarch64 ~probe:Runner.perturb_function
+             ~moved:1);
+        Alcotest.test_case "cache: one-function edit ppc64le" `Quick
+          (cache_edit ~arch:Arch.Ppc64le ~probe:Runner.perturb_function
+             ~moved:1);
+        Alcotest.test_case "cache: slots keyed per binary and options" `Quick
+          cache_slot_keys;
+        Alcotest.test_case "pool: stage runner = List.map + trace" `Quick
+          pool_runner;
         QCheck_alcotest.to_alcotest parallel_equals_serial;
       ] );
   ]

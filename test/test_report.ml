@@ -508,47 +508,45 @@ let bench_diff_cache_section () =
   Alcotest.(check bool) "lost cache row is a regression" true
     (Bench_diff.has_regression (diff_ok (mk []) (doc [])))
 
-(* The warm-path gate, declared on the cache rows as within-run bounds:
-   warm-perturbed stays within the declared multiple of warm-identical,
-   and the data-edit row reports zero misses on every stage counter,
-   finalize included. Bounds judge NEW alone, with or without --gate, and
-   a passing bound is reported as [Info]. *)
+(* The warm-path gate, declared on the cache rows: each warm row stays
+   within the declared multiple of the uncached rewrite, its layout
+   counters are held exactly, and no row reports a mismatch. Bounds judge
+   NEW alone, with or without --gate, and a passing bound is reported as
+   [Info]. *)
 let bench_diff_warm_path () =
-  let stage_misses =
-    [
-      "miss:parse/pass1"; "miss:parse/fptr"; "miss:parse/finalize";
-      "miss:parse/fptr2"; "miss:rewrite/relocate"; "miss:rewrite/plan";
-      "miss:encode";
-    ]
+  let exact = {|"exact"|} in
+  let bound limit =
+    Printf.sprintf
+      {|{"policy": "bound", "max": %g, "of": ["cache", "cache-uncached-rewrite", "ns_per_run"]}|}
+      limit
   in
-  let zero = List.map (fun k -> (k, 0.)) stage_misses in
-  let mk ?(ratio = 1.02) ?(limit = 1.3) ?(data = Some zero) () =
+  let mk ?(ratio = 1.02) ?(limit = 1.3) ?(moved = 0.) ?(mismatches = 0.)
+      ?(data = true) () =
+    let warm name ns counters =
+      row "cache" name
+        ~times:[ ("ns_per_run", ns) ]
+        ~counters
+        ~gates:
+          [
+            ("ns_per_run", bound limit);
+            ("layout.moved", exact);
+            ("mismatches", at_most_0);
+          ]
+    in
     doc
       ([
-         row "cache" "cache-warm-identical"
-           ~times:[ ("ns_per_run", 1_000_000.) ]
-           ~counters:[ ("hits", 130.) ];
-         row "cache" "cache-warm-perturbed"
-           ~times:[ ("ns_per_run", 1_000_000. *. ratio) ]
-           ~counters:[ ("miss:encode", 1.) ]
-           ~gates:
-             [
-               ( "ns_per_run",
-                 Printf.sprintf
-                   {|{"policy": "bound", "max": %g, "of": ["cache", "cache-warm-identical", "ns_per_run"]}|}
-                   limit );
-             ];
+         row "cache" "cache-uncached-rewrite"
+           ~times:[ ("ns_per_run", 1_000_000.) ];
+         warm "cache-warm-perturbed" (1_000_000. *. ratio)
+           [ ("layout.moved", 1.); ("mismatches", 0.) ];
        ]
       @
-      match data with
-      | Some counters ->
-          [
-            row "cache" "cache-warm-data-edit"
-              ~times:[ ("ns_per_run", 3_000_000.) ]
-              ~counters
-              ~gates:(List.map (fun k -> (k, at_most_0)) stage_misses);
-          ]
-      | None -> [])
+      if data then
+        [
+          warm "cache-warm-data-edit" 1_050_000.
+            [ ("layout.moved", moved); ("mismatches", mismatches) ];
+        ]
+      else [])
   in
   let check ?(base = mk ()) s = diff_ok base s in
   let f = check (mk ()) in
@@ -559,31 +557,18 @@ let bench_diff_warm_path () =
          x.Bench_diff.f_severity = Bench_diff.Info
          && x.Bench_diff.f_metric = "cache:cache-warm-perturbed:ns_per_run")
        f);
-  Alcotest.(check bool) "data-edit hits alone pass" false
-    (Bench_diff.has_regression
-       (check (mk ~data:(Some (("hits", 130.) :: zero)) ())));
   Alcotest.(check bool) "ratio over the declared limit gates" true
     (Bench_diff.has_regression (check (mk ~ratio:1.5 ())));
   Alcotest.(check bool) "a tighter declared limit gates" true
     (Bench_diff.has_regression (check ~base:(mk ~limit:1.01 ()) (mk ())));
-  let data_edit k v =
-    mk ~data:(Some ((k, v) :: List.remove_assoc k zero)) ()
-  in
-  Alcotest.(check bool) "text-stage miss on a data edit gates" true
-    (Bench_diff.has_regression (check (data_edit "miss:encode" 2.)));
-  Alcotest.(check bool) "a finalize miss on a data edit gates" true
-    (Bench_diff.has_regression (check (data_edit "miss:parse/finalize" 18.)));
-  Alcotest.(check bool) "a renamed finalize miss counter gates" true
-    (regressed "cache:cache-warm-data-edit:miss:parse/finalize"
-       (check
-          (mk
-             ~data:
-               (Some
-                  (("miss:parse/finalise", 18.)
-                  :: List.remove_assoc "miss:parse/finalize" zero))
-             ())));
+  Alcotest.(check bool) "a data edit that moves a segment gates" true
+    (regressed "cache:cache-warm-data-edit:layout.moved"
+       (check (mk ~moved:1. ())));
+  Alcotest.(check bool) "a mismatching warm output gates" true
+    (regressed "cache:cache-warm-data-edit:mismatches"
+       (check (mk ~mismatches:1. ())));
   Alcotest.(check bool) "missing data-edit row gates" true
-    (Bench_diff.has_regression (check (mk ~data:None ())));
+    (Bench_diff.has_regression (check (mk ~data:false ())));
   Alcotest.(check bool) "missing warm rows gate" true
     (Bench_diff.has_regression (check (doc [])));
   match Bench_diff.diff_strings (mk ()) "{\"schema\": \"nope\"}" with

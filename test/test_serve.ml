@@ -130,7 +130,7 @@ let codec_roundtrip () =
           cls = Matrix.Refused "feature/non-pie";
           ns = 1234.5;
           digest = String.make 32 'd';
-          counters = [ ("cache.hit", 9) ];
+          counters = [ ("layout.pinned", 9) ];
         };
       Protocol.Classified
         { cls = Matrix.Verified; ns = 0.; digest = ""; counters = [] };
@@ -387,8 +387,8 @@ let solo_counters bin =
   Trace.counters tr
 
 let isolation () =
-  (* Two binaries with disjoint content: their cache keys are disjoint,
-     so sharing the daemon cache cannot change either request's hit/miss
+  (* Two binaries of different ISAs: their layout slots are disjoint, so
+     sharing the daemon cache cannot change either request's layout
      counters — any difference from the solo totals is trace bleed. *)
   let bin_a = first_bench Arch.X86_64 in
   let bin_b = first_bench Arch.Aarch64 in
@@ -544,13 +544,13 @@ let stats_totals () =
         Alcotest.failf "rewrite: %s"
           (match r with Ok x -> response_label x | Error m -> m)
   in
-  (* Three rewrites (the repeat hits the shared cache — its counters
-     differ from the first's, which is exactly why we sum what each
-     response reported rather than 3 × solo). The repeat runs at jobs=2
-     so its memo key differs from the first's: this test pins the
-     telemetry of *scheduled* requests; the memo fast path (which folds
-     no trace) has its own test. Counter totals are jobs-independent,
-     so the sum-of-responses check is unaffected. *)
+  (* Three rewrites (the repeat finds the first run's layout slot — its
+     layout counters differ from the first's, which is exactly why we sum
+     what each response reported rather than 3 × solo). The repeat runs
+     at jobs=2 so its memo key differs from the first's: this test pins
+     the telemetry of *scheduled* requests; the memo fast path (which
+     folds no trace) has its own test. Counter totals are
+     jobs-independent, so the sum-of-responses check is unaffected. *)
   rewrite bin_a;
   rewrite bin_b;
   rewrite ~jobs:2 bin_a;
