@@ -10,12 +10,12 @@
      bench/main.exe micro --json BENCH_micro.json
                                     -- also write machine-readable results
                                        (CI uploads this per PR, so the
-                                       serial-vs-parallel trajectory
-                                       accumulates across the history)
+                                       trajectory accumulates across the
+                                       history)
      bench/main.exe micro --json BENCH_micro.json --trace BENCH_trace.json
                                     -- additionally dump the full span tree
                                        of the traced pipeline run
-     bench/main.exe corpus [--seed N] [--count N] [--jobs N] [--json FILE]
+     bench/main.exe corpus [--seed N] [--count N] [--json FILE]
                                     -- the corpus-scale robustness matrix:
                                        every baseline and every mode swept
                                        over a seeded adversarial corpus
@@ -28,7 +28,7 @@
                                        Each row declares its own gates
                                        (bounds and pass-rate drops gate
                                        even without --gate)
-     bench/main.exe serve-check [--seed N] [--count N] [--clients N] [--jobs N]
+     bench/main.exe serve-check [--seed N] [--count N] [--clients N]
                                     -- daemon equivalence gate: stream the
                                        corpus slice through a live icfg
                                        serve instance and compare every
@@ -38,7 +38,6 @@
 
 open Icfg_isa
 module Experiments = Icfg_harness.Experiments
-module Asm = Icfg_codegen.Asm
 
 let json_escape = Icfg_core.Stats.json_escape
 
@@ -215,13 +214,9 @@ let write_json path =
   Printf.printf "wrote %s\n%!" path
 
 (* ------------------------------------------------------------------ *)
-(* Serial vs. parallel stage timings                                   *)
+(* Per-stage pipeline trace                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall-clock (bechamel's per-run OLS would hide the domain fan-out),
-   repeated enough to amortize pool startup. Each stage that PR 1 and PR 2
-   sharded gets a serial and a parallel row: whole-binary rewrite, the
-   per-CFG function-pointer scans, and chunked section encoding. *)
 let largest_spec_binary arch =
   List.fold_left
     (fun best bench ->
@@ -234,120 +229,35 @@ let largest_spec_binary arch =
     (Icfg_workloads.Spec_suite.benchmarks arch)
   |> Option.get
 
-let time_stage ~stage ~reps run jobs_list =
-  let row jobs =
-    (* warm up: fault in the domain pool and any lazy state *)
-    ignore (Sys.opaque_identity (run jobs));
-    let t0 = Icfg_core.Metrics.now_ns () in
-    for _ = 1 to reps do
-      ignore (Sys.opaque_identity (run jobs))
-    done;
-    let t = elapsed_ns t0 /. 1e9 /. float_of_int reps in
-    add_row "parallel" (Printf.sprintf "%s@j%d" stage jobs)
-      ~times:[ ("ns_per_run", t *. 1e9) ];
-    Printf.printf "  %-18s jobs=%d %12.0f ns/run  %10.1f runs/s\n%!" stage
-      jobs (t *. 1e9) (1. /. t);
-    t
-  in
-  match List.map row jobs_list with
-  | serial :: rest ->
-      List.iter
-        (fun par -> Printf.printf "  %-18s speedup: %.2fx\n%!" stage (serial /. par))
-        rest
-  | [] -> ()
-
-(* A synthetic but representative item stream for the encode stage, one
-   segment per "function" as the rewriter lays sections out: labels,
-   plain instructions, resolved branches and address-holding data words
-   (which produce relocations under PIE), so every chunk boundary shape is
-   exercised. *)
-let encode_fixture () =
-  let n = 4000 in
-  let segs =
-    List.init n (fun i ->
-        ( i,
-          [
-            Asm.Label (Printf.sprintf "L%d" i);
-            Asm.Insn (Insn.Mov (Reg.r0, Imm i));
-            Asm.Insn Insn.Nop;
-            Asm.Jmp_to (Printf.sprintf "L%d" (i / 2));
-            Asm.Data (W64, Asm.Addr (Printf.sprintf "L%d" (i / 3)), `Reloc);
-          ] ))
-  in
-  let labels = Hashtbl.create (2 * n) in
-  let r =
-    Asm.layout_pinned Arch.X86_64 ~pie:true ~labels ~base:0x400000 segs
-  in
-  (labels, r)
-
-let run_parallel_micro () =
-  print_endline "== Serial vs parallel stage timings (largest spec binary) ==";
-  let arch = Arch.X86_64 in
-  let bin = largest_spec_binary arch in
-  Printf.printf "  (%d bytes loaded, %d core(s) recommended)\n%!"
-    (Icfg_obj.Binary.loaded_size bin)
-    (Domain.recommended_domain_count ());
-  (* Whole-pipeline rewrite. *)
-  time_stage ~stage:"rewrite" ~reps:50
-    (fun jobs -> Icfg_harness.Runner.rewrite ~jobs bin)
-    [ 1; 4 ];
-  (* Function-pointer analysis: serial data-slot pass + sharded per-CFG
-     scans. *)
-  let parse = Icfg_analysis.Parse.parse bin in
-  let cfgs =
-    List.map (fun f -> f.Icfg_analysis.Parse.fa_cfg) parse.Icfg_analysis.Parse.funcs
-  in
-  let fm = Icfg_analysis.Failure_model.ours in
-  let map jobs = (Icfg_core.Pool.runner ~jobs ()).Icfg_analysis.Parse.map in
-  time_stage ~stage:"func-ptr" ~reps:200
-    (fun jobs -> Icfg_analysis.Func_ptr.analyze ~map:(map jobs) bin fm cfgs)
-    [ 1; 4 ];
-  (* Section encoding against a frozen label table, one chunk per
-     segment. *)
-  let labels, r = encode_fixture () in
-  time_stage ~stage:"encode" ~reps:100
-    (fun jobs ->
-      Asm.encode_chunks Arch.X86_64 ~pie:true ~toc:0 ~labels ~map:(map jobs)
-        r.Asm.p_layout r.Asm.p_chunks)
-    [ 1; 4 ]
-
-(* Per-stage wall-time rows sourced from Trace: one traced parse+rewrite per
-   jobs value, flattened into slash-joined span paths, plus one
-   "counters@j<jobs>" row carrying that run's counter totals. Per-lane
-   spans ([lane-<k>] path segments) are left out: they exist only when the
-   domain pool actually spawns, so their presence varies with the
-   machine's core count. *)
+(* Per-stage wall-time rows sourced from Trace: one traced parse+rewrite,
+   flattened into slash-joined span paths, plus one "counters" row
+   carrying the run's counter totals. An untraced rewrite and a full
+   major collection come first, so the spans time a warm pipeline on a
+   settled heap rather than whatever collection work the preceding rows
+   left behind. *)
 let run_trace_stages () =
   print_endline "== Per-stage pipeline trace (largest spec binary) ==";
-  let arch = Arch.X86_64 in
-  let bin = largest_spec_binary arch in
+  let bin = largest_spec_binary Arch.X86_64 in
+  ignore (Sys.opaque_identity (Icfg_harness.Runner.rewrite bin));
+  Gc.full_major ();
+  let t = Icfg_core.Trace.create () in
+  Icfg_core.Trace.with_current t (fun () ->
+      ignore (Sys.opaque_identity (Icfg_harness.Runner.rewrite bin)));
   List.iter
-    (fun jobs ->
-      let t = Icfg_core.Trace.create () in
-      Icfg_core.Trace.with_current t (fun () ->
-          ignore (Sys.opaque_identity (Icfg_harness.Runner.rewrite ~jobs bin)));
-      List.iter
-        (fun (r : Icfg_core.Trace.row) ->
-          let lane seg = String.starts_with ~prefix:"lane-" seg in
-          if not (List.exists lane (String.split_on_char '/' r.r_path)) then begin
-            add_row "stages"
-              (Printf.sprintf "%s@j%d" r.r_path jobs)
-              ~times:[ ("ns", float_of_int r.r_ns) ]
-              ~counters:[ ("spans", float_of_int r.r_count) ];
-            if jobs = 1 then
-              Printf.printf "  %-28s %12d ns\n%!" r.r_path r.r_ns
-          end)
-        (Icfg_core.Trace.rows t);
-      add_row "stages"
-        (Printf.sprintf "counters@j%d" jobs)
-        ~counters:(ints (Icfg_core.Trace.counters t))
-        ~gates:
-          [
-            ("rewrite/trampolines:trap", worse_higher);
-            ("rewrite/size-growth", worse_higher);
-          ];
-      trace_json := Some (Icfg_core.Trace.to_json t))
-    [ 1; 4 ]
+    (fun (r : Icfg_core.Trace.row) ->
+      add_row "stages" r.r_path
+        ~times:[ ("ns", float_of_int r.r_ns) ]
+        ~counters:[ ("spans", float_of_int r.r_count) ];
+      Printf.printf "  %-28s %12d ns\n%!" r.r_path r.r_ns)
+    (Icfg_core.Trace.rows t);
+  add_row "stages" "counters"
+    ~counters:(ints (Icfg_core.Trace.counters t))
+    ~gates:
+      [
+        ("rewrite/trampolines:trap", worse_higher);
+        ("rewrite/size-growth", worse_higher);
+      ];
+  trace_json := Some (Icfg_core.Trace.to_json t)
 
 (* Layout-slot rows: an uncached rewrite, a rewrite that fills a fresh
    cache, and warm rewrites through a clone of a warmed cache — of the
@@ -363,7 +273,7 @@ let run_cache_micro () =
   let module Runner = Icfg_harness.Runner in
   let arch = Arch.X86_64 in
   let bin = largest_spec_binary arch in
-  let rewrite ?cache b = Runner.rewrite ~jobs:1 ?cache b in
+  let rewrite ?cache b = Runner.rewrite ?cache b in
   let fingerprint (rw : Icfg_core.Rewriter.t) =
     Digest.to_hex (Digest.string (Marshal.to_string rw.Icfg_core.Rewriter.rw_binary []))
   in
@@ -647,7 +557,7 @@ let run_serve_incremental_micro () =
         match Icfg_harness.Runner.perturb_function p with
         | None -> None
         | Some (edited, _fname) -> (
-            match Icfg_harness.Runner.drive ~approach ~jobs:1 edited with
+            match Icfg_harness.Runner.drive ~approach edited with
             | Some (Icfg_baselines.Baseline.Rewritten rw) ->
                 Some
                   ( Binfile.to_string bin,
@@ -824,7 +734,6 @@ let run_micro () =
           Printf.printf "  %-32s %12.0f ns/run\n%!" (Test.Elt.name t) nanos)
         (Test.elements test))
     tests;
-  run_parallel_micro ();
   run_trace_stages ();
   run_cache_micro ();
   run_serve_micro ();
@@ -835,10 +744,10 @@ let run_micro () =
    deterministic (seeded corpus, serial cells), so each approach's pass
    rate gates on any drop against a sweep of the same size, with no
    --gate and no noise floor. *)
-let run_corpus ~seed ~count ~jobs =
+let run_corpus ~seed ~count =
   let module Matrix = Icfg_harness.Matrix in
   let m =
-    Matrix.run ~seed ~count ~jobs
+    Matrix.run ~seed ~count
       ~progress:(fun i ->
         if i mod 50 = 0 && i < count then
           Printf.printf "  ...%d/%d binaries\n%!" i count)
@@ -907,7 +816,7 @@ let run_diff args =
       exit 2
 
 (* The serve equivalence gate: `bench/main.exe serve-check [--seed N]
-   [--count N] [--clients N] [--jobs N]` sweeps a corpus slice through a
+   [--count N] [--clients N]` sweeps a corpus slice through a
    live daemon AND in-process, and exits non-zero unless every
    per-approach classification row matches exactly (CI runs this as the
    serve smoke step). *)
@@ -915,18 +824,17 @@ let run_serve_check args =
   let seed, args = int_flag "--seed" 7 args in
   let count, args = int_flag "--count" 60 args in
   let clients, args = int_flag "--clients" 4 args in
-  let jobs, args = int_flag "--jobs" 1 args in
   if args <> [] then (
     Printf.eprintf
       "usage: bench/main.exe serve-check [--seed N] [--count N] [--clients \
-       N] [--jobs N]\n";
+       N]\n";
     exit 2);
   let module Sweep = Icfg_service.Sweep in
   Printf.printf
     "serve-check: daemon vs in-process sweep (seed %d, %d binaries, %d \
-     clients, jobs %d)\n%!"
-    seed count clients jobs;
-  let ok, report, r = Sweep.check ~seed ~count ~clients ~jobs () in
+     clients)\n%!"
+    seed count clients;
+  let ok, report, r = Sweep.check ~seed ~count ~clients () in
   print_string report;
   Printf.printf "daemon: %d requests, %d overloaded, %d errors, %.1f req/s\n%!"
     r.Sweep.sw_requests r.Sweep.sw_overloaded r.Sweep.sw_errors r.Sweep.sw_rps;
@@ -951,7 +859,6 @@ let () =
   let trace_path, args = split_flag "--trace" args in
   let corpus_seed, args = int_flag "--seed" 7 args in
   let corpus_count, args = int_flag "--count" 300 args in
-  let corpus_jobs, args = int_flag "--jobs" 1 args in
   let selected =
     match args with
     | [] -> List.map fst experiments @ [ "micro"; "corpus" ]
@@ -961,7 +868,7 @@ let () =
     (fun name ->
       if name = "micro" then run_micro ()
       else if name = "corpus" then
-        run_corpus ~seed:corpus_seed ~count:corpus_count ~jobs:corpus_jobs
+        run_corpus ~seed:corpus_seed ~count:corpus_count
       else
         match List.assoc_opt name experiments with
         | Some f ->

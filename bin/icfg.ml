@@ -88,20 +88,6 @@ let pie_t = Arg.(value & flag & info [ "pie" ] ~doc:"Compile as PIE.")
 let mode_t =
   Arg.(value & opt mode_conv Mode.Jt & info [ "m"; "mode" ] ~doc:"Rewriting mode.")
 
-let jobs_t =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "j"; "jobs" ]
-        ~doc:
-          "Fan per-function analysis and rewriting out across $(docv) \
-           domains (0 = one per core). Output is bit-identical to a serial \
-           run for any value."
-        ~docv:"N")
-
-let resolve_jobs jobs =
-  if jobs <= 0 then Icfg_core.Pool.recommended_jobs () else jobs
-
 let trace_t =
   Arg.(
     value
@@ -162,9 +148,9 @@ let inspect workload arch pie =
   Format.printf "%a" Binary.pp bin;
   Format.printf "%a" Icfg_codegen.Debug.pp dbg
 
-let analyze workload arch pie jobs =
+let analyze workload arch pie =
   let bin, _ = load_workload workload arch pie in
-  let p = Icfg_harness.Runner.parse ~jobs:(resolve_jobs jobs) bin in
+  let p = Icfg_harness.Runner.parse bin in
   Format.printf "%a" Parse.pp_summary p;
   List.iter
     (fun fa ->
@@ -176,14 +162,13 @@ let analyze workload arch pie jobs =
         (if fa.Parse.fa_instrumentable then "" else "  [UNINSTRUMENTABLE]"))
     p.Parse.funcs
 
-let rewrite_cmd workload arch pie mode jobs output trace cache_dir =
+let rewrite_cmd workload arch pie mode output trace cache_dir =
   let bin, _ = load_workload workload arch pie in
   let cache = cache_of cache_dir in
   let rw =
     with_trace trace @@ fun () ->
     Icfg_harness.Runner.rewrite
-      ~options:{ Rewriter.default_options with Rewriter.mode }
-      ~jobs:(resolve_jobs jobs) ?cache bin
+      ~options:{ Rewriter.default_options with Rewriter.mode } ?cache bin
   in
   Format.printf "%a@." Rewriter.pp_stats rw.Rewriter.rw_stats;
   pp_cache_line cache;
@@ -194,14 +179,10 @@ let rewrite_cmd workload arch pie mode jobs output trace cache_dir =
       Format.printf "wrote %s@." path
   | None -> ()
 
-let verify_cmd workload arch pie mode jobs trace =
+let verify_cmd workload arch pie mode trace =
   let bin, _ = load_workload workload arch pie in
   let options =
-    {
-      Icfg_core.Rewriter.default_options with
-      Icfg_core.Rewriter.mode;
-      jobs = resolve_jobs jobs;
-    }
+    { Icfg_core.Rewriter.default_options with Icfg_core.Rewriter.mode }
   in
   let report = Icfg_core.Verify.strong_test ~options bin in
   Format.printf "%a" Icfg_core.Verify.pp_report report;
@@ -215,7 +196,7 @@ let verify_cmd workload arch pie mode jobs trace =
   | None -> ());
   if not report.Icfg_core.Verify.ok then exit 1
 
-let run_cmd workload arch pie mode jobs trace cache_dir =
+let run_cmd workload arch pie mode trace cache_dir =
   let bin, _ = load_workload workload arch pie in
   let cache = cache_of cache_dir in
   let show label (r : Vm.result) =
@@ -235,8 +216,7 @@ let run_cmd workload arch pie mode jobs trace cache_dir =
     Icfg_core.Trace.add_vm ~prefix:"vm/original" orig;
     let rw =
       Icfg_harness.Runner.rewrite
-        ~options:{ Rewriter.default_options with Rewriter.mode }
-        ~jobs:(resolve_jobs jobs) ?cache bin
+        ~options:{ Rewriter.default_options with Rewriter.mode } ?cache bin
     in
     let counters = Hashtbl.create 16 in
     let cfg = Rewriter.vm_config_for rw cfg in
@@ -256,7 +236,7 @@ let run_cmd workload arch pie mode jobs trace cache_dir =
       (100. *. float_of_int (r.Vm.cycles - orig.Vm.cycles)
       /. float_of_int (max 1 orig.Vm.cycles))
 
-let report_cmd workload arch pie mode jobs json trace cache_dir =
+let report_cmd workload arch pie mode json trace cache_dir =
   let module A = Icfg_core.Attribution in
   let bin, _ = load_workload workload arch pie in
   let cache = cache_of cache_dir in
@@ -265,8 +245,7 @@ let report_cmd workload arch pie mode jobs json trace cache_dir =
      options differ, so each keeps its own layout slot. *)
   let rewrite mode =
     Icfg_harness.Runner.rewrite
-      ~options:{ Rewriter.default_options with Rewriter.mode }
-      ~jobs:(resolve_jobs jobs) ?cache bin
+      ~options:{ Rewriter.default_options with Rewriter.mode } ?cache bin
   in
   let rw = rewrite mode in
   let attr = rw.Rewriter.rw_attribution in
@@ -389,16 +368,12 @@ let serve_stats_line tag srv =
     st.Icfg_service.Server.in_flight cs.Icfg_core.Cache.c_hits
     cs.Icfg_core.Cache.c_misses cs.Icfg_core.Cache.c_stores
 
-let serve_cmd socket bound workers jobs cache_dir stats_interval =
-  let jobs = resolve_jobs jobs in
+let serve_cmd socket bound workers cache_dir stats_interval =
   let cache = cache_of cache_dir in
-  let srv =
-    Icfg_service.Server.start ~path:socket ~bound ~workers ~jobs ?cache ()
-  in
+  let srv = Icfg_service.Server.start ~path:socket ~bound ~workers ?cache () in
   Format.printf
-    "icfg serve: listening on %s (queue bound %d, %d executor domains, \
-     default jobs %d)@."
-    socket bound workers jobs;
+    "icfg serve: listening on %s (queue bound %d, %d executor domains)@."
+    socket bound workers;
   Format.printf
     "press Ctrl-C to stop; SIGUSR1 or `icfg stats --socket %s` for live \
      telemetry@."
@@ -440,7 +415,7 @@ let load_binfile_bytes path =
 
 (* Exit codes: 2 refused/rejected, 3 overloaded, 4 transport/usage/error,
    5 unrecoverable NeedFull (a [--ref] with no FILE to fall back to). *)
-let submit_cmd socket approach file jobs classify output register ref_digest
+let submit_cmd socket approach file classify output register ref_digest
     patch_against =
   let module P = Icfg_service.Protocol in
   let module C = Icfg_service.Client in
@@ -468,10 +443,9 @@ let submit_cmd socket approach file jobs classify output register ref_digest
         exit 4
   end
   else begin
-    let jobs = resolve_jobs jobs in
     let submit payload =
-      if classify then C.classify_payload c ~approach ~jobs payload
-      else C.rewrite_payload c ~approach ~jobs payload
+      if classify then C.classify_payload c ~approach payload
+      else C.rewrite_payload c ~approach payload
     in
     let resp =
       match (ref_digest, patch_against) with
@@ -707,7 +681,7 @@ let cmd_inspect =
 let cmd_analyze =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Parse a workload: CFGs, jump tables, coverage.")
-    Term.(const analyze $ workload_t $ arch_t $ pie_t $ jobs_t)
+    Term.(const analyze $ workload_t $ arch_t $ pie_t)
 
 let output_t =
   Arg.(
@@ -718,8 +692,8 @@ let output_t =
 let cmd_rewrite =
   Cmd.v (Cmd.info "rewrite" ~doc:"Rewrite a workload and print the statistics.")
     Term.(
-      const rewrite_cmd $ workload_t $ arch_t $ pie_t $ mode_t $ jobs_t
-      $ output_t $ trace_t $ cache_t)
+      const rewrite_cmd $ workload_t $ arch_t $ pie_t $ mode_t $ output_t
+      $ trace_t $ cache_t)
 
 let cmd_verify =
   Cmd.v
@@ -727,16 +701,14 @@ let cmd_verify =
        ~doc:
          "Run the paper's strong correctness test: per-block counting,           original bytes destroyed, output and counts compared.")
     Term.(
-      const verify_cmd $ workload_t $ arch_t $ pie_t $ mode_t $ jobs_t
-      $ trace_t)
+      const verify_cmd $ workload_t $ arch_t $ pie_t $ mode_t $ trace_t)
 
 let cmd_run =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Run a workload before and after rewriting and compare.")
     Term.(
-      const run_cmd $ workload_t $ arch_t $ pie_t $ mode_t $ jobs_t $ trace_t
-      $ cache_t)
+      const run_cmd $ workload_t $ arch_t $ pie_t $ mode_t $ trace_t $ cache_t)
 
 let report_json_t =
   Arg.(
@@ -756,8 +728,8 @@ let cmd_report =
           per-function CFL/trampoline causes, the cause histogram, and the \
           mode's incremental delta vs the dir baseline.")
     Term.(
-      const report_cmd $ workload_t $ arch_t $ pie_t $ mode_t $ jobs_t
-      $ report_json_t $ trace_t $ cache_t)
+      const report_cmd $ workload_t $ arch_t $ pie_t $ mode_t $ report_json_t
+      $ trace_t $ cache_t)
 
 let func_opt_t =
   Arg.(value & opt (some string) None & info [ "f"; "function" ] ~doc:"Function name.")
@@ -816,7 +788,7 @@ let cmd_serve =
                 "Executor domains (each request body runs on its own domain: \
                  per-request trace isolation)."
               ~docv:"N")
-      $ jobs_t $ cache_t
+      $ cache_t
       $ Arg.(
           value
           & opt (some float) None
@@ -897,7 +869,6 @@ let cmd_submit =
                 "Binfile to submit. Optional with --ref (where it serves \
                  only as the full-upload fallback if the daemon no longer \
                  holds the digest); required otherwise.")
-      $ jobs_t
       $ Arg.(
           value & flag
           & info [ "classify" ]

@@ -189,11 +189,8 @@ let dedup sites =
         true))
     sites
 
-(* Serial pass: data-resident slots, which double as the slot-target map
-   the forward slicer consults. Everything the per-CFG scan reads — the
-   binary, the entry set and [slot_targets] — is frozen before the fan-out,
-   and the scan of one CFG touches no other CFG's state, so [analyze] can
-   shard the scans across domains and merge in CFG order. *)
+(* Data-resident slots, which double as the slot-target map the forward
+   slicer consults. *)
 let data_slot_pass bin (fm : Failure_model.t) entries =
   let data_sites =
     (if fm.reloc_fptrs then reloc_slots bin entries else [])
@@ -209,19 +206,15 @@ let data_slot_pass bin (fm : Failure_model.t) entries =
     data_sites;
   (data_sites, slot_targets)
 
-let analyze ?(map = List.map) bin (fm : Failure_model.t) (cfgs : Cfg.t list) =
+let analyze bin (fm : Failure_model.t) (cfgs : Cfg.t list) =
   let entries = entry_set bin in
   let data_sites, slot_targets = data_slot_pass bin fm entries in
-  (* Per-CFG scans go through the injected mapper; it is order-preserving,
-     so concatenating per-CFG results reproduces the serial
-     [List.concat_map] site order exactly, and dedup (which keeps first
-     occurrences) is schedule-independent. *)
   let scan cfg =
     List.concat_map
       (fun b -> fp_scan_block bin fm entries slot_targets b)
       cfg.Cfg.blocks
   in
-  dedup (data_sites @ List.concat (map scan cfgs))
+  dedup (data_sites @ List.concat_map scan cfgs)
 
 let derived_block_targets sites =
   List.filter_map

@@ -28,19 +28,10 @@ type site =
           adjusted value lands on the relocated block of [target + adjust] *)
 
 val analyze :
-  ?map:((Cfg.t -> site list) -> Cfg.t list -> site list list) ->
-  Icfg_obj.Binary.t ->
-  Failure_model.t ->
-  Cfg.t list ->
-  site list
-(** Two-phase analysis: a serial data-slot pass (relocation- and
-    value-match slots, which also builds the slot-target map the forward
-    slicer reads) followed by per-CFG code scans run through [map]
-    (default: [List.map]). The scans read only frozen state and results
-    are merged in CFG order, so the site list is independent of the
-    mapper, which must be an order-preserving observation-equivalent of
-    [List.map] — Parse passes its runner's [map] here to fan the scans
-    out. *)
+  Icfg_obj.Binary.t -> Failure_model.t -> Cfg.t list -> site list
+(** Two-phase analysis: a data-slot pass (relocation- and value-match
+    slots, which also builds the slot-target map the forward slicer
+    reads) followed by a code scan of each CFG, in CFG order. *)
 
 val dedup : site list -> site list
 (** Keep the first occurrence of each distinct site: materializations are

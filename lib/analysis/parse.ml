@@ -149,27 +149,23 @@ let finalize_function bin (fm : Failure_model.t) ~known_data fptr_targets
     fa_liveness = Liveness.analyze cfg1;
   }
 
-(* The stage runner injected by the caller (parallelism and the tracing
-   layer live in the core library, above this one). The default runs
-   every stage inline and records nothing. *)
+(* The tracing hooks injected by the caller (the tracing layer lives in
+   the core library, above this one). The default records nothing. *)
 type runner = {
-  map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list;
   span : 'a. string -> (unit -> 'a) -> 'a;
   count : string -> int -> unit;
 }
 
-let inline =
-  { map = List.map; span = (fun _ f -> f ()); count = (fun _ _ -> ()) }
+let inline = { span = (fun _ f -> f ()); count = (fun _ _ -> ()) }
 
 let parse ?(fm = Failure_model.ours) ?runner:(r = inline) bin =
   r.span "parse" @@ fun () ->
   let syms = Binary.func_symbols bin in
-  (* Pass 1 over every function: slices for global known-data collection.
-     Per-function analysis only reads the (immutable) binary, so both
-     per-function passes fan out through the runner. *)
+  (* Pass 1 over every function: slices for global known-data
+     collection. *)
   let pass1 =
     r.span "pass1" (fun () ->
-        r.map
+        List.map
           (fun sym ->
             let cfg0, slices, pres = analyze_function bin fm sym in
             ((sym, cfg0, slices), pres))
@@ -181,17 +177,13 @@ let parse ?(fm = Failure_model.ours) ?runner:(r = inline) bin =
   in
   (* Function pointers need CFGs; use the pass-1 CFGs (pointer creation
      sites live in code reachable without jump-table edges, and case-body
-     sites are found after the final CFG rebuild below if needed). The
-     per-CFG scans go through the same runner as the per-function passes;
-     only the data-slot pass stays serial. *)
+     sites are found after the final CFG rebuild below if needed). *)
   let cfg0s = List.map (fun ((_, c, _), _) -> c) pass1 in
-  let fptrs =
-    r.span "func-ptr" (fun () -> Func_ptr.analyze ~map:r.map bin fm cfg0s)
-  in
+  let fptrs = r.span "func-ptr" (fun () -> Func_ptr.analyze bin fm cfg0s) in
   let pointer_targets = Func_ptr.derived_block_targets fptrs in
   let funcs =
     r.span "finalize" (fun () ->
-        r.map
+        List.map
           (fun ((sym, cfg0, slices), _) ->
             finalize_function bin fm ~known_data pointer_targets
               (sym, cfg0, slices))
@@ -201,7 +193,7 @@ let parse ?(fm = Failure_model.ours) ?runner:(r = inline) bin =
      materializations inside switch-case blocks). *)
   let fptrs =
     r.span "func-ptr-2" (fun () ->
-        Func_ptr.analyze ~map:r.map bin fm (List.map (fun f -> f.fa_cfg) funcs))
+        Func_ptr.analyze bin fm (List.map (fun f -> f.fa_cfg) funcs))
   in
   let pointer_targets = Func_ptr.derived_block_targets fptrs in
   let t = { bin; fm; funcs; fptrs; pointer_targets } in

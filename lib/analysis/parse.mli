@@ -39,27 +39,20 @@ type t = {
 }
 
 type runner = {
-  map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list;
   span : 'a. string -> (unit -> 'a) -> 'a;
   count : string -> int -> unit;
 }
-(** How the pipeline's per-item stages run, injected by the caller
-    (parallelism and tracing live in the core library, above this one —
-    see [Icfg_core.Pool.runner]).
-
-    [map f xs] must be observably [List.map f xs]: results in input
-    order, whatever the schedule. [span name f] times [f] as a nested
-    span and [count name n] bumps a named counter; both are
-    observation-only — [parse] output never depends on the runner. *)
+(** How the parse is traced, injected by the caller (tracing lives in the
+    core library, above this one — see [Icfg_core.Trace.runner]).
+    [span name f] times [f] as a nested span and [count name n] bumps a
+    named counter; both are observation-only — [parse] output never
+    depends on the runner. *)
 
 val parse : ?fm:Failure_model.t -> ?runner:runner -> Icfg_obj.Binary.t -> t
 (** Whole-binary parse, computed in full on every call. The default
-    runner runs everything inline and records nothing. [runner.map]
-    carries the two per-function passes (initial CFG + jump-table
-    slicing, then finalization + liveness) and the per-CFG
-    function-pointer scans ({!Func_ptr.analyze}); only the cross-function
-    steps (known-data collection, the data-slot pass) stay serial. Spans:
-    [pass1], [known-data], [func-ptr], [finalize] and [func-ptr-2] under
+    runner records nothing. Spans: [pass1] (initial CFG + jump-table
+    slicing per function), [known-data], [func-ptr], [finalize]
+    (finalization + liveness per function) and [func-ptr-2] under
     [parse]; whole-binary counters: [parse/funcs],
     [parse/instrumentable], [parse/jump-tables], ... *)
 

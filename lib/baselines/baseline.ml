@@ -6,22 +6,17 @@ module Failure_model = Icfg_analysis.Failure_model
 module Cfg = Icfg_analysis.Cfg
 module Rewriter = Icfg_core.Rewriter
 module Mode = Icfg_core.Mode
-module Pool = Icfg_core.Pool
+module Trace = Icfg_core.Trace
 
 type outcome = Rewritten of Rewriter.t | Refused of string
 
 let default_payload = Rewriter.P_empty
 
-let with_jobs ?jobs options =
-  match jobs with
-  | None -> options
-  | Some j -> { options with Rewriter.jobs = max 1 j }
-
 (* ------------------------------------------------------------------ *)
 (* Dyninst-10.2 / SRBI                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let srbi ?(payload = default_payload) ?jobs ?cache bin =
+let srbi ?(payload = default_payload) ?cache bin =
   if
     bin.Binary.features.Binary.cpp_exceptions
     && bin.Binary.arch <> Arch.X86_64
@@ -30,15 +25,9 @@ let srbi ?(payload = default_payload) ?jobs ?cache bin =
       "call emulation for C++ exceptions is only implemented on x86-64 in \
        Dyninst-10.2"
   else
-    let parse =
-      Parse.parse ~fm:Failure_model.srbi
-        ~runner:(Pool.runner ?jobs ())
-        bin
-    in
+    let parse = Parse.parse ~fm:Failure_model.srbi ~runner:Trace.runner bin in
     let rw =
-      Rewriter.rewrite ?cache
-        ~options:(with_jobs ?jobs (Rewriter.srbi_like payload))
-        parse
+      Rewriter.rewrite ?cache ~options:(Rewriter.srbi_like payload) parse
     in
     if rw.Rewriter.rw_stats.Rewriter.s_trap_trampolines > 10 then
       Refused
@@ -67,7 +56,7 @@ let srbi ?(payload = default_payload) ?jobs ?cache bin =
 (* Egalito-style IR lowering                                           *)
 (* ------------------------------------------------------------------ *)
 
-let ir_lowering ?(payload = default_payload) ?jobs ?cache bin =
+let ir_lowering ?(payload = default_payload) ?cache bin =
   let feat = bin.Binary.features in
   if not bin.Binary.pie then
     Refused "IR lowering requires PIE with run-time relocation entries"
@@ -80,7 +69,7 @@ let ir_lowering ?(payload = default_payload) ?jobs ?cache bin =
   else if feat.Binary.symbol_versioning then
     Refused "cannot rewrite symbol versioning information (the libcuda failure)"
   else
-    let parse = Parse.parse ~runner:(Pool.runner ?jobs ()) bin in
+    let parse = Parse.parse ~runner:Trace.runner bin in
     if Parse.coverage parse < 1.0 then
       let bad =
         List.find (fun f -> not f.Parse.fa_instrumentable) parse.Parse.funcs
@@ -99,7 +88,7 @@ let ir_lowering ?(payload = default_payload) ?jobs ?cache bin =
           ra_translation = false;
         }
       in
-      let rw = Rewriter.rewrite ?cache ~options:(with_jobs ?jobs options) parse in
+      let rw = Rewriter.rewrite ?cache ~options parse in
       (* Regeneration: the original code and retired metadata are dropped
          and the entry point moves into the regenerated code. *)
       let entry =
@@ -125,8 +114,8 @@ let ir_lowering ?(payload = default_payload) ?jobs ?cache bin =
 (* E9Patch-style instruction patching                                  *)
 (* ------------------------------------------------------------------ *)
 
-let insn_patching ?(payload = default_payload) ?jobs ?cache bin =
-  let parse = Parse.parse ~runner:(Pool.runner ?jobs ()) bin in
+let insn_patching ?(payload = default_payload) ?cache bin =
+  let parse = Parse.parse ~runner:Trace.runner bin in
   let options =
     {
       Rewriter.default_options with
@@ -140,14 +129,14 @@ let insn_patching ?(payload = default_payload) ?jobs ?cache bin =
       use_scratch_pool = false;
     }
   in
-  Rewritten (Rewriter.rewrite ?cache ~options:(with_jobs ?jobs options) parse)
+  Rewritten (Rewriter.rewrite ?cache ~options parse)
 
 (* ------------------------------------------------------------------ *)
 (* Multiverse-style dynamic translation                                *)
 (* ------------------------------------------------------------------ *)
 
-let dynamic_translation ?(payload = default_payload) ?jobs ?cache bin =
-  let parse = Parse.parse ~runner:(Pool.runner ?jobs ()) bin in
+let dynamic_translation ?(payload = default_payload) ?cache bin =
+  let parse = Parse.parse ~runner:Trace.runner bin in
   let options =
     {
       Rewriter.default_options with
@@ -158,7 +147,7 @@ let dynamic_translation ?(payload = default_payload) ?jobs ?cache bin =
       ra_translation = false;
     }
   in
-  Rewritten (Rewriter.rewrite ?cache ~options:(with_jobs ?jobs options) parse)
+  Rewritten (Rewriter.rewrite ?cache ~options parse)
 
 (* ------------------------------------------------------------------ *)
 (* BOLT-like optimizer                                                 *)
@@ -205,10 +194,10 @@ let bolt_block_reorder bin =
 (* This paper's system                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let ours ?(payload = default_payload) ?jobs ?cache ~mode bin =
-  let parse = Parse.parse ~runner:(Pool.runner ?jobs ()) bin in
+let ours ?(payload = default_payload) ?cache ~mode bin =
+  let parse = Parse.parse ~runner:Trace.runner bin in
   let options = { Rewriter.default_options with Rewriter.mode; payload } in
-  Rewritten (Rewriter.rewrite ?cache ~options:(with_jobs ?jobs options) parse)
+  Rewritten (Rewriter.rewrite ?cache ~options parse)
 
 let ours_partial ?(payload = default_payload) ~mode ~only bin =
   let parse = Parse.parse bin in
@@ -223,15 +212,13 @@ let ours_partial ?(payload = default_payload) ~mode ~only bin =
 
 let approaches =
   [
-    ("srbi", fun ?jobs ?cache bin -> srbi ?jobs ?cache bin);
-    ("ir-lowering", fun ?jobs ?cache bin -> ir_lowering ?jobs ?cache bin);
-    ("insn-patching", fun ?jobs ?cache bin -> insn_patching ?jobs ?cache bin);
-    ( "dyn-translation",
-      fun ?jobs ?cache bin -> dynamic_translation ?jobs ?cache bin );
-    ("ours/dir", fun ?jobs ?cache bin -> ours ?jobs ?cache ~mode:Mode.Dir bin);
-    ("ours/jt", fun ?jobs ?cache bin -> ours ?jobs ?cache ~mode:Mode.Jt bin);
-    ( "ours/func-ptr",
-      fun ?jobs ?cache bin -> ours ?jobs ?cache ~mode:Mode.Func_ptr bin );
+    ("srbi", fun ?cache bin -> srbi ?cache bin);
+    ("ir-lowering", fun ?cache bin -> ir_lowering ?cache bin);
+    ("insn-patching", fun ?cache bin -> insn_patching ?cache bin);
+    ("dyn-translation", fun ?cache bin -> dynamic_translation ?cache bin);
+    ("ours/dir", fun ?cache bin -> ours ?cache ~mode:Mode.Dir bin);
+    ("ours/jt", fun ?cache bin -> ours ?cache ~mode:Mode.Jt bin);
+    ("ours/func-ptr", fun ?cache bin -> ours ?cache ~mode:Mode.Func_ptr bin);
   ]
 
 let contains ~sub s =

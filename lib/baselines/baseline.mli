@@ -10,18 +10,15 @@ type outcome =
       (** the tool rejects the binary up front (e.g. Egalito on non-PIE,
           Dyninst-10.2 call emulation on a non-x86 C++ binary) *)
 
-(** Every rewriting baseline below accepts [?jobs] (fan the per-function
-    pipeline stages out over that many {!Icfg_core.Pool} domains) and
-    [?cache] (the layout slot {!Icfg_core.Rewriter.rewrite} pins
-    against). Both default to the serial, uncached pipeline; output is
-    bit-identical for every [jobs], and identical with a cache unless a
-    function's relocated size changed since the slot's snapshot. *)
+(** The roster's rewriting baselines accept [?cache] (the layout slot
+    {!Icfg_core.Rewriter.rewrite} pins against). Without one the pipeline
+    is uncached; with one, output is identical unless a function's
+    relocated size changed since the slot's snapshot. *)
 
 (** {1 Dyninst-10.2 / SRBI} *)
 
 val srbi :
   ?payload:Icfg_core.Rewriter.payload ->
-  ?jobs:int ->
   ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   outcome
@@ -38,7 +35,6 @@ val srbi :
 
 val ir_lowering :
   ?payload:Icfg_core.Rewriter.payload ->
-  ?jobs:int ->
   ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   outcome
@@ -53,7 +49,6 @@ val ir_lowering :
 
 val insn_patching :
   ?payload:Icfg_core.Rewriter.payload ->
-  ?jobs:int ->
   ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   outcome
@@ -65,7 +60,6 @@ val insn_patching :
 
 val dynamic_translation :
   ?payload:Icfg_core.Rewriter.payload ->
-  ?jobs:int ->
   ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   outcome
@@ -88,7 +82,6 @@ val bolt_block_reorder : Icfg_obj.Binary.t -> outcome
 
 val ours :
   ?payload:Icfg_core.Rewriter.payload ->
-  ?jobs:int ->
   ?cache:Icfg_core.Cache.t ->
   mode:Icfg_core.Mode.t ->
   Icfg_obj.Binary.t ->
@@ -98,7 +91,7 @@ val ours :
 
 val approaches :
   (string
-  * (?jobs:int -> ?cache:Icfg_core.Cache.t -> Icfg_obj.Binary.t -> outcome))
+  * (?cache:Icfg_core.Cache.t -> Icfg_obj.Binary.t -> outcome))
   list
 (** The corpus-matrix roster: the four comparable rewriting baselines
     ([srbi], [ir-lowering], [insn-patching], [dyn-translation]) plus this

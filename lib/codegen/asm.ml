@@ -124,8 +124,7 @@ let check_data_range w v =
 (* Encode the placed items in [items.(i0) .. items.(i1 - 1)] into [data],
    whose byte 0 is address [org]. Reads the (frozen) label table only;
    returns the segment's relocs in item order. [encode] passes the whole
-   layout; the sharded encoder passes contiguous chunks, each with its own
-   buffer. *)
+   layout; [encode_chunks] one chunk at a time. *)
 let encode_run arch ~pie ~toc ~labels ~org data items i0 i1 =
   let base = org in
   let relocs = ref [] in
@@ -207,37 +206,26 @@ let encode arch ~pie ~toc ~labels lay =
   in
   (data, relocs)
 
-type chunk = { c_items : (item * int) list; c_lo : int; c_hi : int }
+type chunk = { c_items : (item * int) list }
 
-let encode_chunk arch ~pie ~toc ~labels ch =
-  let citems = Array.of_list ch.c_items in
-  let data = Bytes.make (ch.c_hi - ch.c_lo) '\000' in
+(* Encode an explicit chunk list against a frozen label table into one
+   buffer spanning the layout. Once the label table is frozen, encoding
+   an item depends only on its own (item, address) pair, so each chunk
+   encodes in place. Chunks need not tile the extent: address ranges no
+   chunk covers (holes a pinned layout left behind) stay zero-filled.
+   Relocs concatenate in chunk (address) order, which for chunks tiling
+   the extent is the item-order reloc list of {!encode}. *)
+let encode_chunks arch ~pie ~toc ~labels lay chunks =
+  let data = Bytes.make (lay.l_end - lay.l_base) '\000' in
   let relocs =
-    encode_run arch ~pie ~toc ~labels ~org:ch.c_lo data citems 0
-      (Array.length citems)
+    List.concat_map
+      (fun ch ->
+        let items = Array.of_list ch.c_items in
+        encode_run arch ~pie ~toc ~labels ~org:lay.l_base data items 0
+          (Array.length items))
+      chunks
   in
   (data, relocs)
-
-(* Encode an explicit chunk list against a frozen label table, blitting
-   into one buffer spanning the layout. Layout is inherently sequential
-   (each address depends on every earlier item's size), but once the label
-   table is frozen, encoding any item depends only on its own
-   (item, address) pair and that read-only table — so chunks encode
-   independently, each into a private buffer sized by its address extent,
-   through whatever order-preserving [map] the caller injects (a domain
-   pool). Chunks need not tile the extent: address ranges no chunk covers
-   (holes a pinned layout left behind) stay zero-filled. Relocs
-   concatenate in chunk (address) order, which for chunks tiling the
-   extent is the item-order reloc list of {!encode} — the battery in
-   [test_parallel] pins this byte-for-byte. *)
-let encode_chunks arch ~pie ~toc ~labels ?(map = List.map) lay chunks =
-  let encoded = map (encode_chunk arch ~pie ~toc ~labels) chunks in
-  let data = Bytes.make (lay.l_end - lay.l_base) '\000' in
-  List.iter2
-    (fun ch (d, _) ->
-      Bytes.blit d 0 data (ch.c_lo - lay.l_base) (Bytes.length d))
-    chunks encoded;
-  (data, List.concat_map snd encoded)
 
 (* ------------------------------------------------------------------ *)
 (* Pinned-address incremental layout                                   *)
@@ -388,8 +376,8 @@ let layout_pinned arch ~pie ~labels ~base ?(prev = []) segs =
            seg_placed);
     p_chunks =
       List.filter_map
-        (fun (_, _, s, l, _, pi) ->
-          if l = 0 then None else Some { c_items = pi; c_lo = s; c_hi = s + l })
+        (fun (_, _, _, l, _, pi) ->
+          if l = 0 then None else Some { c_items = pi })
         seg_placed;
     p_pinned = count (fun pinned -> pinned);
     p_moved = count (fun pinned -> not pinned);

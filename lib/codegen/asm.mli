@@ -74,31 +74,23 @@ val encode :
     {!Icfg_isa.Encode.Not_encodable} if a resolved displacement or a narrow
     data word overflows its field. *)
 
-type chunk = { c_items : (item * int) list; c_lo : int; c_hi : int }
-(** A contiguous run of placed items covering addresses
-    [[c_lo, c_hi)] — the unit of sharded encoding. *)
+type chunk = { c_items : (item * int) list }
+(** A contiguous run of placed items, each with its address. *)
 
 val encode_chunks :
   Icfg_isa.Arch.t ->
   pie:bool ->
   toc:int ->
   labels:(string, int) Hashtbl.t ->
-  ?map:
-    ((chunk -> Bytes.t * Icfg_obj.Reloc.t list) ->
-    chunk list ->
-    (Bytes.t * Icfg_obj.Reloc.t list) list) ->
   layout ->
   chunk list ->
   Bytes.t * Icfg_obj.Reloc.t list
 (** Encode an explicit chunk list (e.g. {!pinned_result.p_chunks})
     against a frozen label table into one buffer spanning
-    [[lay.l_base, lay.l_end)]. Each chunk encodes independently through
-    [map] (default: [List.map]), which must be an order-preserving
-    observation-equivalent of [List.map] — the Rewriter passes its stage
-    runner's [map] to fan chunks out. The chunks need not tile the
-    extent: uncovered holes (gaps a pinned layout left behind) stay
-    zero-filled. Relocs concatenate in chunk (address) order; for chunks
-    that tile the extent, bytes and relocs are exactly {!encode}'s. *)
+    [[lay.l_base, lay.l_end)]. The chunks need not tile the extent:
+    uncovered holes (gaps a pinned layout left behind) stay zero-filled.
+    Relocs concatenate in chunk (address) order; for chunks that tile the
+    extent, bytes and relocs are exactly {!encode}'s. *)
 
 (** {1 Pinned-address incremental layout}
 

@@ -4,10 +4,10 @@
     graded-failure taxonomy, made inspectable).
 
     Attribution is strictly observation-only: it is assembled from the same
-    per-function placement plans the rewriter already computes, in sorted
-    function order, so it is a pure function of the rewrite output —
-    identical for any [jobs] value and its presence never changes the
-    rewritten bytes or {!Rewriter.stats} (enforced by [test/test_report.ml],
+    per-function placement results the rewriter already computes, in sorted
+    function order, so it is a pure function of the rewrite output, and
+    its presence never changes the rewritten bytes or {!Rewriter.stats}
+    (enforced by [test/test_report.ml],
     whose reconciliation battery also asserts that the per-cause totals here
     exactly tile the aggregate [stats]). *)
 

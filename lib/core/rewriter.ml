@@ -34,7 +34,6 @@ type options = {
   bounce_back : bool;
   dyn_translate : bool;
   sparse_placement : bool;
-  jobs : int;
 }
 
 let default_options =
@@ -55,7 +54,6 @@ let default_options =
     bounce_back = false;
     dyn_translate = false;
     sparse_placement = false;
-    jobs = 1;
   }
 
 let srbi_like payload =
@@ -78,7 +76,6 @@ let srbi_like payload =
     bounce_back = false;
     dyn_translate = false;
     sparse_placement = false;
-    jobs = 1;
   }
 
 type stats = {
@@ -207,12 +204,12 @@ let cfl_causes opts (p : Parse.t) (fa : Parse.func_analysis) =
 (* Relocation context                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* One rctx per relocated function. The shared configuration fields are
-   read-only; the mutable accumulators are private to the function being
-   relocated, so functions can be processed on separate domains and their
-   results merged in emission order. [ns] (the function's entry address)
-   namespaces fresh labels: label generation is then independent of the
-   order in which functions are relocated. *)
+(* One rctx per relocated function: the shared configuration fields are
+   read-only, and the mutable accumulators collect that function's own
+   items and pairs, which become its layout segment and are merged in
+   emission order. [ns] (the function's entry address) namespaces fresh
+   labels, so a function's labels do not depend on the functions relocated
+   before it. *)
 type rctx = {
   p : Parse.t;
   opts : options;
@@ -631,34 +628,12 @@ let pool_alloc pool ~near ~size ~reach =
       Some lo
   | None -> None
 
-(* ------------------------------------------------------------------ *)
-(* Per-function placement plans                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Pass 1 of trampoline placement decomposes into a pure per-function
-   planning step (CFL classification, region computation, superblock
-   extension, trampoline selection — everything that reads only this
-   function's analysis and the finished label table) and a serial replay
-   that threads the cross-function state: the scratch pool, the write list
-   and the deferred-hop list. Planning fans out across domains; the replay
-   applies plans in sorted function order, so the pool/deferred sequences
-   are identical to a fully serial run. *)
-
-type tramp_class = T_short | T_long | T_trap
-
-type place_event =
-  | Pe_write of int * string * tramp_class  (** trampoline bytes at address *)
-  | Pe_defer of int * int * int * Reg.Set.t
-      (** no local fit: [lo, superblock_end, target, dead] for the hop pass *)
-  | Pe_free of int * int  (** scratch range donated to the pool *)
-
-type place_plan = {
-  pl_entry : int;  (** function entry address *)
-  pl_blocks : int;
-  pl_cfl_causes : (int * Attribution.cause) list;
+(* What attribution reads of one function's placement. *)
+type placed_fn = {
+  pf_entry : int;  (** function entry address *)
+  pf_blocks : int;
+  pf_cfl_causes : (int * Attribution.cause) list;
       (** CFL blocks with why each is one, sorted by address *)
-  pl_preserved : (int * int) list;  (** in-code tables kept in place *)
-  pl_events : place_event list;  (** in serial placement order *)
 }
 
 (* The previous run's section layout, persisted in a cache slot so a
@@ -728,10 +703,6 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
     then [ "runtime.findfunc"; "runtime.pcvalue" ]
     else []
   in
-  (* Every per-item stage below (relocation, placement planning, chunk
-     encoding) runs through the one stage runner, over [opts.jobs]
-     domains. *)
-  let run = Pool.runner ~jobs:opts.jobs () in
   let mk_ctx (fa : Parse.func_analysis) =
     {
       p;
@@ -756,9 +727,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
     }
   in
   (* 4. Relocate all instrumented functions — one context per function,
-     fanned out across domains, merged back in emission order. The merged
-     streams are a pure function of the (deterministic) emission order, so
-     any jobs count yields bit-identical output. *)
+     merged in emission order. *)
   let emission_funcs =
     match opts.order with
     | `Original | `Reverse_blocks -> ifuncs
@@ -766,7 +735,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
   in
   let fctxs =
     Trace.span "relocate" @@ fun () ->
-    run.Parse.map
+    List.map
       (fun fa ->
         let ctx = mk_ctx fa in
         relocate_function ctx fa go_hook_funcs;
@@ -782,9 +751,8 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
   let all_dt_sites = merge (fun c -> c.dt_sites) in
   let n_cloned = List.fold_left (fun acc c -> acc + c.n_cloned) 0 fctxs in
   (* 5. Assemble .instr and .jtnew in one label namespace, one segment per
-     function. Layout (address/label assignment) is inherently sequential;
-     encoding then runs per function against the frozen label table, so
-     the chunks fan out through the stage runner.
+     function: layout assigns addresses and labels, then each function's
+     chunk encodes against the frozen label table.
 
      Layout is Zipr-style ({!Asm.layout_pinned}): with a cache, the
      previous run's placement (persisted in the cache's layout slot) pins
@@ -803,13 +771,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
   in
   let snap_key =
     lazy
-      (Icfg_obj.Key.dval
-         ( "layout-snap",
-           bin.Binary.name,
-           arch,
-           pie,
-           toc,
-           { opts with jobs = 0 } ))
+      (Icfg_obj.Key.dval ("layout-snap", bin.Binary.name, arch, pie, toc, opts))
   in
   let prev_instr, prev_jt_base, prev_jt =
     match
@@ -848,8 +810,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
       Trace.add "layout.moved" (pi.Asm.p_moved + pj.Asm.p_moved))
     cache;
   let encode (r : Asm.pinned_result) =
-    Asm.encode_chunks arch ~pie ~toc ~labels ~map:run.Parse.map
-      r.Asm.p_layout r.Asm.p_chunks
+    Asm.encode_chunks arch ~pie ~toc ~labels r.Asm.p_layout r.Asm.p_chunks
   in
   let instr_bytes, instr_relocs =
     Trace.span "encode:instr" @@ fun () -> encode pi
@@ -921,15 +882,19 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
       max_int
       (Binary.func_symbols bin)
   in
-  (* First pass: per-function placement plans, computed in parallel (pure:
-     they read only the function's analysis, read-only binary state and the
-     finished label table)... *)
-  let plan_function fa =
+  let deferred = ref [] in
+  let preserved_ranges = ref [] in
+  (* Placement cause per CFL block start (block starts are unique across
+     functions), filled by both passes — attribution input only. *)
+  let place_causes : (int, Attribution.cause) Hashtbl.t = Hashtbl.create 64 in
+  (* First pass, function by function in address order: CFL
+     classification, regions, superblock extension and trampoline
+     selection. A CFL block with no local fit is deferred to the hop pass,
+     which must run after every function has donated its scratch. *)
+  let place_function fa =
     let cfl_causes_l = cfl_causes opts p fa in
     let cfl = IntSet.of_list (List.map fst cfl_causes_l) in
     let regions = function_regions opts p fa cfl (next_start_of fa) in
-    let events = ref [] in
-    let ev e = events := e :: !events in
     let rec place = function
       | [] -> ()
       | (lo, hi, R_cfl) :: rest ->
@@ -946,73 +911,42 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
           (match Trampoline.select arch ~at:lo ~space ~target ~dead ~toc with
           | Some kind ->
               let bytes = Trampoline.emit arch ~at:lo ~target ~toc kind in
-              let cls =
+              let n, cause =
                 match kind with
-                | Trampoline.Short -> T_short
-                | Trampoline.Long _ | Trampoline.Long_save_restore _ -> T_long
-                | Trampoline.Trap_tramp -> T_trap
+                | Trampoline.Short -> (n_short, Attribution.Tramp_short)
+                | Trampoline.Long _ | Trampoline.Long_save_restore _ ->
+                    (n_long, Attribution.Tramp_long)
+                | Trampoline.Trap_tramp -> (n_trap, Attribution.Trap_no_reach)
               in
-              ev (Pe_write (lo, bytes, cls));
-              ev (Pe_free (lo + String.length bytes, se))
+              writes := (lo, bytes) :: !writes;
+              incr n;
+              Hashtbl.replace place_causes lo cause;
+              pool_add pool (lo + String.length bytes) se
           | None ->
-              ev (Pe_defer (lo, se, target, dead));
-              ev (Pe_free (lo + Encode.short_jmp_len arch, se)));
+              deferred := (lo, se, target, dead) :: !deferred;
+              pool_add pool (lo + Encode.short_jmp_len arch) se);
           place rest'
       | (lo, hi, R_scratch) :: rest ->
           (* Scratch not claimed by a preceding superblock: free space. *)
-          ev (Pe_free (lo, hi));
+          pool_add pool lo hi;
           place rest
-      | (_, _, R_preserved) :: rest -> place rest
+      | (lo, hi, R_preserved) :: rest ->
+          preserved_ranges := (lo, hi) :: !preserved_ranges;
+          place rest
     in
     place regions;
+    let blocks = List.length fa.Parse.fa_cfg.Cfg.blocks in
+    n_blocks := !n_blocks + blocks;
+    n_cfl := !n_cfl + List.length cfl_causes_l;
     {
-      pl_entry = fa.Parse.fa_sym.Symbol.addr;
-      pl_blocks = List.length fa.Parse.fa_cfg.Cfg.blocks;
-      pl_cfl_causes = cfl_causes_l;
-      pl_preserved =
-        List.filter_map
-          (fun (lo, hi, k) -> if k = R_preserved then Some (lo, hi) else None)
-          regions;
-      pl_events = List.rev !events;
+      pf_entry = fa.Parse.fa_sym.Symbol.addr;
+      pf_blocks = blocks;
+      pf_cfl_causes = cfl_causes_l;
     }
   in
-  let plans =
-    Trace.span "place:plan" @@ fun () -> run.Parse.map plan_function sorted_ifuncs
+  let placed =
+    Trace.span "place:plan" @@ fun () -> List.map place_function sorted_ifuncs
   in
-  (* ...then a serial replay in sorted function order threads the scratch
-     pool and the deferred-hop list exactly as a serial pass would. *)
-  let deferred = ref [] in
-  let preserved_ranges = ref [] in
-  (* Placement cause per CFL block start (block starts are unique across
-     functions), filled by the replay (direct writes) and the hop pass
-     (deferred outcomes) — attribution input only. *)
-  let place_causes : (int, Attribution.cause) Hashtbl.t = Hashtbl.create 64 in
-  (Trace.span "place:replay" @@ fun () ->
-  List.iter
-    (fun pl ->
-      n_blocks := !n_blocks + pl.pl_blocks;
-      n_cfl := !n_cfl + List.length pl.pl_cfl_causes;
-      List.iter
-        (fun r -> preserved_ranges := r :: !preserved_ranges)
-        pl.pl_preserved;
-      List.iter
-        (function
-          | Pe_write (lo, bytes, cls) ->
-              writes := (lo, bytes) :: !writes;
-              (match cls with
-              | T_short -> incr n_short
-              | T_long -> incr n_long
-              | T_trap -> incr n_trap);
-              Hashtbl.replace place_causes lo
-                (match cls with
-                | T_short -> Attribution.Tramp_short
-                | T_long -> Attribution.Tramp_long
-                | T_trap -> Attribution.Trap_no_reach)
-          | Pe_defer (lo, se, target, dead) ->
-              deferred := (lo, se, target, dead) :: !deferred
-          | Pe_free (lo, hi) -> pool_add pool lo hi)
-        pl.pl_events)
-    plans);
   (* Second pass: multi-trampoline hops, then traps. *)
   (Trace.span "place:hops" @@ fun () ->
   List.iter
@@ -1063,14 +997,14 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
           incr n_trap;
           Hashtbl.replace place_causes lo cause)
     !deferred);
-  (* Coverage attribution: assembled from the per-function plans in sorted
+  (* Coverage attribution: assembled from the placed functions in sorted
      function order plus the placement-cause map, so it is a pure function
-     of the rewrite output (jobs-independent) and never feeds back into it. *)
+     of the rewrite output and never feeds back into it. *)
   let attribution =
     let block_sites =
       List.map
-        (fun pl ->
-          ( pl.pl_entry,
+        (fun pf ->
+          ( pf.pf_entry,
             List.map
               (fun (a, c) ->
                 {
@@ -1078,11 +1012,13 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
                   bs_cfl = c;
                   bs_place = Hashtbl.find_opt place_causes a;
                 })
-              pl.pl_cfl_causes ))
-        plans
+              pf.pf_cfl_causes ))
+        placed
     in
     let blocks_tbl = Hashtbl.create 64 in
-    List.iter (fun pl -> Hashtbl.replace blocks_tbl pl.pl_entry pl.pl_blocks) plans;
+    List.iter
+      (fun pf -> Hashtbl.replace blocks_tbl pf.pf_entry pf.pf_blocks)
+      placed;
     Attribution.build ~mode:opts.mode ~instrumented:is_instrumented
       ~block_sites
       ~blocks_of:(fun a ->
@@ -1247,10 +1183,8 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
     }
   in
   ignore translate_idx;
-  (* Named counters mirror [stats] plus byte-level measures. Everything
-     reported here must be a pure function of the rewrite output — never of
-     the parallel schedule (lane/chunk counts) — so totals are identical for
-     any jobs value (asserted by test/test_trace.ml). *)
+  (* Named counters mirror [stats] plus byte-level measures, each a pure
+     function of the rewrite output. *)
   if Trace.active () then begin
     Trace.add "rewrite/funcs-total" stats.s_funcs_total;
     Trace.add "rewrite/funcs-instrumented" stats.s_funcs_instrumented;

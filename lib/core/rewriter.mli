@@ -64,13 +64,6 @@ type options = {
           blocks — every CFL-to-instrumented path crosses a callee entry
           trampoline. Execution runs hybrid: unrewritten landings continue
           in the original code until the next call *)
-  jobs : int;
-      (** fan per-function relocation and trampoline planning out across
-          this many domains (see {!Pool}). Any value produces output
-          bit-identical to [jobs = 1]: functions are merged back in
-          emission order, labels are namespaced per function, and the
-          scratch-pool/deferred-hop state is replayed serially in sorted
-          function order. [jobs <= 1] never touches domain machinery *)
 }
 
 val default_options : options
@@ -117,20 +110,15 @@ type t = {
   rw_stats : stats;
   rw_attribution : Attribution.t;
       (** per-block / per-site cause attribution; observation-only — a pure
-          function of the rewrite output, identical for any [jobs], and its
-          totals exactly tile [rw_stats] (see {!Attribution}) *)
+          function of the rewrite output, and its totals exactly tile
+          [rw_stats] (see {!Attribution}) *)
   rw_relocated_entry : int -> int option;
       (** original block/entry address -> relocated address *)
 }
 
 val rewrite : ?cache:Cache.t -> ?options:options -> Icfg_analysis.Parse.t -> t
 (** Rewrite the parsed binary. The input binary is not mutated, and every
-    stage is computed on every call.
-
-    The pure per-item stages — per-function relocation, trampoline
-    placement plans and per-function encode chunks — run through
-    {!Pool.runner}, fanned out over [options.jobs] domains; output is
-    identical for every jobs count. Layout is always
+    stage is computed on every call. Layout is always
     {!Icfg_codegen.Asm.layout_pinned}. [cache] holds the previous run's
     layout of this binary (by name) under these options, and this run's
     layout replaces it. Output is byte-identical to an uncached rewrite

@@ -20,9 +20,7 @@ let create () =
    [Atomic.t], which meant two concurrent requests in one process (the
    [icfg serve] daemon) would bleed counters into whichever trace was
    installed last. Per-domain storage gives each request its own ambient
-   as long as requests run on distinct domains; [Pool] lanes re-install
-   the forking request's trace via [lane], so sharded stages still land
-   in the right trace. *)
+   as long as requests run on distinct domains. *)
 let ambient : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let get_ambient () = Domain.DLS.get ambient
@@ -47,22 +45,22 @@ let attach t ~parent node =
   | None -> t.roots <- node :: t.roots);
   Mutex.unlock t.m
 
-let span_in t name f =
-  let stack = Domain.DLS.get open_spans in
-  let parent = match !stack with n :: _ -> Some n | [] -> None in
-  let node =
-    { n_name = name; n_start = now (); n_stop = 0L; n_children = [] }
-  in
-  stack := node :: !stack;
-  Fun.protect
-    ~finally:(fun () ->
-      (match !stack with _ :: rest -> stack := rest | [] -> ());
-      node.n_stop <- now ();
-      attach t ~parent node)
-    f
-
 let span name f =
-  match get_ambient () with None -> f () | Some t -> span_in t name f
+  match get_ambient () with
+  | None -> f ()
+  | Some t ->
+      let stack = Domain.DLS.get open_spans in
+      let parent = match !stack with n :: _ -> Some n | [] -> None in
+      let node =
+        { n_name = name; n_start = now (); n_stop = 0L; n_children = [] }
+      in
+      stack := node :: !stack;
+      Fun.protect
+        ~finally:(fun () ->
+          (match !stack with _ :: rest -> stack := rest | [] -> ());
+          node.n_stop <- now ();
+          attach t ~parent node)
+        f
 
 let add name n =
   match get_ambient () with
@@ -75,36 +73,7 @@ let add name n =
 
 let incr name = add name 1
 
-type ctx = (t * node option) option
-
-let fork () =
-  match get_ambient () with
-  | None -> None
-  | Some t ->
-      let stack = Domain.DLS.get open_spans in
-      Some (t, (match !stack with n :: _ -> Some n | [] -> None))
-
-let lane ctx name f =
-  match ctx with
-  | None -> f ()
-  | Some (t, parent) ->
-      (* Replace this domain's open-span stack with the forking domain's
-         innermost span so the lane's tree attaches under it (workers have
-         an empty stack; the caller's own lane is equivalent either way).
-         Also install the forking domain's trace as this domain's ambient:
-         pool workers are shared across requests, so counters recorded by
-         the batch body must land in the *forking* request's trace, not in
-         whatever trace another request left installed on this worker. *)
-      let stack = Domain.DLS.get open_spans in
-      let saved = !stack in
-      let saved_ambient = get_ambient () in
-      stack := (match parent with Some p -> [ p ] | None -> []);
-      set_ambient (Some t);
-      Fun.protect
-        ~finally:(fun () ->
-          stack := saved;
-          set_ambient saved_ambient)
-        (fun () -> span_in t name f)
+let runner = { Icfg_analysis.Parse.span; count = add }
 
 let counters t =
   Mutex.lock t.m;

@@ -24,7 +24,6 @@ type row = {
 type t = {
   m_seed : int;
   m_count : int;
-  m_jobs : int;
   m_rows : row list;
 }
 
@@ -84,10 +83,10 @@ let cls_of_string s =
    shape may defeat a rewriter outright (e.g. an encoder range
    overflow); that is a [Crashed] cell, not the end of the sweep — and
    in the serve daemon, a typed error, not a dead process. *)
-let eval_cell ~orig ~approach ?(jobs = 1) ?cache bin =
+let eval_cell ~orig ~approach ?cache bin =
   let t0 = Icfg_core.Metrics.now_ns () in
   let c =
-    match Runner.drive ~approach ~jobs ?cache bin with
+    match Runner.drive ~approach ?cache bin with
     | None -> Crashed ("unknown approach: " ^ approach)
     | Some outcome -> classify ~orig outcome
     | exception e -> Crashed (Printexc.to_string e)
@@ -124,12 +123,9 @@ let row_of ~approach cells =
     row_p95_ns = rank_of_sorted times 0.95;
   }
 
-let run ?(seed = 7) ?(count = 300) ?(jobs = 1) ?(progress = fun _ -> ()) () =
-  let jobs = max 1 jobs in
+let run ?(seed = 7) ?(count = 300) ?(progress = fun _ -> ()) () =
   let entries = Corpus.generate ~seed ~count in
-  (* Cells are evaluated serially in corpus order. Parallelism lives
-     inside each cell's parse/rewrite pipeline — the pool must not be
-     entered twice (no nested [Pool.map]). *)
+  (* Cells are evaluated serially in corpus order. *)
   let cells = Hashtbl.create 8 in
   List.iter
     (fun (name, _) -> Hashtbl.replace cells name [])
@@ -140,7 +136,7 @@ let run ?(seed = 7) ?(count = 300) ?(jobs = 1) ?(progress = fun _ -> ()) () =
       let orig = Runner.run_original bin in
       List.iter
         (fun (name, _) ->
-          let cell = eval_cell ~orig ~approach:name ~jobs bin in
+          let cell = eval_cell ~orig ~approach:name bin in
           Hashtbl.replace cells name (cell :: Hashtbl.find cells name))
         Baseline.approaches;
       progress (i + 1))
@@ -151,13 +147,13 @@ let run ?(seed = 7) ?(count = 300) ?(jobs = 1) ?(progress = fun _ -> ()) () =
         row_of ~approach:name (List.rev (Hashtbl.find cells name)))
       Baseline.approaches
   in
-  { m_seed = seed; m_count = count; m_jobs = jobs; m_rows = rows }
+  { m_seed = seed; m_count = count; m_rows = rows }
 
 let render m =
   let b = Buffer.create 1024 in
   Printf.bprintf b
-    "== Corpus robustness matrix (seed %d, %d binaries, jobs %d) ==\n"
-    m.m_seed m.m_count m.m_jobs;
+    "== Corpus robustness matrix (seed %d, %d binaries) ==\n" m.m_seed
+    m.m_count;
   Printf.bprintf b "  %-16s %6s %9s %9s %8s %8s %10s %10s\n" "approach"
     "pass%" "verified" "diverged" "refused" "crashed" "p50(ms)" "p95(ms)";
   List.iter

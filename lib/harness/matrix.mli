@@ -3,11 +3,9 @@
     classified by what actually happened, aggregated into per-approach
     pass-rate / refusal-histogram / latency rows.
 
-    Cells are evaluated serially in corpus order, uncached; parallelism
-    ([jobs]) lives {e inside} each cell's parse/rewrite pipeline (the
-    {!Icfg_core.Pool} must not be entered twice). Every classification
-    count is deterministic: independent of [jobs] and of the machine.
-    Only the [p50]/[p95] wall times vary between runs. *)
+    Cells are evaluated serially in corpus order, uncached. Every
+    classification count is deterministic, independent of the machine;
+    only the [p50]/[p95] wall times vary between runs. *)
 
 (** What one (binary, approach) cell did. *)
 type cls =
@@ -35,7 +33,6 @@ type row = {
 type t = {
   m_seed : int;
   m_count : int;
-  m_jobs : int;
   m_rows : row list;  (** one per roster entry, in roster order *)
 }
 
@@ -66,7 +63,6 @@ val classify :
 val eval_cell :
   orig:Runner.run ->
   approach:string ->
-  ?jobs:int ->
   ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   float * cls
@@ -81,7 +77,7 @@ val row_of : approach:string -> (float * cls) list -> row
 (** Aggregate cells (in corpus order) into a row. *)
 
 val run :
-  ?seed:int -> ?count:int -> ?jobs:int -> ?progress:(int -> unit) -> unit -> t
+  ?seed:int -> ?count:int -> ?progress:(int -> unit) -> unit -> t
 (** Sweep [Corpus.generate ~seed ~count] (defaults: seed 7, count 300)
     through every roster approach. [progress] is called with the number of
     corpus entries completed after each binary. *)

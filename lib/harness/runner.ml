@@ -6,28 +6,23 @@ module Binary = Icfg_obj.Binary
 module Baseline = Icfg_baselines.Baseline
 
 (* ------------------------------------------------------------------ *)
-(* The sharded rewriting pipeline entry points                         *)
+(* The rewriting pipeline entry points                                 *)
 (* ------------------------------------------------------------------ *)
 
-let parse ?fm ?jobs bin =
-  Parse.parse ?fm ~runner:(Icfg_core.Pool.runner ?jobs ()) bin
+(* [?jobs] is ignored by all three (see runner.mli). *)
+let parse ?fm ?jobs:_ bin = Parse.parse ?fm ~runner:Icfg_core.Trace.runner bin
 
-let rewrite ?fm ?(options = Rewriter.default_options) ?jobs ?cache bin =
-  let jobs = max 1 (Option.value ~default:options.Rewriter.jobs jobs) in
-  let p = parse ?fm ~jobs bin in
-  Rewriter.rewrite ?cache ~options:{ options with Rewriter.jobs } p
+let rewrite ?fm ?(options = Rewriter.default_options) ?jobs:_ ?cache bin =
+  Rewriter.rewrite ?cache ~options (parse ?fm bin)
 
 (* Name-addressed driving: the one resolution point shared by the corpus
    matrix and the serve daemon, so a request naming an approach runs the
    exact code path the in-process sweep runs (classification equality
    between the two is a gated invariant). *)
-let drive ~approach ?jobs ?cache bin =
+let drive ~approach ?jobs:_ ?cache bin =
   Option.map
-    (fun (driver :
-           ?jobs:int ->
-           ?cache:Icfg_core.Cache.t ->
-           Binary.t ->
-           Baseline.outcome) -> driver ?jobs ?cache bin)
+    (fun (driver : ?cache:Icfg_core.Cache.t -> Binary.t -> Baseline.outcome) ->
+      driver ?cache bin)
     (List.assoc_opt approach Baseline.approaches)
 
 (* ------------------------------------------------------------------ *)

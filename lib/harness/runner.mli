@@ -5,20 +5,20 @@
     overhead source) and the empty instrumentation payload, exactly like the
     paper's block-level empty-instrumentation test. *)
 
-(** {1 Sharded rewriting pipeline}
+(** {1 Rewriting pipeline}
 
-    The whole-binary pipeline (per-function parse passes, then per-function
-    relocation and trampoline planning) fanned out over [jobs] domains.
-    Output is bit-identical for every [jobs] value; [test_parallel]
-    enforces this. *)
+    [parse], [rewrite] and [drive] accept a [?jobs] argument and ignore
+    it. It is kept only so that the end-to-end benchmark under
+    [icfg-bench/], which passes [~jobs:1] and may not be edited outside a
+    benchmark change, still compiles; every stage of one binary runs
+    serially. *)
 
 val parse :
   ?fm:Icfg_analysis.Failure_model.t ->
   ?jobs:int ->
   Icfg_obj.Binary.t ->
   Icfg_analysis.Parse.t
-(** [Parse.parse] under {!Icfg_core.Pool.runner} (traced, [jobs]
-    domains). *)
+(** [Parse.parse], traced into the ambient {!Icfg_core.Trace}. *)
 
 val rewrite :
   ?fm:Icfg_analysis.Failure_model.t ->
@@ -27,8 +27,7 @@ val rewrite :
   ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   Icfg_core.Rewriter.t
-(** Parse + rewrite. [jobs] (default: [options.jobs]) is threaded
-    through both stages; [cache] holds the layout slot
+(** Parse + rewrite. [cache] holds the layout slot
     {!Icfg_core.Rewriter.rewrite} pins against. Output is identical to an
     uncached rewrite unless a function's relocated size changed since the
     slot's snapshot; then unchanged functions keep their addresses. *)

@@ -35,7 +35,6 @@ val register_bytes : t -> string -> (Protocol.response, string) result
 val rewrite_payload :
   t ->
   approach:string ->
-  ?jobs:int ->
   ?fallback:string ->
   Protocol.payload ->
   (Protocol.response, string) result
@@ -48,7 +47,6 @@ val rewrite_payload :
 val classify_payload :
   t ->
   approach:string ->
-  ?jobs:int ->
   ?fallback:string ->
   Protocol.payload ->
   (Protocol.response, string) result
@@ -56,16 +54,14 @@ val classify_payload :
 val rewrite :
   t ->
   approach:string ->
-  ?jobs:int ->
   Icfg_obj.Binary.t ->
   (Protocol.response, string) result
-(** Submit [bin] for rewriting by the named roster approach ([jobs <= 0]
-    or omitted: the daemon's default). Ships a [Full] payload. *)
+(** Submit [bin] for rewriting by the named roster approach. Ships a
+    [Full] payload. *)
 
 val classify :
   t ->
   approach:string ->
-  ?jobs:int ->
   Icfg_obj.Binary.t ->
   (Protocol.response, string) result
 (** Submit a full corpus-matrix cell evaluation. Ships a [Full]

@@ -20,8 +20,8 @@ module Metrics = Icfg_core.Metrics
 
    Request tags (high bit clear):
      0x01 Ping
-     0x02 Rewrite   body = str approach, u32 jobs, bpay
-     0x03 Classify  body = str approach, u32 jobs, bpay
+     0x02 Rewrite   body = str approach, u32 jobs (reserved, ignored), bpay
+     0x03 Classify  body = str approach, u32 jobs (reserved, ignored), bpay
      0x04 Stats     body = u8 flight?
      0x05 Register  body = str bin (Binfile bytes)
    Response tags (high bit set):

@@ -30,10 +30,16 @@ type request =
   | Ping  (** liveness probe; answered inline by the accept side *)
   | Rewrite of { approach : string; jobs : int; payload : payload }
       (** rewrite the payload binary with the named
-          {!Icfg_baselines.Baseline.approaches} roster entry *)
+          {!Icfg_baselines.Baseline.approaches} roster entry. [jobs] is
+          reserved: the daemon ignores it, and {!Client} sends 0. It stays
+          on the wire (and in this record) only so that old clients and
+          the end-to-end benchmark under [icfg-bench/], which builds these
+          frames with [jobs = 0] and may not be edited outside a benchmark
+          change, keep working. *)
   | Classify of { approach : string; jobs : int; payload : payload }
       (** run the full corpus-matrix cell (original run + rewrite + VM
-          verification) in the daemon and return the classification *)
+          verification) in the daemon and return the classification;
+          [jobs] is reserved, as in [Rewrite] *)
   | Stats of { flight : bool }
       (** telemetry scrape; answered inline by the connection thread
           (like {!Ping}), so a saturated daemon still answers and a

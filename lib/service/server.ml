@@ -26,8 +26,8 @@ module Matrix = Icfg_harness.Matrix
 
    Telemetry: every completed request folds its isolated trace into the
    daemon-lifetime [Metrics.t] registry (counter totals under [trace.*],
-   schedule-independent span times as [stage.*] histograms, body wall
-   time in a per-approach × per-outcome [request.latency:*] histogram)
+   span times as [stage.*] histograms, body wall time in a per-approach
+   × per-outcome [request.latency:*] histogram)
    and drops a summary into the [Flight] recorder — then the trace is
    garbage; nothing per-request is kept alive. [Stats] requests are
    answered inline on the connection thread, like [Ping]: a saturated
@@ -39,8 +39,8 @@ module Matrix = Icfg_harness.Matrix
    Binfile bytes content-addressed by digest, so [Ref]/[Patch] payloads
    ship a handle or a sparse delta instead of the binary; payload
    resolution happens on the connection thread (pure byte work, no
-   pipeline state). The *response memo* maps (kind, approach, normalized
-   jobs, input digest) to the encoded response payload of the first run,
+   pipeline state). The *response memo* maps (kind, approach, input
+   digest) to the encoded response payload of the first run,
    so a byte-identical replay is answered in O(1) on the connection
    thread without touching the scheduler — and, being the stored bytes
    of a real pipeline response, is byte-identical to what the pipeline
@@ -59,7 +59,6 @@ type t = {
   max_req : int;
   registry : Metrics.t;
   fl : Flight.t;
-  default_jobs : int;
   cm : Mutex.t;
   mutable conns : Unix.file_descr list;
   mutable conn_threads : Thread.t list;
@@ -132,13 +131,6 @@ let snapshot t =
   in
   Metrics.merge (Metrics.snapshot t.registry) cache_snap
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    i + m <= n && (String.sub s i m = sub || go (i + 1))
-  in
-  m > 0 && go 0
-
 (* Histogram names must be deterministic across runs: keep the approach
    and the outcome *kind*, drop refusal keys / crash messages (those
    stay in the flight recorder where per-request detail belongs). *)
@@ -162,20 +154,17 @@ let outcome_label (resp : Protocol.response) =
   | Protocol.NeedFull _ -> "needfull"
   | Protocol.Rejected _ -> "rejected"
 
-(* Fold one finished request into the lifetime telemetry. Counter totals
-   are jobs-independent by the Trace contract, so [trace.*] sums across
-   requests equal the sums of solo-run totals (pinned by the serve test
-   battery). Span *shapes* are schedule-dependent only below [lane-*]
-   forks — those rows are skipped; everything else lands in a [stage.*]
-   latency histogram. *)
+(* Fold one finished request into the lifetime telemetry. Each request
+   records into its own trace, so [trace.*] sums across requests equal
+   the sums of solo-run totals (pinned by the serve test battery); every
+   span path lands in a [stage.*] latency histogram. *)
 let fold_trace t tr ~approach ~outcome ~ns ~errored =
   let m = t.registry in
   Metrics.observe m ("request.latency:" ^ approach ^ ":" ^ outcome) ns;
   List.iter (fun (k, v) -> Metrics.add m ("trace." ^ k) v) (Trace.counters tr);
   List.iter
     (fun (r : Trace.row) ->
-      if not (contains_sub r.Trace.r_path "lane-") then
-        Metrics.observe m ("stage." ^ r.Trace.r_path) r.Trace.r_ns)
+      Metrics.observe m ("stage." ^ r.Trace.r_path) r.Trace.r_ns)
     (Trace.rows tr);
   Flight.record t.fl ~approach ~outcome ~ns ~errored
     ~trace_json:(Trace.to_json tr)
@@ -186,7 +175,6 @@ let fold_trace t tr ~approach ~outcome ~ns ~errored =
 type work = {
   wk_kind : [ `Rewrite | `Classify ];
   wk_approach : string;
-  wk_jobs : int;  (* normalized: the memo key needs one canonical value *)
   wk_bin : string;  (* resolved Binfile container bytes *)
   wk_digest : string;
 }
@@ -208,8 +196,7 @@ let run_request t (w : work) : Protocol.response =
       match w.wk_kind with
       | `Rewrite -> (
           match
-            Runner.drive ~approach:w.wk_approach ~jobs:w.wk_jobs
-              ~cache:t.srv_cache bin
+            Runner.drive ~approach:w.wk_approach ~cache:t.srv_cache bin
           with
           | None ->
               Protocol.Error
@@ -233,8 +220,8 @@ let run_request t (w : work) : Protocol.response =
       | `Classify ->
           let orig = Runner.run_original bin in
           let ns, cls =
-            Matrix.eval_cell ~orig ~approach:w.wk_approach ~jobs:w.wk_jobs
-              ~cache:t.srv_cache bin
+            Matrix.eval_cell ~orig ~approach:w.wk_approach ~cache:t.srv_cache
+              bin
           in
           Protocol.Classified
             { cls; ns; digest = w.wk_digest; counters = Trace.counters tr }
@@ -281,12 +268,11 @@ let resolve_payload t = function
 (* The response memo entry is the already-encoded response payload of
    the first (pipeline-computed) run, prefixed by its outcome label, so
    a replay answers with byte-identical wire bytes and still books the
-   right serve.responses:* / error totals. *)
+   right serve.responses:* / error totals. The key holds everything the
+   answer depends on: kind, approach and input. *)
 let memo_key (w : work) =
   (match w.wk_kind with `Rewrite -> "R:" | `Classify -> "C:")
-  ^ w.wk_approach ^ ":"
-  ^ string_of_int w.wk_jobs
-  ^ ":" ^ w.wk_digest
+  ^ w.wk_approach ^ ":" ^ w.wk_digest
 
 let memo_pack ~outcome payload =
   String.make 1 (Char.chr (String.length outcome land 0xff)) ^ outcome ^ payload
@@ -365,14 +351,13 @@ let conn_loop t fd =
         in
         write_resp resp
   in
-  let handle kind ~approach ~jobs payload =
+  let handle kind ~approach payload =
     match resolve_payload t payload with
     | Ok (bin, digest) ->
         run_work
           {
             wk_kind = kind;
             wk_approach = approach;
-            wk_jobs = (if jobs <= 0 then t.default_jobs else jobs);
             wk_bin = bin;
             wk_digest = digest;
           }
@@ -445,10 +430,11 @@ let conn_loop t fd =
                            (Store.max_bytes t.store);
                      })
               end
-          | Ok (Protocol.Rewrite { approach; jobs; payload }) ->
-              handle `Rewrite ~approach ~jobs payload
-          | Ok (Protocol.Classify { approach; jobs; payload }) ->
-              handle `Classify ~approach ~jobs payload);
+          (* The frames' [jobs] field is reserved and ignored. *)
+          | Ok (Protocol.Rewrite { approach; payload; _ }) ->
+              handle `Rewrite ~approach payload
+          | Ok (Protocol.Classify { approach; payload; _ }) ->
+              handle `Classify ~approach payload);
           loop ()
     in
     loop ()
@@ -481,8 +467,8 @@ let accept_loop t =
   in
   loop ()
 
-let start ~path ?(bound = 64) ?(workers = 2) ?(jobs = 1) ?cache ?flight
-    ?max_frame ?store_bytes ?memo_bytes () =
+let start ~path ?(bound = 64) ?(workers = 2) ?cache ?flight ?max_frame
+    ?store_bytes ?memo_bytes () =
   (try Unix.unlink path with _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
@@ -506,7 +492,6 @@ let start ~path ?(bound = 64) ?(workers = 2) ?(jobs = 1) ?cache ?flight
         | None -> Protocol.max_frame);
       registry;
       fl = (match flight with Some f -> f | None -> Flight.create ());
-      default_jobs = max 1 jobs;
       cm = Mutex.create ();
       conns = [];
       conn_threads = [];

@@ -40,7 +40,7 @@ type result = {
 let req_overhead ~approach =
   4 (* frame len *) + String.length Protocol.magic + 1 (* tag *)
   + 4 + String.length approach
-  + 4 (* jobs *)
+  + 4 (* u32 jobs, reserved *)
 
 let full_bpay_len bin_len = 1 + 4 + bin_len
 let ref_bpay_len = 1 + 4 + 32 (* hex MD5 digest *)
@@ -56,7 +56,7 @@ let fresh_socket_path () =
     (Printf.sprintf "icfg-serve-%d-%d.sock" (Unix.getpid ())
        (Atomic.fetch_and_add socket_counter 1))
 
-let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?(jobs = 1) ?workers ?bound
+let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?workers ?bound
     ?(payload_mode = Full_upload) () =
   let clients = max 1 clients in
   let entries = Corpus.generate ~seed ~count in
@@ -84,7 +84,7 @@ let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?(jobs = 1) ?workers ?bound
   let bound = match bound with Some b -> b | None -> max 64 clients in
   let workers = match workers with Some w -> w | None -> min 4 clients in
   let path = fresh_socket_path () in
-  let srv = Server.start ~path ~bound ~workers ~jobs () in
+  let srv = Server.start ~path ~bound ~workers () in
   (* By_ref: one setup connection uploads every binary once, before the
      clock starts — the steady-state stream then ships 32-byte handles.
      Registration cost is reported separately ([sw_register_bytes]). *)
@@ -113,12 +113,10 @@ let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?(jobs = 1) ?workers ?bound
         let resp =
           match payload_mode with
           | Full_upload ->
-              Client.classify_payload c ~approach ~jobs
-                (Protocol.Full bin_strs.(ei))
+              Client.classify_payload c ~approach (Protocol.Full bin_strs.(ei))
           | By_ref -> (
               match
-                Client.classify_payload c ~approach ~jobs
-                  (Protocol.Ref digests.(ei))
+                Client.classify_payload c ~approach (Protocol.Ref digests.(ei))
               with
               | Ok (Protocol.NeedFull _) ->
                   (* Evicted or unseen base: fall back to a full upload
@@ -129,7 +127,7 @@ let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?(jobs = 1) ?workers ?bound
                     (req_overhead ~approach
                     + full_bpay_len (String.length b))
                   |> ignore;
-                  Client.classify_payload c ~approach ~jobs (Protocol.Full b)
+                  Client.classify_payload c ~approach (Protocol.Full b)
               | r -> r)
         in
         (match resp with
@@ -222,16 +220,16 @@ let row_to_string (r : Matrix.row) =
         ^ String.concat ","
             (List.map (fun (k, n) -> Printf.sprintf "%s:%d" k n) l))
 
-let check ?(seed = 7) ?(count = 48) ?(clients = 4) ?(jobs = 1) () =
-  let daemon = run ~seed ~count ~clients ~jobs () in
-  let inproc = Matrix.run ~seed ~count ~jobs () in
+let check ?(seed = 7) ?(count = 48) ?(clients = 4) () =
+  let daemon = run ~seed ~count ~clients () in
+  let inproc = Matrix.run ~seed ~count () in
   let d_rows = List.map strip_row daemon.sw_rows in
   let m_rows = List.map strip_row inproc.Matrix.m_rows in
   let b = Buffer.create 512 in
   Printf.bprintf b
-    "serve-check: seed %d, %d binaries, %d clients, jobs %d — %d requests, \
-     %d overloaded, %d transport errors, %.1f req/s\n"
-    seed count clients jobs daemon.sw_requests daemon.sw_overloaded
+    "serve-check: seed %d, %d binaries, %d clients — %d requests, %d \
+     overloaded, %d transport errors, %.1f req/s\n"
+    seed count clients daemon.sw_requests daemon.sw_overloaded
     daemon.sw_errors daemon.sw_rps;
   let ok = ref (daemon.sw_errors = 0 && daemon.sw_overloaded = 0) in
   if not !ok then

@@ -53,4 +53,4 @@ val build : entry -> Icfg_obj.Binary.t
 
 val digest : Icfg_obj.Binary.t -> string
 (** Hex digest of the binary's full marshalled image — the determinism
-    probe the corpus property tests compare across [--jobs] values. *)
+    probe the corpus property tests compare across builds. *)

@@ -115,7 +115,7 @@ let slot_files dir =
     (Array.to_list (Sys.readdir dir))
 
 let slot_battery () =
-  Test_parallel.with_temp_dir (fun dir ->
+  Test_layout.with_temp_dir (fun dir ->
       let c = Cache.create ~dir () in
       Alcotest.(check bool) "absent initially" true
         ((Cache.find_slot c "layout" : int list option) = None);
@@ -157,23 +157,23 @@ let slot_battery () =
    the layout is solved cold, and the output is byte-identical to the
    uncached rewrite. *)
 let damage_case ~what damage =
-  Test_parallel.with_temp_dir (fun dir ->
+  Test_layout.with_temp_dir (fun dir ->
       let bin = spec_bin () in
-      let options = Test_parallel.opts Icfg_core.Mode.Jt in
-      let uncached = Runner.rewrite ~options ~jobs:1 bin in
-      ignore (Runner.rewrite ~options ~jobs:1 ~cache:(Cache.create ~dir ()) bin);
+      let options = Test_golden.opts Icfg_core.Mode.Jt in
+      let uncached = Runner.rewrite ~options bin in
+      ignore (Runner.rewrite ~options ~cache:(Cache.create ~dir ()) bin);
       (match slot_files dir with
       | [ f ] -> damage (Filename.concat dir f)
       | fs -> Alcotest.failf "%s: %d slot files" what (List.length fs));
       let c = Cache.create ~dir () in
-      let rw = Runner.rewrite ~options ~jobs:1 ~cache:c bin in
-      Test_parallel.check_same ~what uncached rw;
+      let rw = Runner.rewrite ~options ~cache:c bin in
+      Test_golden.check_same ~what uncached rw;
       let s = Cache.stats c in
       Alcotest.(check (list int)) (what ^ ": evictions, hits")
         [ 1; 0 ] [ s.Cache.c_evict_corrupt; s.Cache.c_hits ];
       (* The rewrite re-stored a valid slot: a third run finds it. *)
       let c3 = Cache.create ~dir () in
-      ignore (Runner.rewrite ~options ~jobs:1 ~cache:c3 bin);
+      ignore (Runner.rewrite ~options ~cache:c3 bin);
       Alcotest.(check int) (what ^ ": store healed") 1
         (Cache.stats c3).Cache.c_hits)
 
@@ -219,7 +219,7 @@ let disk_forged_payload () =
    is evicted — a slot never answers for a key it was not stored
    under — while the original keeps reading. *)
 let disk_foreign_key () =
-  Test_parallel.with_temp_dir (fun dir ->
+  Test_layout.with_temp_dir (fun dir ->
       let c = Cache.create ~dir () in
       Cache.store_slot c "a" 1;
       let fa = slot_files dir in
@@ -245,7 +245,7 @@ let disk_foreign_key () =
    misses and writes add nothing, and a slot read back from disk counts
    like one found in memory. *)
 let slot_bytes_reused () =
-  Test_parallel.with_temp_dir (fun dir ->
+  Test_layout.with_temp_dir (fun dir ->
       let v = List.init 100 (fun i -> i) in
       let n = String.length (Marshal.to_string v []) in
       let c = Cache.create ~dir () in
@@ -377,21 +377,22 @@ let serve_twin_memo () =
     (Cache.stats (Server.cache srv)).Cache.c_stores
 
 (* The daemon's [cache.*] counters are the slot store's: a rewrite and
-   its replay at another jobs count (a different memo key, so the replay
-   re-enters the pipeline) miss, then hit, the one layout slot, and the
-   snapshot mirrors [Cache.stats] with no stage-cache counter left. *)
+   its replay (through a one-byte memo that refuses every response, so
+   the replay re-enters the pipeline) miss, then hit, the one layout
+   slot, and the snapshot mirrors [Cache.stats] with no stage-cache
+   counter left. *)
 let serve_slot_counters () =
   let module Metrics = Icfg_core.Metrics in
   let bin = Test_serve.first_bench Icfg_isa.Arch.X86_64 in
-  Test_serve.with_server ~workers:1 () @@ fun srv path ->
+  Test_serve.with_server ~workers:1 ~memo_bytes:1 () @@ fun srv path ->
   Client.with_connection path @@ fun c ->
   List.iter
-    (fun jobs ->
-      match Client.rewrite c ~approach:"ours/jt" ~jobs bin with
+    (fun run ->
+      match Client.rewrite c ~approach:"ours/jt" bin with
       | Ok (Protocol.Rewritten _) -> ()
-      | Ok _ -> Alcotest.failf "jobs=%d: unexpected response kind" jobs
-      | Error m -> Alcotest.failf "jobs=%d: transport error %s" jobs m)
-    [ 1; 2 ];
+      | Ok _ -> Alcotest.failf "%s: unexpected response kind" run
+      | Error m -> Alcotest.failf "%s: transport error %s" run m)
+    [ "first"; "replay" ];
   let s = Cache.stats (Server.cache srv) in
   Alcotest.(check (list int)) "hits, misses, stores" [ 1; 1; 2 ]
     [ s.Cache.c_hits; s.Cache.c_misses; s.Cache.c_stores ];
@@ -409,6 +410,32 @@ let serve_slot_counters () =
     ];
   Alcotest.(check (option int)) "no cache.evict_lru" None
     (Metrics.find_counter snap "cache.evict_lru")
+
+(* The frames' [jobs] field is reserved and cannot change an answer, so
+   the response memo does not key on it: two Rewrites that differ only
+   in [jobs] run the pipeline once, and the second is a memo hit with
+   the first's bytes. *)
+let serve_memo_ignores_jobs () =
+  let bin = Test_serve.first_bench Icfg_isa.Arch.X86_64 in
+  let payload = Protocol.Full (Icfg_obj.Binfile.to_string bin) in
+  Test_serve.with_server ~workers:1 () @@ fun srv path ->
+  Client.with_connection path @@ fun c ->
+  let rewrite jobs =
+    let req = Protocol.Rewrite { approach = "ours/jt"; jobs; payload } in
+    match Client.call c req with
+    | Ok (Protocol.Rewritten _ as r) -> Protocol.response_to_payload r
+    | Ok _ -> Alcotest.failf "jobs=%d: unexpected response kind" jobs
+    | Error m -> Alcotest.failf "jobs=%d: transport error %s" jobs m
+  in
+  let snap0 = Server.snapshot srv in
+  let p1 = rewrite 1 in
+  let p2 = rewrite 2 in
+  let snap = Server.snapshot srv in
+  let delta k = Test_serve.counter snap k - Test_serve.counter snap0 k in
+  Alcotest.(check int) "the second request hit the memo" 1
+    (delta "response_cache.hit");
+  Alcotest.(check int) "the pipeline ran once" 1 (delta "sched.jobs");
+  Alcotest.(check bool) "payloads are byte-identical" true (p1 = p2)
 
 let suite =
   [
@@ -438,5 +465,7 @@ let suite =
           serve_twin_memo;
         Alcotest.test_case "serve: snapshot counts slot lookups" `Quick
           serve_slot_counters;
+        Alcotest.test_case "serve: memo ignores the jobs field" `Quick
+          serve_memo_ignores_jobs;
       ] );
   ]

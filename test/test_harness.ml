@@ -160,8 +160,37 @@ let test_table_render () =
     && String.index_opt s 'x' <> None
     && String.index_opt s '-' <> None)
 
+(* [Runner.parse], [Runner.rewrite] and [Runner.drive] keep a [?jobs]
+   argument only so that the end-to-end benchmark under icfg-bench/,
+   which passes [~jobs:1], compiles unchanged: any value gives exactly
+   what omitting it gives. *)
+let test_runner_ignores_jobs () =
+  let bench = List.hd (Icfg_workloads.Spec_suite.benchmarks Arch.X86_64) in
+  let bin, _ = Icfg_workloads.Spec_suite.compile Arch.X86_64 bench in
+  let drive ?jobs () =
+    match Runner.drive ~approach:"ours/func-ptr" ?jobs bin with
+    | Some (Baseline.Rewritten rw) -> rw
+    | _ -> Alcotest.fail "ours/func-ptr did not rewrite"
+  in
+  let parsed = Test_golden.parse_view (Runner.parse bin) in
+  let rewritten = Runner.rewrite bin and driven = drive () in
+  List.iter
+    (fun jobs ->
+      let what s = Printf.sprintf "%s ~jobs:%d" s jobs in
+      Alcotest.(check bool) (what "parse") true
+        (parsed = Test_golden.parse_view (Runner.parse ~jobs bin));
+      Test_golden.check_same ~what:(what "rewrite") rewritten
+        (Runner.rewrite ~jobs bin);
+      Test_golden.check_same ~what:(what "drive") driven (drive ~jobs ()))
+    [ -1; 0; 1; 2; 8 ]
+
 let suite =
   [
+    ( "harness:runner",
+      [
+        Alcotest.test_case "parse, rewrite and drive ignore ?jobs" `Quick
+          test_runner_ignores_jobs;
+      ] );
     ( "harness:figure2",
       [ Alcotest.test_case "failure-mode claims" `Quick test_figure2_claims ] );
     ( "harness:table3",

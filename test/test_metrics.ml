@@ -9,10 +9,10 @@
        self-consistent (bucket counts sum to h_count);
    (c) merge algebra — associative, commutative, [empty] identity, and
        pointwise union-sum (the fleet-aggregation contract);
-   (d) jobs-independence — a registry fed from concurrent [Pool] lanes
-       snapshots identically regardless of the lane count, provided the
-       recorded values are schedule-independent (the same contract Trace
-       counters carry);
+   (d) domain-independence — a registry fed from concurrent domains
+       snapshots identically regardless of how many domains record,
+       provided the recorded values are schedule-independent (the daemon's
+       executor domains share one registry);
    (e) expositions — icfg-metrics/1 JSON and the Prometheus text render
        what the snapshot holds (cumulative buckets, name/tag split). *)
 
@@ -156,29 +156,33 @@ let merge_algebra () =
       Alcotest.(check int) (k ^ " doubled") (2 * v) v')
     a.M.s_counters aa.M.s_counters
 
-(* ---------------- (d) jobs-independence under Pool lanes ---------------- *)
+(* ---------------- (d) domain-independence ---------------- *)
 
-let jobs_independent () =
-  (* Record the same schedule-independent values from Pool lanes at
-     jobs 1 and jobs 4: snapshots must be exactly equal — the registry
-     counterpart of the Trace counter jobs-independence contract. Only
-     commutative ops (add/add_gauge/observe) are used; set_gauge is
-     last-writer-wins and carries no cross-schedule guarantee. *)
-  let feed jobs =
+let domain_independent () =
+  (* Record the same schedule-independent values from one domain and
+     from four concurrent domains (item [i] on domain [i mod 4]):
+     snapshots must be exactly equal. Only commutative ops
+     (add/add_gauge/observe) are used; set_gauge is last-writer-wins and
+     carries no cross-schedule guarantee. *)
+  let feed domains =
     let t = M.create () in
     let items = List.init 100 Fun.id in
-    ignore
-      (Pool.map ~jobs
-         (fun i ->
-           M.incr t "items";
-           M.add t "payload" i;
-           M.add_gauge t "level" (if i mod 2 = 0 then 1 else -1);
-           M.observe t "work" (i * i))
-         items);
+    List.init domains (fun k ->
+        Domain.spawn (fun () ->
+            List.iter
+              (fun i ->
+                if i mod domains = k then begin
+                  M.incr t "items";
+                  M.add t "payload" i;
+                  M.add_gauge t "level" (if i mod 2 = 0 then 1 else -1);
+                  M.observe t "work" (i * i)
+                end)
+              items))
+    |> List.iter Domain.join;
     M.snapshot t
   in
   let s1 = feed 1 and s4 = feed 4 in
-  Alcotest.(check bool) "jobs=1 snapshot == jobs=4 snapshot" true (s1 = s4);
+  Alcotest.(check bool) "1-domain snapshot == 4-domain snapshot" true (s1 = s4);
   Alcotest.(check (option int)) "items" (Some 100) (M.find_counter s1 "items");
   Alcotest.(check (option int)) "payload" (Some 4950)
     (M.find_counter s1 "payload");
@@ -237,8 +241,8 @@ let suite =
         Alcotest.test_case "recording and snapshots" `Quick recording;
         Alcotest.test_case "merge is a commutative monoid" `Quick
           merge_algebra;
-        Alcotest.test_case "jobs-independent under Pool lanes" `Quick
-          jobs_independent;
+        Alcotest.test_case "domain-independent under concurrent recording"
+          `Quick domain_independent;
         Alcotest.test_case "JSON and Prometheus expositions" `Quick
           expositions;
       ] );

@@ -3,13 +3,13 @@
    Contracts under test:
 
    1. Attribution exactly tiles [Rewriter.stats]: the per-cause totals sum
-      to the aggregate counters for every mode, failure model and jobs
-      value — no site is double-counted or dropped.
+      to the aggregate counters for every mode and failure model — no site
+      is double-counted or dropped.
 
-   2. Attribution is observation-only and schedule-independent: the record
-      is structurally identical for any [jobs] value, and the rewritten
-      bytes and stats are unchanged by its presence (it is assembled from
-      the serialized placement plans, never the other way around).
+   2. Attribution is a pure function of the rewrite output: a rewrite
+      whose layout a warm cache pinned has the same bytes and the same
+      record as an uncached one (it is assembled from the placement
+      results, never the other way around).
 
    3. Injected graded failures (section 4.3) surface as their specific
       cause: [Bound_over] -> [Jt_bound_over], [Bound_under] ->
@@ -105,13 +105,8 @@ let reconciliation () =
     (fun (fm, fm_name) ->
       List.iter
         (fun mode ->
-          List.iter
-            (fun jobs ->
-              let rw = Runner.rewrite ~fm ~options:(opts mode) ~jobs bin in
-              check_reconciles
-                (Printf.sprintf "%s/%s/jobs=%d" fm_name (Mode.name mode) jobs)
-                rw)
-            [ 1; 4 ])
+          let rw = Runner.rewrite ~fm ~options:(opts mode) bin in
+          check_reconciles (Printf.sprintf "%s/%s" fm_name (Mode.name mode)) rw)
         modes)
     [ (Failure_model.ours, "ours"); (Failure_model.srbi, "srbi") ]
 
@@ -127,32 +122,30 @@ let reconciliation_srbi_like () =
     (A.count rw.Rewriter.rw_attribution A.Cfl_every_block > 0)
 
 (* ------------------------------------------------------------------ *)
-(* 2. Schedule-independence and mode monotonicity                      *)
+(* 2. Cache-independence and mode monotonicity                         *)
 (* ------------------------------------------------------------------ *)
 
 let section_image (s : Section.t) =
   (s.Section.name, s.Section.vaddr, Bytes.to_string s.Section.data)
 
-let attribution_schedule_independent () =
+let attribution_cache_independent () =
   let bin = first_bench Arch.X86_64 in
   List.iter
     (fun mode ->
-      let base = Runner.rewrite ~options:(opts mode) ~jobs:1 bin in
-      List.iter
-        (fun jobs ->
-          let rw = Runner.rewrite ~options:(opts mode) ~jobs bin in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: attribution identical, jobs=%d"
-               (Mode.name mode) jobs)
-            true
-            (rw.Rewriter.rw_attribution = base.Rewriter.rw_attribution);
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: bytes identical, jobs=%d" (Mode.name mode)
-               jobs)
-            true
-            (List.map section_image rw.Rewriter.rw_binary.Binary.sections
-            = List.map section_image base.Rewriter.rw_binary.Binary.sections))
-        [ 2; 4 ])
+      let options = opts mode in
+      let base = Runner.rewrite ~options bin in
+      let cache = Cache.create () in
+      ignore (Runner.rewrite ~options ~cache bin);
+      let rw = Runner.rewrite ~options ~cache bin in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: attribution identical when pinned" (Mode.name mode))
+        true
+        (rw.Rewriter.rw_attribution = base.Rewriter.rw_attribution);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: bytes identical when pinned" (Mode.name mode))
+        true
+        (List.map section_image rw.Rewriter.rw_binary.Binary.sections
+        = List.map section_image base.Rewriter.rw_binary.Binary.sections))
     modes
 
 let mode_monotone () =
@@ -348,7 +341,7 @@ let bench_diff_self () =
     doc
       [
         row "micro" "parse" ~times:[ ("ns_per_run", 100.) ];
-        row "stages" "counters@j1"
+        row "stages" "counters"
           ~counters:[ ("rewrite/trampolines:trap", 3.) ]
           ~gates:[ ("rewrite/trampolines:trap", worse_higher) ];
       ]
@@ -361,7 +354,7 @@ let bench_diff_counters () =
   let mk ?(gated = true) counters =
     doc
       [
-        row "stages" "counters@j1" ~counters
+        row "stages" "counters" ~counters
           ~gates:(if gated then [ (trap, worse_higher) ] else []);
       ]
   in
@@ -381,7 +374,7 @@ let bench_diff_counters () =
      one is only reported. *)
   let f = diff_ok (mk' 0. 100.) (mk [ ("rewrite/blocks", 100.) ]) in
   Alcotest.(check bool) "vanished gated counter is a regression" true
-    (regressed ("stages:counters@j1:" ^ trap) f);
+    (regressed ("stages:counters:" ^ trap) f);
   let f = diff_ok (mk' 0. 100.) (mk [ (trap, 0.) ]) in
   Alcotest.(check bool) "vanished ungated counter is reported" true (f <> []);
   Alcotest.(check bool) "vanished ungated counter never gates" false
@@ -407,10 +400,10 @@ let bench_diff_rows () =
   in
   Alcotest.(check bool) "lost row is a regression" true
     (Bench_diff.has_regression
-       (diff_ok (with_rows [ "rewrite@j1"; "emit@j1" ]) (with_rows [ "emit@j1" ])));
+       (diff_ok (with_rows [ "rewrite"; "emit" ]) (with_rows [ "emit" ])));
   Alcotest.(check bool) "new row is informational" false
     (Bench_diff.has_regression
-       (diff_ok (with_rows [ "rewrite@j1" ]) (with_rows [ "rewrite@j1"; "emit@j1" ])))
+       (diff_ok (with_rows [ "rewrite" ]) (with_rows [ "rewrite"; "emit" ])))
 
 (* The added-row policy: anything only the NEW run knows about is reported
    with the distinct [Added] severity and never gates — landing new bench
@@ -435,10 +428,10 @@ let bench_diff_added () =
      worse-is-higher gate declared, since there is nothing to compare. *)
   let f =
     diff_ok ~gate:50.
-      (doc [ row "stages" "counters@j1" ])
+      (doc [ row "stages" "counters" ])
       (doc
          [
-           row "stages" "counters@j1"
+           row "stages" "counters"
              ~counters:[ ("cache.evict_corrupt", 2.) ]
              ~gates:[ ("cache.evict_corrupt", worse_higher) ];
          ])
@@ -791,7 +784,7 @@ let bench_diff_real_baseline () =
       Alcotest.(check bool) (metric ^ " doctored regresses") true
         (regressed metric (diff d (mutate d ~key ~field (Some (v d))))))
     [
-      ( "BENCH_micro.json", "stages:counters@j1", "rewrite/trampolines:trap",
+      ( "BENCH_micro.json", "stages:counters", "rewrite/trampolines:trap",
         fun _ -> 99. );
       ( "BENCH_micro.json", "metrics:serve-metrics-c1", "serve.errors",
         fun _ -> 3. );
@@ -897,8 +890,8 @@ let suite =
         Alcotest.test_case "attribution tiles stats" `Quick reconciliation;
         Alcotest.test_case "attribution tiles stats (srbi-like)" `Quick
           reconciliation_srbi_like;
-        Alcotest.test_case "attribution schedule-independent" `Quick
-          attribution_schedule_independent;
+        Alcotest.test_case "attribution cache-independent" `Quick
+          attribution_cache_independent;
         Alcotest.test_case "attribution mode monotonicity" `Quick mode_monotone;
         Alcotest.test_case "graded causes: bounds" `Quick graded_causes;
         Alcotest.test_case "graded causes: spill" `Quick graded_spill;

@@ -7,7 +7,7 @@
        mode x ISA;
    (b) determinism — concurrent clients submitting a fixed corpus slice
        get identical per-request classifications regardless of client
-       count, arrival interleaving, and jobs;
+       count and arrival interleaving;
    (c) backpressure — a queue bound of K with K+M in-flight requests
        yields exactly M typed Overloaded refusals and zero crashes, and
        the daemon keeps serving afterwards;
@@ -33,7 +33,7 @@ module Flight = Icfg_service.Flight
 
 let sock_counter = ref 0
 
-let with_server ?bound ?workers ?jobs ?cache ?flight ?max_frame ?store_bytes
+let with_server ?bound ?workers ?cache ?flight ?max_frame ?store_bytes
     ?memo_bytes () f =
   incr sock_counter;
   let path =
@@ -42,8 +42,8 @@ let with_server ?bound ?workers ?jobs ?cache ?flight ?max_frame ?store_bytes
       (Printf.sprintf "icfg-test-%d-%d.sock" (Unix.getpid ()) !sock_counter)
   in
   let srv =
-    Server.start ~path ?bound ?workers ?jobs ?cache ?flight ?max_frame
-      ?store_bytes ?memo_bytes ()
+    Server.start ~path ?bound ?workers ?cache ?flight ?max_frame ?store_bytes
+      ?memo_bytes ()
   in
   Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f srv path)
 
@@ -270,7 +270,7 @@ let response_equivalence () =
           let rw =
             Runner.rewrite
               ~options:{ Rewriter.default_options with Rewriter.mode }
-              ~jobs:1 bin
+              bin
           in
           let oneshot_bytes =
             Bytes.to_string (Binfile.to_bytes rw.Rewriter.rw_binary)
@@ -283,16 +283,16 @@ let response_equivalence () =
     Arch.all
 
 (* ------------------------------------------------------------------ *)
-(* (b) determinism under concurrent clients / jobs                     *)
+(* (b) determinism under concurrent clients                            *)
 (* ------------------------------------------------------------------ *)
 
 let strip (r : Matrix.row) = { r with Matrix.row_p50_ns = 0.; row_p95_ns = 0. }
 
 let concurrent_determinism () =
   let seed = 11 and count = 6 in
-  let d1 = Sweep.run ~seed ~count ~clients:1 ~jobs:1 () in
-  let d4 = Sweep.run ~seed ~count ~clients:4 ~jobs:2 () in
-  let m = Matrix.run ~seed ~count ~jobs:1 () in
+  let d1 = Sweep.run ~seed ~count ~clients:1 () in
+  let d4 = Sweep.run ~seed ~count ~clients:4 () in
+  let m = Matrix.run ~seed ~count () in
   Alcotest.(check int) "no transport errors (serial)" 0 d1.Sweep.sw_errors;
   Alcotest.(check int) "no transport errors (concurrent)" 0 d4.Sweep.sw_errors;
   Alcotest.(check int) "no refusals (serial)" 0 d1.Sweep.sw_overloaded;
@@ -383,7 +383,7 @@ let solo_counters bin =
   let tr = Trace.create () in
   let cache = Cache.create () in
   Trace.with_current tr (fun () ->
-      ignore (Runner.drive ~approach:"ours/jt" ~jobs:1 ~cache bin));
+      ignore (Runner.drive ~approach:"ours/jt" ~cache bin));
   Trace.counters tr
 
 let isolation () =
@@ -400,7 +400,7 @@ let isolation () =
     Thread.create
       (fun () ->
         Client.with_connection path @@ fun c ->
-        match Client.rewrite c ~approach:"ours/jt" ~jobs:1 bin with
+        match Client.rewrite c ~approach:"ours/jt" bin with
         | Ok (Protocol.Rewritten { counters; _ }) -> got.(i) <- counters
         | r ->
             Alcotest.failf "request %d: %s" i
@@ -432,7 +432,7 @@ let crash_containment () =
      in-process, so this test fails loudly if the corpus shifts. *)
   let entries = Corpus.generate ~seed:7 ~count:9 in
   let crasher = Corpus.build (List.nth entries 8) in
-  (match Runner.drive ~approach:"insn-patching" ~jobs:1 crasher with
+  (match Runner.drive ~approach:"insn-patching" crasher with
   | exception _ -> ()
   | _ -> Alcotest.fail "expected insn-patching to raise on c0008-huge-jt");
   with_server ~workers:1 () @@ fun srv path ->
@@ -525,7 +525,11 @@ let counter snap name =
 let stats_totals () =
   let bin_a = first_bench Arch.X86_64 in
   let bin_b = first_bench Arch.Aarch64 in
-  with_server ~workers:2 () @@ fun _srv path ->
+  (* A one-byte memo refuses every response, so the repeat below is
+     scheduled like the rest: this test pins the telemetry of *scheduled*
+     requests; the memo fast path (which folds no trace) has its own
+     test. *)
+  with_server ~workers:2 ~memo_bytes:1 () @@ fun _srv path ->
   let snap0, _ = scrape path in
   Alcotest.(check int) "fresh daemon: no requests" 0
     (counter snap0 "serve.requests");
@@ -537,8 +541,8 @@ let stats_totals () =
         Hashtbl.replace sum k (v + Option.value ~default:0 (Hashtbl.find_opt sum k)))
       counters
   in
-  let rewrite ?(jobs = 1) bin =
-    match Client.rewrite c ~approach:"ours/jt" ~jobs bin with
+  let rewrite bin =
+    match Client.rewrite c ~approach:"ours/jt" bin with
     | Ok (Protocol.Rewritten { counters; _ }) -> fold counters
     | r ->
         Alcotest.failf "rewrite: %s"
@@ -546,16 +550,12 @@ let stats_totals () =
   in
   (* Three rewrites (the repeat finds the first run's layout slot — its
      layout counters differ from the first's, which is exactly why we sum
-     what each response reported rather than 3 × solo). The repeat runs
-     at jobs=2 so its memo key differs from the first's: this test pins
-     the telemetry of *scheduled* requests; the memo fast path (which
-     folds no trace) has its own test. Counter totals are
-     jobs-independent, so the sum-of-responses check is unaffected. *)
+     what each response reported rather than 3 × solo). *)
   rewrite bin_a;
   rewrite bin_b;
-  rewrite ~jobs:2 bin_a;
+  rewrite bin_a;
   let cls =
-    match Client.classify c ~approach:"ours/jt" ~jobs:1 bin_a with
+    match Client.classify c ~approach:"ours/jt" bin_a with
     | Ok (Protocol.Classified { cls; counters; _ }) ->
         fold counters;
         cls
@@ -630,7 +630,7 @@ let flight_recorder () =
   with_server ~workers:1 ~flight:fl () @@ fun srv path ->
   Client.with_connection path @@ fun c ->
   let rewrite approach b =
-    match Client.rewrite c ~approach ~jobs:1 b with r -> r
+    match Client.rewrite c ~approach b with r -> r
   in
   (match rewrite "ours/jt" bin with
   | Ok (Protocol.Rewritten _) -> ()
@@ -696,7 +696,7 @@ let observation_only () =
       (fun b ->
         if scraped then ignore (scrape ~flight:true path);
         let r =
-          match Client.rewrite c ~approach:"ours/jt" ~jobs:1 b with
+          match Client.rewrite c ~approach:"ours/jt" b with
           | Ok r -> Protocol.response_to_payload r
           | Error m -> Alcotest.failf "transport: %s" m
         in
@@ -880,7 +880,7 @@ let eviction_needfull_heals () =
   registered "register A" (Client.register_bytes c str_a);
   registered "register B (evicts A)" (Client.register_bytes c str_b);
   (match
-     Client.classify_payload c ~approach:"ours/jt" ~jobs:1 (Protocol.Ref dig_a)
+     Client.classify_payload c ~approach:"ours/jt" (Protocol.Ref dig_a)
    with
   | Ok (Protocol.NeedFull { digest }) ->
       Alcotest.(check string) "evicted base answers NeedFull" dig_a digest
@@ -889,7 +889,7 @@ let eviction_needfull_heals () =
         (match r with Ok x -> response_label x | Error m -> m));
   (* The transparent fallback: same Ref, now with the bytes on hand. *)
   (match
-     Client.classify_payload c ~approach:"ours/jt" ~jobs:1 ~fallback:str_a
+     Client.classify_payload c ~approach:"ours/jt" ~fallback:str_a
        (Protocol.Ref dig_a)
    with
   | Ok (Protocol.Classified _) -> ()
@@ -899,7 +899,7 @@ let eviction_needfull_heals () =
   (* The fallback's full upload re-registered A: the same Ref now works
      without any bytes on hand. *)
   (match
-     Client.classify_payload c ~approach:"ours/jt" ~jobs:1 (Protocol.Ref dig_a)
+     Client.classify_payload c ~approach:"ours/jt" (Protocol.Ref dig_a)
    with
   | Ok (Protocol.Classified _) -> ()
   | r ->
@@ -957,7 +957,7 @@ let response_memo () =
   let bin = first_bench Arch.X86_64 in
   let first_payload path =
     Client.with_connection path @@ fun c ->
-    match Client.rewrite c ~approach:"ours/jt" ~jobs:1 bin with
+    match Client.rewrite c ~approach:"ours/jt" bin with
     | Ok r -> Protocol.response_to_payload r
     | Error m -> Alcotest.failf "transport: %s" m
   in
