@@ -384,6 +384,82 @@ let run_cache_micro () =
           (ns /. List.assoc "cache-uncached-rewrite" times))
     times
 
+(* Image rows: the first starved binary of the seed-7 corpus in two
+   forms, [starved-sparse] (its 34 MiB .bigdata a zero tail, as built) and
+   [starved-dense] (the same section patched to non-zero bytes
+   throughout), through the paths that are O(stored bytes): Binfile
+   encode and decode, the store digest of the container, and one Vm run.
+   The dense row keeps the cost of real bytes measured. Each time is the
+   median of interleaved rounds; each container's size is held exactly. *)
+let run_image_micro () =
+  print_endline "== Images: a starved binary, sparse and dense ==";
+  let module Binfile = Icfg_obj.Binfile in
+  let module Binary = Icfg_obj.Binary in
+  let module Section = Icfg_obj.Section in
+  let module Corpus = Icfg_workloads.Corpus in
+  let entry =
+    List.find
+      (fun (e : Corpus.entry) -> e.Corpus.e_shape = Corpus.Starved)
+      (Corpus.generate ~seed:7 ~count:7)
+  in
+  let sparse = Corpus.build entry in
+  let big = Binary.section_exn sparse ".bigdata" in
+  let dense =
+    Binary.patch sparse
+      [
+        ( big.Section.vaddr,
+          String.init (Section.size big) (fun i -> Char.chr (1 + (i mod 255))) );
+      ]
+  in
+  let forms =
+    List.map
+      (fun (name, bin) -> (name, bin, Binfile.to_string bin))
+      [ ("starved-sparse", sparse); ("starved-dense", dense) ]
+  in
+  let ops bin s =
+    [
+      ("encode_ns", fun () -> ignore (Sys.opaque_identity (Binfile.to_string bin)));
+      ("decode_ns", fun () -> ignore (Sys.opaque_identity (Binfile.of_string s)));
+      ("digest_ns", fun () -> ignore (Sys.opaque_identity (Icfg_service.Store.digest s)));
+      ( "vm_run_ns",
+        fun () -> ignore (Sys.opaque_identity (Icfg_harness.Runner.run_original bin)) );
+    ]
+  in
+  let reps = 9 in
+  let cases =
+    List.map
+      (fun (name, bin, s) ->
+        (name, s, List.map (fun (k, run) -> (k, run, Array.make reps 0.)) (ops bin s)))
+      forms
+  in
+  let all = List.concat_map (fun (_, _, l) -> l) cases in
+  List.iter (fun (_, run, _) -> run ()) all;
+  Gc.full_major ();
+  for i = 0 to reps - 1 do
+    List.iter
+      (fun (_, run, a) ->
+        let t0 = Icfg_core.Metrics.now_ns () in
+        run ();
+        a.(i) <- elapsed_ns t0)
+      all
+  done;
+  List.iter
+    (fun (name, s, l) ->
+      let times =
+        List.map
+          (fun (k, _, a) ->
+            Array.sort compare a;
+            (k, a.(reps / 2)))
+          l
+      in
+      add_row "image" name ~times
+        ~counters:[ ("container_bytes", float_of_int (String.length s)) ]
+        ~gates:[ ("container_bytes", exact) ];
+      Printf.printf "  %-16s %10d container bytes  %s\n%!" name (String.length s)
+        (String.concat "  "
+           (List.map (fun (k, ns) -> Printf.sprintf "%s=%.0f" k ns) times)))
+    cases
+
 (* Daemon throughput: a twin-bearing corpus slice streamed through a live
    [icfg serve] instance as classify requests, at 1 and 4 concurrent
    clients. The twins answer from the response memo without re-entering
@@ -736,6 +812,7 @@ let run_micro () =
     tests;
   run_trace_stages ();
   run_cache_micro ();
+  run_image_micro ();
   run_serve_micro ();
   run_serve_incremental_micro ()
 

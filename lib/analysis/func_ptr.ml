@@ -47,7 +47,9 @@ let reloc_slots bin entries =
 let value_match_slots bin entries =
   (* Only writable data is scanned: read-only metadata sections (e.g. the
      Go function table) hold code addresses that are not function
-     pointers. *)
+     pointers. Only words that start in a section's stored prefix are
+     read: a word in the zero tail is 0, never a function entry, so a
+     huge declared tail costs nothing. *)
   let reloc_offsets =
     List.filter_map
       (fun (r : Reloc.t) -> if Reloc.is_runtime r then Some r.offset else None)
@@ -58,9 +60,10 @@ let value_match_slots bin entries =
   List.concat_map
     (fun (s : Section.t) ->
       if not (s.Section.perm.Section.write && s.Section.loaded) then []
-      else if s.Section.name = ".bigdata" then []
       else
-        let n = Section.size s / 8 in
+        let n =
+          Int.min (Section.size s / 8) ((Bytes.length s.Section.data + 7) / 8)
+        in
         List.filter_map
           (fun i ->
             let slot = s.Section.vaddr + (8 * i) in

@@ -864,7 +864,7 @@ let compile ?(pie = false) ?(bulk_data = 0) ?(link_relocs = false) arch (prog : 
     @ (if bulk_data > 0 then
          [
            Section.make ~name:".bigdata" ~vaddr:bulk_base ~perm:Section.r_w
-             (Bytes.make (align_up bulk_data 0x1000) '\000');
+             ~size:(align_up bulk_data 0x1000) Bytes.empty;
          ]
        else [])
     @ [

@@ -33,7 +33,8 @@ val compile :
   Ir.program ->
   Icfg_obj.Binary.t * Debug.t
 (** [compile arch prog] builds the binary. [bulk_data] adds a large zeroed
-    data section (SPEC-style working set), which pushes the rewriter's
+    data section [.bigdata] (SPEC-style working set; all of it a zero
+    tail, see {!Icfg_obj.Section.t}), which pushes the rewriter's
     [.instr] section further away and stresses branch ranges on ppc64le.
     [link_relocs] retains link-time relocations (the [-Wl,-q] build BOLT
     requires for function reordering).

@@ -84,9 +84,8 @@ let perturb_function (p : Parse.t) =
         in
         match List.find_map try_insn insns with
         | Some (addr, s) ->
-            let out = Binary.copy bin in
-            Binary.write_string out addr s;
-            Some (out, fa.Parse.fa_sym.Icfg_obj.Symbol.name)
+            Some
+              (Binary.patch bin [ (addr, s) ], fa.Parse.fa_sym.Icfg_obj.Symbol.name)
         | None -> find rest)
   in
   find p.Parse.funcs
@@ -136,10 +135,9 @@ let perturb_data (p : Parse.t) =
       (ro @ rw)
   in
   let try_one ((s : Icfg_obj.Section.t), off) =
-    let out = Binary.copy bin in
     let addr = s.Icfg_obj.Section.vaddr + off in
-    let c = Char.code (Bytes.get s.Icfg_obj.Section.data off) in
-    Binary.write_string out addr (String.make 1 (Char.chr (c lxor 1)));
+    let c = Binary.read8 bin addr land 0xff in
+    let out = Binary.patch bin [ (addr, String.make 1 (Char.chr (c lxor 1))) ] in
     let q = Parse.parse ~fm:p.Parse.fm out in
     if digest_of q = want then Some (out, s.Icfg_obj.Section.name) else None
   in
@@ -187,7 +185,7 @@ let perturb_symbol (p : Parse.t) =
                  else s)
                bin.Binary.symbols)
         in
-        Some ({ (Binary.copy bin) with Binary.symbols = symbols }, old)
+        Some ({ bin with Binary.symbols = symbols }, old)
 
 type run = {
   r_outcome : Vm.outcome;

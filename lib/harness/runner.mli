@@ -45,24 +45,24 @@ val drive :
     classification equality a meaningful (and gated) invariant. *)
 
 val perturb_function : Icfg_analysis.Parse.t -> (Icfg_obj.Binary.t * string) option
-(** A copy of the parsed binary with the low bit of one mov-immediate
-    flipped in one function (plus that function's name), chosen so only
-    that function's analysis/rewrite artifacts change and its length
-    stays the same — the function edit of the pinned-layout tests and
-    benchmarks. [None] if no safely perturbable site exists. *)
+(** The parsed binary, {!Icfg_obj.Binary.patch}ed to flip the low bit
+    of one mov-immediate in one function (plus that function's name),
+    chosen so only that function's analysis/rewrite artifacts change and
+    its length stays the same — the function edit of the pinned-layout
+    tests and benchmarks. [None] if no safely perturbable site exists. *)
 
 val perturb_data : Icfg_analysis.Parse.t -> (Icfg_obj.Binary.t * string) option
-(** A copy of the parsed binary with one byte flipped in one loaded
-    non-executable section (plus that section's name), validated by
-    re-parsing: the perturbed binary must reproduce the identical analysis,
-    so the edit flips no jump-table word the parse reads and a warm
-    rewrite pins every segment of the layout. [None] if no validated site
-    is found within the attempt budget. *)
+(** The parsed binary, {!Icfg_obj.Binary.patch}ed to flip one byte of
+    one loaded non-executable section (plus that section's name),
+    validated by re-parsing: the perturbed binary must reproduce the
+    identical analysis, so the edit flips no jump-table word the parse
+    reads and a warm rewrite pins every segment of the layout. [None] if
+    no validated site is found within the attempt budget. *)
 
 val perturb_symbol :
   Icfg_analysis.Parse.t -> (Icfg_obj.Binary.t * string) option
-(** A copy of the parsed binary with one instrumentable function's symbol
-    renamed (plus the original name): relocated code is
+(** The parsed binary, sections shared, with one instrumentable
+    function's symbol renamed (plus the original name): relocated code is
     address-namespaced, so the rename changes no segment and a warm
     rewrite pins every one. [None] if no suitable symbol exists. *)
 

@@ -116,7 +116,7 @@ let map_section t name f =
 
 let locate t addr n =
   match section_at t addr with
-  | Some s when addr + n <= Section.end_vaddr s -> (s.Section.data, addr - s.Section.vaddr)
+  | Some s when addr + n <= Section.end_vaddr s -> (s, addr - s.Section.vaddr)
   | _ ->
       invalid_arg
         (Printf.sprintf "Binary %s: address 0x%x (+%d) is not mapped" t.name
@@ -126,21 +126,22 @@ let sign_extend v bits =
   let shift = Sys.int_size - bits in
   (v lsl shift) asr shift
 
-let read8 t addr =
-  let b, off = locate t addr 1 in
-  sign_extend (Bytes.get_uint8 b off) 8
+(* The [n] bytes of [b] from [off], zero past its end: how an access that
+   reaches into a section's tail sees its bytes. *)
+let padded b off n =
+  let w = Bytes.make n '\000' in
+  if off < Bytes.length b then Bytes.blit b off w 0 (Int.min n (Bytes.length b - off));
+  w
 
-let read16 t addr =
-  let b, off = locate t addr 2 in
-  sign_extend (Bytes.get_uint16_le b off) 16
+let[@inline] read_with get t addr n =
+  let s, off = locate t addr n in
+  let b = s.Section.data in
+  if off + n <= Bytes.length b then get b off else get (padded b off n) 0
 
-let read32 t addr =
-  let b, off = locate t addr 4 in
-  Int32.to_int (Bytes.get_int32_le b off)
-
-let read64 t addr =
-  let b, off = locate t addr 8 in
-  Int64.to_int (Bytes.get_int64_le b off)
+let read8 t addr = sign_extend (read_with Bytes.get_uint8 t addr 1) 8
+let read16 t addr = sign_extend (read_with Bytes.get_uint16_le t addr 2) 16
+let read32 t addr = Int32.to_int (read_with Bytes.get_int32_le t addr 4)
+let read64 t addr = Int64.to_int (read_with Bytes.get_int64_le t addr 8)
 
 let read t addr (w : Icfg_isa.Insn.width) =
   match w with
@@ -149,58 +150,30 @@ let read t addr (w : Icfg_isa.Insn.width) =
   | W32 -> read32 t addr
   | W64 -> read64 t addr
 
-let write8 t addr v =
-  let b, off = locate t addr 1 in
-  Bytes.set_uint8 b off (v land 0xff)
-
-let write16 t addr v =
-  let b, off = locate t addr 2 in
-  Bytes.set_uint16_le b off (v land 0xffff)
-
-let write32 t addr v =
-  let b, off = locate t addr 4 in
-  Bytes.set_int32_le b off (Int32.of_int v)
-
-let write64 t addr v =
-  let b, off = locate t addr 8 in
-  Bytes.set_int64_le b off (Int64.of_int v)
-
-let write t addr (w : Icfg_isa.Insn.width) v =
-  match w with
-  | W8 -> write8 t addr v
-  | W16 -> write16 t addr v
-  | W32 -> write32 t addr v
-  | W64 -> write64 t addr v
-
-let write_string t addr s =
-  let b, off = locate t addr (String.length s) in
-  Bytes.blit_string s 0 b off (String.length s)
-
-let copy t =
-  {
-    t with
-    sections =
-      List.map
-        (fun s -> { s with Section.data = Bytes.copy s.Section.data })
-        t.sections;
-  }
-
 let patch t writes =
-  let touched = List.filter_map (fun (addr, _) -> section_at t addr) writes in
-  let out =
-    {
-      t with
-      sections =
-        List.map
-          (fun s ->
-            if List.memq s touched then
-              { s with Section.data = Bytes.copy s.Section.data }
-            else s)
-          t.sections;
-    }
+  let located =
+    List.map (fun (addr, b) -> (locate t addr (String.length b), b)) writes
   in
-  List.iter (fun (addr, s) -> write_string out addr s) writes;
-  out
+  let write_section (s : Section.t) =
+    match List.filter (fun ((x, _), _) -> x == s) located with
+    | [] -> s
+    | mine ->
+        (* One copy of the stored prefix, grown only as far as a write
+           reaches into the tail. *)
+        let stored = Bytes.length s.Section.data in
+        let reach =
+          List.fold_left
+            (fun n ((_, off), b) -> max n (off + String.length b))
+            stored mine
+        in
+        let data = Bytes.extend s.Section.data 0 (reach - stored) in
+        Bytes.fill data stored (reach - stored) '\000';
+        List.iter
+          (fun ((_, off), b) -> Bytes.blit_string b 0 data off (String.length b))
+          mine;
+        { s with Section.data }
+  in
+  { t with sections = List.map write_section t.sections }
 
 let loaded_size t =
   List.fold_left
@@ -215,7 +188,12 @@ let code_end t =
 let decode_at t addr =
   match section_at t addr with
   | Some s when s.Section.perm.execute ->
-      Icfg_isa.Encode.decode_bytes t.arch s.Section.data ~pos:(addr - s.Section.vaddr)
+      let b = s.Section.data and pos = addr - s.Section.vaddr in
+      if Bytes.length b = Section.size s then Icfg_isa.Encode.decode_bytes t.arch b ~pos
+      else
+        (* Near or in a tail, decode a zero-padded window. *)
+        let n = Int.min (Icfg_isa.Encode.max_insn_len t.arch) (Section.size s - pos) in
+        Icfg_isa.Encode.decode_bytes t.arch (padded b pos n) ~pos:0
   | Some s ->
       invalid_arg
         (Printf.sprintf "Binary.decode_at: 0x%x is in non-executable %s" addr

@@ -79,28 +79,19 @@ val map_section : t -> string -> (Section.t -> Section.t) -> t
 val read8 : t -> int -> int
 val read16 : t -> int -> int
 val read32 : t -> int -> int
-(** Sign-extended reads. Raise [Invalid_argument] outside any section. *)
+(** Sign-extended reads. Bytes in a section's zero tail read as 0. Raise
+    [Invalid_argument] outside any section. *)
 
 val read64 : t -> int -> int
 val read : t -> int -> Icfg_isa.Insn.width -> int
-val write8 : t -> int -> int -> unit
-val write16 : t -> int -> int -> unit
-val write32 : t -> int -> int -> unit
-val write64 : t -> int -> int -> unit
-val write : t -> int -> Icfg_isa.Insn.width -> int -> unit
-val write_string : t -> int -> string -> unit
-(** In-place mutation of section bytes (the container shares [Bytes.t]). *)
-
-val copy : t -> t
-(** Deep copy: every section gets a fresh byte buffer. Binaries share
-    section buffers freely — a {!patch} result shares every section it
-    does not write with its input — so mutate only a [copy]. *)
 
 val patch : t -> (int * string) list -> t
 (** [patch t writes] is [t] with each [(addr, bytes)] written in list
-    order. Only the sections the writes land in are copied; every other
-    section shares its buffer with [t], which is left unchanged. Raises
-    [Invalid_argument] like {!write_string} on an unmapped write. *)
+    order: the only way to change a binary's bytes. Only the sections the
+    writes land in are copied, each stored prefix extended only as far as
+    a write reaches into its tail; every other section shares its buffer
+    with [t], which is left unchanged. Raises [Invalid_argument] on a
+    write that is not inside one section. *)
 
 (** {1 Measures} *)
 
@@ -113,6 +104,6 @@ val code_end : t -> int
 
 val decode_at : t -> int -> Icfg_isa.Insn.t * int
 (** Decode the instruction at a virtual address inside an executable
-    section. *)
+    section (a zero tail decodes as zero bytes). *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,4 +1,9 @@
-let magic = "ICFG1"
+let magic = "ICFG2"
+
+(* The most bytes the sections of one container may declare, tails
+   included: the bound a serve upload already has on its frame, so no
+   small container can declare an image the Vm would later materialise. *)
+let max_image = 256 * 1024 * 1024
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
@@ -47,10 +52,11 @@ let lang_of_tag = function
   | 4 -> Binary.Go
   | n -> invalid_arg (Printf.sprintf "Binfile: bad language tag %d" n)
 
-(* The metadata goes into a small buffer; each section body is recorded
-   as a splice point (the metadata length when its body is due) and blitted
-   in place once, so the exact-size result is the only image-sized
-   allocation. *)
+(* The metadata goes into a small buffer; each section's stored bytes are
+   recorded as a splice point (the metadata length when they are due) and
+   blitted in place once, so the exact-size result is the only image-sized
+   allocation. A section is written as its declared size followed by its
+   length-prefixed stored bytes: a zero tail costs nothing to encode. *)
 let to_bytes (bin : Binary.t) =
   let b = Buffer.create 4096 in
   let splices = ref [] in
@@ -82,6 +88,7 @@ let to_bytes (bin : Binary.t) =
         lor if s.Section.perm.Section.execute then 4 else 0);
       wbool b s.Section.loaded;
       w64 b (Section.size s);
+      w64 b (Bytes.length s.Section.data);
       splices := (Buffer.length b, s.Section.data) :: !splices)
     bin.Binary.sections;
   (* symbols *)
@@ -215,6 +222,7 @@ let of_bytes buf =
   in
   let ndyn = r64 r in
   let dynsyms = Array.init ndyn (fun _ -> rstr r) in
+  let declared = ref 0 in
   let sections =
     rlist r (fun () ->
         let name = rstr r in
@@ -228,8 +236,15 @@ let of_bytes buf =
           }
         in
         let loaded = rbool r in
+        let size = r64 r in
+        if size < 0 then invalid_arg "Binfile: negative section size";
+        if size > max_image - !declared then
+          invalid_arg "Binfile: sections declare more than 256 MiB";
+        declared := !declared + size;
         let data = rsub Bytes.sub r in
-        Section.make ~loaded ~name ~vaddr ~perm data)
+        if Bytes.length data > size then
+          invalid_arg "Binfile: stored bytes exceed the section size";
+        Section.make ~loaded ~size ~name ~vaddr ~perm data)
   in
   let symbols =
     rlist r (fun () ->

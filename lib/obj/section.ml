@@ -8,16 +8,20 @@ type t = {
   name : string;
   vaddr : int;
   data : Bytes.t;
+  size : int;
   perm : perm;
   loaded : bool;
 }
 
-let make ?(loaded = true) ~name ~vaddr ~perm data =
+let make ?(loaded = true) ?size ~name ~vaddr ~perm data =
   if vaddr < 0 then invalid_arg "Section.make: negative vaddr";
-  { name; vaddr; data; perm; loaded }
+  let size = Option.value size ~default:(Bytes.length data) in
+  if size < Bytes.length data then
+    invalid_arg "Section.make: size below the stored bytes";
+  { name; vaddr; data; size; perm; loaded }
 
-let size s = Bytes.length s.data
-let end_vaddr s = s.vaddr + size s
+let size s = s.size
+let end_vaddr s = s.vaddr + s.size
 let contains s a = a >= s.vaddr && a < end_vaddr s
 let rename s name = { s with name }
 

@@ -80,15 +80,24 @@ and b_icache = 8
 (* Memory                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* A data segment holds a copy of its section's stored prefix only: bytes
+   past [seg_bytes] up to [seg_size] read as zero, and the first write
+   there replaces [seg_bytes] by the whole segment. *)
 type segment = {
   seg_base : int;
-  seg_bytes : Bytes.t;
+  seg_size : int;
+  mutable seg_bytes : Bytes.t;
   seg_perm : Section.perm;
   seg_decode : (Insn.t * int) option array;
       (** per-offset decode cache (code never changes during execution) *)
 }
 
-let seg_end s = s.seg_base + Bytes.length s.seg_bytes
+let seg_end s = s.seg_base + s.seg_size
+
+let materialise s =
+  let b = Bytes.make s.seg_size '\000' in
+  Bytes.blit s.seg_bytes 0 b 0 (Bytes.length s.seg_bytes);
+  s.seg_bytes <- b
 
 type t = {
   bin : Binary.t;
@@ -146,24 +155,35 @@ let sign_extend v bits =
   let shift = Sys.int_size - bits in
   (v lsl shift) asr shift
 
+let[@inline] load_word b off (w : Insn.width) =
+  match w with
+  | W8 -> sign_extend (Bytes.get_uint8 b off) 8
+  | W16 -> sign_extend (Bytes.get_uint16_le b off) 16
+  | W32 -> Int32.to_int (Bytes.get_int32_le b off)
+  | W64 -> Int64.to_int (Bytes.get_int64_le b off)
+
 let read_mem vm addr (w : Insn.width) =
+  let n = Insn.width_bytes w in
   match find_segment vm addr with
-  | Some s when addr + Insn.width_bytes w <= seg_end s ->
+  | Some s when addr + n <= seg_end s ->
       let off = addr - s.seg_base in
-      let b = s.seg_bytes in
-      (match w with
-      | W8 -> sign_extend (Bytes.get_uint8 b off) 8
-      | W16 -> sign_extend (Bytes.get_uint16_le b off) 16
-      | W32 -> Int32.to_int (Bytes.get_int32_le b off)
-      | W64 -> Int64.to_int (Bytes.get_int64_le b off))
+      if off + n <= Bytes.length s.seg_bytes then load_word s.seg_bytes off w
+      else
+        (* Into the zero tail: read a zero-padded copy of the word. *)
+        let t = Bytes.make n '\000' in
+        let stored = Bytes.length s.seg_bytes - off in
+        if stored > 0 then Bytes.blit s.seg_bytes off t 0 stored;
+        load_word t 0 w
   | _ -> crash vm (Printf.sprintf "read from unmapped address 0x%x" addr)
 
 let write_mem vm addr (w : Insn.width) v =
+  let n = Insn.width_bytes w in
   match find_segment vm addr with
-  | Some s when addr + Insn.width_bytes w <= seg_end s ->
+  | Some s when addr + n <= seg_end s ->
       if not s.seg_perm.Section.write then
         crash vm (Printf.sprintf "write to read-only address 0x%x" addr);
       let off = addr - s.seg_base in
+      if off + n > Bytes.length s.seg_bytes then materialise s;
       let b = s.seg_bytes in
       (match w with
       | W8 -> Bytes.set_uint8 b off (v land 0xff)
@@ -177,6 +197,7 @@ let write_mem vm addr (w : Insn.width) v =
 let write_mem_raw vm addr v =
   match find_segment vm addr with
   | Some s when addr + 8 <= seg_end s ->
+      if addr + 8 - s.seg_base > Bytes.length s.seg_bytes then materialise s;
       Bytes.set_int64_le s.seg_bytes (addr - s.seg_base) (Int64.of_int v)
   | _ -> crash vm (Printf.sprintf "relocation outside any segment: 0x%x" addr)
 
@@ -515,20 +536,29 @@ let call_function vm ~addr ~args =
 let load ?(config : config option) ?(routines = []) (bin : Binary.t) =
   let cfg = match config with Some c -> c | None -> default_config () in
   let lb = if bin.Binary.pie then cfg.load_base else 0 in
+  (* Only a data segment's stored prefix is copied; an executable one is
+     materialised whole, as its decode cache is O(size) anyway. *)
   let seg_of_section (s : Section.t) =
-    {
-      seg_base = s.Section.vaddr + lb;
-      seg_bytes = Bytes.copy s.Section.data;
-      seg_perm = s.Section.perm;
-      seg_decode =
-        (if s.Section.perm.Section.execute then
-           Array.make (Bytes.length s.Section.data) None
-         else [||]);
-    }
+    let seg =
+      {
+        seg_base = s.Section.vaddr + lb;
+        seg_size = Section.size s;
+        seg_bytes = Bytes.copy s.Section.data;
+        seg_perm = s.Section.perm;
+        seg_decode =
+          (if s.Section.perm.Section.execute then
+             Array.make (Section.size s) None
+           else [||]);
+      }
+    in
+    if s.Section.perm.Section.execute && seg.seg_size > Bytes.length seg.seg_bytes
+    then materialise seg;
+    seg
   in
   let stack =
     {
       seg_base = cfg.stack_base;
+      seg_size = cfg.stack_size;
       seg_bytes = Bytes.make cfg.stack_size '\000';
       seg_perm = Section.r_w;
       seg_decode = [||];

@@ -159,6 +159,27 @@ let test_percentile () =
   check "nan/inf dropped" 3. (Matrix.percentile 0.5 poisoned);
   check "all non-finite" 0. (Matrix.percentile 0.5 [ Float.nan; Float.nan ])
 
+(* A starved binary's 34 MiB working set is a zero tail, so its
+   container holds only the tail's length: every starved entry of the
+   seed-7 48-binary corpus encodes to under 64 KiB. *)
+let test_starved_containers_small () =
+  let starved =
+    List.filter
+      (fun (e : Corpus.entry) -> e.Corpus.e_shape = Corpus.Starved)
+      (Corpus.generate ~seed:7 ~count:48)
+  in
+  Alcotest.(check bool) "seed 7 has starved entries" true (starved <> []);
+  List.iter
+    (fun (e : Corpus.entry) ->
+      let bin = Corpus.build e in
+      let n = String.length (Icfg_obj.Binfile.to_string bin) in
+      Alcotest.(check bool)
+        (Printf.sprintf "entry %d: %d-byte container for %d loaded bytes"
+           e.Corpus.e_id n (Icfg_obj.Binary.loaded_size bin))
+        true
+        (n < 64 * 1024 && Icfg_obj.Binary.loaded_size bin > 32 * 1024 * 1024))
+    starved
+
 let suite =
   [
     ( "corpus",
@@ -174,5 +195,7 @@ let suite =
         Alcotest.test_case "matrix: twin cells cache-independent" `Quick
           test_twin_cells_cache_independent;
         Alcotest.test_case "percentile" `Quick test_percentile;
+        Alcotest.test_case "starved containers stay small" `Quick
+          test_starved_containers_small;
       ] );
   ]

@@ -34,8 +34,12 @@ module Ra_map = Icfg_runtime.Runtime_lib.Ra_map
 (* Structural comparison of two rewrites                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A section's bytes with its zero tail materialised, so the digests
+   predate, and do not depend on, how much of a section is stored. *)
 let section_image (s : Section.t) =
-  (s.Section.name, s.Section.vaddr, Bytes.to_string s.Section.data,
+  let bytes = Bytes.make (Section.size s) '\000' in
+  Bytes.blit s.Section.data 0 bytes 0 (Bytes.length s.Section.data);
+  (s.Section.name, s.Section.vaddr, Bytes.unsafe_to_string bytes,
    s.Section.perm, s.Section.loaded)
 
 let sorted_tbl tbl =

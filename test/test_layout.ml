@@ -246,8 +246,8 @@ let cache_table_edit arch () =
         (t.Jt.t_table, t.Jt.t_table + (t.Jt.t_count * Insn.width_bytes t.Jt.t_width))
       in
       let addr = snd (extent t) - 1 in
-      let pbin = Binary.copy bin in
-      Binary.write8 pbin addr (Binary.read8 bin addr lxor 0x80);
+      let flipped = (Binary.read8 bin addr lxor 0x80) land 0xff in
+      let pbin = Binary.patch bin [ (addr, String.make 1 (Char.chr flipped)) ] in
       let options = opts Mode.Jt in
       let warm = Cache.create () in
       let base = Runner.rewrite ~options ~cache:warm bin in

@@ -40,30 +40,98 @@ let test_adjacent_ok () =
   let b = mk_binary [ sect ".a" 0x1000 0x100; sect ".b" 0x1100 0x10 ] in
   Alcotest.(check int) "two sections" 2 (List.length b.Binary.sections)
 
+(* The low [n] bytes of [v], little-endian. *)
+let le n v =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int v);
+  Bytes.sub_string b 0 n
+
 let test_byte_access () =
-  let b = mk_binary [ sect ~perm:Section.r_w ".d" 0x1000 0x100 ] in
-  Binary.write64 b 0x1008 (-42);
+  let b0 = mk_binary [ sect ~perm:Section.r_w ".d" 0x1000 0x100 ] in
+  let b =
+    Binary.patch b0
+      [
+        (0x1008, le 8 (-42));
+        (0x1010, le 4 (-5));
+        (0x1018, le 2 0x8001);
+        (0x101A, le 1 0x80);
+        (0x1020, "hi");
+      ]
+  in
   Alcotest.(check int) "w64/r64" (-42) (Binary.read64 b 0x1008);
-  Binary.write32 b 0x1010 (-5);
   Alcotest.(check int) "w32/r32 signed" (-5) (Binary.read32 b 0x1010);
-  Binary.write16 b 0x1018 0x8001;
   Alcotest.(check int) "w16/r16 sign extends" (-32767) (Binary.read16 b 0x1018);
-  Binary.write8 b 0x101A 0x80;
   Alcotest.(check int) "w8/r8 sign extends" (-128) (Binary.read8 b 0x101A);
-  Binary.write_string b 0x1020 "hi";
   Alcotest.(check int) "string write" (Char.code 'h') (Binary.read8 b 0x1020);
   (match Binary.read8 b 0x5000 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unmapped read must raise");
+  (match Binary.patch b [ (0x10FC, le 8 1) ] with
+  | exception Invalid_argument _ -> () (* crosses the end *)
+  | _ -> Alcotest.fail "cross-boundary write must raise");
   match Binary.read64 b 0x10FC with
   | exception Invalid_argument _ -> () (* crosses the end *)
   | _ -> Alcotest.fail "cross-boundary read must raise"
 
-let test_copy_is_deep () =
-  let b = mk_binary [ sect ~perm:Section.r_w ".d" 0x1000 0x10 ] in
-  let c = Binary.copy b in
-  Binary.write64 b 0x1000 7;
-  Alcotest.(check int) "copy unaffected" 0 (Binary.read64 c 0x1000)
+let test_patch_leaves_input () =
+  let b =
+    mk_binary [ sect ~perm:Section.r_w ".d" 0x1000 0x10; sect ".e" 0x2000 0x10 ]
+  in
+  let c = Binary.patch b [ (0x1000, le 8 7) ] in
+  Alcotest.(check int) "patched" 7 (Binary.read64 c 0x1000);
+  Alcotest.(check int) "input unchanged" 0 (Binary.read64 b 0x1000);
+  let data name x = (Binary.section_exn x name).Section.data in
+  Alcotest.(check bool) "unwritten section shared" true (data ".e" c == data ".e" b)
+
+(* A section with a zero tail: reads past the stored prefix are 0, a patch
+   grows the prefix only as far as its write reaches, and sizes count the
+   tail. *)
+let test_zero_tail () =
+  let tail =
+    Section.make ~name:".big" ~vaddr:0x4000 ~perm:Section.r_w ~size:0x1000
+      (Bytes.of_string "\x01\x02\x03")
+  in
+  let b = mk_binary [ sect ".a" 0x1000 0x100; tail ] in
+  Alcotest.(check int) "declared size" 0x1000 (Section.size tail);
+  Alcotest.(check int) "loaded size counts the tail" 0x1100 (Binary.loaded_size b);
+  Alcotest.(check int) "code_end counts the tail" 0x5000 (Binary.code_end b);
+  Alcotest.(check int) "tail read" 0 (Binary.read64 b 0x4800);
+  Alcotest.(check int) "last tail byte" 0 (Binary.read8 b 0x4FFF);
+  Alcotest.(check int) "straddling read" 0x030201 (Binary.read64 b 0x4000);
+  Alcotest.(check int) "straddling read past one byte" 0x0302 (Binary.read32 b 0x4001);
+  let p = Binary.patch b [ (0x4100, le 2 0xBEEF) ] in
+  let big x = Binary.section_exn x ".big" in
+  Alcotest.(check int) "prefix grown to the write" 0x102
+    (Bytes.length (big p).Section.data);
+  Alcotest.(check int) "size unchanged" 0x1000 (Section.size (big p));
+  Alcotest.(check int) "written" 0xBEEF (Binary.read16 p 0x4100 land 0xffff);
+  Alcotest.(check int) "gap reads zero" 0 (Binary.read64 p 0x4008);
+  Alcotest.(check int) "input prefix unchanged" 3 (Bytes.length (big b).Section.data);
+  (match Binary.patch b [ (0x4FFF, "ab") ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a write past the declared size must raise");
+  (* Code reads its tail as zeros: an instruction whose last (zero) byte
+     lies in the tail decodes whole, and an address in the tail decodes
+     as a zero byte does. *)
+  let mov = Encode.encode Arch.X86_64 (Insn.Mov (Reg.r0, Insn.Imm 5)) in
+  let n = String.length mov in
+  let code =
+    mk_binary
+      [
+        Section.make ~name:".text" ~vaddr:0x1000 ~perm:Section.r_x ~size:0x100
+          (Bytes.of_string (String.sub mov 0 (n - 1)));
+      ]
+  in
+  Alcotest.(check bool) "straddling instruction" true
+    (Binary.decode_at code 0x1000 = (Insn.Mov (Reg.r0, Insn.Imm 5), n));
+  Alcotest.(check bool) "tail instruction" true
+    (Binary.decode_at code 0x1080 = Encode.decode Arch.X86_64 "\000" ~pos:0);
+  match
+    Section.make ~name:".bad" ~vaddr:0 ~perm:Section.r_w ~size:2
+      (Bytes.of_string "abc")
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a size below the stored bytes must raise"
 
 let test_symbol_lookup () =
   let b = mk_binary [ sect ".text" 0x1000 0x100 ] in
@@ -180,10 +248,15 @@ let binary_equal (a : Binary.t) (b : Binary.t) =
          && x.Section.vaddr = y.Section.vaddr
          && x.Section.perm = y.Section.perm
          && x.Section.loaded = y.Section.loaded
+         && Section.size x = Section.size y
          && Bytes.equal x.Section.data y.Section.data)
        a.Binary.sections b.Binary.sections
 
 let test_binfile_roundtrip () =
+  let roundtrip what bin =
+    Alcotest.(check bool) (what ^ " roundtrip") true
+      (binary_equal bin (Binfile.of_bytes (Binfile.to_bytes bin)))
+  in
   List.iter
     (fun arch ->
       List.iter
@@ -191,12 +264,17 @@ let test_binfile_roundtrip () =
           let bin, _ =
             Icfg_codegen.Compile.compile ~pie arch Test_codegen.prog_exceptions
           in
-          let bin' = Binfile.of_bytes (Binfile.to_bytes bin) in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s pie=%b roundtrip" (Arch.name arch) pie)
-            true (binary_equal bin bin'))
+          roundtrip (Printf.sprintf "%s pie=%b" (Arch.name arch) pie) bin)
         [ false; true ])
-    Arch.all
+    Arch.all;
+  (* A 34 MiB zero tail costs the container only its length. *)
+  let bulk, _ =
+    Icfg_codegen.Compile.compile ~bulk_data:(34 * 1024 * 1024) Arch.Ppc64le
+      Test_codegen.prog_exceptions
+  in
+  roundtrip "ppc64le bulk" bulk;
+  Alcotest.(check bool) "ppc64le bulk container is small" true
+    (Bytes.length (Binfile.to_bytes bulk) < 64 * 1024)
 
 let test_binfile_rejects_garbage () =
   (match Binfile.of_bytes (Bytes.of_string "NOTMAGIC") with
@@ -204,9 +282,37 @@ let test_binfile_rejects_garbage () =
   | _ -> Alcotest.fail "bad magic must be rejected");
   let bin, _ = Icfg_codegen.Compile.compile Arch.X86_64 Test_codegen.prog_loop in
   let good = Binfile.to_bytes bin in
-  match Binfile.of_bytes (Bytes.sub good 0 (Bytes.length good / 2)) with
+  (match Binfile.of_bytes (Bytes.sub good 0 (Bytes.length good / 2)) with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "truncated input must be rejected"
+  | _ -> Alcotest.fail "truncated input must be rejected");
+  (* Crafted sections: the record is built directly, past [Section.make]'s
+     checks, so the writer emits what a hostile client could send. *)
+  let with_extra sections =
+    Binfile.to_bytes (List.fold_left Binary.add_section bin sections)
+  in
+  let at vaddr size data =
+    { (Section.make ~name:".x" ~vaddr ~perm:Section.r_w data) with Section.size }
+  in
+  let mib = 1024 * 1024 in
+  List.iter
+    (fun (what, sections) ->
+      match Binfile.of_bytes (with_extra sections) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s must be rejected" what)
+    [
+      ("stored bytes over the size", [ at 0x40000000 2 (Bytes.of_string "abc") ]);
+      ("a negative size", [ at 0x40000000 (-1) Bytes.empty ]);
+      ("a 257 MiB declared image", [ at 0x40000000 (257 * mib) Bytes.empty ]);
+      ( "declared sizes summing past 256 MiB",
+        [ at 0x40000000 (200 * mib) Bytes.empty; at 0x50000000 (200 * mib) Bytes.empty ]
+      );
+      ("an overflowing size", [ at 0x40000000 max_int Bytes.empty ]);
+    ];
+  (* Up to the bound, a tail is accepted. *)
+  let room = Binfile.max_image - Binary.loaded_size bin in
+  let accepted = Binfile.of_bytes (with_extra [ at 0x40000000 room Bytes.empty ]) in
+  Alcotest.(check int) "a tail up to the bound is accepted" room
+    (Section.size (Binary.section_exn accepted ".x"))
 
 let test_binfile_string_is_bytes () =
   (* [to_string] and [to_bytes] write the same container, and it decodes
@@ -295,7 +401,8 @@ let suite =
     ( "obj:binary",
       [
         Alcotest.test_case "byte access" `Quick test_byte_access;
-        Alcotest.test_case "copy is deep" `Quick test_copy_is_deep;
+        Alcotest.test_case "patch leaves its input" `Quick test_patch_leaves_input;
+        Alcotest.test_case "zero tail" `Quick test_zero_tail;
         Alcotest.test_case "symbol lookup" `Quick test_symbol_lookup;
         Alcotest.test_case "loaded size" `Quick test_loaded_size;
         Alcotest.test_case "map section" `Quick test_map_section;

@@ -126,7 +126,8 @@ let reconciliation_srbi_like () =
 (* ------------------------------------------------------------------ *)
 
 let section_image (s : Section.t) =
-  (s.Section.name, s.Section.vaddr, Bytes.to_string s.Section.data)
+  (s.Section.name, s.Section.vaddr, Bytes.to_string s.Section.data,
+   Section.size s)
 
 let attribution_cache_independent () =
   let bin = first_bench Arch.X86_64 in

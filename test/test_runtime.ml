@@ -166,6 +166,71 @@ let test_write_protection () =
         (String.length m > 0)
   | Vm.Halted -> Alcotest.fail "expected write-protection crash"
 
+(* Sections with zero tails: reads past the stored prefix return 0, a
+   word may straddle the prefix and the tail, a write materialises the
+   tail for that run only, and a read-only tail still refuses writes. *)
+let test_zero_tail () =
+  let open Insn in
+  let big = 0x600000 and ro = 0x700000 in
+  let bin insns =
+    make_binary
+      ~extra_sections:
+        [
+          Section.make ~name:".big" ~vaddr:big ~perm:Section.r_w ~size:0x10000
+            (Bytes.of_string "\x11\x22\x33\x44");
+          Section.make ~name:".zro" ~vaddr:ro ~perm:Section.r_only ~size:0x1000
+            Bytes.empty;
+        ]
+      insns
+  in
+  let check name b expected =
+    let r = Vm.run b in
+    (match r.Vm.outcome with
+    | Vm.Halted -> ()
+    | Vm.Crashed m -> Alcotest.failf "%s crashed: %s" name m);
+    Alcotest.(check (list int)) name expected r.Vm.output
+  in
+  let load w off = [ Load (w, r0, BReg r1, off); Out r0 ] in
+  check "tail reads return 0"
+    (bin ([ Mov (r1, Imm big) ] @ load W64 0x8000 @ load W8 0xFFFF @ [ Halt ]))
+    [ 0; 0 ];
+  check "read-only tail reads 0"
+    (bin ([ Mov (r1, Imm ro) ] @ load W64 0xFF8 @ [ Halt ]))
+    [ 0 ];
+  check "reads straddle prefix and tail"
+    (bin ([ Mov (r1, Imm big) ] @ load W64 0 @ load W32 2 @ [ Halt ]))
+    [ 0x44332211; 0x4433 ];
+  check "a write straddles prefix and tail"
+    (bin
+       ([
+          Mov (r1, Imm big);
+          Movabs (r0, 0x0102030405060708);
+          Store (W64, BReg r1, 2, r0);
+        ]
+       @ load W64 0 @ load W64 8 @ [ Halt ]))
+    [ 0x0304050607082211; 0x0102 ];
+  let b =
+    bin
+      ([ Mov (r1, Imm big) ]
+      @ load W64 0x9000
+      @ [ Mov (r0, Imm 99); Store (W64, BReg r1, 0x9000, r0) ]
+      @ load W64 0x9000 @ load W64 0x9008 @ load W32 0 @ [ Halt ])
+  in
+  check "a tail write round-trips" b [ 0; 99; 0; 0x44332211 ];
+  check "the next run starts from zero again" b [ 0; 99; 0; 0x44332211 ];
+  let sec = Binary.section_exn b ".big" in
+  Alcotest.(check int) "the binary's prefix is untouched" 4
+    (Bytes.length sec.Section.data);
+  Alcotest.(check int) "the binary still reads 0" 0 (Binary.read64 b (big + 0x9000));
+  let ro_write =
+    [ Mov (r1, Imm ro); Mov (r0, Imm 1); Store (W64, BReg r1, 0x10, r0); Halt ]
+  in
+  match (Vm.run (bin ro_write)).Vm.outcome with
+  | Vm.Crashed m ->
+      Alcotest.(check bool) "read-only tail write crashes" true
+        (String.length m >= 10 && String.sub m 0 10 = "write to r")
+  | Vm.Halted -> Alcotest.fail "expected write-protection crash in a tail"
+
 let test_illegal_and_unmapped () =
   (match (run [ Illegal ]).Vm.outcome with
   | Vm.Crashed _ -> ()
@@ -453,6 +518,7 @@ let suite =
         Alcotest.test_case "memory" `Quick test_memory;
         Alcotest.test_case "control flow" `Quick test_control_flow;
         Alcotest.test_case "write protection" `Quick test_write_protection;
+        Alcotest.test_case "zero tail" `Quick test_zero_tail;
         Alcotest.test_case "illegal/unmapped" `Quick test_illegal_and_unmapped;
         Alcotest.test_case "trap dispatch" `Quick test_trap_dispatch;
         Alcotest.test_case "callrt unbound" `Quick test_callrt_unbound;

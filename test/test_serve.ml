@@ -478,6 +478,29 @@ let crash_containment () =
   let st = Server.stats srv in
   Alcotest.(check bool) "errors were counted" true (st.Server.errors >= 3)
 
+(* A small upload that declares a 1 GiB zero tail is refused at decode
+   with a typed Error, before anything could materialise the tail, and
+   the daemon keeps serving. *)
+let tail_bomb () =
+  let bin = first_bench Arch.X86_64 in
+  let bomb =
+    Icfg_obj.Binary.add_section bin
+      (Icfg_obj.Section.make ~name:".bomb" ~vaddr:0x40000000
+         ~perm:Icfg_obj.Section.r_w ~size:(1 lsl 30) Bytes.empty)
+  in
+  with_server ~workers:1 () @@ fun _srv path ->
+  Client.with_connection path @@ fun c ->
+  (match Client.rewrite c ~approach:"ours/jt" bomb with
+  | Ok (Protocol.Error _) -> ()
+  | r ->
+      Alcotest.failf "1 GiB tail: %s"
+        (match r with Ok x -> response_label x | Error m -> m));
+  match Client.rewrite c ~approach:"ours/jt" bin with
+  | Ok (Protocol.Rewritten _) -> ()
+  | r ->
+      Alcotest.failf "daemon not serving after a tail bomb: %s"
+        (match r with Ok x -> response_label x | Error m -> m)
+
 (* A garbage *frame* (valid length prefix, junk payload) gets a typed
    error response and the connection keeps working. *)
 let malformed_frame () =
@@ -999,6 +1022,7 @@ let suite =
           backpressure;
         Alcotest.test_case "trace isolation across requests" `Quick isolation;
         Alcotest.test_case "crash containment" `Slow crash_containment;
+        Alcotest.test_case "1 GiB declared tail is an Error" `Quick tail_bomb;
         Alcotest.test_case "malformed frame containment" `Quick
           malformed_frame;
         Alcotest.test_case "stats totals == served stream" `Quick

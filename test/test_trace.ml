@@ -284,7 +284,8 @@ let graded_srbi () =
 (* ------------------------------------------------------------------ *)
 
 let section_image (s : Section.t) =
-  (s.Section.name, s.Section.vaddr, Bytes.to_string s.Section.data)
+  (s.Section.name, s.Section.vaddr, Bytes.to_string s.Section.data,
+   Section.size s)
 
 let sections (rw : Rewriter.t) =
   List.map section_image rw.Rewriter.rw_binary.Binary.sections
