@@ -39,27 +39,11 @@
 open Icfg_isa
 module Experiments = Icfg_harness.Experiments
 
-let json_escape = Icfg_core.Stats.json_escape
+let json_escape = Icfg_trace.Stats.json_escape
 
 (* Monotonic nanoseconds since [t0] (a [Metrics.now_ns] reading): the wall
    clock can step under NTP and make a row negative or huge. *)
 let elapsed_ns t0 = Int64.to_float (Int64.sub (Icfg_core.Metrics.now_ns ()) t0)
-
-let experiments =
-  [
-    ("table1", Experiments.table1);
-    ("figure1", Experiments.figure1);
-    ("figure2", Experiments.figure2);
-    ("table2", Experiments.table2);
-    ("table3", fun () -> Experiments.table3 ());
-    ("table3-detail", fun () -> Experiments.table3_detail ());
-    ("firefox", Experiments.firefox);
-    ("docker", Experiments.docker);
-    ("bolt", Experiments.bolt);
-    ("diogenes", Experiments.diogenes);
-    ("ablation", Experiments.ablation);
-    ("attribution", Experiments.attribution);
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one per table/figure                     *)
@@ -938,7 +922,7 @@ let () =
   let corpus_count, args = int_flag "--count" 300 args in
   let selected =
     match args with
-    | [] -> List.map fst experiments @ [ "micro"; "corpus" ]
+    | [] -> List.map fst Experiments.registry @ [ "micro"; "corpus" ]
     | l -> l
   in
   List.iter
@@ -947,14 +931,14 @@ let () =
       else if name = "corpus" then
         run_corpus ~seed:corpus_seed ~count:corpus_count
       else
-        match List.assoc_opt name experiments with
+        match List.assoc_opt name Experiments.registry with
         | Some f ->
             print_string (f ());
             print_newline ()
         | None ->
             Printf.eprintf "unknown experiment %s (have: %s, micro, corpus)\n"
               name
-              (String.concat ", " (List.map fst experiments));
+              (String.concat ", " (List.map fst Experiments.registry));
             exit 1)
     selected;
   Option.iter write_json json_path;

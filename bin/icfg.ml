@@ -197,44 +197,28 @@ let verify_cmd workload arch pie mode trace =
   if not report.Icfg_core.Verify.ok then exit 1
 
 let run_cmd workload arch pie mode trace cache_dir =
+  let module R = Icfg_harness.Runner in
   let bin, _ = load_workload workload arch pie in
   let cache = cache_of cache_dir in
-  let show label (r : Vm.result) =
+  let show label (r : R.run) =
     Format.printf "%-10s %-8s cycles %10d, steps %9d, traps %5d, output [%s]@."
       label
-      (match r.Vm.outcome with Vm.Halted -> "ok" | Vm.Crashed m -> "CRASH: " ^ m)
-      r.Vm.cycles r.Vm.steps r.Vm.trap_hits
-      (String.concat "; " (List.map string_of_int r.Vm.output))
+      (match r.R.r_outcome with Vm.Halted -> "ok" | Vm.Crashed m -> "CRASH: " ^ m)
+      r.R.r_cycles r.R.r_steps r.R.r_traps
+      (String.concat "; " (List.map string_of_int r.R.r_output))
   in
   let orig, r =
     with_trace trace @@ fun () ->
-    let cfg = Icfg_harness.Runner.measure_config ~pie in
-    let orig =
-      Icfg_core.Trace.span "run:original" @@ fun () ->
-      Vm.run ~config:cfg ~routines:(Icfg_runtime.Runtime_lib.standard ()) bin
-    in
-    Icfg_core.Trace.add_vm ~prefix:"vm/original" orig;
-    let rw =
-      Icfg_harness.Runner.rewrite
-        ~options:{ Rewriter.default_options with Rewriter.mode } ?cache bin
-    in
-    let counters = Hashtbl.create 16 in
-    let cfg = Rewriter.vm_config_for rw cfg in
-    let r =
-      Icfg_core.Trace.span "run:rewritten" @@ fun () ->
-      Vm.run ~config:cfg ~routines:(Rewriter.routines_for rw ~counters)
-        rw.Rewriter.rw_binary
-    in
-    Icfg_core.Trace.add_vm ~prefix:"vm/rewritten" r;
-    (orig, r)
+    let orig = R.run_original bin in
+    let options = { Rewriter.default_options with Rewriter.mode } in
+    (orig, R.run_rewritten (R.rewrite ~options ?cache bin))
   in
   show "original" orig;
   show (Mode.name mode) r;
   pp_cache_line cache;
-  if r.Vm.outcome = Vm.Halted && r.Vm.output = orig.Vm.output then
-    Format.printf "outputs match; overhead %+.2f%%@."
-      (100. *. float_of_int (r.Vm.cycles - orig.Vm.cycles)
-      /. float_of_int (max 1 orig.Vm.cycles))
+  match R.judge ~orig r with
+  | R.Verified pct -> Format.printf "outputs match; overhead %+.2f%%@." pct
+  | R.Diverged | R.Crashed _ -> ()
 
 let report_cmd workload arch pie mode json trace cache_dir =
   let module A = Icfg_core.Attribution in
@@ -320,26 +304,15 @@ let dot workload arch pie func =
 
 let bench_cmd names =
   let all =
-    [
-      ("table1", Icfg_harness.Experiments.table1);
-      ("figure1", Icfg_harness.Experiments.figure1);
-      ("figure2", Icfg_harness.Experiments.figure2);
-      ("table2", Icfg_harness.Experiments.table2);
-      ("table3", fun () -> Icfg_harness.Experiments.table3 ());
-      ("table3-detail", fun () -> Icfg_harness.Experiments.table3_detail ());
-      ("firefox", Icfg_harness.Experiments.firefox);
-      ("docker", Icfg_harness.Experiments.docker);
-      ("bolt", Icfg_harness.Experiments.bolt);
-      ("diogenes", Icfg_harness.Experiments.diogenes);
-      ("ablation", Icfg_harness.Experiments.ablation);
-      ("attribution", Icfg_harness.Experiments.attribution);
-      (* A modest slice of the corpus robustness matrix; the full
-         (default 300-binary) sweep lives in `bench/main.exe corpus`. *)
-      ( "corpus",
-        fun () ->
-          Icfg_harness.Matrix.render
-            (Icfg_harness.Matrix.run ~seed:7 ~count:60 ()) );
-    ]
+    Icfg_harness.Experiments.registry
+    @ [
+        (* A modest slice of the corpus robustness matrix; the full
+           (default 300-binary) sweep lives in `bench/main.exe corpus`. *)
+        ( "corpus",
+          fun () ->
+            Icfg_harness.Matrix.render
+              (Icfg_harness.Matrix.run ~seed:7 ~count:60 ()) );
+      ]
   in
   let names = if names = [] then List.map fst all else names in
   List.iter

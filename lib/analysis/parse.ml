@@ -1,6 +1,7 @@
 open Icfg_isa
 module Binary = Icfg_obj.Binary
 module Symbol = Icfg_obj.Symbol
+module Trace = Icfg_trace.Trace
 
 type jt_site =
   | Js_resolved of Jump_table.bound_cause
@@ -149,22 +150,13 @@ let finalize_function bin (fm : Failure_model.t) ~known_data fptr_targets
     fa_liveness = Liveness.analyze cfg1;
   }
 
-(* The tracing hooks injected by the caller (the tracing layer lives in
-   the core library, above this one). The default records nothing. *)
-type runner = {
-  span : 'a. string -> (unit -> 'a) -> 'a;
-  count : string -> int -> unit;
-}
-
-let inline = { span = (fun _ f -> f ()); count = (fun _ _ -> ()) }
-
-let parse ?(fm = Failure_model.ours) ?runner:(r = inline) bin =
-  r.span "parse" @@ fun () ->
+let parse ?(fm = Failure_model.ours) bin =
+  Trace.span "parse" @@ fun () ->
   let syms = Binary.func_symbols bin in
   (* Pass 1 over every function: slices for global known-data
      collection. *)
   let pass1 =
-    r.span "pass1" (fun () ->
+    Trace.span "pass1" (fun () ->
         List.map
           (fun sym ->
             let cfg0, slices, pres = analyze_function bin fm sym in
@@ -173,16 +165,16 @@ let parse ?(fm = Failure_model.ours) ?runner:(r = inline) bin =
   in
   let all_pres = List.concat_map snd pass1 in
   let known_data =
-    r.span "known-data" (fun () -> Jump_table.known_data bin all_pres)
+    Trace.span "known-data" (fun () -> Jump_table.known_data bin all_pres)
   in
   (* Function pointers need CFGs; use the pass-1 CFGs (pointer creation
      sites live in code reachable without jump-table edges, and case-body
      sites are found after the final CFG rebuild below if needed). *)
   let cfg0s = List.map (fun ((_, c, _), _) -> c) pass1 in
-  let fptrs = r.span "func-ptr" (fun () -> Func_ptr.analyze bin fm cfg0s) in
+  let fptrs = Trace.span "func-ptr" (fun () -> Func_ptr.analyze bin fm cfg0s) in
   let pointer_targets = Func_ptr.derived_block_targets fptrs in
   let funcs =
-    r.span "finalize" (fun () ->
+    Trace.span "finalize" (fun () ->
         List.map
           (fun ((sym, cfg0, slices), _) ->
             finalize_function bin fm ~known_data pointer_targets
@@ -192,21 +184,21 @@ let parse ?(fm = Failure_model.ours) ?runner:(r = inline) bin =
   (* Second function-pointer pass over the final CFGs (covers pointer
      materializations inside switch-case blocks). *)
   let fptrs =
-    r.span "func-ptr-2" (fun () ->
+    Trace.span "func-ptr-2" (fun () ->
         Func_ptr.analyze bin fm (List.map (fun f -> f.fa_cfg) funcs))
   in
   let pointer_targets = Func_ptr.derived_block_targets fptrs in
   let t = { bin; fm; funcs; fptrs; pointer_targets } in
-  r.count "parse/funcs" (List.length t.funcs);
-  r.count "parse/instrumentable"
+  Trace.add "parse/funcs" (List.length t.funcs);
+  Trace.add "parse/instrumentable"
     (List.length (List.filter (fun f -> f.fa_instrumentable) t.funcs));
-  r.count "parse/jump-tables"
+  Trace.add "parse/jump-tables"
     (List.fold_left (fun n f -> n + List.length f.fa_tables) 0 t.funcs);
-  r.count "parse/tail-jumps"
+  Trace.add "parse/tail-jumps"
     (List.fold_left (fun n f -> n + List.length f.fa_tail_jumps) 0 t.funcs);
-  r.count "parse/known-data-addrs" (List.length known_data);
-  r.count "parse/fptr-sites" (List.length t.fptrs);
-  r.count "parse/pointer-targets" (List.length t.pointer_targets);
+  Trace.add "parse/known-data-addrs" (List.length known_data);
+  Trace.add "parse/fptr-sites" (List.length t.fptrs);
+  Trace.add "parse/pointer-targets" (List.length t.pointer_targets);
   t
 
 let func t name =

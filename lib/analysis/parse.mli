@@ -38,22 +38,12 @@ type t = {
           targets, Listing 1) *)
 }
 
-type runner = {
-  span : 'a. string -> (unit -> 'a) -> 'a;
-  count : string -> int -> unit;
-}
-(** How the parse is traced, injected by the caller (tracing lives in the
-    core library, above this one — see [Icfg_core.Trace.runner]).
-    [span name f] times [f] as a nested span and [count name n] bumps a
-    named counter; both are observation-only — [parse] output never
-    depends on the runner. *)
-
-val parse : ?fm:Failure_model.t -> ?runner:runner -> Icfg_obj.Binary.t -> t
-(** Whole-binary parse, computed in full on every call. The default
-    runner records nothing. Spans: [pass1] (initial CFG + jump-table
-    slicing per function), [known-data], [func-ptr], [finalize]
-    (finalization + liveness per function) and [func-ptr-2] under
-    [parse]; whole-binary counters: [parse/funcs],
+val parse : ?fm:Failure_model.t -> Icfg_obj.Binary.t -> t
+(** Whole-binary parse, computed in full on every call and recorded into
+    the ambient {!Icfg_trace.Trace}. Spans: [pass1] (initial CFG +
+    jump-table slicing per function), [known-data], [func-ptr],
+    [finalize] (finalization + liveness per function) and [func-ptr-2]
+    under [parse]; whole-binary counters: [parse/funcs],
     [parse/instrumentable], [parse/jump-tables], ... *)
 
 val func : t -> string -> func_analysis option

@@ -6,7 +6,6 @@ module Failure_model = Icfg_analysis.Failure_model
 module Cfg = Icfg_analysis.Cfg
 module Rewriter = Icfg_core.Rewriter
 module Mode = Icfg_core.Mode
-module Trace = Icfg_core.Trace
 
 type outcome = Rewritten of Rewriter.t | Refused of string
 
@@ -25,7 +24,7 @@ let srbi ?(payload = default_payload) ?cache bin =
       "call emulation for C++ exceptions is only implemented on x86-64 in \
        Dyninst-10.2"
   else
-    let parse = Parse.parse ~fm:Failure_model.srbi ~runner:Trace.runner bin in
+    let parse = Parse.parse ~fm:Failure_model.srbi bin in
     let rw =
       Rewriter.rewrite ?cache ~options:(Rewriter.srbi_like payload) parse
     in
@@ -69,7 +68,7 @@ let ir_lowering ?(payload = default_payload) ?cache bin =
   else if feat.Binary.symbol_versioning then
     Refused "cannot rewrite symbol versioning information (the libcuda failure)"
   else
-    let parse = Parse.parse ~runner:Trace.runner bin in
+    let parse = Parse.parse bin in
     if Parse.coverage parse < 1.0 then
       let bad =
         List.find (fun f -> not f.Parse.fa_instrumentable) parse.Parse.funcs
@@ -115,7 +114,7 @@ let ir_lowering ?(payload = default_payload) ?cache bin =
 (* ------------------------------------------------------------------ *)
 
 let insn_patching ?(payload = default_payload) ?cache bin =
-  let parse = Parse.parse ~runner:Trace.runner bin in
+  let parse = Parse.parse bin in
   let options =
     {
       Rewriter.default_options with
@@ -136,7 +135,7 @@ let insn_patching ?(payload = default_payload) ?cache bin =
 (* ------------------------------------------------------------------ *)
 
 let dynamic_translation ?(payload = default_payload) ?cache bin =
-  let parse = Parse.parse ~runner:Trace.runner bin in
+  let parse = Parse.parse bin in
   let options =
     {
       Rewriter.default_options with
@@ -195,7 +194,7 @@ let bolt_block_reorder bin =
 (* ------------------------------------------------------------------ *)
 
 let ours ?(payload = default_payload) ?cache ~mode bin =
-  let parse = Parse.parse ~runner:Trace.runner bin in
+  let parse = Parse.parse bin in
   let options = { Rewriter.default_options with Rewriter.mode; payload } in
   Rewritten (Rewriter.rewrite ?cache ~options parse)
 

@@ -320,7 +320,7 @@ let to_json ?dir t =
       if i > 0 then Buffer.add_char b ',';
       Printf.bprintf b "\n    {\"name\": \"%s\", \"addr\": %d, \
                         \"instrumented\": %b, \"fail\": "
-        (Stats.json_escape r.fr_name) r.fr_addr r.fr_instrumented;
+        (Icfg_trace.Stats.json_escape r.fr_name) r.fr_addr r.fr_instrumented;
       (match r.fr_fail with
       | Some c -> Printf.bprintf b "\"%s\"" (key c)
       | None -> Buffer.add_string b "null");

@@ -144,20 +144,20 @@ let to_json s =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\n    \"%s\": %d" (Stats.json_escape k) v)
+      Printf.bprintf b "\n    \"%s\": %d" (Icfg_trace.Stats.json_escape k) v)
     s.s_counters;
   Buffer.add_string b "\n  },\n  \"gauges\": {";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\n    \"%s\": %d" (Stats.json_escape k) v)
+      Printf.bprintf b "\n    \"%s\": %d" (Icfg_trace.Stats.json_escape k) v)
     s.s_gauges;
   Buffer.add_string b "\n  },\n  \"histograms\": {";
   List.iteri
     (fun i (k, h) ->
       if i > 0 then Buffer.add_char b ',';
       Printf.bprintf b "\n    \"%s\": {\"count\": %d, \"sum\": %d, \"buckets\": {"
-        (Stats.json_escape k) h.h_count h.h_sum;
+        (Icfg_trace.Stats.json_escape k) h.h_count h.h_sum;
       List.iteri
         (fun j (idx, n) ->
           if j > 0 then Buffer.add_string b ", ";

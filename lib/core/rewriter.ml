@@ -12,6 +12,7 @@ module Func_ptr = Icfg_analysis.Func_ptr
 module Liveness = Icfg_analysis.Liveness
 module Trampoline = Icfg_isa.Trampoline
 module Ra_map = Icfg_runtime.Runtime_lib.Ra_map
+module Stats = Icfg_trace.Stats
 
 type payload = P_empty | P_count
 
@@ -204,9 +205,19 @@ let cfl_causes opts (p : Parse.t) (fa : Parse.func_analysis) =
 (* Relocation context                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* What a label in the relocated code stands for, resolved to its address
+   once layout has placed it. *)
+type fixup =
+  | F_ra of int  (** original return address *)
+  | F_throw of int  (** original throw site *)
+  | F_block of int  (** original block *)
+  | F_counter of int  (** counter call site: original block *)
+  | F_trap of int  (** far-jump trap: target address *)
+  | F_dt of Reg.t  (** dynamic-translation call site: target register *)
+
 (* One rctx per relocated function: the shared configuration fields are
    read-only, and the mutable accumulators collect that function's own
-   items and pairs, which become its layout segment and are merged in
+   items and fixups, which become its layout segment and are merged in
    emission order. [ns] (the function's entry address) namespaces fresh
    labels, so a function's labels do not depend on the functions relocated
    before it. *)
@@ -222,12 +233,7 @@ type rctx = {
   ns : string;  (** per-function fresh-label namespace *)
   mutable items : Asm.item list;  (** .instr, reversed *)
   mutable jt_items : Asm.item list;  (** .jtnew, reversed *)
-  mutable ra_pairs : (string * int) list;  (** label, original RA *)
-  mutable throw_pairs : (string * int) list;  (** label, original throw site *)
-  mutable block_pairs : (string * int) list;  (** label, original block *)
-  mutable counter_sites : (string * int) list;  (** label, original block *)
-  mutable pending_traps : (string * int) list;  (** label, target address *)
-  mutable dt_sites : (string * Reg.t) list;  (** dyn-translation call sites *)
+  mutable fixups : (string * fixup) list;  (** reversed *)
   mutable fresh : int;
   (* per-function stats *)
   mutable n_cloned : int;
@@ -239,13 +245,19 @@ let fresh_label ctx prefix =
 
 let emit ctx its = ctx.items <- List.rev_append its ctx.items
 let emit_jt ctx its = ctx.jt_items <- List.rev_append its ctx.jt_items
+let fixup ctx l f = ctx.fixups <- (l, f) :: ctx.fixups
 
-(* A far unconditional jump to a fixed original address, usable at any
-   point in the relocated stream without a known-dead register. *)
-let far_jump_items ctx target =
+(* A fresh label, recorded as fixup [f], in front of [its]. *)
+let labelled ctx prefix f its =
+  let l = fresh_label ctx prefix in
+  fixup ctx l f;
+  Asm.Label l :: its
+
+(* An unconditional jump to a fixed original address, usable at any point
+   in the relocated stream without a known-dead register. *)
+let jump_orig ctx target =
   match ctx.arch with
-  | Arch.X86_64 -> [ Asm.Jmp_abs target ]
-  | Arch.Ppc64le ->
+  | Arch.Ppc64le when ctx.far ->
       [
         Asm.Insn (Insn.Store (W64, BSp, -8, Reg.r15));
         Asm.Mater_const (Reg.r15, target);
@@ -253,24 +265,25 @@ let far_jump_items ctx target =
         Asm.Insn (Insn.Load (W64, Reg.r15, BSp, -8));
         Asm.Insn Insn.Btar;
       ]
-  | Arch.Aarch64 ->
+  | Arch.Aarch64 when ctx.far ->
       (* No branch-target register: fall back to a trap resolved by the
          runtime library. *)
-      let l = fresh_label ctx "TRAP" in
-      ctx.pending_traps <- (l, target) :: ctx.pending_traps;
-      [ Asm.Label l; Asm.Insn Insn.Trap ]
+      labelled ctx "TRAP" (F_trap target) [ Asm.Insn Insn.Trap ]
+  | _ -> [ Asm.Jmp_abs target ]
 
-(* A far call: spill the target through the stack so no dead register is
-   required (the VM reads the memory-indirect target before pushing the
-   return address). *)
-let far_call_items _ctx target =
-  [
-    Asm.Insn (Insn.Store (W64, BSp, -16, Reg.r15));
-    Asm.Mater_const (Reg.r15, target);
-    Asm.Insn (Insn.Store (W64, BSp, -8, Reg.r15));
-    Asm.Insn (Insn.Load (W64, Reg.r15, BSp, -16));
-    Asm.Insn (Insn.IndCallMem (BSp, -8));
-  ]
+(* A call to a fixed original address. A far one spills the target
+   through the stack so no dead register is required (the VM reads the
+   memory-indirect target before pushing the return address). *)
+let call_orig ctx target =
+  if not ctx.far then [ Asm.Call_abs target ]
+  else
+    [
+      Asm.Insn (Insn.Store (W64, BSp, -16, Reg.r15));
+      Asm.Mater_const (Reg.r15, target);
+      Asm.Insn (Insn.Store (W64, BSp, -8, Reg.r15));
+      Asm.Insn (Insn.Load (W64, Reg.r15, BSp, -16));
+      Asm.Insn (Insn.IndCallMem (BSp, -8));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-function relocation                                             *)
@@ -284,23 +297,24 @@ type fctx = {
   fp_mater : (int, string) Hashtbl.t;
 }
 
-let record_ra ctx orig_ra =
-  let l = fresh_label ctx "RA" in
-  ctx.ra_pairs <- (l, orig_ra) :: ctx.ra_pairs;
-  [ Asm.Label l ]
+(* Does original address [a] have a relocated block label? It does when
+   it lies in the function being relocated or is an instrumented entry. *)
+let relocated ctx fc a =
+  (a >= fc.fstart && a < fc.fend) || ctx.is_instrumented a
 
-let record_throw ctx orig =
-  let l = fresh_label ctx "THR" in
-  ctx.throw_pairs <- (l, orig) :: ctx.throw_pairs;
-  [ Asm.Label l ]
+(* A jump to original address [tgt]: to its relocated block when it has
+   one, else to the original code. *)
+let jump_to ctx fc tgt =
+  if relocated ctx fc tgt then [ Asm.Jmp_to (block_label tgt) ]
+  else jump_orig ctx tgt
 
-let translate_call ctx fc addr len target =
-  ignore fc;
+let record_ra ctx orig_ra = labelled ctx "RA" (F_ra orig_ra) []
+
+let translate_call ctx addr len target =
   let next = addr + len in
   let call_items =
     if ctx.is_instrumented target then [ Asm.Call_to (block_label target) ]
-    else if not ctx.far then [ Asm.Call_abs target ]
-    else far_call_items ctx target
+    else call_orig ctx target
   in
   if not ctx.opts.call_emulation then call_items @ record_ra ctx next
   else
@@ -308,8 +322,7 @@ let translate_call ctx fc addr len target =
        return address; the return lands in original code. *)
     let jump_items =
       if ctx.is_instrumented target then [ Asm.Jmp_to (block_label target) ]
-      else if not ctx.far then [ Asm.Jmp_abs target ]
-      else far_jump_items ctx target
+      else jump_orig ctx target
     in
     if Arch.has_link_register ctx.arch then
       [
@@ -333,34 +346,22 @@ let translate_call ctx fc addr len target =
    transfer: at run time the routine rewrites the target register through
    the original->relocated map. *)
 let dt_call ctx reg =
-  let l = fresh_label ctx "DT" in
-  ctx.dt_sites <- (l, reg) :: ctx.dt_sites;
-  [ Asm.Label l; Asm.Insn (Insn.CallRt ctx.dt_idx) ]
+  labelled ctx "DT" (F_dt reg) [ Asm.Insn (Insn.CallRt ctx.dt_idx) ]
 
 let translate_insn ctx fc (addr, (insn : Insn.t), len) : Asm.item list =
-  let in_func a = a >= fc.fstart && a < fc.fend in
   let jt_at a = Hashtbl.find_opt fc.jt_mater a in
   let fp_at a = Hashtbl.find_opt fc.fp_mater a in
   match insn with
-  | Jmp d ->
-      let tgt = addr + d in
-      if not ctx.opts.rewrite_direct then
-        if not ctx.far then [ Asm.Jmp_abs tgt ] else far_jump_items ctx tgt
-      else if in_func tgt || ctx.is_instrumented tgt then
-        [ Asm.Jmp_to (block_label tgt) ]
-      else if not ctx.far then [ Asm.Jmp_abs tgt ]
-      else far_jump_items ctx tgt
+  | Jmp d when not ctx.opts.rewrite_direct -> jump_orig ctx (addr + d)
+  | Jmp d -> jump_to ctx fc (addr + d)
   | Jcc (c, d) ->
       let tgt = addr + d in
-      if not ctx.opts.rewrite_direct then [ Asm.Jcc_abs (c, tgt) ]
-      else if in_func tgt || ctx.is_instrumented tgt then
+      if ctx.opts.rewrite_direct && relocated ctx fc tgt then
         [ Asm.Jcc_to (c, block_label tgt) ]
       else [ Asm.Jcc_abs (c, tgt) ]
   | Call d when not ctx.opts.rewrite_direct ->
-      (if not ctx.far then [ Asm.Call_abs (addr + d) ]
-       else far_call_items ctx (addr + d))
-      @ record_ra ctx (addr + len)
-  | Call d -> translate_call ctx fc addr len (addr + d)
+      call_orig ctx (addr + d) @ record_ra ctx (addr + len)
+  | Call d -> translate_call ctx addr len (addr + d)
   | IndJmp r when ctx.opts.dyn_translate ->
       dt_call ctx r @ [ Asm.Insn insn ]
   | IndCall r when ctx.opts.dyn_translate ->
@@ -421,7 +422,7 @@ let translate_insn ctx fc (addr, (insn : Insn.t), len) : Asm.item list =
   | Throw ->
       (* The unwinder sees the throw site itself as the innermost PC; give
          it an exact translation so same-frame landing-pad ranges match. *)
-      record_throw ctx addr @ [ Asm.Insn Insn.Throw ]
+      labelled ctx "THR" (F_throw addr) [ Asm.Insn Insn.Throw ]
   | _ -> [ Asm.Insn insn ]
 
 (* Emit the clone of a resolved jump table into .jtnew (section 5.1's
@@ -511,7 +512,7 @@ let relocate_function ctx (fa : Parse.func_analysis) go_hook_funcs =
     | [] -> ()
     | (b : Cfg.block) :: rest ->
         let lbl = block_label b.Cfg.b_start in
-        ctx.block_pairs <- (lbl, b.Cfg.b_start) :: ctx.block_pairs;
+        fixup ctx lbl (F_block b.Cfg.b_start);
         emit ctx [ Asm.Label lbl ];
         if is_go_hook && b.Cfg.b_start = fstart then
           emit ctx [ Asm.Insn (Insn.CallRt ctx.translate_idx) ];
@@ -524,24 +525,21 @@ let relocate_function ctx (fa : Parse.func_analysis) go_hook_funcs =
         | P_empty -> ()
         | P_count when not wants_payload -> ()
         | P_count ->
-            let cl = fresh_label ctx "CNT" in
-            ctx.counter_sites <- (cl, b.Cfg.b_start) :: ctx.counter_sites;
-            emit ctx [ Asm.Label cl; Asm.Insn (Insn.CallRt ctx.count_idx) ]);
+            emit ctx
+              (labelled ctx "CNT" (F_counter b.Cfg.b_start)
+                 [ Asm.Insn (Insn.CallRt ctx.count_idx) ]));
         List.iter (fun i -> emit ctx (translate_insn ctx fc i)) b.Cfg.b_insns;
         (* Materialize the fall-through edge when the next emitted block is
            not the textual successor (block reordering), or bounce back to
            the original code after every block (instruction patching). *)
         (if falls_through b then
-           if ctx.opts.bounce_back then
-             emit ctx
-               (if not ctx.far then [ Asm.Jmp_abs b.Cfg.b_end ]
-                else far_jump_items ctx b.Cfg.b_end)
+           if ctx.opts.bounce_back then emit ctx (jump_orig ctx b.Cfg.b_end)
            else
              let next_emitted =
                match rest with b' :: _ -> Some b'.Cfg.b_start | [] -> None
              in
              if next_emitted <> Some b.Cfg.b_end then
-               emit ctx [ Asm.Jmp_to (block_label b.Cfg.b_end) ]);
+               emit ctx (jump_to ctx fc b.Cfg.b_end));
         emit_blocks rest
   in
   emit_blocks blocks
@@ -716,12 +714,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
       ns = Printf.sprintf "$%x" fa.Parse.fa_sym.Symbol.addr;
       items = [];
       jt_items = [];
-      ra_pairs = [];
-      throw_pairs = [];
-      block_pairs = [];
-      counter_sites = [];
-      pending_traps = [];
-      dt_sites = [];
+      fixups = [];
       fresh = 0;
       n_cloned = 0;
     }
@@ -742,13 +735,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
         ctx)
       emission_funcs
   in
-  let merge proj = List.concat_map (fun c -> List.rev (proj c)) fctxs in
-  let all_ra_pairs = merge (fun c -> c.ra_pairs) in
-  let all_throw_pairs = merge (fun c -> c.throw_pairs) in
-  let all_block_pairs = merge (fun c -> c.block_pairs) in
-  let all_counter_sites = merge (fun c -> c.counter_sites) in
-  let all_pending_traps = merge (fun c -> c.pending_traps) in
-  let all_dt_sites = merge (fun c -> c.dt_sites) in
+  let fixups = List.concat_map (fun c -> List.rev c.fixups) fctxs in
   let n_cloned = List.fold_left (fun acc c -> acc + c.n_cloned) 0 fctxs in
   (* 5. Assemble .instr and .jtnew in one label namespace, one segment per
      function: layout assigns addresses and labels, then each function's
@@ -817,42 +804,39 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
   in
   let jt_bytes, jt_relocs = Trace.span "encode:jtnew" @@ fun () -> encode pj in
   let jt_lay = pj.Asm.p_layout in
-  let label_addr l = Asm.label_exn labels l in
-  let reloc_of a = label_addr (block_label a) in
-  (* 6. RA map, counter-site map, trap seeds from relocated code. *)
-  let resolve_pairs l = List.map (fun (lb, orig) -> (label_addr lb, orig)) l in
-  let throw_pairs = resolve_pairs all_throw_pairs in
-  (* Return-address pairs get an exact twin at ra-1: unwinders match the
-     caller frame at the call instruction (IP-1), and that lookup must
-     translate to original_ra-1 so landing-pad ranges starting mid-block
-     still cover it. *)
-  let ra_pairs_resolved =
-    List.concat_map
-      (fun (k, v) -> [ (k, v); (k - 1, v - 1) ])
-      (resolve_pairs all_ra_pairs)
-  in
+  let reloc_of a = Asm.label_exn labels (block_label a) in
+  (* 6. RA map, counter-site map, trap seeds from relocated code: every
+     fixup resolved in one pass. Return-address pairs get an exact twin at
+     ra-1: unwinders match the caller frame at the call instruction
+     (IP-1), and that lookup must translate to original_ra-1 so
+     landing-pad ranges starting mid-block still cover it. Each kind keeps
+     its emission order: [Ra_map.of_pairs] sorts unstably, so the order
+     decides between pairs with equal keys. *)
+  let throws = ref [] and ras = ref [] and blocks = ref [] in
+  let counter_of_site = Hashtbl.create 64 in
+  let trap_map = Hashtbl.create 16 in
+  let dt_sites = Hashtbl.create 16 in
+  List.iter
+    (fun (l, f) ->
+      let a = Asm.label_exn labels l in
+      match f with
+      | F_ra v -> ras := (a - 1, v - 1) :: (a, v) :: !ras
+      | F_throw v -> throws := (a, v) :: !throws
+      | F_block v -> blocks := (a, v) :: !blocks
+      | F_counter v -> Hashtbl.replace counter_of_site a v
+      | F_trap v -> Hashtbl.replace trap_map a v
+      | F_dt r -> Hashtbl.replace dt_sites a r)
+    fixups;
+  let throw_pairs = List.rev !throws in
   (* Under call emulation the throw-site pairs model __cxa_throw's emulated
      caller return address (exact matches only); full RA translation uses
      every pair. *)
   let ra_map =
     Trace.span "ra-map" @@ fun () ->
     if opts.ra_translation then
-      Ra_map.of_pairs
-        (throw_pairs @ ra_pairs_resolved @ resolve_pairs all_block_pairs)
+      Ra_map.of_pairs (throw_pairs @ List.rev_append !ras (List.rev !blocks))
     else Ra_map.of_pairs ~exact_only:true throw_pairs
   in
-  let counter_of_site = Hashtbl.create 64 in
-  List.iter
-    (fun (l, blk) -> Hashtbl.replace counter_of_site (label_addr l) blk)
-    all_counter_sites;
-  let trap_map = Hashtbl.create 16 in
-  List.iter
-    (fun (l, target) -> Hashtbl.replace trap_map (label_addr l) target)
-    all_pending_traps;
-  let dt_sites = Hashtbl.create 16 in
-  List.iter
-    (fun (l, reg) -> Hashtbl.replace dt_sites (label_addr l) reg)
-    all_dt_sites;
   (* 7. Trampoline placement over the original text. *)
   let writes : (int * string) list ref = ref [] in
   let pool = { chunks = [] } in
@@ -863,12 +847,6 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
       | Some s -> pool_add pool s.Section.vaddr (Section.end_vaddr s)
       | None -> ())
     [ ".dynsym"; ".dynstr"; ".rela_dyn" ];
-  let n_short = ref 0
-  and n_long = ref 0
-  and n_hop = ref 0
-  and n_trap = ref 0
-  and n_cfl = ref 0
-  and n_blocks = ref 0 in
   let sorted_ifuncs =
     List.sort
       (fun a b -> compare a.Parse.fa_sym.Symbol.addr b.Parse.fa_sym.Symbol.addr)
@@ -885,7 +863,8 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
   let deferred = ref [] in
   let preserved_ranges = ref [] in
   (* Placement cause per CFL block start (block starts are unique across
-     functions), filled by both passes — attribution input only. *)
+     functions), filled by both passes: one entry per placed trampoline,
+     the source of both [stats] and attribution. *)
   let place_causes : (int, Attribution.cause) Hashtbl.t = Hashtbl.create 64 in
   (* First pass, function by function in address order: CFL
      classification, regions, superblock extension and trampoline
@@ -911,16 +890,13 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
           (match Trampoline.select arch ~at:lo ~space ~target ~dead ~toc with
           | Some kind ->
               let bytes = Trampoline.emit arch ~at:lo ~target ~toc kind in
-              let n, cause =
-                match kind with
-                | Trampoline.Short -> (n_short, Attribution.Tramp_short)
-                | Trampoline.Long _ | Trampoline.Long_save_restore _ ->
-                    (n_long, Attribution.Tramp_long)
-                | Trampoline.Trap_tramp -> (n_trap, Attribution.Trap_no_reach)
-              in
               writes := (lo, bytes) :: !writes;
-              incr n;
-              Hashtbl.replace place_causes lo cause;
+              Hashtbl.replace place_causes lo
+                (match kind with
+                | Trampoline.Short -> Attribution.Tramp_short
+                | Trampoline.Long _ | Trampoline.Long_save_restore _ ->
+                    Attribution.Tramp_long
+                | Trampoline.Trap_tramp -> Attribution.Trap_no_reach);
               pool_add pool (lo + String.length bytes) se
           | None ->
               deferred := (lo, se, target, dead) :: !deferred;
@@ -935,12 +911,9 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
           place rest
     in
     place regions;
-    let blocks = List.length fa.Parse.fa_cfg.Cfg.blocks in
-    n_blocks := !n_blocks + blocks;
-    n_cfl := !n_cfl + List.length cfl_causes_l;
     {
       pf_entry = fa.Parse.fa_sym.Symbol.addr;
-      pf_blocks = blocks;
+      pf_blocks = List.length fa.Parse.fa_cfg.Cfg.blocks;
       pf_cfl_causes = cfl_causes_l;
     }
   in
@@ -989,12 +962,10 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
           let hop1 = Encode.encode_jmp arch ~wide:false (chunk - lo) in
           let hop2 = Trampoline.emit arch ~at:chunk ~target ~toc kind in
           writes := (lo, hop1) :: (chunk, hop2) :: !writes;
-          incr n_hop;
           Hashtbl.replace place_causes lo Attribution.Tramp_hop
       | `Trap cause ->
           writes := (lo, Encode.encode arch Insn.Trap) :: !writes;
           Hashtbl.replace trap_map lo target;
-          incr n_trap;
           Hashtbl.replace place_causes lo cause)
     !deferred);
   (* Coverage attribution: assembled from the placed functions in sorted
@@ -1165,24 +1136,27 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
       dynsyms;
     }
   in
+  let sum f = List.fold_left (fun n pf -> n + f pf) 0 placed in
+  let placed_as pred =
+    Hashtbl.fold (fun _ c n -> if pred c then n + 1 else n) place_causes 0
+  in
   let stats =
     {
       s_funcs_total = List.length p.Parse.funcs;
       s_funcs_instrumented = List.length ifuncs;
-      s_blocks = !n_blocks;
-      s_cfl_blocks = !n_cfl;
-      s_trampolines = !n_short + !n_long + !n_hop + !n_trap;
-      s_short_trampolines = !n_short;
-      s_long_trampolines = !n_long;
-      s_multi_hop = !n_hop;
-      s_trap_trampolines = !n_trap;
+      s_blocks = sum (fun pf -> pf.pf_blocks);
+      s_cfl_blocks = sum (fun pf -> List.length pf.pf_cfl_causes);
+      s_trampolines = Hashtbl.length place_causes;
+      s_short_trampolines = placed_as (( = ) Attribution.Tramp_short);
+      s_long_trampolines = placed_as (( = ) Attribution.Tramp_long);
+      s_multi_hop = placed_as (( = ) Attribution.Tramp_hop);
+      s_trap_trampolines = placed_as Attribution.is_trap;
       s_cloned_tables = n_cloned;
       s_rewritten_slots = Hashtbl.length slot_patches;
       s_orig_size = Binary.loaded_size bin;
       s_new_size = Binary.loaded_size out;
     }
   in
-  ignore translate_idx;
   (* Named counters mirror [stats] plus byte-level measures, each a pure
      function of the rewrite output. *)
   if Trace.active () then begin

@@ -95,9 +95,9 @@ val pp_stats : Format.formatter -> stats -> unit
 
 type t = {
   rw_binary : Icfg_obj.Binary.t;
-      (** the output image. It shares every section buffer it does not
-          write with the input binary ({!Icfg_obj.Binary.patch}), so
-          mutate only an {!Icfg_obj.Binary.copy} of it *)
+      (** the output image. It shares every section it does not write
+          with the input binary, and writes go only through
+          {!Icfg_obj.Binary.patch}, which copies what it writes *)
   rw_ra_map : Icfg_runtime.Runtime_lib.Ra_map.t;
   rw_trap_map : (int, int) Hashtbl.t;
   rw_counter_of_site : (int, int) Hashtbl.t;

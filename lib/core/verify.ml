@@ -61,7 +61,7 @@ let strong_test ?(options = Rewriter.default_options) ?fm bin =
      count the shared counter namespace). *)
   let trace = Trace.create () in
   Trace.with_current trace @@ fun () ->
-  let parse = Parse.parse ?fm ~runner:Trace.runner bin in
+  let parse = Parse.parse ?fm bin in
   let rw = Rewriter.rewrite ~options parse in
   (* Which functions were actually instrumented (instrumentable + filter)? *)
   let instrumented fa =

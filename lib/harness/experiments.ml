@@ -9,7 +9,7 @@ module Capabilities = Icfg_baselines.Capabilities
 module Spec_suite = Icfg_workloads.Spec_suite
 module Apps = Icfg_workloads.Apps
 module Vm = Icfg_runtime.Vm
-module Stats = Icfg_core.Stats
+module Stats = Icfg_trace.Stats
 
 let buf_out f =
   let b = Buffer.create 4096 in
@@ -584,14 +584,10 @@ let ablation () =
             let s = rw.Rewriter.rw_stats in
             let r = Runner.run_rewritten rw in
             let overhead =
-              match r.Runner.r_outcome with
-              | Vm.Halted when r.Runner.r_output = orig.Runner.r_output ->
-                  Stats.pct
-                    (100.
-                    *. float_of_int (r.Runner.r_cycles - orig.Runner.r_cycles)
-                    /. float_of_int (max 1 orig.Runner.r_cycles))
-              | Vm.Halted -> "MISMATCH"
-              | Vm.Crashed m -> "CRASH: " ^ m
+              match Runner.judge ~orig r with
+              | Runner.Verified pct -> Stats.pct pct
+              | Runner.Diverged -> "MISMATCH"
+              | Runner.Crashed m -> "CRASH: " ^ m
             in
             [
               label;
@@ -637,16 +633,11 @@ let ablation () =
       List.iter
         (fun (label, options) ->
           let rw = Rewriter.rewrite ~options parse in
-          let r = Runner.run_rewritten rw in
-          match r.Runner.r_outcome with
-          | Vm.Halted when r.Runner.r_output = orig.Runner.r_output ->
-              line b "  %-28s overhead %s" label
-                (Stats.pct
-                   (100.
-                   *. float_of_int (r.Runner.r_cycles - orig.Runner.r_cycles)
-                   /. float_of_int (max 1 orig.Runner.r_cycles)))
-          | Vm.Halted -> line b "  %-28s OUTPUT MISMATCH" label
-          | Vm.Crashed m -> line b "  %-28s CRASH (%s)" label m)
+          match Runner.judge ~orig (Runner.run_rewritten rw) with
+          | Runner.Verified pct ->
+              line b "  %-28s overhead %s" label (Stats.pct pct)
+          | Runner.Diverged -> line b "  %-28s OUTPUT MISMATCH" label
+          | Runner.Crashed m -> line b "  %-28s CRASH (%s)" label m)
         [
           ("runtime RA translation (ours)", Rewriter.default_options);
           ( "call emulation",
@@ -787,18 +778,18 @@ let attribution () =
           line b "monotonicity dir -> jt -> func-ptr: VIOLATED";
           List.iter (fun v -> line b "  %s" v) vs)
 
-let all () =
-  String.concat "\n"
-    [
-      table1 ();
-      figure1 ();
-      figure2 ();
-      table2 ();
-      table3 ();
-      firefox ();
-      docker ();
-      bolt ();
-      diogenes ();
-      ablation ();
-      attribution ();
-    ]
+let registry =
+  [
+    ("table1", table1);
+    ("figure1", figure1);
+    ("figure2", figure2);
+    ("table2", table2);
+    ("table3", fun () -> table3 ());
+    ("table3-detail", fun () -> table3_detail ());
+    ("firefox", firefox);
+    ("docker", docker);
+    ("bolt", bolt);
+    ("diogenes", diogenes);
+    ("ablation", ablation);
+    ("attribution", attribution);
+  ]

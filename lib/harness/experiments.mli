@@ -107,5 +107,6 @@ val attribution : unit -> string
     monotonicity check that residual CFL blocks and traps never increase
     along [dir -> jt -> func-ptr]. *)
 
-val all : unit -> string
-(** Every experiment, in paper order, plus the ablations. *)
+val registry : (string * (unit -> string)) list
+(** Every experiment by name, in the order [icfg bench] and
+    [bench/main.exe] run them when given none. *)

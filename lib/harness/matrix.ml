@@ -1,4 +1,3 @@
-module Vm = Icfg_runtime.Vm
 module Baseline = Icfg_baselines.Baseline
 module Trace = Icfg_core.Trace
 module Corpus = Icfg_workloads.Corpus
@@ -54,12 +53,10 @@ let classify ~orig outcome =
   match outcome with
   | Baseline.Refused reason -> Refused (Baseline.refusal_key reason)
   | Baseline.Rewritten rw -> (
-      let r = Runner.run_rewritten rw in
-      match r.Runner.r_outcome with
-      | Vm.Crashed m -> Crashed m
-      | Vm.Halted ->
-          if r.Runner.r_output = orig.Runner.r_output then Verified
-          else Diverged)
+      match Runner.judge ~orig (Runner.run_rewritten rw) with
+      | Runner.Verified _ -> Verified
+      | Runner.Diverged -> Diverged
+      | Runner.Crashed m -> Crashed m)
 
 let cls_to_string = function
   | Verified -> "verified"

@@ -10,7 +10,7 @@ module Baseline = Icfg_baselines.Baseline
 (* ------------------------------------------------------------------ *)
 
 (* [?jobs] is ignored by all three (see runner.mli). *)
-let parse ?fm ?jobs:_ bin = Parse.parse ?fm ~runner:Icfg_core.Trace.runner bin
+let parse ?fm ?jobs:_ bin = Parse.parse ?fm bin
 
 let rewrite ?fm ?(options = Rewriter.default_options) ?jobs:_ ?cache bin =
   Rewriter.rewrite ?cache ~options (parse ?fm bin)
@@ -240,6 +240,19 @@ let run_rewritten (rw : Rewriter.t) =
   Icfg_core.Trace.add_vm ~prefix:"vm/rewritten" r;
   of_result r
 
+type judgement = Verified of float | Diverged | Crashed of string
+
+(* The one rule for a rewritten run: it must halt with the original's
+   output, and its overhead is its cycle increase over the original run,
+   in percent. *)
+let judge ~orig r =
+  match r.r_outcome with
+  | Vm.Crashed m -> Crashed m
+  | Vm.Halted when r.r_output <> orig.r_output -> Diverged
+  | Vm.Halted ->
+      Verified
+        (Icfg_trace.Stats.ratio_pct ~base:orig.r_cycles ~value:r.r_cycles)
+
 type verdict = {
   v_pass : bool;
   v_reason : string;
@@ -262,28 +275,20 @@ let evaluate ~orig ~coverage ~orig_size outcome =
         v_traps = 0;
       }
   | Baseline.Rewritten rw ->
-      let size_pct =
-        Icfg_core.Stats.ratio_pct ~base:orig_size
-          ~value:rw.Rewriter.rw_stats.Rewriter.s_new_size
-      in
       let r = run_rewritten rw in
-      let pass, reason =
-        match r.r_outcome with
-        | Vm.Crashed m -> (false, m)
-        | Vm.Halted ->
-            if r.r_output = orig.r_output then (true, "")
-            else (false, "output mismatch")
+      let pass, reason, overhead_pct =
+        match judge ~orig r with
+        | Verified pct -> (true, "", pct)
+        | Diverged -> (false, "output mismatch", 0.)
+        | Crashed m -> (false, m, 0.)
       in
       {
         v_pass = pass;
         v_reason = reason;
-        v_overhead_pct =
-          (if pass then
-             100.
-             *. float_of_int (r.r_cycles - orig.r_cycles)
-             /. float_of_int (max 1 orig.r_cycles)
-           else 0.);
+        v_overhead_pct = overhead_pct;
         v_coverage_pct = coverage_pct;
-        v_size_pct = size_pct;
+        v_size_pct =
+          Icfg_trace.Stats.ratio_pct ~base:orig_size
+            ~value:rw.Rewriter.rw_stats.Rewriter.s_new_size;
         v_traps = r.r_traps;
       }

@@ -83,6 +83,18 @@ val run_original : Icfg_obj.Binary.t -> run
 val run_rewritten : Icfg_core.Rewriter.t -> run
 (** Runs with the rewriter's trap map and translation hooks installed. *)
 
+(** What a rewritten run shows against the original run. *)
+type judgement =
+  | Verified of float
+      (** halted with the original's output; the payload is the cycle
+          overhead in percent *)
+  | Diverged  (** halted with a different output *)
+  | Crashed of string  (** the rewritten binary crashed in the VM *)
+
+val judge : orig:run -> run -> judgement
+(** The one output-equality and overhead rule: every harness verdict,
+    the corpus classification, the ablations and [icfg run] use it. *)
+
 (** Result of one (benchmark, approach) cell. *)
 type verdict = {
   v_pass : bool;

@@ -97,8 +97,8 @@ let summary_json s =
     "{\"id\": %d, \"approach\": \"%s\", \"outcome\": \"%s\", \"ns\": %d, \
      \"errored\": %b}"
     s.fs_id
-    (Icfg_core.Stats.json_escape s.fs_approach)
-    (Icfg_core.Stats.json_escape s.fs_outcome)
+    (Icfg_trace.Stats.json_escape s.fs_approach)
+    (Icfg_trace.Stats.json_escape s.fs_outcome)
     s.fs_ns
     s.fs_errored
 

@@ -64,9 +64,6 @@ type t = {
   mutable conn_threads : Thread.t list;
   mutable accept_thread : Thread.t option;
   mutable stopping : bool;
-  n_requests : int Atomic.t;
-  n_overloaded : int Atomic.t;
-  n_errors : int Atomic.t;
 }
 
 type stats = {
@@ -78,10 +75,12 @@ type stats = {
 }
 
 let stats t =
+  let snap = Metrics.snapshot t.registry in
+  let count name = Option.value ~default:0 (Metrics.find_counter snap name) in
   {
-    requests = Atomic.get t.n_requests;
-    overloaded = Atomic.get t.n_overloaded;
-    errors = Atomic.get t.n_errors;
+    requests = count "serve.requests";
+    overloaded = count "serve.overloaded";
+    errors = count "serve.errors";
     pending = Scheduler.pending t.sched;
     in_flight = Scheduler.in_flight t.sched;
   }
@@ -293,7 +292,6 @@ let conn_loop t fd =
     Protocol.write_frame fd (Protocol.response_to_payload resp)
   in
   let error_resp m =
-    Atomic.incr t.n_errors;
     Metrics.incr t.registry "serve.errors";
     write_resp (Protocol.Error { message = m; counters = [] })
   in
@@ -308,11 +306,7 @@ let conn_loop t fd =
         let t0 = Metrics.now_ns () in
         let outcome, payload = memo_unpack entry in
         let errored = String.equal outcome "error" in
-        if errored then begin
-          Atomic.incr t.n_errors;
-          Metrics.incr t.registry "serve.errors"
-        end;
-        Atomic.incr t.n_requests;
+        if errored then Metrics.incr t.registry "serve.errors";
         Metrics.incr t.registry "serve.requests";
         Metrics.incr t.registry ("serve.responses:" ^ outcome);
         let ns = Int64.to_int (Int64.sub (Metrics.now_ns ()) t0) in
@@ -326,17 +320,13 @@ let conn_loop t fd =
         let resp =
           match Scheduler.submit t.sched (fun () -> run_request t w) with
           | None ->
-              Atomic.incr t.n_overloaded;
               Metrics.incr t.registry "serve.overloaded";
               Protocol.Overloaded
           | Some tk ->
               let r = Scheduler.await tk in
               (match r with
-              | Protocol.Error _ ->
-                  Atomic.incr t.n_errors;
-                  Metrics.incr t.registry "serve.errors"
+              | Protocol.Error _ -> Metrics.incr t.registry "serve.errors"
               | _ -> ());
-              Atomic.incr t.n_requests;
               Metrics.incr t.registry "serve.requests";
               Metrics.incr t.registry ("serve.responses:" ^ outcome_label r);
               (match r with
@@ -391,7 +381,6 @@ let conn_loop t fd =
       | `Frame (Some p) ->
           (match Protocol.request_of_payload p with
           | Error m ->
-              Atomic.incr t.n_errors;
               Metrics.incr t.registry "serve.errors";
               write_resp
                 (Protocol.Error
@@ -497,9 +486,6 @@ let start ~path ?(bound = 64) ?(workers = 2) ?cache ?flight ?max_frame
       conn_threads = [];
       accept_thread = None;
       stopping = false;
-      n_requests = Atomic.make 0;
-      n_overloaded = Atomic.make 0;
-      n_errors = Atomic.make 0;
     }
   in
   t.accept_thread <- Some (Thread.create accept_loop t);

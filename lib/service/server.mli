@@ -72,6 +72,9 @@ type stats = {
 }
 
 val stats : t -> stats
+(** [requests], [overloaded] and [errors] read the registry's
+    [serve.requests], [serve.overloaded] and [serve.errors] counters. *)
+
 val cache : t -> Icfg_core.Cache.t
 val scheduler : t -> Scheduler.t
 (** Exposed for the test battery ([pause]/[resume] make the

@@ -690,6 +690,38 @@ let test_output_shares_unwritten_sections () =
     ((Arch.Ppc64le, gcc)
     :: List.map (fun arch -> (arch, List.hd (Spec.benchmarks arch))) Arch.all)
 
+(* A rewritten image can be rewritten again. On ppc64le the 16-byte long
+   trampoline at the 8-byte [_start] spills past the function's end, so
+   the re-parse sees [_start]'s last block fall through out of the
+   function to an address with no relocated block: that edge must jump to
+   the original code, not to a label nothing defines. *)
+let test_rewrite_rewritten () =
+  let module Spec = Icfg_workloads.Spec_suite in
+  let module Runner = Icfg_harness.Runner in
+  List.iter
+    (fun name ->
+      let bench =
+        List.find
+          (fun (b : Spec.bench) -> b.Spec.bench_name = name)
+          (Spec.benchmarks Arch.Ppc64le)
+      in
+      let once =
+        (Runner.rewrite (fst (Spec.compile Arch.Ppc64le bench)))
+          .Rewriter.rw_binary
+      in
+      let orig = Runner.run_original once in
+      List.iter
+        (fun mode ->
+          let what = Printf.sprintf "%s, then %s" name (Mode.name mode) in
+          let options = { Rewriter.default_options with Rewriter.mode } in
+          let twice = Runner.rewrite ~options once in
+          match Runner.judge ~orig (Runner.run_rewritten twice) with
+          | Runner.Verified _ -> ()
+          | Runner.Diverged -> Alcotest.failf "%s: output diverged" what
+          | Runner.Crashed m -> Alcotest.failf "%s: crashed: %s" what m)
+        [ Mode.Jt; Mode.Func_ptr ])
+    [ "602.gcc_s"; "621.wrf_s" ]
+
 let suite =
   [
     ( "rewriter:modes",
@@ -740,6 +772,8 @@ let suite =
         Alcotest.test_case "sparse placement (4.2)" `Quick test_sparse_placement;
         Alcotest.test_case "frdwarf-style unwinding" `Quick
           test_compiled_unwind_compat;
+        Alcotest.test_case "ppc64le output rewritten again" `Quick
+          test_rewrite_rewritten;
       ] );
     ( "rewriter:properties",
       [

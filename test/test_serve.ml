@@ -540,11 +540,12 @@ let counter snap name =
   Option.value ~default:0 (Metrics.find_counter snap name)
 
 (* The daemon's aggregated totals must exactly equal the served stream:
-   serve.requests and the per-approach × per-outcome latency histogram
-   counts are pinned against the requests we just sent, and the trace.*
-   counter totals against the sum of the per-request counter snapshots
-   the responses themselves carried. Scrapes must not show up anywhere:
-   a scrape is a reading of the instruments, not a flight. *)
+   serve.requests (which [Server.stats] reads) and the per-approach ×
+   per-outcome latency histogram counts are pinned against the requests
+   we just sent, and the trace.* counter totals against the sum of the
+   per-request counter snapshots the responses themselves carried.
+   Scrapes must not show up anywhere: a scrape is a reading of the
+   instruments, not a flight. *)
 let stats_totals () =
   let bin_a = first_bench Arch.X86_64 in
   let bin_b = first_bench Arch.Aarch64 in
@@ -552,7 +553,7 @@ let stats_totals () =
      scheduled like the rest: this test pins the telemetry of *scheduled*
      requests; the memo fast path (which folds no trace) has its own
      test. *)
-  with_server ~workers:2 ~memo_bytes:1 () @@ fun _srv path ->
+  with_server ~workers:2 ~memo_bytes:1 () @@ fun srv path ->
   let snap0, _ = scrape path in
   Alcotest.(check int) "fresh daemon: no requests" 0
     (counter snap0 "serve.requests");
@@ -589,6 +590,12 @@ let stats_totals () =
   let snap, _ = scrape path in
   Alcotest.(check int) "serve.requests == served stream" 4
     (counter snap "serve.requests");
+  let st = Server.stats srv in
+  Alcotest.(check (list int))
+    "Server.stats == serve.requests/overloaded/errors"
+    (List.map (counter snap)
+       [ "serve.requests"; "serve.overloaded"; "serve.errors" ])
+    [ st.Server.requests; st.Server.overloaded; st.Server.errors ];
   Alcotest.(check int) "no errors" 0 (counter snap "serve.errors");
   Alcotest.(check int) "rewritten outcomes" 3
     (counter snap "serve.responses:rewritten");

@@ -1,4 +1,4 @@
-(* Observability battery for the tracing layer (lib/core/trace.ml).
+(* Observability battery for the tracing layer (lib/trace/trace.ml).
 
    Three contracts under test:
 
@@ -97,9 +97,12 @@ let trace_unwind () =
 (* Pipeline coverage: every step shows up as a span                    *)
 (* ------------------------------------------------------------------ *)
 
-let pipeline_spans = [
+let parse_spans = [
   "parse"; "parse/pass1"; "parse/known-data"; "parse/func-ptr";
   "parse/finalize"; "parse/func-ptr-2";
+]
+
+let pipeline_spans = parse_spans @ [
   "rewrite"; "rewrite/relocate";
   "rewrite/layout:instr"; "rewrite/layout:jtnew";
   "rewrite/encode:instr"; "rewrite/encode:jtnew";
@@ -143,6 +146,43 @@ let pipeline_coverage () =
     ];
   Alcotest.(check bool) "some trampoline bytes" true
     (counter t "rewrite/trampoline-bytes" > 0)
+
+(* Every parse records into the ambient trace, whoever calls it — also
+   the drivers and edit probes outside the comparative roster. *)
+let every_parse_traced () =
+  let module Baseline = Icfg_baselines.Baseline in
+  let module Parse = Icfg_analysis.Parse in
+  let bin = first_bench Arch.X86_64 in
+  let p = Runner.parse bin in
+  let only =
+    [ (List.find (fun f -> f.Parse.fa_instrumentable) p.Parse.funcs)
+        .Parse.fa_sym.Icfg_obj.Symbol.name ]
+  in
+  List.iter
+    (fun (what, f) ->
+      let t = Trace.create () in
+      Trace.with_current t f;
+      let paths = List.map (fun r -> r.Trace.r_path) (Trace.rows t) in
+      List.iter
+        (fun s ->
+          Alcotest.(check bool) (what ^ ": span " ^ s) true (List.mem s paths))
+        parse_spans;
+      List.iter
+        (fun c ->
+          Alcotest.(check bool) (what ^ ": counter " ^ c) true
+            (Trace.find_counter t c <> None))
+        [
+          "parse/instrumentable"; "parse/jump-tables"; "parse/tail-jumps";
+          "parse/known-data-addrs"; "parse/fptr-sites"; "parse/pointer-targets";
+        ];
+      Alcotest.(check bool) (what ^ ": parse/funcs") true
+        (counter t "parse/funcs" >= Parse.total_funcs p))
+    [
+      ("bolt_block_reorder", fun () -> ignore (Baseline.bolt_block_reorder bin));
+      ( "ours_partial",
+        fun () -> ignore (Baseline.ours_partial ~mode:Mode.Jt ~only bin) );
+      ("perturb_data", fun () -> ignore (Runner.perturb_data p));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Satellite 1: mode monotonicity on generated workloads (QCheck)      *)
@@ -359,6 +399,7 @@ let suite =
         Alcotest.test_case "trace mechanics" `Quick trace_basics;
         Alcotest.test_case "trace unwind safety" `Quick trace_unwind;
         Alcotest.test_case "pipeline span coverage" `Quick pipeline_coverage;
+        Alcotest.test_case "every parse is traced" `Quick every_parse_traced;
         Alcotest.test_case "graded failures: table bounds" `Quick graded_bounds;
         Alcotest.test_case "graded failures: srbi coverage" `Quick graded_srbi;
         Alcotest.test_case "tracing is observation-only" `Quick observation_only;
