@@ -627,14 +627,6 @@ let run_serve_incremental_micro () =
       (Icfg_workloads.Spec_suite.benchmarks Arch.X86_64)
   in
   let edits = List.filteri (fun i _ -> i < 6) edits in
-  let req_overhead =
-    4 + String.length Protocol.magic + 1 + 4 + String.length approach + 4
-  in
-  let patch_wire ranges =
-    req_overhead + 1 + 4 + 32 + 4 + 4
-    + List.fold_left (fun a (_, s) -> a + 8 + String.length s) 0 ranges
-  in
-  let full_wire s = req_overhead + 1 + 4 + String.length s in
   (if edits = [] then
      print_endline "  (no perturbable spec binaries; skipping patch stream)"
    else begin
@@ -642,24 +634,25 @@ let run_serve_incremental_micro () =
      let srv = Server.start ~path () in
      Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
      Client.with_connection path @@ fun c ->
-     let register_bytes = ref 0 in
      List.iter
        (fun (base, _, _) ->
-         register_bytes :=
-           !register_bytes + 4 + String.length Protocol.magic + 1 + 4
-           + String.length base;
          match Client.register_bytes c base with
          | Ok (Protocol.Registered _) -> ()
          | _ -> failwith "register failed")
        edits;
-     let needfull = ref 0 and mismatches = ref 0 in
-     let wire = ref 0 and full_bytes = ref 0 in
+     let register_bytes = Client.bytes_sent c in
+     let mismatches = ref 0 and full_bytes = ref 0 in
      let t0 = Icfg_core.Metrics.now_ns () in
      List.iter
        (fun (base, edited, expected) ->
          let ranges = Protocol.diff_ranges ~base edited in
-         wire := !wire + patch_wire ranges;
-         full_bytes := !full_bytes + full_wire edited;
+         (* What shipping [edited] whole would have cost on the wire. *)
+         full_bytes :=
+           !full_bytes
+           + Protocol.frame_bytes
+               (Protocol.request_to_payload
+                  (Protocol.Rewrite
+                     { approach; jobs = 0; payload = Protocol.Full edited }));
          let payload =
            Protocol.Patch
              {
@@ -671,10 +664,16 @@ let run_serve_incremental_micro () =
          match Client.rewrite_payload c ~approach ~fallback:edited payload with
          | Ok (Protocol.Rewritten { bin; _ }) ->
              if bin <> expected then incr mismatches
-         | Ok (Protocol.NeedFull _) -> incr needfull
          | _ -> incr mismatches)
        edits;
      let wall_ns = elapsed_ns t0 in
+     let wire = Client.bytes_sent c - register_bytes in
+     (* [~fallback] answers a NeedFull with a full re-send, so only the
+        daemon sees how many there were. *)
+     let needfull =
+       Option.value ~default:0
+         (M.find_counter (Server.snapshot srv) "serve.needfull")
+     in
      let n = List.length edits in
      row "serve-patch-stream"
        (wall_ns /. float_of_int (max 1 n))
@@ -691,11 +690,11 @@ let run_serve_incremental_micro () =
          ]
        [
          ("requests", n);
-         ("needfull", !needfull);
+         ("needfull", needfull);
          ("mismatches", !mismatches);
-         ("wire_bytes_per_request", !wire / max 1 n);
+         ("wire_bytes_per_request", wire / max 1 n);
          ("full_upload_bytes_per_request", !full_bytes / max 1 n);
-         ("register_bytes", !register_bytes);
+         ("register_bytes", register_bytes);
        ]
    end);
   (* --- serve-replay-stream ---------------------------------------- *)

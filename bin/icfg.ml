@@ -331,15 +331,17 @@ let bench_cmd names =
    dropped connection), never a dead daemon. The [exit 1]s above all live
    in one-shot workload loading, which only the other subcommands call. *)
 let serve_stats_line tag srv =
-  let st = Icfg_service.Server.stats srv in
-  let cs = Icfg_core.Cache.stats (Icfg_service.Server.cache srv) in
+  let module M = Icfg_core.Metrics in
+  let snap = Icfg_service.Server.snapshot srv in
+  let counter n = Option.value ~default:0 (M.find_counter snap n) in
+  let gauge n = Option.value ~default:0 (M.find_gauge snap n) in
   Format.printf
     "icfg serve: %s %d requests (%d overloaded, %d errors; %d queued, %d in \
      flight); layout slots: %d found, %d absent, %d stored@."
-    tag st.Icfg_service.Server.requests st.Icfg_service.Server.overloaded
-    st.Icfg_service.Server.errors st.Icfg_service.Server.pending
-    st.Icfg_service.Server.in_flight cs.Icfg_core.Cache.c_hits
-    cs.Icfg_core.Cache.c_misses cs.Icfg_core.Cache.c_stores
+    tag (counter "serve.requests") (counter "serve.overloaded")
+    (counter "serve.errors") (gauge "sched.queue_depth")
+    (gauge "sched.in_flight") (counter "cache.hits") (counter "cache.misses")
+    (counter "cache.stores")
 
 let serve_cmd socket bound workers cache_dir stats_interval =
   let cache = cache_of cache_dir in

@@ -1,6 +1,7 @@
 module Binfile = Icfg_obj.Binfile
 
-type t = { fd : Unix.file_descr }
+(* [sent] counts the frame bytes this connection has written. *)
+type t = { fd : Unix.file_descr; mutable sent : int }
 
 let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -8,17 +9,20 @@ let connect path =
    with e ->
      (try Unix.close fd with _ -> ());
      raise e);
-  { fd }
+  { fd; sent = 0 }
 
 let close c = try Unix.close c.fd with _ -> ()
 let fd c = c.fd
+let bytes_sent c = c.sent
 
 let with_connection path f =
   let c = connect path in
   Fun.protect ~finally:(fun () -> close c) (fun () -> f c)
 
 let call c req =
-  Protocol.write_frame c.fd (Protocol.request_to_payload req);
+  let p = Protocol.request_to_payload req in
+  Protocol.write_frame c.fd p;
+  c.sent <- c.sent + Protocol.frame_bytes p;
   match Protocol.read_frame c.fd with
   | None -> Stdlib.Error "server closed the connection"
   | Some p -> Protocol.response_of_payload p

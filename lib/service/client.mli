@@ -16,6 +16,11 @@ val fd : t -> Unix.file_descr
 
 val with_connection : string -> (t -> 'a) -> 'a
 
+val bytes_sent : t -> int
+(** Request frame bytes this connection has written ({!Protocol.frame_bytes}
+    of each), [NeedFull] fallback retries included. Frames written
+    through {!fd} directly are not counted. *)
+
 val call : t -> Protocol.request -> (Protocol.response, string) result
 (** Send one request, await its response. [Error] covers a malformed
     response and a server hang-up; it never raises on protocol faults. *)

@@ -1,3 +1,5 @@
+module Trace = Icfg_core.Trace
+
 type summary = {
   fs_id : int;
   fs_approach : string;
@@ -15,8 +17,9 @@ type t = {
   mutable recorded : int;
   mutable ring : summary list; (* newest first, length <= ring_bound *)
   mutable ring_len : int;
-  mutable slowest : (summary * string) list; (* ns-descending, <= slow_bound *)
-  mutable errors : (summary * string) list; (* newest first, <= err_bound *)
+  (* Retained traces stay [Trace.t]s: only a dump renders them. *)
+  mutable slowest : (summary * Trace.t option) list; (* ns-descending *)
+  mutable errors : (summary * Trace.t option) list; (* newest first *)
 }
 
 let create ?(ring = 64) ?(slowest = 8) ?(errors = 16) () =
@@ -49,7 +52,7 @@ let insert_slow bound entry l =
   in
   take bound (ins l)
 
-let record t ~approach ~outcome ~ns ~errored ~trace_json =
+let record t ~approach ~outcome ~ns ~errored trace =
   Mutex.lock t.m;
   let s =
     {
@@ -68,8 +71,8 @@ let record t ~approach ~outcome ~ns ~errored ~trace_json =
     t.ring <- take t.ring_bound t.ring;
     t.ring_len <- t.ring_bound
   end;
-  t.slowest <- insert_slow t.slow_bound (s, trace_json) t.slowest;
-  if errored then t.errors <- take t.err_bound ((s, trace_json) :: t.errors);
+  t.slowest <- insert_slow t.slow_bound (s, trace) t.slowest;
+  if errored then t.errors <- take t.err_bound ((s, trace) :: t.errors);
   Mutex.unlock t.m
 
 type snapshot = {
@@ -79,18 +82,22 @@ type snapshot = {
   fl_errors : (summary * string) list;
 }
 
+(* Rendered outside the lock: a dump must not stall recording executors.
+   A memo replay ran no pipeline, so it has no trace to show. *)
 let snapshot t =
-  Mutex.lock t.m;
-  let s =
-    {
-      fl_recorded = t.recorded;
-      fl_recent = t.ring;
-      fl_slowest = t.slowest;
-      fl_errors = t.errors;
-    }
+  let recorded, recent, slowest, errors =
+    Mutex.protect t.m (fun () -> (t.recorded, t.ring, t.slowest, t.errors))
   in
-  Mutex.unlock t.m;
-  s
+  let render =
+    List.map (fun (s, tr) ->
+        (s, match tr with Some tr -> Trace.to_json tr | None -> "{}"))
+  in
+  {
+    fl_recorded = recorded;
+    fl_recent = recent;
+    fl_slowest = render slowest;
+    fl_errors = render errors;
+  }
 
 let summary_json s =
   Printf.sprintf

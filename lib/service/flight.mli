@@ -36,11 +36,12 @@ val record :
   outcome:string ->
   ns:int ->
   errored:bool ->
-  trace_json:string ->
+  Icfg_core.Trace.t option ->
   unit
-(** Record one completed request. [trace_json] is the request's full
-    {!Icfg_core.Trace.to_json} dump; it is retained only if the request
-    errored or ranks among the slowest seen. *)
+(** Record one completed request with its trace ([None] for a memo
+    replay, which ran no pipeline). The trace is retained only if the
+    request errored or ranks among the slowest seen, and rendered to
+    JSON only by {!snapshot}. *)
 
 type snapshot = {
   fl_recorded : int;  (** requests ever recorded (≥ ring length) *)
@@ -50,6 +51,8 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
+(** Renders each retained trace with {!Icfg_core.Trace.to_json}; a
+    retained memo replay renders as [{}]. *)
 
 val to_json : snapshot -> string
 (** Schema [icfg-flight/1]. Retained traces are embedded as parsed

@@ -475,6 +475,8 @@ let read_exact fd n =
   in
   go 0
 
+let frame_bytes p = 4 + String.length p
+
 let write_frame fd p =
   let n = String.length p in
   if n > max_frame then invalid_arg "Protocol.write_frame: frame too large";

@@ -138,6 +138,10 @@ val write_frame : Unix.file_descr -> string -> unit
 (** Write one [len:u32le + payload] frame. [Invalid_argument] beyond
     {!max_frame}. *)
 
+val frame_bytes : string -> int
+(** Wire bytes of the frame {!write_frame} writes for a payload: the
+    4-byte length prefix plus the payload. *)
+
 val read_frame : ?max:int -> Unix.file_descr -> string option
 (** Read one frame. [None] on a clean EOF at a frame boundary (normal
     client hang-up); raises {!Malformed} on mid-frame EOF or an

@@ -37,7 +37,6 @@ type t = {
   queue : job Queue.t;
   bound : int;
   metrics : Metrics.t option;
-  in_flight : int Atomic.t; (* dequeued, still running *)
   mutable paused : bool;
   mutable stopping : bool;
   mutable workers : unit Domain.t list;
@@ -51,6 +50,13 @@ type 'a ticket = {
 
 let gauge t name v =
   match t.metrics with Some m -> Metrics.set_gauge m name v | None -> ()
+
+(* A delta, not a level: two executors finishing at once cannot leave a
+   stale [sched.in_flight] behind. *)
+let in_flight t d =
+  match t.metrics with
+  | Some m -> Metrics.add_gauge m "sched.in_flight" d
+  | None -> ()
 
 let worker_loop t =
   let rec next () =
@@ -72,10 +78,9 @@ let worker_loop t =
       let j = Queue.pop t.queue in
       gauge t "sched.queue_depth" (Queue.length t.queue);
       Mutex.unlock t.m;
-      Atomic.incr t.in_flight;
+      in_flight t 1;
       (match t.metrics with
       | Some m ->
-          Metrics.set_gauge m "sched.in_flight" (Atomic.get t.in_flight);
           Metrics.incr m "sched.jobs";
           Metrics.observe m "sched.queue_wait"
             (Int64.to_int (Int64.sub (Metrics.now_ns ()) j.enq_ns))
@@ -84,8 +89,7 @@ let worker_loop t =
       let retire () =
         if not !retired then begin
           retired := true;
-          Atomic.decr t.in_flight;
-          gauge t "sched.in_flight" (Atomic.get t.in_flight)
+          in_flight t (-1)
         end
       in
       Fun.protect ~finally:retire (fun () -> j.run ~retire);
@@ -102,7 +106,6 @@ let create ?(bound = 64) ?(workers = 2) ?metrics () =
       queue = Queue.create ();
       bound = max 1 bound;
       metrics;
-      in_flight = Atomic.make 0;
       paused = false;
       stopping = false;
       workers = [];
@@ -153,8 +156,6 @@ let pending t =
   let n = Queue.length t.queue in
   Mutex.unlock t.m;
   n
-
-let in_flight t = Atomic.get t.in_flight
 
 let pause t =
   Mutex.lock t.m;

@@ -17,7 +17,9 @@ val create :
 (** [bound] (default 64, min 1): max queued jobs. [workers] (default 2,
     min 1): executor domains, spawned eagerly. With [metrics], the
     scheduler exports the [sched.queue_depth]/[sched.in_flight] gauges
-    (updated at every enqueue/dequeue/completion), the [sched.jobs]
+    (updated at every enqueue/dequeue/completion; [queue_depth] alone
+    understates saturation — a full complement of executors with an
+    empty queue is one submit away from refusing), the [sched.jobs]
     executed-jobs counter, and the [sched.queue_wait] histogram (ns each
     job spent queued before an executor picked it up) — the saturation
     picture behind any [Overloaded] refusal. Telemetry is
@@ -35,12 +37,6 @@ val await : 'a ticket -> 'a
 
 val pending : t -> int
 (** Jobs currently queued (excludes running). *)
-
-val in_flight : t -> int
-(** Jobs dequeued by an executor and still running. [pending] alone
-    understates saturation — a full complement of executors with an
-    empty queue is one submit away from refusing — so the server's
-    stats report both. *)
 
 val pause : t -> unit
 (** Stop dequeueing; submissions still accepted up to the bound. With the

@@ -24,15 +24,17 @@ module Matrix = Icfg_harness.Matrix
    call [exit]. A malformed frame costs one [Error] response; a torn
    connection costs that connection only.
 
-   Telemetry: every completed request folds its isolated trace into the
-   daemon-lifetime [Metrics.t] registry (counter totals under [trace.*],
-   span times as [stage.*] histograms, body wall time in a per-approach
-   × per-outcome [request.latency:*] histogram)
-   and drops a summary into the [Flight] recorder — then the trace is
-   garbage; nothing per-request is kept alive. [Stats] requests are
-   answered inline on the connection thread, like [Ping]: a saturated
-   daemon still answers, and a scrape never touches the request queue,
-   the slot store, or any per-request state it is observing.
+   Telemetry: every frame the connection loop writes, [Pong] and
+   [StatsSnapshot] aside, goes through [answer], which books it in the
+   daemon-lifetime [Metrics.t] registry before writing it. A served
+   request also folds its isolated trace there (counter totals under
+   [trace.*], span times as [stage.*] histograms, body wall time in a
+   per-approach × per-outcome [request.latency:*] histogram) and drops a
+   summary into the [Flight] recorder, which keeps the trace only if it
+   ranks among the slowest or errored. [Stats] requests are answered
+   inline on the connection thread, like [Ping]: a saturated daemon
+   still answers, and a scrape never touches the request queue, the
+   slot store, or any per-request state it is observing.
 
    Incremental protocol (DESIGN §15): two bounded [Store.t]s make the
    service boundary incremental. The *binary store* holds registered
@@ -66,32 +68,10 @@ type t = {
   mutable stopping : bool;
 }
 
-type stats = {
-  requests : int;
-  overloaded : int;
-  errors : int;
-  pending : int;
-  in_flight : int;
-}
-
-let stats t =
-  let snap = Metrics.snapshot t.registry in
-  let count name = Option.value ~default:0 (Metrics.find_counter snap name) in
-  {
-    requests = count "serve.requests";
-    overloaded = count "serve.overloaded";
-    errors = count "serve.errors";
-    pending = Scheduler.pending t.sched;
-    in_flight = Scheduler.in_flight t.sched;
-  }
-
 let cache t = t.srv_cache
 let scheduler t = t.sched
 let sock_path t = t.sock_path
-let metrics t = t.registry
 let flight t = t.fl
-let store t = t.store
-let response_memo t = t.memo
 
 (* Registry snapshot + the slot store's/stores' lifetime counters (each
    keeps its own stats; mirroring them per-lookup would double-count). *)
@@ -138,14 +118,12 @@ let outcome_label (resp : Protocol.response) =
   | Protocol.Pong -> "pong"
   | Protocol.Rewritten _ -> "rewritten"
   | Protocol.Refused _ -> "refused"
-  | Protocol.Classified { cls; _ } ->
-      let s = Matrix.cls_to_string cls in
-      let kind =
-        match String.index_opt s ':' with
-        | Some i -> String.sub s 0 i
-        | None -> s
-      in
-      "classified-" ^ kind
+  | Protocol.Classified { cls; _ } -> (
+      match cls with
+      | Matrix.Verified -> "classified-verified"
+      | Matrix.Diverged -> "classified-diverged"
+      | Matrix.Refused _ -> "classified-refused"
+      | Matrix.Crashed _ -> "classified-crashed")
   | Protocol.Error _ -> "error"
   | Protocol.Overloaded -> "overloaded"
   | Protocol.StatsSnapshot _ -> "stats"
@@ -153,20 +131,42 @@ let outcome_label (resp : Protocol.response) =
   | Protocol.NeedFull _ -> "needfull"
   | Protocol.Rejected _ -> "rejected"
 
-(* Fold one finished request into the lifetime telemetry. Each request
+(* What a served Rewrite/Classify answer adds to its booking: the body
+   wall time and the pipeline trace ([None] for a memo replay, which ran
+   no pipeline and so folds no [trace.*]/[stage.*] telemetry). *)
+type served = { sv_approach : string; sv_ns : int; sv_trace : Trace.t option }
+
+(* The one answer path. Every frame [conn_loop] writes, [Pong] and
+   [StatsSnapshot] aside, is booked here and then written, so a client
+   that has read its answer scrapes totals that include it. Each request
    records into its own trace, so [trace.*] sums across requests equal
-   the sums of solo-run totals (pinned by the serve test battery); every
-   span path lands in a [stage.*] latency histogram. *)
-let fold_trace t tr ~approach ~outcome ~ns ~errored =
+   the sums of solo-run totals (pinned by the serve test battery). *)
+let answer t fd ?served ~outcome payload =
   let m = t.registry in
-  Metrics.observe m ("request.latency:" ^ approach ^ ":" ^ outcome) ns;
-  List.iter (fun (k, v) -> Metrics.add m ("trace." ^ k) v) (Trace.counters tr);
-  List.iter
-    (fun (r : Trace.row) ->
-      Metrics.observe m ("stage." ^ r.Trace.r_path) r.Trace.r_ns)
-    (Trace.rows tr);
-  Flight.record t.fl ~approach ~outcome ~ns ~errored
-    ~trace_json:(Trace.to_json tr)
+  Metrics.incr m ("serve.responses:" ^ outcome);
+  (match outcome with
+  | "error" -> Metrics.incr m "serve.errors"
+  | "overloaded" | "rejected" | "needfull" | "registered" ->
+      Metrics.incr m ("serve." ^ outcome)
+  | _ -> ());
+  Option.iter
+    (fun { sv_approach = approach; sv_ns = ns; sv_trace } ->
+      Metrics.incr m "serve.requests";
+      Metrics.observe m ("request.latency:" ^ approach ^ ":" ^ outcome) ns;
+      Option.iter
+        (fun tr ->
+          List.iter
+            (fun (k, v) -> Metrics.add m ("trace." ^ k) v)
+            (Trace.counters tr);
+          List.iter
+            (fun (r : Trace.row) ->
+              Metrics.observe m ("stage." ^ r.Trace.r_path) r.Trace.r_ns)
+            (Trace.rows tr))
+        sv_trace;
+      Flight.record t.fl ~approach ~outcome ~ns
+        ~errored:(outcome = "error") sv_trace)
+    served;
+  Protocol.write_frame fd payload
 
 (* A fully resolved unit of scheduled work: the connection thread has
    already turned the payload (Full/Ref/Patch) into container bytes and
@@ -178,10 +178,13 @@ type work = {
   wk_digest : string;
 }
 
+let since t0 = Int64.to_int (Int64.sub (Metrics.now_ns ()) t0)
+
 (* Runs on an executor domain. Total: every failure becomes a typed
    response, so the daemon keeps serving whatever a request throws at
-   it (the Matrix Crashed-cell contract, lifted to the wire). *)
-let run_request t (w : work) : Protocol.response =
+   it (the Matrix Crashed-cell contract, lifted to the wire). Returns
+   the body's wall time and trace with it, for [answer] to book. *)
+let run_request t (w : work) =
   let tr = Trace.create () in
   let t0 = Metrics.now_ns () in
   let resp =
@@ -231,12 +234,7 @@ let run_request t (w : work) : Protocol.response =
       Protocol.Error
         { message = Printexc.to_string e; counters = Trace.counters tr }
   in
-  let ns = Int64.to_int (Int64.sub (Metrics.now_ns ()) t0) in
-  let errored = match resp with Protocol.Error _ -> true | _ -> false in
-  fold_trace t tr ~approach:w.wk_approach
-    ~outcome:(outcome_label resp)
-    ~ns ~errored;
-  resp
+  (resp, since t0, tr)
 
 (* Turn a request payload into container bytes + digest, registering
    full uploads and patch results along the way (a reconstructed binary
@@ -288,58 +286,34 @@ let conn_loop t fd =
     Mutex.unlock t.cm
   in
   Fun.protect ~finally @@ fun () ->
-  let write_resp resp =
-    Protocol.write_frame fd (Protocol.response_to_payload resp)
+  let reply resp =
+    answer t fd ~outcome:(outcome_label resp) (Protocol.response_to_payload resp)
   in
-  let error_resp m =
-    Metrics.incr t.registry "serve.errors";
-    write_resp (Protocol.Error { message = m; counters = [] })
-  in
+  let error m = reply (Protocol.Error { message = m; counters = [] }) in
   (* Run (or replay) one resolved unit of work. The memo is consulted
      first: a byte-identical re-request answers with the stored payload
-     of its first pipeline run — same wire bytes, same serve.* booking,
-     a flight-recorder entry, and no scheduler traffic at all. *)
+     of its first pipeline run — same wire bytes, same booking, and no
+     scheduler traffic at all. *)
   let run_work w =
     let key = memo_key w in
     match Store.find t.memo key with
     | Some entry ->
         let t0 = Metrics.now_ns () in
         let outcome, payload = memo_unpack entry in
-        let errored = String.equal outcome "error" in
-        if errored then Metrics.incr t.registry "serve.errors";
-        Metrics.incr t.registry "serve.requests";
-        Metrics.incr t.registry ("serve.responses:" ^ outcome);
-        let ns = Int64.to_int (Int64.sub (Metrics.now_ns ()) t0) in
-        Metrics.observe t.registry
-          ("request.latency:" ^ w.wk_approach ^ ":" ^ outcome)
-          ns;
-        Flight.record t.fl ~approach:w.wk_approach ~outcome ~ns ~errored
-          ~trace_json:"{}";
-        Protocol.write_frame fd payload
-    | None ->
-        let resp =
-          match Scheduler.submit t.sched (fun () -> run_request t w) with
-          | None ->
-              Metrics.incr t.registry "serve.overloaded";
-              Protocol.Overloaded
-          | Some tk ->
-              let r = Scheduler.await tk in
-              (match r with
-              | Protocol.Error _ -> Metrics.incr t.registry "serve.errors"
-              | _ -> ());
-              Metrics.incr t.registry "serve.requests";
-              Metrics.incr t.registry ("serve.responses:" ^ outcome_label r);
-              (match r with
-              | Protocol.Rewritten _ | Protocol.Refused _
-              | Protocol.Classified _ | Protocol.Error _ ->
-                  ignore
-                    (Store.add t.memo ~key
-                       (memo_pack ~outcome:(outcome_label r)
-                          (Protocol.response_to_payload r)))
-              | _ -> ());
-              r
-        in
-        write_resp resp
+        answer t fd ~outcome payload
+          ~served:
+            { sv_approach = w.wk_approach; sv_ns = since t0; sv_trace = None }
+    | None -> (
+        match Scheduler.submit t.sched (fun () -> run_request t w) with
+        | None -> reply Protocol.Overloaded
+        | Some tk ->
+            let resp, ns, tr = Scheduler.await tk in
+            let outcome = outcome_label resp in
+            let payload = Protocol.response_to_payload resp in
+            ignore (Store.add t.memo ~key (memo_pack ~outcome payload));
+            answer t fd ~outcome payload
+              ~served:
+                { sv_approach = w.wk_approach; sv_ns = ns; sv_trace = Some tr })
   in
   let handle kind ~approach payload =
     match resolve_payload t payload with
@@ -354,10 +328,11 @@ let conn_loop t fd =
     | Error (`Need_full digest) ->
         (* Typed miss, not an error: the base was evicted or never seen.
            Clients fall back to a full upload (which re-registers). *)
-        Metrics.incr t.registry "serve.needfull";
-        Metrics.incr t.registry "serve.responses:needfull";
-        write_resp (Protocol.NeedFull { digest })
-    | Error (`Bad m) -> error_resp m
+        reply (Protocol.NeedFull { digest })
+    | Error (`Bad m) -> error m
+  in
+  let write_inline resp =
+    Protocol.write_frame fd (Protocol.response_to_payload resp)
   in
   try
     let rec loop () =
@@ -368,9 +343,7 @@ let conn_loop t fd =
       with
       | `Oversized n ->
           (* The payload was drained: refuse in-band, keep serving. *)
-          Metrics.incr t.registry "serve.rejected";
-          Metrics.incr t.registry "serve.responses:rejected";
-          write_resp
+          reply
             (Protocol.Rejected
                {
                  reason =
@@ -380,12 +353,8 @@ let conn_loop t fd =
       | `Frame None -> ()
       | `Frame (Some p) ->
           (match Protocol.request_of_payload p with
-          | Error m ->
-              Metrics.incr t.registry "serve.errors";
-              write_resp
-                (Protocol.Error
-                   { message = "malformed request: " ^ m; counters = [] })
-          | Ok Protocol.Ping -> write_resp Protocol.Pong
+          | Error m -> error ("malformed request: " ^ m)
+          | Ok Protocol.Ping -> write_inline Protocol.Pong
           | Ok (Protocol.Stats { flight }) ->
               (* Inline, like Ping: scrapes must work under saturation
                  and must not count as served requests — a scrape is a
@@ -394,23 +363,18 @@ let conn_loop t fd =
                 if flight then Some (Flight.to_json (Flight.snapshot t.fl))
                 else None
               in
-              write_resp
+              write_inline
                 (Protocol.StatsSnapshot { snap = snapshot t; flight = fl })
           | Ok (Protocol.Register { bin }) ->
               (* Inline: pure store work, no pipeline state. A binary
                  larger than the whole store gets a typed refusal — the
                  connection (and daemon) keep going. *)
               let digest = Store.digest bin in
-              if Store.add t.store ~key:digest bin then begin
-                Metrics.incr t.registry "serve.registered";
-                Metrics.incr t.registry "serve.responses:registered";
-                write_resp (Protocol.Registered { digest })
-              end
-              else begin
-                Metrics.incr t.registry "serve.rejected";
-                Metrics.incr t.registry "serve.responses:rejected";
-                write_resp
-                  (Protocol.Rejected
+              reply
+                (if Store.add t.store ~key:digest bin then
+                   Protocol.Registered { digest }
+                 else
+                   Protocol.Rejected
                      {
                        reason =
                          Printf.sprintf
@@ -418,7 +382,6 @@ let conn_loop t fd =
                            (String.length bin)
                            (Store.max_bytes t.store);
                      })
-              end
           (* The frames' [jobs] field is reserved and ignored. *)
           | Ok (Protocol.Rewrite { approach; payload; _ }) ->
               handle `Rewrite ~approach payload

@@ -13,18 +13,25 @@
     failures kill only their connection, and no code path in the server
     calls [exit].
 
-    Telemetry contract: every completed request is folded into a
-    daemon-lifetime {!Icfg_core.Metrics.t} registry (its trace counter
-    totals under [trace.*], schedule-independent stage times as
-    [stage.*] histograms, and body wall time in a per-approach ×
-    per-outcome [request.latency:<approach>:<outcome>] histogram) and
-    summarized into a bounded {!Flight} recorder — after which the
-    request's trace is dropped; memory use does not grow with requests
-    served. Telemetry is observation-only: serving with and without a
-    scraper attached produces byte-identical responses (pinned by the
-    serve test battery), and a [Stats] request is answered inline on its
-    connection thread, never scheduled, so a saturated daemon still
-    answers and a scrape never perturbs the queue it reports on. *)
+    Telemetry contract: every answer except [Pong] and [StatsSnapshot]
+    is booked, before it is written, in a daemon-lifetime
+    {!Icfg_core.Metrics.t} registry as [serve.responses:<outcome>], and
+    the [serve.errors], [serve.overloaded], [serve.rejected],
+    [serve.needfull] and [serve.registered] totals count the answers of
+    their kind. A served [Rewrite]/[Classify] answer also counts in
+    [serve.requests], observes its body wall time in a per-approach ×
+    per-outcome [request.latency:<approach>:<outcome>] histogram, folds
+    its trace (counter totals under [trace.*], stage times as [stage.*]
+    histograms) and is summarized into a bounded {!Flight} recorder;
+    memory use does not grow with requests served. A replay answered
+    from the whole-response memo (keyed on kind, approach and input
+    digest) is booked the same way, but folds no trace: there was no
+    pipeline run to observe. Telemetry is observation-only: serving
+    with and without a scraper attached produces byte-identical
+    responses (pinned by the serve test battery), and a [Stats] request
+    is answered inline on its connection thread, never scheduled, so a
+    saturated daemon still answers and a scrape never perturbs the
+    queue it reports on. *)
 
 type t
 
@@ -60,21 +67,6 @@ val stop : t -> unit
     (their connections get answers), join executor domains and
     connection threads, remove the socket file. *)
 
-type stats = {
-  requests : int;  (** work requests answered (rewritten/refused/classified/error) *)
-  overloaded : int;  (** typed backpressure refusals *)
-  errors : int;  (** [Error] responses (crashed drivers, malformed frames) *)
-  pending : int;  (** requests queued, not yet picked up by an executor *)
-  in_flight : int;
-      (** requests running on executors right now. [pending] alone
-          understates saturation — a full executor complement with an
-          empty queue is one submit away from [Overloaded]. *)
-}
-
-val stats : t -> stats
-(** [requests], [overloaded] and [errors] read the registry's
-    [serve.requests], [serve.overloaded] and [serve.errors] counters. *)
-
 val cache : t -> Icfg_core.Cache.t
 val scheduler : t -> Scheduler.t
 (** Exposed for the test battery ([pause]/[resume] make the
@@ -82,30 +74,17 @@ val scheduler : t -> Scheduler.t
 
 val sock_path : t -> string
 
-val metrics : t -> Icfg_core.Metrics.t
-(** The daemon-lifetime registry (scheduler gauges, [serve.*] totals,
-    [trace.*] folds, [request.latency:*]/[stage.*] histograms). *)
-
 val flight : t -> Flight.t
 
-val store : t -> Store.t
-(** The content-addressed binary store behind [Register]/[Ref]/[Patch]. *)
-
-val response_memo : t -> Store.t
-(** The whole-response memo: (kind, approach, input digest) → first
-    pipeline response's encoded payload. Replays answer
-    from here on the connection thread, byte-identical, without entering
-    the scheduler. Memo hits count as served requests and reach the
-    flight recorder, but fold no [trace.*]/[stage.*] telemetry — there
-    was no pipeline run to observe. *)
-
 val snapshot : t -> Icfg_core.Metrics.snapshot
-(** What a [Stats] frame answers: the registry snapshot merged with the
-    slot store's lifetime counters ([cache.hits], [cache.misses],
-    [cache.stores], [cache.bytes_reused], [cache.evict_corrupt]), the
-    binary store's ([store.hits], [store.misses],
-    [store.stores], [store.evict_lru], [store.rejected] + [store.bytes]
-    / [store.entries] gauges) and the response memo's, mirrored as
-    [response_cache.hit], [response_cache.miss], [response_cache.stores],
+(** The one way to read the daemon's totals, and what a [Stats] frame
+    answers: the registry snapshot (with the [sched.queue_depth] and
+    [sched.in_flight] gauges) merged with the slot store's lifetime
+    counters ([cache.hits], [cache.misses], [cache.stores],
+    [cache.bytes_reused], [cache.evict_corrupt]), the binary store's
+    ([store.hits], [store.misses], [store.stores], [store.evict_lru],
+    [store.rejected] + [store.bytes] / [store.entries] gauges) and the
+    response memo's, mirrored as [response_cache.hit],
+    [response_cache.miss], [response_cache.stores],
     [response_cache.evict_lru] + [response_cache.bytes] /
     [response_cache.entries] gauges. *)

@@ -34,20 +34,6 @@ type result = {
   sw_needfull : int;
 }
 
-(* Request wire cost, computed arithmetically from the frame grammar
-   (DESIGN §15) rather than by instrumenting the socket: deterministic,
-   and exactly what [write_frame] ships. *)
-let req_overhead ~approach =
-  4 (* frame len *) + String.length Protocol.magic + 1 (* tag *)
-  + 4 + String.length approach
-  + 4 (* u32 jobs, reserved *)
-
-let full_bpay_len bin_len = 1 + 4 + bin_len
-let ref_bpay_len = 1 + 4 + 32 (* hex MD5 digest *)
-
-let register_wire_bytes bin_len =
-  4 + String.length Protocol.magic + 1 + 4 + bin_len
-
 let socket_counter = Atomic.make 0
 
 let fresh_socket_path () =
@@ -56,8 +42,8 @@ let fresh_socket_path () =
     (Printf.sprintf "icfg-serve-%d-%d.sock" (Unix.getpid ())
        (Atomic.fetch_and_add socket_counter 1))
 
-let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?workers ?bound
-    ?(payload_mode = Full_upload) () =
+let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?(payload_mode = Full_upload)
+    () =
   let clients = max 1 clients in
   let entries = Corpus.generate ~seed ~count in
   (* Build once, serially: the daemon rewrites binaries, it does not
@@ -75,16 +61,15 @@ let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?workers ?bound
   let n_items = Array.length bins * n_app in
   let cells = Array.make n_items (0., Matrix.Crashed "unvisited") in
   let errors = Atomic.make 0 in
-  let needfull = Atomic.make 0 in
-  let retry_bytes = Atomic.make 0 in
+  let wire = Atomic.make 0 in
   (* Connection threads block per in-flight request, so [clients] bounds
      daemon concurrency; a bound of [clients] can therefore never refuse
      — sweeps must be refusal-free or the equality gate would compare
      incomplete rows. *)
-  let bound = match bound with Some b -> b | None -> max 64 clients in
-  let workers = match workers with Some w -> w | None -> min 4 clients in
   let path = fresh_socket_path () in
-  let srv = Server.start ~path ~bound ~workers () in
+  let srv =
+    Server.start ~path ~bound:(max 64 clients) ~workers:(min 4 clients) ()
+  in
   (* By_ref: one setup connection uploads every binary once, before the
      clock starts — the steady-state stream then ships 32-byte handles.
      Registration cost is reported separately ([sw_register_bytes]). *)
@@ -93,13 +78,13 @@ let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?workers ?bound
     | Full_upload -> 0
     | By_ref ->
         Client.with_connection path (fun c ->
-            Array.fold_left
-              (fun acc s ->
-                (match Client.register_bytes c s with
+            Array.iter
+              (fun s ->
+                match Client.register_bytes c s with
                 | Ok (Protocol.Registered _) -> ()
-                | _ -> Atomic.incr errors);
-                acc + register_wire_bytes (String.length s))
-              0 bin_strs)
+                | _ -> Atomic.incr errors)
+              bin_strs;
+            Client.bytes_sent c)
   in
   let next = Atomic.make 0 in
   let t0 = Icfg_core.Metrics.now_ns () in
@@ -110,27 +95,16 @@ let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?workers ?bound
       if i < n_items then begin
         let ei = i / n_app in
         let approach = approaches.(i mod n_app) in
-        let resp =
+        (* An evicted or unseen base answers NeedFull; [~fallback]
+           re-sends the full bytes, which re-registers them. *)
+        let payload =
           match payload_mode with
-          | Full_upload ->
-              Client.classify_payload c ~approach (Protocol.Full bin_strs.(ei))
-          | By_ref -> (
-              match
-                Client.classify_payload c ~approach (Protocol.Ref digests.(ei))
-              with
-              | Ok (Protocol.NeedFull _) ->
-                  (* Evicted or unseen base: fall back to a full upload
-                     (re-registering it), and book the extra wire. *)
-                  Atomic.incr needfull;
-                  let b = bin_strs.(ei) in
-                  Atomic.fetch_and_add retry_bytes
-                    (req_overhead ~approach
-                    + full_bpay_len (String.length b))
-                  |> ignore;
-                  Client.classify_payload c ~approach (Protocol.Full b)
-              | r -> r)
+          | Full_upload -> Protocol.Full bin_strs.(ei)
+          | By_ref -> Protocol.Ref digests.(ei)
         in
-        (match resp with
+        (match
+           Client.classify_payload c ~approach ~fallback:bin_strs.(ei) payload
+         with
         | Ok (Protocol.Classified { cls; ns; _ }) -> cells.(i) <- (ns, cls)
         | Ok (Protocol.Overloaded) ->
             Atomic.incr errors;
@@ -144,17 +118,20 @@ let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?workers ?bound
         pull ()
       end
     in
-    pull ()
+    pull ();
+    ignore (Atomic.fetch_and_add wire (Client.bytes_sent c))
   in
   let threads =
     List.init clients (fun _ -> Thread.create client_body ())
   in
   List.iter Thread.join threads;
   let wall_ns = Int64.to_float (Int64.sub (Icfg_core.Metrics.now_ns ()) t0) in
-  let st = Server.stats srv in
   (* Snapshot before stop: same merged view a live [Stats] frame gets. *)
   let msnap = Server.snapshot srv in
   Server.stop srv;
+  let counter k =
+    Option.value ~default:0 (Icfg_core.Metrics.find_counter msnap k)
+  in
   let rows =
     List.mapi
       (fun ai approach ->
@@ -164,44 +141,38 @@ let run ?(seed = 7) ?(count = 48) ?(clients = 4) ?workers ?bound
         Matrix.row_of ~approach cells_of)
       (Array.to_list approaches)
   in
-  (* What every cell would cost as a full upload vs what this mode
-     actually shipped — the per-request wire saving the serve-ref bench
+  (* What the stream would have shipped as all-[Full] uploads, against
+     what it did ship: the per-request wire saving the serve-ref bench
      row reports. *)
-  let per_item_full ai ei =
-    req_overhead ~approach:approaches.(ai)
-    + full_bpay_len (String.length bin_strs.(ei))
-  in
   let full_req_bytes = ref 0 in
   for i = 0 to n_items - 1 do
-    full_req_bytes := !full_req_bytes + per_item_full (i mod n_app) (i / n_app)
+    let req =
+      Protocol.Classify
+        {
+          approach = approaches.(i mod n_app);
+          jobs = 0;
+          payload = Protocol.Full bin_strs.(i / n_app);
+        }
+    in
+    full_req_bytes :=
+      !full_req_bytes + Protocol.frame_bytes (Protocol.request_to_payload req)
   done;
-  let wire_req_bytes =
-    match payload_mode with
-    | Full_upload -> !full_req_bytes
-    | By_ref ->
-        let base = ref 0 in
-        for i = 0 to n_items - 1 do
-          base := !base + req_overhead ~approach:approaches.(i mod n_app)
-                  + ref_bpay_len
-        done;
-        !base + Atomic.get retry_bytes
-  in
   {
     sw_seed = seed;
     sw_count = count;
     sw_clients = clients;
     sw_rows = rows;
-    sw_requests = st.Server.requests;
-    sw_overloaded = st.Server.overloaded;
+    sw_requests = counter "serve.requests";
+    sw_overloaded = counter "serve.overloaded";
     sw_errors = Atomic.get errors;
     sw_wall_ns = wall_ns;
     sw_rps =
       (if wall_ns > 0. then float_of_int n_items /. (wall_ns /. 1e9) else 0.);
     sw_metrics = msnap;
-    sw_wire_req_bytes = wire_req_bytes;
+    sw_wire_req_bytes = Atomic.get wire;
     sw_full_req_bytes = !full_req_bytes;
     sw_register_bytes = register_bytes;
-    sw_needfull = Atomic.get needfull;
+    sw_needfull = counter "serve.needfull";
   }
 
 (* Strip what legitimately varies (wall times) and keep what must not

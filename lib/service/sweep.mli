@@ -18,8 +18,10 @@ type result = {
   sw_clients : int;
   sw_rows : Icfg_harness.Matrix.row list;
       (** roster order; cells aggregated in corpus order *)
-  sw_requests : int;  (** daemon-side answered work requests *)
-  sw_overloaded : int;  (** should be 0: the sweep bounds in-flight by clients *)
+  sw_requests : int;  (** the daemon's [serve.requests] *)
+  sw_overloaded : int;
+      (** the daemon's [serve.overloaded]; should be 0: the sweep bounds
+          in-flight by clients *)
   sw_errors : int;  (** client-observed transport/Error responses *)
   sw_wall_ns : float;
   sw_rps : float;  (** cells per second through the daemon *)
@@ -27,28 +29,31 @@ type result = {
       (** the daemon's merged telemetry snapshot taken just before stop —
           exactly what a live [Stats] frame would have answered *)
   sw_wire_req_bytes : int;
-      (** request wire bytes actually shipped during the timed stream
-          (computed from the frame grammar; excludes registration) *)
+      (** request frame bytes the stream's {!Client}s wrote
+          ({!Client.bytes_sent}; excludes registration) *)
   sw_full_req_bytes : int;
       (** what the same stream would have shipped as all-[Full] uploads *)
-  sw_register_bytes : int;  (** one-time [Register] upload bytes (By_ref) *)
-  sw_needfull : int;  (** typed [NeedFull] fallbacks taken *)
+  sw_register_bytes : int;
+      (** one-time [Register] frame bytes written (By_ref) *)
+  sw_needfull : int;
+      (** the daemon's [serve.needfull]: Refs answered [NeedFull] and
+          re-sent in full *)
 }
 
 val run :
   ?seed:int ->
   ?count:int ->
   ?clients:int ->
-  ?workers:int ->
-  ?bound:int ->
   ?payload_mode:payload_mode ->
   unit ->
   result
 (** Start a daemon on a fresh temp socket, drive the
     [Corpus.generate ~seed ~count] × roster grid through it with
     [clients] concurrent client threads (corpus-major item order), stop
-    the daemon. Binaries are prebuilt (and serialized) serially before
-    the clock starts; [By_ref] registration also happens off the clock. *)
+    the daemon. The daemon gets [min 4 clients] executors and a queue
+    bound of at least [clients], so the sweep is refusal-free. Binaries
+    are prebuilt (and serialized) serially before the clock starts;
+    [By_ref] registration also happens off the clock. *)
 
 val check :
   ?seed:int ->

@@ -2,8 +2,8 @@
    semantics, and fault tolerance of the slot files. A corrupt,
    truncated, version-skewed or hand-forged slot must degrade to a cold
    layout with a correct rewrite and a counted eviction; it must never
-   surface as an error or as wrong bytes. Plus the LRU policy the
-   daemon's stores share, and the daemon's use of the store. *)
+   surface as an error or as wrong bytes. Plus the LRU policy of the
+   daemon's byte stores, and the daemon's use of the slot store. *)
 
 module Cache = Icfg_core.Cache
 module Runner = Icfg_harness.Runner
@@ -42,45 +42,46 @@ let clone_isolation () =
   Alcotest.(check (option int)) "the source's overwrite does not leak in"
     (Some 1) (Cache.find_slot k "a")
 
-(* The LRU policy in isolation (the daemon's stores evict through it). *)
-module Lru = Icfg_core.Lru
-
+(* The daemon stores' LRU policy: the least recently used entry goes
+   first, a hit refreshes, an oversized value is refused and changes
+   nothing, and replacing a key never evicts the key itself. *)
 let lru_policy () =
-  let evict lru k size =
-    match Lru.add lru k () ~size with
-    | Some victims -> victims
-    | None -> Alcotest.failf "add %s refused" k
+  let module Store = Icfg_service.Store in
+  let st = Store.create ~max_bytes:10 () in
+  let add k n =
+    Alcotest.(check bool) ("add " ^ k) true
+      (Store.add st ~key:k (String.make n k.[0]))
   in
-  (* Seeded entries tie on tick: they go in key order, before anything
-     added since. *)
-  let lru = Lru.create ~capacity:10 () in
-  List.iter (fun k -> Lru.seed lru k () ~size:3) [ "c"; "a"; "b" ];
-  Alcotest.(check int) "seeded footprint" 9 (Lru.total lru);
-  Alcotest.(check (list string)) "seeds evicted in key order" [ "a"; "b" ]
-    (evict lru "x" 5);
-  Alcotest.(check (list string)) "then the last seed" [ "c" ]
-    (evict lru "y" 4);
-  (* A hit refreshes: "x" outlives the older "y". *)
-  ignore (Lru.find lru "x");
-  Alcotest.(check (list string)) "untouched entry goes first" [ "y" ]
-    (evict lru "z" 4);
-  Alcotest.(check bool) "refreshed entry kept" true (Lru.mem lru "x");
-  (* Oversized values are refused and change nothing. *)
-  let before = (Lru.total lru, Lru.length lru) in
-  Alcotest.(check bool) "oversized refused" true
-    (Lru.add lru "huge" () ~size:11 = None);
-  Alcotest.(check (pair int int)) "refusal changes nothing" before
-    (Lru.total lru, Lru.length lru);
+  let present () = List.filter (Store.mem st) [ "a"; "b"; "c"; "x"; "y" ] in
+  let footprint () =
+    let s = Store.stats st in
+    (s.Store.st_bytes, s.Store.st_entries, s.Store.st_evictions)
+  in
+  List.iter (fun k -> add k 3) [ "c"; "a"; "b" ];
+  add "x" 4;
+  Alcotest.(check (list string)) "oldest entry evicted" [ "a"; "b"; "x" ]
+    (present ());
+  (* A hit refreshes: "a" outlives the younger "b". *)
+  ignore (Store.find st "a");
+  add "y" 3;
+  Alcotest.(check (list string)) "untouched entry goes first"
+    [ "a"; "x"; "y" ] (present ());
+  Alcotest.(check (triple int int int)) "bytes, entries, evictions"
+    (10, 3, 2) (footprint ());
+  Alcotest.(check bool) "oversized refused" false
+    (Store.add st ~key:"huge" (String.make 11 'h'));
+  Alcotest.(check (triple int int int)) "refusal changes nothing" (10, 3, 2)
+    (footprint ());
   (* Replacing a key keeps the footprint exact and never evicts the key
      itself. *)
-  Alcotest.(check (list string)) "replace fits without eviction" []
-    (evict lru "z" 2);
-  Alcotest.(check (pair int int)) "footprint after same-key replace" (7, 2)
-    (Lru.total lru, Lru.length lru);
+  add "y" 1;
+  Alcotest.(check (triple int int int)) "replace fits without eviction"
+    (8, 3, 2) (footprint ());
+  add "y" 10;
   Alcotest.(check (list string)) "full-capacity replace evicts the rest"
-    [ "x" ] (evict lru "z" 10);
-  Alcotest.(check (pair int int)) "only the replaced key left" (10, 1)
-    (Lru.total lru, Lru.length lru)
+    [ "y" ] (present ());
+  Alcotest.(check (triple int int int)) "only the replaced key left"
+    (10, 1, 4) (footprint ())
 
 (* Store evicts in the same order through its own API: a hit protects an
    older entry, misses and [mem] probes do not. *)

@@ -56,6 +56,9 @@ let astr_contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
+let counter snap name =
+  Option.value ~default:0 (Metrics.find_counter snap name)
+
 let response_label = function
   | Protocol.Pong -> "pong"
   | Protocol.Rewritten _ -> "rewritten"
@@ -336,16 +339,14 @@ let backpressure () =
   (* Wait until all K+M requests have reached the daemon: K parked in
      the queue, M already refused. *)
   let deadline = Unix.gettimeofday () +. 30. in
+  let overloaded () = counter (Server.snapshot srv) "serve.overloaded" in
   let rec settle () =
-    let st = Server.stats srv in
-    if
-      Scheduler.pending (Server.scheduler srv) = k
-      && st.Server.overloaded = m
-    then ()
+    if Scheduler.pending (Server.scheduler srv) = k && overloaded () = m then
+      ()
     else if Unix.gettimeofday () > deadline then
       Alcotest.failf "queue never settled: pending=%d overloaded=%d"
         (Scheduler.pending (Server.scheduler srv))
-        (Server.stats srv).Server.overloaded
+        (overloaded ())
     else begin
       Thread.delay 0.01;
       settle ()
@@ -359,9 +360,9 @@ let backpressure () =
     (count (function Some (Ok Protocol.Overloaded) -> true | _ -> false));
   Alcotest.(check int) "exactly K rewritten" k
     (count (function Some (Ok (Protocol.Rewritten _)) -> true | _ -> false));
-  let st = Server.stats srv in
-  Alcotest.(check int) "zero error responses" 0 st.Server.errors;
-  Alcotest.(check int) "overloaded stat" m st.Server.overloaded;
+  let snap = Server.snapshot srv in
+  Alcotest.(check int) "zero error responses" 0 (counter snap "serve.errors");
+  Alcotest.(check int) "overloaded stat" m (counter snap "serve.overloaded");
   (* The refusals cost nothing: the daemon is still serving. *)
   Client.with_connection path @@ fun c ->
   (match Client.ping c with
@@ -475,8 +476,8 @@ let crash_containment () =
   | r ->
       Alcotest.failf "daemon not serving after crashes: %s"
         (match r with Ok x -> response_label x | Error m -> m));
-  let st = Server.stats srv in
-  Alcotest.(check bool) "errors were counted" true (st.Server.errors >= 3)
+  Alcotest.(check bool) "errors were counted" true
+    (counter (Server.snapshot srv) "serve.errors" >= 3)
 
 (* A small upload that declares a 1 GiB zero tail is refused at decode
    with a typed Error, before anything could materialise the tail, and
@@ -536,14 +537,11 @@ let scrape ?(flight = false) path =
       Alcotest.failf "stats scrape: %s"
         (match r with Ok x -> response_label x | Error m -> m)
 
-let counter snap name =
-  Option.value ~default:0 (Metrics.find_counter snap name)
-
 (* The daemon's aggregated totals must exactly equal the served stream:
-   serve.requests (which [Server.stats] reads) and the per-approach ×
-   per-outcome latency histogram counts are pinned against the requests
-   we just sent, and the trace.* counter totals against the sum of the
-   per-request counter snapshots the responses themselves carried.
+   serve.requests and the per-approach × per-outcome latency histogram
+   counts are pinned against the requests we just sent, and the trace.*
+   counter totals against the sum of the per-request counter snapshots
+   the responses themselves carried.
    Scrapes must not show up anywhere: a scrape is a reading of the
    instruments, not a flight. *)
 let stats_totals () =
@@ -553,7 +551,7 @@ let stats_totals () =
      scheduled like the rest: this test pins the telemetry of *scheduled*
      requests; the memo fast path (which folds no trace) has its own
      test. *)
-  with_server ~workers:2 ~memo_bytes:1 () @@ fun srv path ->
+  with_server ~workers:2 ~memo_bytes:1 () @@ fun _srv path ->
   let snap0, _ = scrape path in
   Alcotest.(check int) "fresh daemon: no requests" 0
     (counter snap0 "serve.requests");
@@ -590,12 +588,6 @@ let stats_totals () =
   let snap, _ = scrape path in
   Alcotest.(check int) "serve.requests == served stream" 4
     (counter snap "serve.requests");
-  let st = Server.stats srv in
-  Alcotest.(check (list int))
-    "Server.stats == serve.requests/overloaded/errors"
-    (List.map (counter snap)
-       [ "serve.requests"; "serve.overloaded"; "serve.errors" ])
-    [ st.Server.requests; st.Server.overloaded; st.Server.errors ];
   Alcotest.(check int) "no errors" 0 (counter snap "serve.errors");
   Alcotest.(check int) "rewritten outcomes" 3
     (counter snap "serve.responses:rewritten");
@@ -1015,6 +1007,151 @@ let response_memo () =
   Alcotest.(check bool) "memoized replay == fresh pipeline response" true
     (p2 = p3)
 
+(* The one answer path: every frame the daemon writes, Pong and
+   StatsSnapshot aside, is booked once in [serve.responses:*], and each
+   [serve.<kind>] total equals its [serve.responses:<kind>]. Drives every
+   answer kind: a pipeline rewrite and its memo replay, Overloaded, a
+   malformed frame, a bad patch, NeedFull, an oversized frame and
+   Register. *)
+let every_answer_booked () =
+  let bin = first_bench Arch.X86_64 in
+  let max_frame = 1 lsl 16 in
+  Alcotest.(check bool) "test binary fits the frame limit" true
+    (String.length (Binfile.to_string bin) < max_frame - 256);
+  with_server ~bound:1 ~workers:1 ~max_frame () @@ fun srv path ->
+  let answered = ref 0 in
+  let expect what kind r =
+    incr answered;
+    match r with
+    | Ok resp ->
+        let l = response_label resp in
+        let k = List.hd (String.split_on_char ':' l) in
+        if k <> kind then Alcotest.failf "%s: %s" what l
+    | Error m -> Alcotest.failf "%s: %s" what m
+  in
+  let raw c frame =
+    Protocol.write_frame (Client.fd c) frame;
+    match Protocol.read_frame (Client.fd c) with
+    | Some p -> Protocol.response_of_payload p
+    | None -> Stdlib.Error "daemon hung up"
+  in
+  Client.with_connection path @@ fun c ->
+  expect "pipeline rewrite" "rewritten" (Client.rewrite c ~approach:"ours/jt" bin);
+  expect "memo replay" "rewritten" (Client.rewrite c ~approach:"ours/jt" bin);
+  (* A parked executor holds one queued request; the next finds the
+     queue at its bound. *)
+  Scheduler.pause (Server.scheduler srv);
+  let queued = ref (Stdlib.Error "never answered") in
+  let th =
+    Thread.create
+      (fun () ->
+        Client.with_connection path @@ fun c2 ->
+        queued := Client.rewrite c2 ~approach:"ours/dir" bin)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 30. in
+  while Scheduler.pending (Server.scheduler srv) < 1 do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "never queued";
+    Thread.delay 0.01
+  done;
+  expect "full queue" "overloaded"
+    (Client.rewrite c ~approach:"ours/func-ptr" bin);
+  Scheduler.resume (Server.scheduler srv);
+  Thread.join th;
+  expect "queued rewrite" "rewritten" !queued;
+  expect "malformed frame" "error" (raw c "complete nonsense");
+  let str = Binfile.to_string bin in
+  expect "register" "registered" (Client.register_bytes c str);
+  expect "bad patch" "error"
+    (Client.rewrite_payload c ~approach:"ours/jt"
+       (Protocol.Patch
+          {
+            base = Icfg_service.Store.digest str;
+            total_len = 16;
+            ranges = [ (0, "abc"); (1, "xyz") ];
+          }));
+  expect "unknown base" "need-full"
+    (Client.rewrite_payload c ~approach:"ours/jt"
+       (Protocol.Ref (String.make 32 '0')));
+  expect "oversized frame" "rejected" (raw c (String.make (max_frame + 1) 'x'));
+  (* Pong and StatsSnapshot are not booked. *)
+  (match Client.ping c with
+  | Ok Protocol.Pong -> ()
+  | _ -> Alcotest.fail "ping");
+  ignore (scrape path);
+  let snap = Server.snapshot srv in
+  let responses =
+    List.filter_map
+      (fun (k, v) ->
+        let p = "serve.responses:" in
+        let n = String.length p in
+        if String.length k > n && String.sub k 0 n = p then
+          Some (String.sub k n (String.length k - n), v)
+        else None)
+      snap.Metrics.s_counters
+  in
+  Alcotest.(check int) "serve.responses:* sums to the frames answered"
+    !answered
+    (List.fold_left (fun a (_, v) -> a + v) 0 responses);
+  Alcotest.(check int) "served requests: pipeline, replay, queued" 3
+    (counter snap "serve.requests");
+  List.iter
+    (fun (total, kind, n) ->
+      let booked = Option.value ~default:0 (List.assoc_opt kind responses) in
+      Alcotest.(check int) ("serve.responses:" ^ kind) n booked;
+      Alcotest.(check int)
+        (Printf.sprintf "serve.%s == serve.responses:%s" total kind)
+        booked (counter snap ("serve." ^ total)))
+    [
+      ("errors", "error", 2);
+      ("overloaded", "overloaded", 1);
+      ("rejected", "rejected", 1);
+      ("needfull", "needfull", 1);
+      ("registered", "registered", 1);
+    ]
+
+(* [Client] counts the frame bytes it writes: Σ(4 + payload length) over
+   every request frame, the full re-send of a NeedFull fallback
+   included. *)
+let client_counts_bytes () =
+  let str_a = Binfile.to_string (first_bench Arch.X86_64) in
+  let str_b = Binfile.to_string (first_bench Arch.Aarch64) in
+  let dig_a = Icfg_service.Store.digest str_a in
+  (* A store sized for one binary: registering B evicts A. *)
+  let store_bytes = max (String.length str_a) (String.length str_b) in
+  with_server ~workers:1 ~store_bytes () @@ fun srv path ->
+  Client.with_connection path @@ fun c ->
+  ignore (Client.ping c);
+  ignore (Client.register_bytes c str_a);
+  ignore (Client.register_bytes c str_b);
+  (match
+     Client.rewrite_payload c ~approach:"ours/jt" ~fallback:str_a
+       (Protocol.Ref dig_a)
+   with
+  | Ok (Protocol.Rewritten _) -> ()
+  | r ->
+      Alcotest.failf "fallback rewrite: %s"
+        (match r with Ok x -> response_label x | Error m -> m));
+  Alcotest.(check int) "the Ref drew a NeedFull" 1
+    (counter (Server.snapshot srv) "serve.needfull");
+  let rewrite payload =
+    Protocol.Rewrite { approach = "ours/jt"; jobs = 0; payload }
+  in
+  let written =
+    [
+      Protocol.Ping;
+      Protocol.Register { bin = str_a };
+      Protocol.Register { bin = str_b };
+      rewrite (Protocol.Ref dig_a);
+      rewrite (Protocol.Full str_a);
+    ]
+  in
+  Alcotest.(check int) "bytes_sent == sum of 4 + payload length"
+    (List.fold_left
+       (fun a r -> a + 4 + String.length (Protocol.request_to_payload r))
+       0 written)
+    (Client.bytes_sent c)
+
 let suite =
   [
     ( "serve",
@@ -1045,5 +1182,9 @@ let suite =
         Alcotest.test_case "bounds: typed Rejected refusals" `Quick
           bounds_rejection;
         Alcotest.test_case "whole-response memoization" `Quick response_memo;
+        Alcotest.test_case "every answer booked once" `Quick
+          every_answer_booked;
+        Alcotest.test_case "client counts the bytes it writes" `Quick
+          client_counts_bytes;
       ] );
   ]
