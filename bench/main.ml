@@ -274,7 +274,6 @@ let run_cache_micro () =
     [
       layout "layout.pinned";
       layout "layout.moved";
-      ("evict_corrupt", (Cache.stats c).Cache.c_evict_corrupt);
       ("mismatches", if fingerprint rw = expect then 0 else 1);
     ]
   in
@@ -288,7 +287,6 @@ let run_cache_micro () =
     [
       ("layout.pinned", exact);
       ("layout.moved", exact);
-      ("evict_corrupt", worse_higher);
       ("mismatches", at_most 0.);
     ]
   in
@@ -487,7 +485,7 @@ let run_serve_micro () =
       let scalar_allowlist =
         [
           "serve.requests"; "serve.overloaded"; "serve.errors";
-          "serve.needfull"; "serve.rejected"; "cache.evict_corrupt";
+          "serve.needfull"; "serve.rejected";
         ]
         @ (if clients = 1 then
              [ "sched.jobs"; "response_cache.hit"; "response_cache.miss" ]

@@ -99,34 +99,6 @@ let trace_t =
            write it to $(docv) as JSON (schema icfg-trace/1)."
         ~docv:"FILE")
 
-let cache_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache" ]
-        ~doc:
-          "Keep layout slots in $(docv) (created if missing): each rewrite \
-           stores its layout there, and the next rewrite of the same binary \
-           name under the same options keeps every unchanged function at \
-           its previous address. Every stage is still recomputed. Output \
-           bytes are identical to a rewrite without the cache unless a \
-           function's relocated size changed since the stored layout; then \
-           unchanged functions keep their addresses. Corrupt or stale slots \
-           read as absent."
-        ~docv:"DIR")
-
-let cache_of dir = Option.map (fun d -> Icfg_core.Cache.create ~dir:d ()) dir
-
-let pp_cache_line = function
-  | None -> ()
-  | Some c ->
-      let s = Icfg_core.Cache.stats c in
-      Format.printf
-        "cache slots: %d found, %d absent, %d stored, %d corrupt \
-         evictions@."
-        s.Icfg_core.Cache.c_hits s.Icfg_core.Cache.c_misses
-        s.Icfg_core.Cache.c_stores s.Icfg_core.Cache.c_evict_corrupt
-
 (* Run [f] under an ambient trace when [--trace FILE] was given, then write
    the JSON report — also when [f] raises or exits, so a failed pipeline
    still leaves its trace behind for diagnosis. Tracing is
@@ -162,16 +134,14 @@ let analyze workload arch pie =
         (if fa.Parse.fa_instrumentable then "" else "  [UNINSTRUMENTABLE]"))
     p.Parse.funcs
 
-let rewrite_cmd workload arch pie mode output trace cache_dir =
+let rewrite_cmd workload arch pie mode output trace =
   let bin, _ = load_workload workload arch pie in
-  let cache = cache_of cache_dir in
   let rw =
     with_trace trace @@ fun () ->
     Icfg_harness.Runner.rewrite
-      ~options:{ Rewriter.default_options with Rewriter.mode } ?cache bin
+      ~options:{ Rewriter.default_options with Rewriter.mode } bin
   in
   Format.printf "%a@." Rewriter.pp_stats rw.Rewriter.rw_stats;
-  pp_cache_line cache;
   Format.printf "%a" Binary.pp rw.Rewriter.rw_binary;
   match output with
   | Some path ->
@@ -196,10 +166,9 @@ let verify_cmd workload arch pie mode trace =
   | None -> ());
   if not report.Icfg_core.Verify.ok then exit 1
 
-let run_cmd workload arch pie mode trace cache_dir =
+let run_cmd workload arch pie mode trace =
   let module R = Icfg_harness.Runner in
   let bin, _ = load_workload workload arch pie in
-  let cache = cache_of cache_dir in
   let show label (r : R.run) =
     Format.printf "%-10s %-8s cycles %10d, steps %9d, traps %5d, output [%s]@."
       label
@@ -211,25 +180,21 @@ let run_cmd workload arch pie mode trace cache_dir =
     with_trace trace @@ fun () ->
     let orig = R.run_original bin in
     let options = { Rewriter.default_options with Rewriter.mode } in
-    (orig, R.run_rewritten (R.rewrite ~options ?cache bin))
+    (orig, R.run_rewritten (R.rewrite ~options bin))
   in
   show "original" orig;
   show (Mode.name mode) r;
-  pp_cache_line cache;
   match R.judge ~orig r with
   | R.Verified pct -> Format.printf "outputs match; overhead %+.2f%%@." pct
   | R.Diverged | R.Crashed _ -> ()
 
-let report_cmd workload arch pie mode json trace cache_dir =
+let report_cmd workload arch pie mode json trace =
   let module A = Icfg_core.Attribution in
   let bin, _ = load_workload workload arch pie in
-  let cache = cache_of cache_dir in
   with_trace trace @@ fun () ->
-  (* Both rewrites (the mode and its Dir baseline) use the cache; their
-     options differ, so each keeps its own layout slot. *)
   let rewrite mode =
     Icfg_harness.Runner.rewrite
-      ~options:{ Rewriter.default_options with Rewriter.mode } ?cache bin
+      ~options:{ Rewriter.default_options with Rewriter.mode } bin
   in
   let rw = rewrite mode in
   let attr = rw.Rewriter.rw_attribution in
@@ -239,7 +204,6 @@ let report_cmd workload arch pie mode json trace cache_dir =
     else Some (rewrite Mode.Dir).Rewriter.rw_attribution
   in
   Format.printf "%a@." Rewriter.pp_stats rw.Rewriter.rw_stats;
-  pp_cache_line cache;
   Format.printf "%a" A.pp attr;
   (match dir with
   | Some d ->
@@ -337,15 +301,13 @@ let serve_stats_line tag srv =
   let gauge n = Option.value ~default:0 (M.find_gauge snap n) in
   Format.printf
     "icfg serve: %s %d requests (%d overloaded, %d errors; %d queued, %d in \
-     flight); layout slots: %d found, %d absent, %d stored@."
+     flight)@."
     tag (counter "serve.requests") (counter "serve.overloaded")
     (counter "serve.errors") (gauge "sched.queue_depth")
-    (gauge "sched.in_flight") (counter "cache.hits") (counter "cache.misses")
-    (counter "cache.stores")
+    (gauge "sched.in_flight")
 
-let serve_cmd socket bound workers cache_dir stats_interval =
-  let cache = cache_of cache_dir in
-  let srv = Icfg_service.Server.start ~path:socket ~bound ~workers ?cache () in
+let serve_cmd socket bound workers stats_interval =
+  let srv = Icfg_service.Server.start ~path:socket ~bound ~workers () in
   Format.printf
     "icfg serve: listening on %s (queue bound %d, %d executor domains)@."
     socket bound workers;
@@ -380,11 +342,6 @@ let serve_cmd socket bound workers cache_dir stats_interval =
   Icfg_service.Server.stop srv;
   serve_stats_line "stopped after" srv
 
-let pp_counters counters =
-  let get n = Option.value ~default:0 (List.assoc_opt n counters) in
-  Format.printf "request counters: %d layout segments pinned, %d moved@."
-    (get "layout.pinned") (get "layout.moved")
-
 let load_binfile_bytes path =
   Icfg_obj.Binfile.to_string (Icfg_obj.Binfile.load path)
 
@@ -418,32 +375,20 @@ let submit_cmd socket approach file classify output register ref_digest
         exit 4
   end
   else begin
-    let submit payload =
-      if classify then C.classify_payload c ~approach payload
-      else C.rewrite_payload c ~approach payload
+    (* With [fallback] (FILE's bytes), [Client] answers a NeedFull by
+       sending FILE whole, which also re-registers it. *)
+    let submit ?fallback payload =
+      if classify then C.classify_payload c ~approach ?fallback payload
+      else C.rewrite_payload c ~approach ?fallback payload
     in
     let resp =
       match (ref_digest, patch_against) with
       | Some _, Some _ ->
           Format.printf "submit: --ref and --patch-against are exclusive@.";
           exit 4
-      | Some d, None -> (
-          match submit (P.Ref d) with
-          | Ok (P.NeedFull _) when file <> None ->
-              (* The daemon lost (or never saw) the base; FILE doubles as
-                 the full-upload fallback, which also re-registers it. *)
-              let f = Option.get file in
-              Format.printf
-                "need-full: daemon does not hold %s; re-uploading %s@." d f;
-              submit (P.Full (load_binfile_bytes f))
-          | Ok (P.NeedFull { digest }) ->
-              Format.printf
-                "need-full: the daemon does not hold %s (evicted or never \
-                 registered); pass FILE to fall back to a full upload@."
-                digest;
-              exit 5
-          | r -> r)
-      | None, Some base_path -> (
+      | Some d, None ->
+          submit ?fallback:(Option.map load_binfile_bytes file) (P.Ref d)
+      | None, Some base_path ->
           let target = load_binfile_bytes (need_file " with --patch-against") in
           let base = load_binfile_bytes base_path in
           let bd = Icfg_service.Store.digest base in
@@ -458,26 +403,13 @@ let submit_cmd socket approach file classify output register ref_digest
             "patch: %d ranges, %d delta bytes against base %s (%d bytes \
              full)@."
             (List.length ranges) delta bd (String.length target);
-          match submit patch with
-          | Ok (P.NeedFull _) -> (
-              (* Base unknown to the daemon: register it and retry the
-                 same patch once; if that still misses (capacity churn),
-                 give up the incremental path for this submission. *)
-              Format.printf "need-full: registering base %s and retrying@." bd;
-              match C.register_bytes c base with
-              | Ok (P.Registered _) -> (
-                  match submit patch with
-                  | Ok (P.NeedFull _) -> submit (P.Full target)
-                  | r -> r)
-              | _ -> submit (P.Full target))
-          | r -> r)
+          submit ~fallback:target patch
       | None, None -> submit (P.Full (load_binfile_bytes (need_file "")))
     in
     match resp with
-    | Ok (P.Rewritten { bin = out_bytes; digest; counters }) -> (
+    | Ok (P.Rewritten { bin = out_bytes; digest; _ }) -> (
         Format.printf "rewritten: %d bytes on the wire, digest %s@."
           (String.length out_bytes) digest;
-        pp_counters counters;
         match output with
         | Some path ->
             let oc = open_out_bin path in
@@ -485,27 +417,28 @@ let submit_cmd socket approach file classify output register ref_digest
             close_out oc;
             Format.printf "wrote %s@." path
         | None -> ())
-    | Ok (P.Refused { reason; digest; counters }) ->
+    | Ok (P.Refused { reason; digest; _ }) ->
         Format.printf "refused: %s (input digest %s)@." reason digest;
-        pp_counters counters;
         exit 2
     | Ok (P.Rejected { reason }) ->
         Format.printf "rejected: %s@." reason;
         exit 2
-    | Ok (P.Classified { cls; ns; digest; counters }) ->
+    | Ok (P.Classified { cls; ns; digest; _ }) ->
         Format.printf "classified: %s (%.2f ms, input digest %s)@."
           (Icfg_harness.Matrix.cls_to_string cls)
-          (ns /. 1e6) digest;
-        pp_counters counters
+          (ns /. 1e6) digest
     | Ok P.Overloaded ->
         Format.printf "overloaded: the daemon's request queue is full@.";
         exit 3
-    | Ok (P.Error { message; counters }) ->
+    | Ok (P.Error { message; _ }) ->
         Format.printf "error: %s@." message;
-        pp_counters counters;
         exit 4
     | Ok (P.NeedFull { digest }) ->
-        Format.printf "need-full: the daemon does not hold %s@." digest;
+        (* Only a [--ref] without FILE has no fallback to draw. *)
+        Format.printf
+          "need-full: the daemon does not hold %s (evicted or never \
+           registered); pass FILE to fall back to a full upload@."
+          digest;
         exit 5
     | Ok (P.Pong | P.StatsSnapshot _ | P.Registered _) ->
         Format.printf "unexpected response@.";
@@ -620,9 +553,6 @@ let top_cmd socket interval iterations =
       (get "serve.overloaded" snap)
       (Option.value ~default:0 (M.find_gauge snap "sched.queue_depth"))
       (Option.value ~default:0 (M.find_gauge snap "sched.in_flight"));
-    Format.printf "slots    %d found / %d absent / %d stored@."
-      (get "cache.hits" snap) (get "cache.misses" snap)
-      (get "cache.stores" snap);
     let latencies =
       List.filter
         (fun (k, _) -> String.length k >= 8 && String.sub k 0 8 = "request.")
@@ -668,7 +598,7 @@ let cmd_rewrite =
   Cmd.v (Cmd.info "rewrite" ~doc:"Rewrite a workload and print the statistics.")
     Term.(
       const rewrite_cmd $ workload_t $ arch_t $ pie_t $ mode_t $ output_t
-      $ trace_t $ cache_t)
+      $ trace_t)
 
 let cmd_verify =
   Cmd.v
@@ -683,7 +613,7 @@ let cmd_run =
     (Cmd.info "run"
        ~doc:"Run a workload before and after rewriting and compare.")
     Term.(
-      const run_cmd $ workload_t $ arch_t $ pie_t $ mode_t $ trace_t $ cache_t)
+      const run_cmd $ workload_t $ arch_t $ pie_t $ mode_t $ trace_t)
 
 let report_json_t =
   Arg.(
@@ -704,7 +634,7 @@ let cmd_report =
           mode's incremental delta vs the dir baseline.")
     Term.(
       const report_cmd $ workload_t $ arch_t $ pie_t $ mode_t $ report_json_t
-      $ trace_t $ cache_t)
+      $ trace_t)
 
 let func_opt_t =
   Arg.(value & opt (some string) None & info [ "f"; "function" ] ~doc:"Function name.")
@@ -745,9 +675,9 @@ let cmd_serve =
     (Cmd.info "serve"
        ~doc:
          "Run the rewrite daemon: accept framed rewrite/classify requests on \
-          a Unix socket, schedule them across a bounded queue of executor \
-          domains, and share one store of layout slots across every \
-          request. A full queue answers with a typed Overloaded frame; a \
+          a Unix socket and schedule them across a bounded queue of executor \
+          domains. An answer depends only on the request's approach and \
+          input bytes. A full queue answers with a typed Overloaded frame; a \
           crashing driver answers with a typed Error frame; the daemon keeps \
           serving through both.")
     Term.(
@@ -763,7 +693,6 @@ let cmd_serve =
                 "Executor domains (each request body runs on its own domain: \
                  per-request trace isolation)."
               ~docv:"N")
-      $ cache_t
       $ Arg.(
           value
           & opt (some float) None
@@ -803,8 +732,8 @@ let cmd_top =
     (Cmd.info "top"
        ~doc:
          "Refreshing terminal view of a running daemon: request/error \
-          totals, queue and in-flight gauges, layout-slot counts, per-approach \
-          latency histograms with sparklines.")
+          totals, queue and in-flight gauges, per-approach latency \
+          histograms with sparklines.")
     Term.(
       const top_cmd $ socket_t
       $ Arg.(
@@ -874,8 +803,8 @@ let cmd_submit =
           & info [ "patch-against" ]
               ~doc:
                 "Ship FILE as a sparse byte-delta against base Binfile \
-                 $(docv) (which must have been registered — on NeedFull the \
-                 base is registered and the patch retried automatically)."
+                 $(docv), which must have been registered. If the daemon \
+                 answers NeedFull, FILE is uploaded whole."
               ~docv:"BASEFILE"))
 
 let () =

@@ -15,7 +15,7 @@ let default_payload = Rewriter.P_empty
 (* Dyninst-10.2 / SRBI                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let srbi ?(payload = default_payload) ?cache bin =
+let srbi ?(payload = default_payload) bin =
   if
     bin.Binary.features.Binary.cpp_exceptions
     && bin.Binary.arch <> Arch.X86_64
@@ -25,9 +25,7 @@ let srbi ?(payload = default_payload) ?cache bin =
        Dyninst-10.2"
   else
     let parse = Parse.parse ~fm:Failure_model.srbi bin in
-    let rw =
-      Rewriter.rewrite ?cache ~options:(Rewriter.srbi_like payload) parse
-    in
+    let rw = Rewriter.rewrite ~options:(Rewriter.srbi_like payload) parse in
     if rw.Rewriter.rw_stats.Rewriter.s_trap_trampolines > 10 then
       Refused
         "heavy trap-trampoline use; Dyninst-10.2's runtime-library signal \
@@ -55,7 +53,7 @@ let srbi ?(payload = default_payload) ?cache bin =
 (* Egalito-style IR lowering                                           *)
 (* ------------------------------------------------------------------ *)
 
-let ir_lowering ?(payload = default_payload) ?cache bin =
+let ir_lowering ?(payload = default_payload) bin =
   let feat = bin.Binary.features in
   if not bin.Binary.pie then
     Refused "IR lowering requires PIE with run-time relocation entries"
@@ -87,7 +85,7 @@ let ir_lowering ?(payload = default_payload) ?cache bin =
           ra_translation = false;
         }
       in
-      let rw = Rewriter.rewrite ?cache ~options parse in
+      let rw = Rewriter.rewrite ~options parse in
       (* Regeneration: the original code and retired metadata are dropped
          and the entry point moves into the regenerated code. *)
       let entry =
@@ -113,7 +111,7 @@ let ir_lowering ?(payload = default_payload) ?cache bin =
 (* E9Patch-style instruction patching                                  *)
 (* ------------------------------------------------------------------ *)
 
-let insn_patching ?(payload = default_payload) ?cache bin =
+let insn_patching ?(payload = default_payload) bin =
   let parse = Parse.parse bin in
   let options =
     {
@@ -128,13 +126,13 @@ let insn_patching ?(payload = default_payload) ?cache bin =
       use_scratch_pool = false;
     }
   in
-  Rewritten (Rewriter.rewrite ?cache ~options parse)
+  Rewritten (Rewriter.rewrite ~options parse)
 
 (* ------------------------------------------------------------------ *)
 (* Multiverse-style dynamic translation                                *)
 (* ------------------------------------------------------------------ *)
 
-let dynamic_translation ?(payload = default_payload) ?cache bin =
+let dynamic_translation ?(payload = default_payload) bin =
   let parse = Parse.parse bin in
   let options =
     {
@@ -146,7 +144,7 @@ let dynamic_translation ?(payload = default_payload) ?cache bin =
       ra_translation = false;
     }
   in
-  Rewritten (Rewriter.rewrite ?cache ~options parse)
+  Rewritten (Rewriter.rewrite ~options parse)
 
 (* ------------------------------------------------------------------ *)
 (* BOLT-like optimizer                                                 *)
@@ -193,10 +191,10 @@ let bolt_block_reorder bin =
 (* This paper's system                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let ours ?(payload = default_payload) ?cache ~mode bin =
+let ours ?(payload = default_payload) ~mode bin =
   let parse = Parse.parse bin in
   let options = { Rewriter.default_options with Rewriter.mode; payload } in
-  Rewritten (Rewriter.rewrite ?cache ~options parse)
+  Rewritten (Rewriter.rewrite ~options parse)
 
 let ours_partial ?(payload = default_payload) ~mode ~only bin =
   let parse = Parse.parse bin in
@@ -211,13 +209,13 @@ let ours_partial ?(payload = default_payload) ~mode ~only bin =
 
 let approaches =
   [
-    ("srbi", fun ?cache bin -> srbi ?cache bin);
-    ("ir-lowering", fun ?cache bin -> ir_lowering ?cache bin);
-    ("insn-patching", fun ?cache bin -> insn_patching ?cache bin);
-    ("dyn-translation", fun ?cache bin -> dynamic_translation ?cache bin);
-    ("ours/dir", fun ?cache bin -> ours ?cache ~mode:Mode.Dir bin);
-    ("ours/jt", fun ?cache bin -> ours ?cache ~mode:Mode.Jt bin);
-    ("ours/func-ptr", fun ?cache bin -> ours ?cache ~mode:Mode.Func_ptr bin);
+    ("srbi", fun bin -> srbi bin);
+    ("ir-lowering", fun bin -> ir_lowering bin);
+    ("insn-patching", fun bin -> insn_patching bin);
+    ("dyn-translation", fun bin -> dynamic_translation bin);
+    ("ours/dir", fun bin -> ours ~mode:Mode.Dir bin);
+    ("ours/jt", fun bin -> ours ~mode:Mode.Jt bin);
+    ("ours/func-ptr", fun bin -> ours ~mode:Mode.Func_ptr bin);
   ]
 
 let contains ~sub s =

@@ -2,7 +2,9 @@
 
     Each baseline either produces a rewritten binary (sharing the
     {!Icfg_core.Rewriter.t} result type) or refuses with the failure the
-    corresponding tool exhibits on that input. *)
+    corresponding tool exhibits on that input. Every driver is a function
+    of its arguments and the input binary alone: none carries a layout
+    slot, so the same binary always gets the same outcome. *)
 
 type outcome =
   | Rewritten of Icfg_core.Rewriter.t
@@ -10,16 +12,10 @@ type outcome =
       (** the tool rejects the binary up front (e.g. Egalito on non-PIE,
           Dyninst-10.2 call emulation on a non-x86 C++ binary) *)
 
-(** The roster's rewriting baselines accept [?cache] (the layout slot
-    {!Icfg_core.Rewriter.rewrite} pins against). Without one the pipeline
-    is uncached; with one, output is identical unless a function's
-    relocated size changed since the slot's snapshot. *)
-
 (** {1 Dyninst-10.2 / SRBI} *)
 
 val srbi :
   ?payload:Icfg_core.Rewriter.payload ->
-  ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   outcome
 (** Every-block trampolines, call emulation, SRBI-era analysis (no spill
@@ -35,7 +31,6 @@ val srbi :
 
 val ir_lowering :
   ?payload:Icfg_core.Rewriter.payload ->
-  ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   outcome
 (** All-or-nothing binary regeneration: requires PIE with run-time
@@ -49,7 +44,6 @@ val ir_lowering :
 
 val insn_patching :
   ?payload:Icfg_core.Rewriter.payload ->
-  ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   outcome
 (** No binary analysis is consumed: direct control flow keeps its original
@@ -60,7 +54,6 @@ val insn_patching :
 
 val dynamic_translation :
   ?payload:Icfg_core.Rewriter.payload ->
-  ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   outcome
 (** Direct control flow is rewritten; every indirect transfer calls a
@@ -82,17 +75,13 @@ val bolt_block_reorder : Icfg_obj.Binary.t -> outcome
 
 val ours :
   ?payload:Icfg_core.Rewriter.payload ->
-  ?cache:Icfg_core.Cache.t ->
   mode:Icfg_core.Mode.t ->
   Icfg_obj.Binary.t ->
   outcome
 
 (** {1 The comparative-sweep roster} *)
 
-val approaches :
-  (string
-  * (?cache:Icfg_core.Cache.t -> Icfg_obj.Binary.t -> outcome))
-  list
+val approaches : (string * (Icfg_obj.Binary.t -> outcome)) list
 (** The corpus-matrix roster: the four comparable rewriting baselines
     ([srbi], [ir-lowering], [insn-patching], [dyn-translation]) plus this
     paper's system once per mode ([ours/dir], [ours/jt], [ours/func-ptr]).

@@ -8,31 +8,28 @@
     Nothing else is stored: every pipeline stage is recomputed on every
     rewrite.
 
-    Slots live in a mutex-protected in-memory table, shared safely by the
-    daemon's executor domains, and optionally in self-validating [.slot]
-    files under [dir], so a layout pins across invocations. A slot file
-    that fails validation, or whose payload does not unmarshal (a foreign
-    writer, a cross-version store), reads as absent and is evicted —
-    counted in [c_evict_corrupt] and the [cache.evict_corrupt] trace
-    counter. A corrupt store can cost a re-layout, never an error. *)
+    Slots live in a mutex-protected in-memory table, safe to share
+    between domains, and die with it. A rewrite through a slot depends
+    on the rewrites before it, so only callers that want that history
+    pass one: [Runner.rewrite ?cache], for the end-to-end benchmark's
+    edit loop. The daemon, the corpus matrix, the roster drivers and the
+    CLI never do. *)
 
 type t
 
-val create : ?dir:string -> unit -> t
-(** In-memory store; with [dir], also backed by [.slot] files there
-    (the directory is created, including parents, if missing). *)
+val create : unit -> t
+(** An empty store. *)
 
 val clone : t -> t
 (** Snapshot: a new store sharing nothing with [t] but pre-populated with
-    its current slots, with zeroed statistics and {e no} [dir]. Lets
-    benchmarks replay a warm layout without re-warming. *)
+    its current slots, with zeroed statistics. Lets benchmarks replay a
+    warm layout without re-warming. *)
 
 type stats = {
   c_hits : int;  (** slot lookups that found a value *)
   c_misses : int;  (** slot lookups that found nothing *)
   c_stores : int;  (** slot writes *)
   c_bytes_reused : int;  (** marshalled bytes of the slots found *)
-  c_evict_corrupt : int;  (** slots dropped as corrupt or stale *)
 }
 
 val stats : t -> stats

@@ -210,53 +210,56 @@ let aggregate name verdicts =
     t3_total = List.length verdicts;
   }
 
+(* One benchmark's SRBI, dir, jt and func-ptr cells and its coverage
+   under this paper's failure model: [table3_data] aggregates them,
+   [table3_detail] prints them. *)
+type t3_cells = {
+  c_cov : float;
+  c_srbi : Runner.verdict;
+  c_dir : Runner.verdict;
+  c_jt : Runner.verdict;
+  c_fp : Runner.verdict;
+}
+
+let t3_cells arch bench =
+  let bin, _ = Spec_suite.compile arch bench in
+  let orig = Runner.run_original bin in
+  let orig_size = Binary.loaded_size bin in
+  let cov fm = Parse.coverage (Parse.parse ~fm bin) in
+  let cov_srbi = cov Failure_model.srbi in
+  let c_cov = cov Failure_model.ours in
+  let eval coverage outcome =
+    Runner.evaluate ~orig ~coverage ~orig_size outcome
+  in
+  let c_srbi = eval cov_srbi (Baseline.srbi bin) in
+  let c_dir = eval c_cov (Baseline.ours ~mode:Mode.Dir bin) in
+  let c_jt = eval c_cov (Baseline.ours ~mode:Mode.Jt bin) in
+  let c_fp = eval c_cov (Baseline.ours ~mode:Mode.Func_ptr bin) in
+  { c_cov; c_srbi; c_dir; c_jt; c_fp }
+
+(* Egalito's cell: IR lowering needs the PIE build (x86-64 only). *)
+let t3_egalito bench =
+  let bin_pie, _ = Spec_suite.compile ~pie:true Arch.X86_64 bench in
+  Runner.evaluate
+    ~orig:(Runner.run_original bin_pie)
+    ~coverage:(Parse.coverage (Parse.parse bin_pie))
+    ~orig_size:(Binary.loaded_size bin_pie)
+    (Baseline.ir_lowering bin_pie)
+
 let table3_data arch =
   let benches = Spec_suite.benchmarks arch in
-  let cells =
-    List.map
-      (fun bench ->
-        let bin, _ = Spec_suite.compile arch bench in
-        let orig = Runner.run_original bin in
-        let orig_size = Binary.loaded_size bin in
-        let cov fm = Parse.coverage (Parse.parse ~fm bin) in
-        let cov_srbi = cov Failure_model.srbi in
-        let cov_ours = cov Failure_model.ours in
-        let eval coverage outcome =
-          Runner.evaluate ~orig ~coverage ~orig_size outcome
-        in
-        let srbi = eval cov_srbi (Baseline.srbi bin) in
-        let dir = eval cov_ours (Baseline.ours ~mode:Mode.Dir bin) in
-        let jt = eval cov_ours (Baseline.ours ~mode:Mode.Jt bin) in
-        let fp = eval cov_ours (Baseline.ours ~mode:Mode.Func_ptr bin) in
-        let egalito =
-          if arch <> Arch.X86_64 then None
-          else
-            let bin_pie, _ = Spec_suite.compile ~pie:true arch bench in
-            let orig_pie = Runner.run_original bin_pie in
-            Some
-              (Runner.evaluate ~orig:orig_pie
-                 ~coverage:(Parse.coverage (Parse.parse bin_pie))
-                 ~orig_size:(Binary.loaded_size bin_pie)
-                 (Baseline.ir_lowering bin_pie))
-        in
-        (srbi, dir, jt, fp, egalito))
-      benches
-  in
+  let cells = List.map (t3_cells arch) benches in
   let col f = List.map f cells in
   let rows =
     [
-      aggregate "SRBI" (col (fun (s, _, _, _, _) -> s));
-      aggregate "dir" (col (fun (_, d, _, _, _) -> d));
-      aggregate "jt" (col (fun (_, _, j, _, _) -> j));
-      aggregate "func-ptr" (col (fun (_, _, _, f, _) -> f));
+      aggregate "SRBI" (col (fun c -> c.c_srbi));
+      aggregate "dir" (col (fun c -> c.c_dir));
+      aggregate "jt" (col (fun c -> c.c_jt));
+      aggregate "func-ptr" (col (fun c -> c.c_fp));
     ]
   in
   if arch = Arch.X86_64 then
-    rows
-    @ [
-        aggregate "Egalito"
-          (List.filter_map (fun (_, _, _, _, e) -> e) cells);
-      ]
+    rows @ [ aggregate "Egalito" (List.map t3_egalito benches) ]
   else rows
 
 let render_t3 rows =
@@ -284,41 +287,22 @@ let render_t3 rows =
 let table3_detail ?(arch = Arch.X86_64) () =
   buf_out (fun b ->
       line b "== Table 3 detail: per-benchmark results (%s) ==" (Arch.name arch);
+      let overhead v =
+        if v.Runner.v_pass then Stats.pct v.Runner.v_overhead_pct else "FAIL"
+      in
       let rows =
         List.map
           (fun bench ->
-            let bin, _ = Spec_suite.compile arch bench in
-            let orig = Runner.run_original bin in
-            let orig_size = Binary.loaded_size bin in
-            let coverage = Parse.coverage (Parse.parse bin) in
-            let cell mode =
-              let v =
-                Runner.evaluate ~orig ~coverage ~orig_size
-                  (Baseline.ours ~mode bin)
-              in
-              if v.Runner.v_pass then Stats.pct v.Runner.v_overhead_pct
-              else "FAIL"
-            in
-            let srbi =
-              let v =
-                Runner.evaluate ~orig
-                  ~coverage:
-                    (Parse.coverage
-                       (Parse.parse ~fm:Icfg_analysis.Failure_model.srbi bin))
-                  ~orig_size (Baseline.srbi bin)
-              in
-              if v.Runner.v_pass then Stats.pct v.Runner.v_overhead_pct
-              else "FAIL"
-            in
+            let c = t3_cells arch bench in
             [
               bench.Spec_suite.bench_name;
               String.concat "/"
                 (List.map Binary.lang_name bench.Spec_suite.langs);
-              srbi;
-              cell Mode.Dir;
-              cell Mode.Jt;
-              cell Mode.Func_ptr;
-              Printf.sprintf "%.1f%%" (100. *. coverage);
+              overhead c.c_srbi;
+              overhead c.c_dir;
+              overhead c.c_jt;
+              overhead c.c_fp;
+              Printf.sprintf "%.1f%%" (100. *. c.c_cov);
             ])
           (Spec_suite.benchmarks arch)
       in

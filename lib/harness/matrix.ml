@@ -80,10 +80,10 @@ let cls_of_string s =
    shape may defeat a rewriter outright (e.g. an encoder range
    overflow); that is a [Crashed] cell, not the end of the sweep — and
    in the serve daemon, a typed error, not a dead process. *)
-let eval_cell ~orig ~approach ?cache bin =
+let eval_cell ~orig ~approach bin =
   let t0 = Icfg_core.Metrics.now_ns () in
   let c =
-    match Runner.drive ~approach ?cache bin with
+    match Runner.drive ~approach bin with
     | None -> Crashed ("unknown approach: " ^ approach)
     | Some outcome -> classify ~orig outcome
     | exception e -> Crashed (Printexc.to_string e)

@@ -63,7 +63,6 @@ val classify :
 val eval_cell :
   orig:Runner.run ->
   approach:string ->
-  ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   float * cls
 (** Evaluate one (binary, approach) cell: resolve the roster driver by

@@ -19,10 +19,8 @@ let rewrite ?fm ?(options = Rewriter.default_options) ?jobs:_ ?cache bin =
    matrix and the serve daemon, so a request naming an approach runs the
    exact code path the in-process sweep runs (classification equality
    between the two is a gated invariant). *)
-let drive ~approach ?jobs:_ ?cache bin =
-  Option.map
-    (fun (driver : ?cache:Icfg_core.Cache.t -> Binary.t -> Baseline.outcome) ->
-      driver ?cache bin)
+let drive ~approach ?jobs:_ bin =
+  Option.map (fun driver -> driver bin)
     (List.assoc_opt approach Baseline.approaches)
 
 (* ------------------------------------------------------------------ *)

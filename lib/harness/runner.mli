@@ -11,7 +11,12 @@
     it. It is kept only so that the end-to-end benchmark under
     [icfg-bench/], which passes [~jobs:1] and may not be edited outside a
     benchmark change, still compiles; every stage of one binary runs
-    serially. *)
+    serially.
+
+    [rewrite]'s [?cache] (the layout slot) stays for the same reason: the
+    benchmark's edit loop times warm rewrites through it. Nothing else
+    passes one, so what [drive], the corpus matrix, the daemon and the
+    CLI return depends only on the approach and the input bytes. *)
 
 val parse :
   ?fm:Icfg_analysis.Failure_model.t ->
@@ -35,7 +40,6 @@ val rewrite :
 val drive :
   approach:string ->
   ?jobs:int ->
-  ?cache:Icfg_core.Cache.t ->
   Icfg_obj.Binary.t ->
   Icfg_baselines.Baseline.outcome option
 (** Run one {!Icfg_baselines.Baseline.approaches} roster entry by name.

@@ -37,12 +37,9 @@ let register c bin = register_bytes c (Binfile.to_string bin)
    the next Ref/Patch round-trip is incremental again. One retry only:
    a Full payload cannot itself draw NeedFull. *)
 let call_payload c make ~fallback payload =
-  match call c (make payload) with
-  | Ok (Protocol.NeedFull _) when fallback <> None -> (
-      match fallback with
-      | Some bin -> call c (make (Protocol.Full bin))
-      | None -> assert false)
-  | r -> r
+  match (call c (make payload), fallback) with
+  | Ok (Protocol.NeedFull _), Some bin -> call c (make (Protocol.Full bin))
+  | r, _ -> r
 
 (* [jobs] is a reserved frame field the daemon ignores; send 0. *)
 let rewrite_payload c ~approach ?fallback payload =

@@ -1,4 +1,3 @@
-module Cache = Icfg_core.Cache
 module Trace = Icfg_core.Trace
 module Metrics = Icfg_core.Metrics
 module Binfile = Icfg_obj.Binfile
@@ -14,10 +13,9 @@ module Matrix = Icfg_harness.Matrix
    the accept domain's DLS is harmless); request *bodies* run on the
    scheduler's dedicated executor domains, each under a fresh
    [Trace.with_current] — per-domain ambient traces are what keeps two
-   concurrent requests' counters from bleeding into each other. One
-   [Cache.t] of layout slots is shared across every request for the life
-   of the daemon, so a rewrite of an edited binary keeps its unchanged
-   functions at the addresses the previous rewrite gave them.
+   concurrent requests' counters from bleeding into each other. No
+   pipeline state outlives a request: an answer depends only on the
+   request's kind, approach and input bytes.
 
    Crash containment: the request body catches everything and returns a
    typed [Error] response; the accept loop and connection loops never
@@ -33,8 +31,8 @@ module Matrix = Icfg_harness.Matrix
    summary into the [Flight] recorder, which keeps the trace only if it
    ranks among the slowest or errored. [Stats] requests are answered
    inline on the connection thread, like [Ping]: a saturated daemon
-   still answers, and a scrape never touches the request queue, the
-   slot store, or any per-request state it is observing.
+   still answers, and a scrape never touches the request queue or any
+   per-request state it is observing.
 
    Incremental protocol (DESIGN §15): two bounded [Store.t]s make the
    service boundary incremental. The *binary store* holds registered
@@ -55,7 +53,6 @@ type t = {
   sock_path : string;
   listen_fd : Unix.file_descr;
   sched : Scheduler.t;
-  srv_cache : Cache.t;
   store : Store.t;
   memo : Store.t;
   max_req : int;
@@ -68,27 +65,20 @@ type t = {
   mutable stopping : bool;
 }
 
-let cache t = t.srv_cache
 let scheduler t = t.sched
 let sock_path t = t.sock_path
 let flight t = t.fl
 
-(* Registry snapshot + the slot store's/stores' lifetime counters (each
-   keeps its own stats; mirroring them per-lookup would double-count). *)
+(* Registry snapshot + the stores' lifetime counters (each keeps its own
+   stats; mirroring them per-lookup would double-count). *)
 let snapshot t =
-  let cs = Cache.stats t.srv_cache in
   let ss = Store.stats t.store in
   let ms = Store.stats t.memo in
-  let cache_snap =
+  let store_snap =
     {
       Metrics.empty with
       Metrics.s_counters =
         [
-          ("cache.bytes_reused", cs.Cache.c_bytes_reused);
-          ("cache.evict_corrupt", cs.Cache.c_evict_corrupt);
-          ("cache.hits", cs.Cache.c_hits);
-          ("cache.misses", cs.Cache.c_misses);
-          ("cache.stores", cs.Cache.c_stores);
           ("response_cache.evict_lru", ms.Store.st_evictions);
           ("response_cache.hit", ms.Store.st_hits);
           ("response_cache.miss", ms.Store.st_misses);
@@ -108,7 +98,7 @@ let snapshot t =
         ];
     }
   in
-  Metrics.merge (Metrics.snapshot t.registry) cache_snap
+  Metrics.merge (Metrics.snapshot t.registry) store_snap
 
 (* Histogram names must be deterministic across runs: keep the approach
    and the outcome *kind*, drop refusal keys / crash messages (those
@@ -197,9 +187,7 @@ let run_request t (w : work) =
       let bin = Binfile.of_string w.wk_bin in
       match w.wk_kind with
       | `Rewrite -> (
-          match
-            Runner.drive ~approach:w.wk_approach ~cache:t.srv_cache bin
-          with
+          match Runner.drive ~approach:w.wk_approach bin with
           | None ->
               Protocol.Error
                 {
@@ -221,10 +209,7 @@ let run_request t (w : work) =
           )
       | `Classify ->
           let orig = Runner.run_original bin in
-          let ns, cls =
-            Matrix.eval_cell ~orig ~approach:w.wk_approach ~cache:t.srv_cache
-              bin
-          in
+          let ns, cls = Matrix.eval_cell ~orig ~approach:w.wk_approach bin in
           Protocol.Classified
             { cls; ns; digest = w.wk_digest; counters = Trace.counters tr }
     with e ->
@@ -419,8 +404,8 @@ let accept_loop t =
   in
   loop ()
 
-let start ~path ?(bound = 64) ?(workers = 2) ?cache ?flight ?max_frame
-    ?store_bytes ?memo_bytes () =
+let start ~path ?(bound = 64) ?(workers = 2) ?flight ?max_frame ?store_bytes
+    ?memo_bytes () =
   (try Unix.unlink path with _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
@@ -435,7 +420,6 @@ let start ~path ?(bound = 64) ?(workers = 2) ?cache ?flight ?max_frame
       sock_path = path;
       listen_fd;
       sched = Scheduler.create ~bound ~workers ~metrics:registry ();
-      srv_cache = (match cache with Some c -> c | None -> Cache.create ());
       store = Store.create ?max_bytes:store_bytes ();
       memo = Store.create ?max_bytes:memo_bytes ();
       max_req =

@@ -1,7 +1,8 @@
 (** The [icfg serve] daemon: a Unix-socket server speaking {!Protocol},
-    scheduling request bodies on {!Scheduler} executor domains, sharing
-    one {!Icfg_core.Cache.t} of layout slots across every request it ever
-    serves.
+    scheduling request bodies on {!Scheduler} executor domains. No
+    pipeline state outlives a request, so an answer depends only on the
+    request's kind, approach and input bytes: the whole-response memo's
+    key is everything an answer depends on.
 
     Isolation contract: each request body runs under a fresh per-domain
     ambient trace ({!Icfg_core.Trace.with_current}), so two concurrent
@@ -39,7 +40,6 @@ val start :
   path:string ->
   ?bound:int ->
   ?workers:int ->
-  ?cache:Icfg_core.Cache.t ->
   ?flight:Flight.t ->
   ?max_frame:int ->
   ?store_bytes:int ->
@@ -50,9 +50,9 @@ val start :
     the accept thread and [workers] executor domains (default 2).
     Each executor runs one request at a time, every stage of it serially:
     [workers] is the daemon's only parallelism knob. [bound] (default 64)
-    is the request-queue bound. [cache] (default: fresh) is the shared
-    layout-slot store. [flight] (default: fresh with default bounds) is
-    the flight recorder — injectable so tests can shrink the bounds.
+    is the request-queue bound. [flight] (default: fresh with default
+    bounds) is the flight recorder — injectable so tests can shrink the
+    bounds.
 
     Incremental-protocol knobs: [max_frame] (default
     {!Protocol.max_frame}, clamped to it) bounds accepted request
@@ -67,7 +67,6 @@ val stop : t -> unit
     (their connections get answers), join executor domains and
     connection threads, remove the socket file. *)
 
-val cache : t -> Icfg_core.Cache.t
 val scheduler : t -> Scheduler.t
 (** Exposed for the test battery ([pause]/[resume] make the
     exact-[M]-refusals backpressure test deterministic). *)
@@ -79,10 +78,8 @@ val flight : t -> Flight.t
 val snapshot : t -> Icfg_core.Metrics.snapshot
 (** The one way to read the daemon's totals, and what a [Stats] frame
     answers: the registry snapshot (with the [sched.queue_depth] and
-    [sched.in_flight] gauges) merged with the slot store's lifetime
-    counters ([cache.hits], [cache.misses], [cache.stores],
-    [cache.bytes_reused], [cache.evict_corrupt]), the binary store's
-    ([store.hits], [store.misses], [store.stores], [store.evict_lru],
+    [sched.in_flight] gauges) merged with the binary store's lifetime
+    counters ([store.hits], [store.misses], [store.stores], [store.evict_lru],
     [store.rejected] + [store.bytes] / [store.entries] gauges) and the
     response memo's, mirrored as [response_cache.hit],
     [response_cache.miss], [response_cache.stores],

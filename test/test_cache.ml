@@ -1,29 +1,8 @@
-(* The layout-slot store in isolation: slot round-trips, clone
-   semantics, and fault tolerance of the slot files. A corrupt,
-   truncated, version-skewed or hand-forged slot must degrade to a cold
-   layout with a correct rewrite and a counted eviction; it must never
-   surface as an error or as wrong bytes. Plus the LRU policy of the
-   daemon's byte stores, and the daemon's use of the slot store. *)
+(* The in-memory layout-slot store in isolation: slot round-trips,
+   clone semantics, statistics and sharing across domains. Plus the LRU
+   policy of the daemon's byte stores, and the daemon's response memo. *)
 
 module Cache = Icfg_core.Cache
-module Runner = Icfg_harness.Runner
-
-let spec_bin () =
-  let arch = Icfg_isa.Arch.X86_64 in
-  let bench = List.hd (Icfg_workloads.Spec_suite.benchmarks arch) in
-  fst (Icfg_workloads.Spec_suite.compile arch bench)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc s)
 
 (* A clone starts with the source's slots and zeroed statistics, and
    slots stored on either side afterwards stay on that side. *)
@@ -110,158 +89,48 @@ let store_eviction_order () =
 (* Slots                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let slot_files dir =
-  List.filter
-    (fun f -> Filename.check_suffix f ".slot")
-    (Array.to_list (Sys.readdir dir))
-
 let slot_battery () =
-  Test_layout.with_temp_dir (fun dir ->
-      let c = Cache.create ~dir () in
-      Alcotest.(check bool) "absent initially" true
-        ((Cache.find_slot c "layout" : int list option) = None);
-      Cache.store_slot c "layout" [ 1; 2; 3 ];
-      Alcotest.(check (list int)) "round-trip" [ 1; 2; 3 ]
-        (Option.get (Cache.find_slot c "layout"));
-      Cache.store_slot c "layout" [ 9 ];
-      Alcotest.(check (list int)) "overwrite" [ 9 ]
-        (Option.get (Cache.find_slot c "layout"));
-      (* Statistics count slot lookups and writes. *)
-      let s = Cache.stats c in
-      Alcotest.(check (list int)) "hits, misses, stores" [ 2; 1; 2 ]
-        [ s.Cache.c_hits; s.Cache.c_misses; s.Cache.c_stores ];
-      Alcotest.(check int) "one slot file" 1 (List.length (slot_files dir));
-      (* clone carries slots into warm replays (and drops the directory). *)
-      let k = Cache.clone c in
-      Alcotest.(check (list int)) "clone carries the slot" [ 9 ]
-        (Option.get (Cache.find_slot k "layout"));
-      (* A fresh cache over the directory reads last run's slot. *)
-      let c2 = Cache.create ~dir () in
-      Alcotest.(check (list int)) "slot persists on disk" [ 9 ]
-        (Option.get (Cache.find_slot c2 "layout"));
-      (* A mangled slot file reads as absent and is evicted, counted. *)
-      (match slot_files dir with
-      | [ f ] -> write_file (Filename.concat dir f) "not a slot"
-      | fs -> Alcotest.fail (Printf.sprintf "%d slot files" (List.length fs)));
-      let c3 = Cache.create ~dir () in
-      Alcotest.(check bool) "corrupt slot reads as absent" true
-        ((Cache.find_slot c3 "layout" : int list option) = None);
-      Alcotest.(check int) "corrupt slot evicted" 1
-        (Cache.stats c3).Cache.c_evict_corrupt;
-      Alcotest.(check (list string)) "corrupt slot file removed" []
-        (slot_files dir))
+  let c = Cache.create () in
+  Alcotest.(check bool) "absent initially" true
+    ((Cache.find_slot c "layout" : int list option) = None);
+  Cache.store_slot c "layout" [ 1; 2; 3 ];
+  Alcotest.(check (list int)) "round-trip" [ 1; 2; 3 ]
+    (Option.get (Cache.find_slot c "layout"));
+  Cache.store_slot c "layout" [ 9 ];
+  Alcotest.(check (list int)) "overwrite" [ 9 ]
+    (Option.get (Cache.find_slot c "layout"));
+  (* Statistics count slot lookups and writes. *)
+  let s = Cache.stats c in
+  Alcotest.(check (list int)) "hits, misses, stores" [ 2; 1; 2 ]
+    [ s.Cache.c_hits; s.Cache.c_misses; s.Cache.c_stores ];
+  (* clone carries slots into warm replays; a fresh store starts empty. *)
+  let k = Cache.clone c in
+  Alcotest.(check (list int)) "clone carries the slot" [ 9 ]
+    (Option.get (Cache.find_slot k "layout"));
+  Alcotest.(check bool) "a fresh store holds no slot" true
+    ((Cache.find_slot (Cache.create ()) "layout" : int list option) = None)
 
-
-(* Warm a slot directory with a full rewrite, mangle its one slot file
-   with [damage], then rewrite through a fresh cache over the same
-   directory: the slot reads as absent (one counted eviction, no hit),
-   the layout is solved cold, and the output is byte-identical to the
-   uncached rewrite. *)
-let damage_case ~what damage =
-  Test_layout.with_temp_dir (fun dir ->
-      let bin = spec_bin () in
-      let options = Test_golden.opts Icfg_core.Mode.Jt in
-      let uncached = Runner.rewrite ~options bin in
-      ignore (Runner.rewrite ~options ~cache:(Cache.create ~dir ()) bin);
-      (match slot_files dir with
-      | [ f ] -> damage (Filename.concat dir f)
-      | fs -> Alcotest.failf "%s: %d slot files" what (List.length fs));
-      let c = Cache.create ~dir () in
-      let rw = Runner.rewrite ~options ~cache:c bin in
-      Test_golden.check_same ~what uncached rw;
-      let s = Cache.stats c in
-      Alcotest.(check (list int)) (what ^ ": evictions, hits")
-        [ 1; 0 ] [ s.Cache.c_evict_corrupt; s.Cache.c_hits ];
-      (* The rewrite re-stored a valid slot: a third run finds it. *)
-      let c3 = Cache.create ~dir () in
-      ignore (Runner.rewrite ~options ~cache:c3 bin);
-      Alcotest.(check int) (what ^ ": store healed") 1
-        (Cache.stats c3).Cache.c_hits)
-
-let disk_truncated () =
-  damage_case ~what:"truncated slot" (fun path ->
-      let s = read_file path in
-      write_file path (String.sub s 0 (String.length s / 2)))
-
-let disk_garbage () =
-  damage_case ~what:"garbage slot" (fun path ->
-      write_file path (String.make 64 '\xfe'))
-
-let disk_empty () =
-  damage_case ~what:"empty slot" (fun path -> write_file path "")
-
-let disk_version_skew () =
-  (* A future format version: same layout, bumped magic. Must read as
-     stale, not as valid. *)
-  damage_case ~what:"version-skewed slot" (fun path ->
-      let s = read_file path in
-      let i = String.index s '\n' in
-      write_file path ("icfgcache/2" ^ String.sub s i (String.length s - i)))
-
-let disk_forged_payload () =
-  (* A foreign writer with a self-consistent file (magic, key echo,
-     length and digest all valid) around a payload that is not a marshal
-     image: the file validates, the unmarshal fails. *)
-  damage_case ~what:"forged payload" (fun path ->
-      let key = Filename.chop_suffix (Filename.basename path) ".slot" in
-      let payload = "not a marshal image" in
-      write_file path
-        (String.concat "\n"
-           [
-             "icfgcache/1";
-             key;
-             string_of_int (String.length payload);
-             Digest.to_hex (Digest.string payload);
-             payload;
-           ]))
-
-(* A valid slot file copied over another key's file: its key echo no
-   longer matches the name it is read under, so it reads as absent and
-   is evicted — a slot never answers for a key it was not stored
-   under — while the original keeps reading. *)
-let disk_foreign_key () =
-  Test_layout.with_temp_dir (fun dir ->
-      let c = Cache.create ~dir () in
-      Cache.store_slot c "a" 1;
-      let fa = slot_files dir in
-      Cache.store_slot c "b" 2;
-      let fb = List.filter (fun f -> not (List.mem f fa)) (slot_files dir) in
-      (match (fa, fb) with
-      | [ fa ], [ fb ] ->
-          write_file (Filename.concat dir fb)
-            (read_file (Filename.concat dir fa))
-      | _ -> Alcotest.fail "expected one slot file per key");
-      let c2 = Cache.create ~dir () in
-      Alcotest.(check (option int)) "copied slot reads as absent" None
-        (Cache.find_slot c2 "b");
-      Alcotest.(check (option int)) "the original still reads" (Some 1)
-        (Cache.find_slot c2 "a");
-      let s = Cache.stats c2 in
-      Alcotest.(check (list int)) "evictions, hits, misses" [ 1; 1; 1 ]
-        [ s.Cache.c_evict_corrupt; s.Cache.c_hits; s.Cache.c_misses ];
-      Alcotest.(check (list string)) "only the original's file left" fa
-        (slot_files dir))
 
 (* [c_bytes_reused] counts the marshalled bytes of the slots found:
-   misses and writes add nothing, and a slot read back from disk counts
-   like one found in memory. *)
+   misses and writes add nothing, and a clone's hit counts on the clone
+   alone. *)
 let slot_bytes_reused () =
-  Test_layout.with_temp_dir (fun dir ->
-      let v = List.init 100 (fun i -> i) in
-      let n = String.length (Marshal.to_string v []) in
-      let c = Cache.create ~dir () in
-      ignore (Cache.find_slot c "layout" : int list option);
-      Cache.store_slot c "layout" v;
-      Alcotest.(check int) "a miss and a write reuse nothing" 0
-        (Cache.stats c).Cache.c_bytes_reused;
-      ignore (Cache.find_slot c "layout" : int list option);
-      ignore (Cache.find_slot c "layout" : int list option);
-      Alcotest.(check int) "two hits" (2 * n)
-        (Cache.stats c).Cache.c_bytes_reused;
-      let c2 = Cache.create ~dir () in
-      Alcotest.(check (option (list int))) "read from disk" (Some v)
-        (Cache.find_slot c2 "layout");
-      Alcotest.(check int) "a disk hit" n (Cache.stats c2).Cache.c_bytes_reused)
+  let v = List.init 100 (fun i -> i) in
+  let n = String.length (Marshal.to_string v []) in
+  let c = Cache.create () in
+  ignore (Cache.find_slot c "layout" : int list option);
+  Cache.store_slot c "layout" v;
+  Alcotest.(check int) "a miss and a write reuse nothing" 0
+    (Cache.stats c).Cache.c_bytes_reused;
+  ignore (Cache.find_slot c "layout" : int list option);
+  ignore (Cache.find_slot c "layout" : int list option);
+  Alcotest.(check int) "two hits" (2 * n) (Cache.stats c).Cache.c_bytes_reused;
+  let k = Cache.clone c in
+  Alcotest.(check (option (list int))) "read through a clone" (Some v)
+    (Cache.find_slot k "layout");
+  Alcotest.(check (pair int int)) "the clone's hit counts on the clone"
+    (n, 2 * n)
+    ((Cache.stats k).Cache.c_bytes_reused, (Cache.stats c).Cache.c_bytes_reused)
 
 (* The daemon's executor domains share one store. Domains that overwrite
    and read back their own slot and one shared slot lose no write, never
@@ -297,52 +166,17 @@ let slots_concurrent () =
     [ s.Cache.c_hits; s.Cache.c_misses; s.Cache.c_stores ]
 
 (* ------------------------------------------------------------------ *)
-(* The daemon's slot store                                             *)
+(* The daemon's response memo                                          *)
 (* ------------------------------------------------------------------ *)
 
 module Protocol = Icfg_service.Protocol
 module Server = Icfg_service.Server
 module Client = Icfg_service.Client
 
-(* The daemon's shared cache holds layout slots and nothing else: after
-   Rewrite requests for k distinct (binary, approach) pairs — each sent
-   twice, the replay answered by the response memo — it has stored at
-   most one slot per pair. *)
-let serve_keeps_only_slots () =
-  let bins =
-    List.map
-      (fun arch ->
-        let b = List.hd (Icfg_workloads.Spec_suite.benchmarks arch) in
-        fst (Icfg_workloads.Spec_suite.compile arch b))
-      Icfg_isa.Arch.all
-  in
-  let approaches = List.map fst Icfg_baselines.Baseline.approaches in
-  Test_serve.with_server ~workers:2 () @@ fun srv path ->
-  Client.with_connection path @@ fun c ->
-  let k = ref 0 in
-  List.iter
-    (fun bin ->
-      List.iter
-        (fun approach ->
-          incr k;
-          for _ = 1 to 2 do
-            match Client.rewrite c ~approach bin with
-            | Ok (Protocol.Rewritten _ | Protocol.Refused _) -> ()
-            | Ok _ -> Alcotest.failf "%s: unexpected response kind" approach
-            | Error m -> Alcotest.failf "%s: transport error %s" approach m
-          done)
-        approaches)
-    bins;
-  let s = Cache.stats (Server.cache srv) in
-  Alcotest.(check bool)
-    (Printf.sprintf "%d stores for %d pairs" s.Cache.c_stores !k)
-    true
-    (s.Cache.c_stores <= !k)
-
 (* Corpus twins — exact duplicates of an earlier entry, name included —
    sent as separate daemon requests: the twin is answered from the
    response memo with the source's bytes and never reaches the
-   scheduler, so it stores no layout slot of its own. *)
+   scheduler. *)
 let serve_twin_memo () =
   let module Corpus = Icfg_workloads.Corpus in
   let entries = Corpus.generate ~seed:7 ~count:10 in
@@ -363,7 +197,6 @@ let serve_twin_memo () =
   in
   let p_src = payload "source" src_bin in
   let snap1 = Server.snapshot srv in
-  let stores1 = (Cache.stats (Server.cache srv)).Cache.c_stores in
   let p_twin = payload "twin" twin_bin in
   let snap2 = Server.snapshot srv in
   Alcotest.(check bool) "twin response is byte-identical" true
@@ -373,44 +206,7 @@ let serve_twin_memo () =
       Test_serve.counter snap2 "response_cache.hit" );
   Alcotest.(check int) "twin never entered the scheduler"
     (Test_serve.counter snap1 "sched.jobs")
-    (Test_serve.counter snap2 "sched.jobs");
-  Alcotest.(check int) "twin stored no slot" stores1
-    (Cache.stats (Server.cache srv)).Cache.c_stores
-
-(* The daemon's [cache.*] counters are the slot store's: a rewrite and
-   its replay (through a one-byte memo that refuses every response, so
-   the replay re-enters the pipeline) miss, then hit, the one layout
-   slot, and the snapshot mirrors [Cache.stats] with no stage-cache
-   counter left. *)
-let serve_slot_counters () =
-  let module Metrics = Icfg_core.Metrics in
-  let bin = Test_serve.first_bench Icfg_isa.Arch.X86_64 in
-  Test_serve.with_server ~workers:1 ~memo_bytes:1 () @@ fun srv path ->
-  Client.with_connection path @@ fun c ->
-  List.iter
-    (fun run ->
-      match Client.rewrite c ~approach:"ours/jt" bin with
-      | Ok (Protocol.Rewritten _) -> ()
-      | Ok _ -> Alcotest.failf "%s: unexpected response kind" run
-      | Error m -> Alcotest.failf "%s: transport error %s" run m)
-    [ "first"; "replay" ];
-  let s = Cache.stats (Server.cache srv) in
-  Alcotest.(check (list int)) "hits, misses, stores" [ 1; 1; 2 ]
-    [ s.Cache.c_hits; s.Cache.c_misses; s.Cache.c_stores ];
-  let snap = Server.snapshot srv in
-  List.iter
-    (fun (name, v) ->
-      Alcotest.(check (option int)) name (Some v)
-        (Metrics.find_counter snap name))
-    [
-      ("cache.hits", s.Cache.c_hits);
-      ("cache.misses", s.Cache.c_misses);
-      ("cache.stores", s.Cache.c_stores);
-      ("cache.bytes_reused", s.Cache.c_bytes_reused);
-      ("cache.evict_corrupt", s.Cache.c_evict_corrupt);
-    ];
-  Alcotest.(check (option int)) "no cache.evict_lru" None
-    (Metrics.find_counter snap "cache.evict_lru")
+    (Test_serve.counter snap2 "sched.jobs")
 
 (* The frames' [jobs] field is reserved and cannot change an answer, so
    the response memo does not key on it: two Rewrites that differ only
@@ -447,25 +243,14 @@ let suite =
           `Quick lru_policy;
         Alcotest.test_case "store: LRU eviction order" `Quick
           store_eviction_order;
-        Alcotest.test_case "slots: round-trip, clone, corruption" `Quick
+        Alcotest.test_case "slots: round-trip, overwrite, clone" `Quick
           slot_battery;
         Alcotest.test_case "slots: bytes reused count found payloads" `Quick
           slot_bytes_reused;
         Alcotest.test_case "slots: concurrent domains share one table" `Quick
           slots_concurrent;
-        Alcotest.test_case "disk: truncated entry" `Quick disk_truncated;
-        Alcotest.test_case "disk: garbage entry" `Quick disk_garbage;
-        Alcotest.test_case "disk: empty entry" `Quick disk_empty;
-        Alcotest.test_case "disk: version skew" `Quick disk_version_skew;
-        Alcotest.test_case "disk: forged payload" `Quick disk_forged_payload;
-        Alcotest.test_case "disk: slot copied under another key" `Quick
-          disk_foreign_key;
-        Alcotest.test_case "serve: daemon keeps only layout slots" `Quick
-          serve_keeps_only_slots;
         Alcotest.test_case "serve: twin request answered by the memo" `Quick
           serve_twin_memo;
-        Alcotest.test_case "serve: snapshot counts slot lookups" `Quick
-          serve_slot_counters;
         Alcotest.test_case "serve: memo ignores the jobs field" `Quick
           serve_memo_ignores_jobs;
       ] );

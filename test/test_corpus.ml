@@ -117,12 +117,11 @@ let test_matrix_smoke () =
         (Matrix.pass_rate_pct r >= 0. && Matrix.pass_rate_pct r <= 100.))
     m.Matrix.m_rows
 
-(* Why the matrix evaluates cells uncached: a twin builds identical to
-   its source, name included, so the source's layout slot can only
-   reproduce the layout an uncached rewrite solves. For every roster
-   approach, the twin's cell classifies the same through a cache its
-   source's cell warmed as it does uncached. *)
-let test_twin_cells_cache_independent () =
+(* A twin builds identical to its source, name included, and a cell
+   depends only on the approach and the input bytes: for every roster
+   approach, the twin's cell classifies like its source's, even when the
+   source's cell ran first. *)
+let test_twin_cells_classify_like_source () =
   let entries = Corpus.generate ~seed:7 ~count:10 in
   let twin = List.nth entries 9 in
   let src =
@@ -131,15 +130,16 @@ let test_twin_cells_cache_independent () =
     | None -> Alcotest.fail "corpus entry 9 is expected to be a twin"
   in
   let src_bin = Corpus.build src and twin_bin = Corpus.build twin in
-  let orig = Icfg_harness.Runner.run_original twin_bin in
+  let cell bin =
+    let orig = Icfg_harness.Runner.run_original bin in
+    fun approach ->
+      Matrix.cls_to_string (snd (Matrix.eval_cell ~orig ~approach bin))
+  in
+  let src_cell = cell src_bin and twin_cell = cell twin_bin in
   List.iter
     (fun (approach, _) ->
-      let cache = Icfg_core.Cache.create () in
-      ignore (Matrix.eval_cell ~orig ~approach ~cache src_bin);
-      let _, warm = Matrix.eval_cell ~orig ~approach ~cache twin_bin in
-      let _, cold = Matrix.eval_cell ~orig ~approach twin_bin in
-      Alcotest.(check string) approach (Matrix.cls_to_string cold)
-        (Matrix.cls_to_string warm))
+      let src = src_cell approach in
+      Alcotest.(check string) approach src (twin_cell approach))
     Icfg_baselines.Baseline.approaches
 
 (* [Matrix.percentile]: nearest-rank on the finite values only. NaN and
@@ -192,8 +192,8 @@ let suite =
         Alcotest.test_case "twins build identical" `Quick
           test_twins_build_identical;
         Alcotest.test_case "matrix smoke" `Slow test_matrix_smoke;
-        Alcotest.test_case "matrix: twin cells cache-independent" `Quick
-          test_twin_cells_cache_independent;
+        Alcotest.test_case "matrix: twin cells classify like their source"
+          `Quick test_twin_cells_classify_like_source;
         Alcotest.test_case "percentile" `Quick test_percentile;
         Alcotest.test_case "starved containers stay small" `Quick
           test_starved_containers_small;

@@ -95,21 +95,6 @@ let asm_shard_battery () =
 module Cache = Icfg_core.Cache
 module Trace = Icfg_core.Trace
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "icfgcache-%d-%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then (
-        Array.iter
-          (fun f -> Sys.remove (Filename.concat dir f))
-          (Sys.readdir dir);
-        Sys.rmdir dir))
-    (fun () -> f dir)
-
 (* Every uncached rewrite lays out and encodes through the same pinned,
    per-function-chunk path a cached one takes, so the equivalence is
    checked across ISAs and corpus shapes: the first spec binary of each
@@ -181,24 +166,6 @@ let cache_battery () =
         Mode.all)
     (cache_inputs ())
 
-(* The slot files: a second cache over the same directory (a fresh
-   process in real life) reads the first run's layout from disk and pins
-   every segment, and the output stays byte-identical. *)
-let cache_disk_battery () =
-  let bin = spec_head Arch.X86_64 in
-  let options = opts Mode.Jt in
-  let uncached = Runner.rewrite ~options bin in
-  with_temp_dir (fun dir ->
-      let cold, _, placed = traced_rewrite ~options (Cache.create ~dir ()) bin in
-      check_same ~what:"disk cold" uncached cold;
-      let c2 = Cache.create ~dir () in
-      let warm, pinned, moved = traced_rewrite ~options c2 bin in
-      check_same ~what:"disk warm" uncached warm;
-      Alcotest.(check int) "disk warm: slot read from disk" 1
-        (Cache.stats c2).Cache.c_hits;
-      Alcotest.(check (pair int int)) "disk warm: every segment pinned"
-        (placed, 0) (pinned, moved))
-
 (* A warm rewrite of an edit that keeps every relocated size — [probe]
    picks it — is byte-identical to the uncached rewrite of the edited
    binary, and re-solves exactly [moved] segments: the ones whose
@@ -218,36 +185,46 @@ let cache_edit ?(arch = Arch.X86_64) ~probe ~moved:want () =
         (Printf.sprintf "%d segment(s) re-solved" want)
         (placed - want, want) (pinned, moved)
 
-(* A one-bit edit inside a resolved jump table's entries. The flip sets
-   the top bit of the table's last entry, moving that entry's target out
-   of the function, so the functions whose tables cover the byte analyse
-   and relocate differently and may change size — the case where the
-   pinned layout departs from an uncached rewrite by design. Every
-   function the edit left unchanged keeps its relocated addresses,
-   exactly the changed segments are re-solved, and the rewritten binary
-   still behaves like the edited original under the Vm. One binary per
-   ISA, since aarch64 tables hold 1- and 2-byte entries and ppc64le
-   embeds every table in its function's .text. *)
-let cache_table_edit arch () =
-  let module Jt = Icfg_analysis.Jump_table in
-  let module Cfg = Icfg_analysis.Cfg in
-  let first_table (p : Parse.t) =
-    let tables = List.concat_map (fun fa -> fa.Parse.fa_tables) p.Parse.funcs in
+module Jt = Icfg_analysis.Jump_table
+
+let table_extent (t : Jt.table) =
+  (t.Jt.t_table, t.Jt.t_table + (t.Jt.t_count * Insn.width_bytes t.Jt.t_width))
+
+(* A one-bit edit inside a resolved jump table's entries: the top bit of
+   the last entry byte of the parsed binary's first out-of-code table
+   (else its first table), with the flipped address. The flip moves that
+   entry's target out of the function, so the functions whose tables
+   cover the byte analyse and relocate differently and may change size.
+   [None] if the binary has no resolved table. *)
+let table_flip (p : Parse.t) =
+  let bin = p.Parse.bin in
+  let tables = List.concat_map (fun fa -> fa.Parse.fa_tables) p.Parse.funcs in
+  let first =
     match List.find_opt (fun (t : Jt.table) -> not t.Jt.t_in_code) tables with
     | Some _ as t -> t
     | None -> List.nth_opt tables 0
   in
+  Option.map
+    (fun t ->
+      let addr = snd (table_extent t) - 1 in
+      let flipped = (Binary.read8 bin addr lxor 0x80) land 0xff in
+      (Binary.patch bin [ (addr, String.make 1 (Char.chr flipped)) ], addr))
+    first
+
+(* The table flip is the case where the pinned layout departs from an
+   uncached rewrite by design. Every function the edit left unchanged
+   keeps its relocated addresses, exactly the changed segments are
+   re-solved, and the rewritten binary still behaves like the edited
+   original under the Vm. One binary per ISA, since aarch64 tables hold
+   1- and 2-byte entries and ppc64le embeds every table in its
+   function's .text. *)
+let cache_table_edit arch () =
+  let module Cfg = Icfg_analysis.Cfg in
   let bin = spec_head arch in
   let p = Runner.parse bin in
-  match first_table p with
+  match table_flip p with
   | None -> Alcotest.fail "no resolved jump table in the spec binary"
-  | Some t ->
-      let extent (t : Jt.table) =
-        (t.Jt.t_table, t.Jt.t_table + (t.Jt.t_count * Insn.width_bytes t.Jt.t_width))
-      in
-      let addr = snd (extent t) - 1 in
-      let flipped = (Binary.read8 bin addr lxor 0x80) land 0xff in
-      let pbin = Binary.patch bin [ (addr, String.make 1 (Char.chr flipped)) ] in
+  | Some (pbin, addr) ->
       let options = opts Mode.Jt in
       let warm = Cache.create () in
       let base = Runner.rewrite ~options ~cache:warm bin in
@@ -274,7 +251,7 @@ let cache_table_edit arch () =
            (fun ((fa : Parse.func_analysis), _) ->
              List.exists
                (fun t ->
-                 let lo, hi = extent t in
+                 let lo, hi = table_extent t in
                  lo <= addr && addr < hi)
                fa.Parse.fa_tables)
            pairs);
@@ -407,8 +384,6 @@ let suite =
           asm_shard_battery;
         Alcotest.test_case "cache: cached = uncached, warm run pins all" `Quick
           cache_battery;
-        Alcotest.test_case "cache: slot files pin across instances" `Quick
-          cache_disk_battery;
         Alcotest.test_case "cache: one-function edit re-solves one segment"
           `Quick
           (cache_edit ~probe:Runner.perturb_function ~moved:1);

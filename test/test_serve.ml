@@ -16,7 +16,9 @@
        cross-request bleed);
    (e) crash containment — a request whose driver raises comes back as a
        typed Error (or Crashed classification) frame and the daemon
-       lives; ditto malformed frames and unknown approaches. *)
+       lives; ditto malformed frames and unknown approaches;
+   (f) history independence — an answer depends only on the request's
+       kind, approach and input bytes, never on the requests before it. *)
 
 open Icfg_isa
 open Icfg_core
@@ -30,11 +32,12 @@ module Server = Icfg_service.Server
 module Client = Icfg_service.Client
 module Sweep = Icfg_service.Sweep
 module Flight = Icfg_service.Flight
+module Baseline = Icfg_baselines.Baseline
 
 let sock_counter = ref 0
 
-let with_server ?bound ?workers ?cache ?flight ?max_frame ?store_bytes
-    ?memo_bytes () f =
+let with_server ?bound ?workers ?flight ?max_frame ?store_bytes ?memo_bytes
+    () f =
   incr sock_counter;
   let path =
     Filename.concat
@@ -42,7 +45,7 @@ let with_server ?bound ?workers ?cache ?flight ?max_frame ?store_bytes
       (Printf.sprintf "icfg-test-%d-%d.sock" (Unix.getpid ()) !sock_counter)
   in
   let srv =
-    Server.start ~path ?bound ?workers ?cache ?flight ?max_frame ?store_bytes
+    Server.start ~path ?bound ?workers ?flight ?max_frame ?store_bytes
       ?memo_bytes ()
   in
   Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f srv path)
@@ -382,15 +385,12 @@ let backpressure () =
 
 let solo_counters bin =
   let tr = Trace.create () in
-  let cache = Cache.create () in
-  Trace.with_current tr (fun () ->
-      ignore (Runner.drive ~approach:"ours/jt" ~cache bin));
+  Trace.with_current tr (fun () -> ignore (Runner.drive ~approach:"ours/jt" bin));
   Trace.counters tr
 
 let isolation () =
-  (* Two binaries of different ISAs: their layout slots are disjoint, so
-     sharing the daemon cache cannot change either request's layout
-     counters — any difference from the solo totals is trace bleed. *)
+  (* Two binaries of different ISAs, rewritten concurrently: any
+     difference from the solo totals is trace bleed. *)
   let bin_a = first_bench Arch.X86_64 in
   let bin_b = first_bench Arch.Aarch64 in
   let solo_a = solo_counters bin_a and solo_b = solo_counters bin_b in
@@ -1001,8 +1001,8 @@ let response_memo () =
   Alcotest.(check int) "both book the rewritten outcome" 2
     (counter snap2 "serve.responses:rewritten");
   (* Observation-only: a fresh daemon's pipeline-computed response equals
-     the memoized replay byte-for-byte (fresh cache both times, so the
-     per-request counters the payload embeds agree too). *)
+     the memoized replay byte-for-byte, the per-request counters the
+     payload embeds included. *)
   let p3 = with_server ~workers:1 () (fun _srv2 path2 -> first_payload path2) in
   Alcotest.(check bool) "memoized replay == fresh pipeline response" true
     (p2 = p3)
@@ -1152,6 +1152,165 @@ let client_counts_bytes () =
        0 written)
     (Client.bytes_sent c)
 
+(* ------------------------------------------------------------------ *)
+(* (f) history independence: X, its edit X', then X again              *)
+(* ------------------------------------------------------------------ *)
+
+(* The first spec binary of [arch] (X) and its jump-table flip (X'), an
+   edit that changes the relocated size of the functions whose tables
+   cover the flipped byte. *)
+let base_and_flip arch =
+  let bin = first_bench arch in
+  match Test_layout.table_flip (Runner.parse bin) with
+  | Some (flipped, _) -> (bin, flipped)
+  | None -> Alcotest.failf "%s: no resolved jump table" (Arch.name arch)
+
+(* What a rewrite answer says of its pipeline run, comparable with the
+   one-shot result. *)
+type outcome = Out of string | Refusal of string | Raised of string
+
+let oneshot approach bin =
+  match Runner.drive ~approach bin with
+  | Some (Baseline.Rewritten rw) -> Out (Binfile.to_string rw.Rewriter.rw_binary)
+  | Some (Baseline.Refused reason) -> Refusal reason
+  | None -> Alcotest.failf "%s is not on the roster" approach
+  | exception e -> Raised (Printexc.to_string e)
+
+let outcome_of what = function
+  | Protocol.Rewritten { bin; _ } -> Out bin
+  | Protocol.Refused { reason; _ } -> Refusal reason
+  | Protocol.Error { message; _ } -> Raised message
+  | r -> Alcotest.failf "%s: daemon said %s" what (response_label r)
+
+let ask c ~approach what bin =
+  match Client.rewrite c ~approach bin with
+  | Ok r -> r
+  | Error m -> Alcotest.failf "%s: transport error %s" what m
+
+(* A daemon whose memo holds nothing, so every answer runs the pipeline,
+   answers X, X' and X again on every ISA. Each answer equals
+   [Runner.drive]'s one-shot result, and both answers for X are the same
+   payload, counters included: no layout or other state carries over
+   from one request to the next. *)
+let history_independent approach () =
+  with_server ~workers:1 ~memo_bytes:1 () @@ fun srv path ->
+  Client.with_connection path @@ fun c ->
+  List.iter
+    (fun arch ->
+      let x, x' = base_and_flip arch in
+      let what s = Printf.sprintf "%s %s: %s" approach (Arch.name arch) s in
+      let answers =
+        List.map
+          (fun (name, bin) -> (name, bin, ask c ~approach (what name) bin))
+          [ ("X", x); ("X'", x'); ("X again", x) ]
+      in
+      List.iter
+        (fun (name, bin, r) ->
+          Alcotest.(check bool)
+            (what (name ^ " == one-shot"))
+            true
+            (outcome_of (what name) r = oneshot approach bin))
+        answers;
+      match answers with
+      | [ (_, _, first); _; (_, _, again) ] ->
+          Alcotest.(check string)
+            (what "X answered alike twice")
+            (Protocol.response_to_payload first)
+            (Protocol.response_to_payload again)
+      | _ -> assert false)
+    Arch.all;
+  Alcotest.(check int) "every answer ran the pipeline" 9
+    (counter (Server.snapshot srv) "sched.jobs")
+
+(* Classify answers are history-independent too: X, X' and X again,
+   classified by a daemon whose memo holds nothing, each classify like
+   the in-process cell. *)
+let classify_history_independent () =
+  with_server ~workers:1 ~memo_bytes:1 () @@ fun _srv path ->
+  Client.with_connection path @@ fun c ->
+  List.iter
+    (fun arch ->
+      let x, x' = base_and_flip arch in
+      List.iter
+        (fun (name, bin) ->
+          let what = Printf.sprintf "%s %s" (Arch.name arch) name in
+          let orig = Runner.run_original bin in
+          let _, cell = Matrix.eval_cell ~orig ~approach:"ours/jt" bin in
+          match Client.classify c ~approach:"ours/jt" bin with
+          | Ok (Protocol.Classified { cls; _ }) ->
+              Alcotest.(check string) what (Matrix.cls_to_string cell)
+                (Matrix.cls_to_string cls)
+          | r ->
+              Alcotest.failf "%s: %s" what
+                (match r with Ok x -> response_label x | Error m -> m))
+        [ ("X", x); ("X'", x'); ("X again", x) ])
+    Arch.all
+
+(* With the memo on, X' answered after X is the same payload, counters
+   included, as X' answered by a fresh daemon: the memo key (kind,
+   approach, input digest) covers everything an answer depends on. *)
+let edit_after_base () =
+  List.iter
+    (fun arch ->
+      let x, x' = base_and_flip arch in
+      let last_answer bins =
+        with_server ~workers:1 () @@ fun _srv path ->
+        Client.with_connection path @@ fun c ->
+        List.fold_left
+          (fun _ bin ->
+            Protocol.response_to_payload
+              (ask c ~approach:"ours/jt" (Arch.name arch) bin))
+          "" bins
+      in
+      Alcotest.(check bool)
+        (Arch.name arch ^ ": X' after X == X' fresh")
+        true
+        (last_answer [ x; x' ] = last_answer [ x' ]))
+    Arch.all
+
+(* The one NeedFull rule, for a patch: against a base the daemon never
+   saw, a Patch answers NeedFull; sent with the target's bytes as
+   [fallback], it is answered like the target sent whole, and that upload
+   registers the target, so a Ref to it resolves. *)
+let patch_needfull_fallback () =
+  let x, x' = base_and_flip Arch.X86_64 in
+  let str_x = Binfile.to_string x and str_x' = Binfile.to_string x' in
+  let dig_x = Icfg_service.Store.digest str_x in
+  let patch =
+    Protocol.Patch
+      {
+        base = dig_x;
+        total_len = String.length str_x';
+        ranges = Protocol.diff_ranges ~base:str_x str_x';
+      }
+  in
+  with_server ~workers:1 () @@ fun srv path ->
+  Client.with_connection path @@ fun c ->
+  let rewrite ?fallback what payload =
+    match Client.rewrite_payload c ~approach:"ours/jt" ?fallback payload with
+    | Ok (Protocol.Rewritten { bin; _ }) -> bin
+    | r ->
+        Alcotest.failf "%s: %s" what
+          (match r with Ok x -> response_label x | Error m -> m)
+  in
+  (match Client.rewrite_payload c ~approach:"ours/jt" patch with
+  | Ok (Protocol.NeedFull { digest }) ->
+      Alcotest.(check string) "NeedFull names the base" dig_x digest
+  | r ->
+      Alcotest.failf "patch against an unknown base: %s"
+        (match r with Ok x -> response_label x | Error m -> m));
+  let healed = rewrite ~fallback:str_x' "patch with fallback" patch in
+  (* Nothing but the fallback's upload has sent X' so far. *)
+  let by_ref =
+    rewrite "X' by ref" (Protocol.Ref (Icfg_service.Store.digest str_x'))
+  in
+  let whole = rewrite "X' whole" (Protocol.Full str_x') in
+  Alcotest.(check bool) "fallback answer == whole upload" true
+    (healed = whole);
+  Alcotest.(check bool) "the fallback registered X'" true (by_ref = whole);
+  Alcotest.(check int) "two NeedFull answers" 2
+    (counter (Server.snapshot srv) "serve.needfull")
+
 let suite =
   [
     ( "serve",
@@ -1186,5 +1345,17 @@ let suite =
           every_answer_booked;
         Alcotest.test_case "client counts the bytes it writes" `Quick
           client_counts_bytes;
-      ] );
+        Alcotest.test_case "X' after X == X' fresh (memo on)" `Quick
+          edit_after_base;
+        Alcotest.test_case "history-independent classify answers" `Quick
+          classify_history_independent;
+        Alcotest.test_case "patch NeedFull falls back to the whole file"
+          `Quick patch_needfull_fallback;
+      ]
+      @ List.map
+          (fun (approach, _) ->
+            Alcotest.test_case
+              ("history-independent answers: " ^ approach)
+              `Quick (history_independent approach))
+          Baseline.approaches );
   ]
