@@ -147,9 +147,12 @@ let add_row ?(times = []) ?(counters = []) ?(gates = []) section name =
 
 let ints = List.map (fun (k, v) -> (k, float_of_int v))
 
+(* A fraction below 1 keeps three significant digits, so a per-step
+   allocation of 0.004 words does not print as 0. *)
 let json_num f =
   if Float.is_nan f then "null"
   else if Float.is_integer f then Printf.sprintf "%.0f" f
+  else if Float.abs f < 1. then Printf.sprintf "%.3g" f
   else Printf.sprintf "%.1f" f
 
 let worse_higher = {|"worse_higher"|}
@@ -441,6 +444,93 @@ let run_image_micro () =
         (String.concat "  "
            (List.map (fun (k, ns) -> Printf.sprintf "%s=%.0f" k ns) times)))
     cases
+
+(* Vm rows: every x86-64 spec binary run as compiled and as rewritten in
+   ours/jt mode, through the harness's measured runs (icache on). The
+   Vm's counts over each set repeat exactly. The GC's counters around the
+   runs bound what they allocate: a step allocates nothing, and a run far
+   less than the 1 MiB (131,072-word) stack it once zeroed. [ns_per_step]
+   is the median of interleaved rounds. *)
+let run_vm_micro () =
+  print_endline "== Vm: x86-64 spec suite, original and ours/jt ==";
+  let module Runner = Icfg_harness.Runner in
+  let arch = Arch.X86_64 in
+  let bins =
+    List.map
+      (fun b -> fst (Icfg_workloads.Spec_suite.compile arch b))
+      (Icfg_workloads.Spec_suite.benchmarks arch)
+  in
+  let jt b =
+    match Runner.drive ~approach:"ours/jt" b with
+    | Some (Icfg_baselines.Baseline.Rewritten rw) -> rw
+    | _ -> failwith "vm rows: ours/jt did not rewrite a spec binary"
+  in
+  let cases =
+    [
+      ("spec-x86-64-original", List.map (fun b () -> Runner.run_original b) bins);
+      ( "spec-x86-64-ours-jt",
+        List.map (fun rw () -> Runner.run_rewritten rw) (List.map jt bins) );
+    ]
+  in
+  let reps = 3 in
+  let samples = List.map (fun _ -> Array.make reps 0.) cases in
+  let minor = Array.make (List.length cases) 0.
+  and major = Array.make (List.length cases) 0. in
+  let totals = Array.make (List.length cases) [] in
+  Gc.full_major ();
+  for i = 0 to reps - 1 do
+    List.iteri
+      (fun c ((_, runs), a) ->
+        let minor0, _, major0 = Gc.counters () in
+        let t0 = Icfg_core.Metrics.now_ns () in
+        let rs = List.map (fun run -> run ()) runs in
+        a.(i) <- elapsed_ns t0;
+        let minor1, _, major1 = Gc.counters () in
+        minor.(c) <- minor.(c) +. (minor1 -. minor0);
+        major.(c) <- major.(c) +. (major1 -. major0);
+        let sum f = List.fold_left (fun n r -> n + f r) 0 rs in
+        totals.(c) <-
+          [
+            ("runs", List.length rs);
+            ("steps", sum (fun r -> r.Runner.r_steps));
+            ("cycles", sum (fun r -> r.Runner.r_cycles));
+            ("trap_hits", sum (fun r -> r.Runner.r_traps));
+            ("icache_misses", sum (fun r -> r.Runner.r_icache_misses));
+          ])
+      (List.combine cases samples)
+  done;
+  List.iteri
+    (fun c ((name, _), a) ->
+      Array.sort compare a;
+      let counts = totals.(c) in
+      let steps = float_of_int (List.assoc "steps" counts)
+      and runs = float_of_int (List.assoc "runs" counts) in
+      let reps = float_of_int reps in
+      let ns_per_step = a.(Array.length a / 2) /. steps in
+      let minor_per_step = minor.(c) /. (reps *. steps)
+      and major_per_run = Float.round (major.(c) /. (reps *. runs)) in
+      add_row "vm" name
+        ~times:[ ("ns_per_step", ns_per_step) ]
+        ~counters:
+          (ints counts
+          @ [
+              ("minor_words_per_step", minor_per_step);
+              ("major_words_per_run", major_per_run);
+            ])
+        ~gates:
+          [
+            ("steps", exact);
+            ("cycles", exact);
+            ("trap_hits", exact);
+            ("icache_misses", exact);
+            ("minor_words_per_step", at_most 0.05);
+            ("major_words_per_run", at_most 16384.);
+          ];
+      Printf.printf
+        "  %-22s %10.0f steps  %6.1f ns/step  %8.4f minor words/step  %8.0f \
+         major words/run\n%!"
+        name steps ns_per_step minor_per_step major_per_run)
+    (List.combine cases samples)
 
 (* Daemon throughput: a twin-bearing corpus slice streamed through a live
    [icfg serve] instance as classify requests, at 1 and 4 concurrent
@@ -794,6 +884,7 @@ let run_micro () =
   run_trace_stages ();
   run_cache_micro ();
   run_image_micro ();
+  run_vm_micro ();
   run_serve_micro ();
   run_serve_incremental_micro ()
 

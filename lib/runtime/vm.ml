@@ -80,30 +80,63 @@ and b_icache = 8
 (* Memory                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* A data segment holds a copy of its section's stored prefix only: bytes
-   past [seg_bytes] up to [seg_size] read as zero, and the first write
-   there replaces [seg_bytes] by the whole segment. *)
+(* A segment stores a window of its bytes: [win] holds the bytes from
+   [win_base], and every other byte of the segment reads as zero. A write
+   outside the window grows it (see [grow]). A data segment's window starts
+   as its section's stored prefix, the stack's as an empty window at its
+   top, and an executable segment stores all of its bytes. *)
 type segment = {
   seg_base : int;
   seg_size : int;
-  mutable seg_bytes : Bytes.t;
   seg_perm : Section.perm;
+  mutable win_base : int;
+  mutable win : Bytes.t;
   seg_decode : (Insn.t * int) option array;
       (** per-offset decode cache (code never changes during execution) *)
 }
 
 let seg_end s = s.seg_base + s.seg_size
 
-let materialise s =
-  let b = Bytes.make s.seg_size '\000' in
-  Bytes.blit s.seg_bytes 0 b 0 (Bytes.length s.seg_bytes);
-  s.seg_bytes <- b
+(* What a lookup returns for an unmapped address; never written. *)
+let no_segment =
+  {
+    seg_base = 0;
+    seg_size = 0;
+    seg_perm = Section.r_only;
+    win_base = 0;
+    win = Bytes.empty;
+    seg_decode = [||];
+  }
+
+let[@inline] in_window s addr n =
+  addr >= s.win_base && addr + n <= s.win_base + Bytes.length s.win
+
+(* The smallest window a write creates. *)
+let min_window = 256
+
+(* Grow [s]'s window towards a write of [n] bytes at [addr] that it does
+   not cover: to at least twice its length, within the segment, keeping
+   the end it grows away from. The copy zero-fills the new bytes. *)
+let grow s addr n =
+  let lo = s.win_base and hi = s.win_base + Bytes.length s.win in
+  let want = max (2 * (hi - lo)) min_window in
+  let lo', hi' =
+    if addr < lo then
+      let hi' = max hi (addr + n) in
+      (max s.seg_base (min addr (hi' - want)), hi')
+    else (lo, min (seg_end s) (max (addr + n) (lo + want)))
+  in
+  let b = Bytes.make (hi' - lo') '\000' in
+  Bytes.blit s.win 0 b (lo - lo') (hi - lo);
+  s.win_base <- lo';
+  s.win <- b
 
 type t = {
   bin : Binary.t;
   cfg : config;
   segments : segment array;  (** sorted by base *)
-  mutable last_seg : int;  (** cache of the last segment hit *)
+  mutable code_seg : segment;  (** the segment of the last fetch *)
+  mutable data_seg : segment;  (** the segment of the last load or store *)
   regs : int array;
   mutable sp_ : int;
   mutable lr_ : int;
@@ -133,23 +166,36 @@ let charge vm bucket n =
   vm.cycles <- vm.cycles + n;
   vm.buckets.(bucket) <- vm.buckets.(bucket) + n
 
-let find_segment vm addr =
-  let segs = vm.segments in
-  let cached = segs.(vm.last_seg) in
-  if addr >= cached.seg_base && addr < seg_end cached then Some cached
+let[@inline] contains s addr = addr >= s.seg_base && addr < seg_end s
+
+(* Binary search of the sorted segments; [no_segment] if none maps
+   [addr]. *)
+let lookup segs addr =
+  let lo = ref 0 and hi = ref (Array.length segs - 1) and res = ref no_segment in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let s = segs.(mid) in
+    if addr < s.seg_base then hi := mid - 1
+    else if addr >= seg_end s then lo := mid + 1
+    else (
+      res := s;
+      lo := !hi + 1)
+  done;
+  !res
+
+let code_segment vm addr =
+  if contains vm.code_seg addr then vm.code_seg
   else
-    let lo = ref 0 and hi = ref (Array.length segs - 1) and res = ref None in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let s = segs.(mid) in
-      if addr < s.seg_base then hi := mid - 1
-      else if addr >= seg_end s then lo := mid + 1
-      else (
-        res := Some s;
-        vm.last_seg <- mid;
-        lo := !hi + 1)
-    done;
-    !res
+    let s = lookup vm.segments addr in
+    vm.code_seg <- s;
+    s
+
+let data_segment vm addr =
+  if contains vm.data_seg addr then vm.data_seg
+  else
+    let s = lookup vm.segments addr in
+    vm.data_seg <- s;
+    s
 
 let sign_extend v bits =
   let shift = Sys.int_size - bits in
@@ -162,64 +208,73 @@ let[@inline] load_word b off (w : Insn.width) =
   | W32 -> Int32.to_int (Bytes.get_int32_le b off)
   | W64 -> Int64.to_int (Bytes.get_int64_le b off)
 
+(* A word the window does not wholly hold: its bytes outside the window
+   read as zero. *)
+let load_straddling s addr n =
+  let v = ref 0 in
+  for a = addr + n - 1 downto addr do
+    let off = a - s.win_base in
+    let byte =
+      if off >= 0 && off < Bytes.length s.win then Bytes.get_uint8 s.win off
+      else 0
+    in
+    v := (!v lsl 8) lor byte
+  done;
+  if n = 8 then !v else sign_extend !v (8 * n)
+
 let read_mem vm addr (w : Insn.width) =
   let n = Insn.width_bytes w in
-  match find_segment vm addr with
-  | Some s when addr + n <= seg_end s ->
-      let off = addr - s.seg_base in
-      if off + n <= Bytes.length s.seg_bytes then load_word s.seg_bytes off w
-      else
-        (* Into the zero tail: read a zero-padded copy of the word. *)
-        let t = Bytes.make n '\000' in
-        let stored = Bytes.length s.seg_bytes - off in
-        if stored > 0 then Bytes.blit s.seg_bytes off t 0 stored;
-        load_word t 0 w
-  | _ -> crash vm (Printf.sprintf "read from unmapped address 0x%x" addr)
+  let s = data_segment vm addr in
+  if s == no_segment || addr + n > seg_end s then
+    crash vm (Printf.sprintf "read from unmapped address 0x%x" addr)
+  else if in_window s addr n then load_word s.win (addr - s.win_base) w
+  else load_straddling s addr n
 
 let write_mem vm addr (w : Insn.width) v =
   let n = Insn.width_bytes w in
-  match find_segment vm addr with
-  | Some s when addr + n <= seg_end s ->
-      if not s.seg_perm.Section.write then
-        crash vm (Printf.sprintf "write to read-only address 0x%x" addr);
-      let off = addr - s.seg_base in
-      if off + n > Bytes.length s.seg_bytes then materialise s;
-      let b = s.seg_bytes in
-      (match w with
-      | W8 -> Bytes.set_uint8 b off (v land 0xff)
-      | W16 -> Bytes.set_uint16_le b off (v land 0xffff)
-      | W32 -> Bytes.set_int32_le b off (Int32.of_int v)
-      | W64 -> Bytes.set_int64_le b off (Int64.of_int v))
-  | _ -> crash vm (Printf.sprintf "write to unmapped address 0x%x" addr)
+  let s = data_segment vm addr in
+  if s == no_segment || addr + n > seg_end s then
+    crash vm (Printf.sprintf "write to unmapped address 0x%x" addr);
+  if not s.seg_perm.Section.write then
+    crash vm (Printf.sprintf "write to read-only address 0x%x" addr);
+  if not (in_window s addr n) then grow s addr n;
+  let b = s.win and off = addr - s.win_base in
+  match w with
+  | W8 -> Bytes.set_uint8 b off (v land 0xff)
+  | W16 -> Bytes.set_uint16_le b off (v land 0xffff)
+  | W32 -> Bytes.set_int32_le b off (Int32.of_int v)
+  | W64 -> Bytes.set_int64_le b off (Int64.of_int v)
 
 (* Loader-time write: relocations may target read-only sections (the loader
    relocates before write-protecting). *)
 let write_mem_raw vm addr v =
-  match find_segment vm addr with
-  | Some s when addr + 8 <= seg_end s ->
-      if addr + 8 - s.seg_base > Bytes.length s.seg_bytes then materialise s;
-      Bytes.set_int64_le s.seg_bytes (addr - s.seg_base) (Int64.of_int v)
-  | _ -> crash vm (Printf.sprintf "relocation outside any segment: 0x%x" addr)
+  let s = data_segment vm addr in
+  if s == no_segment || addr + 8 > seg_end s then
+    crash vm (Printf.sprintf "relocation outside any segment: 0x%x" addr);
+  if not (in_window s addr 8) then grow s addr 8;
+  Bytes.set_int64_le s.win (addr - s.win_base) (Int64.of_int v)
 
 let fetch vm addr =
-  match find_segment vm addr with
-  | Some s when s.seg_perm.Section.execute -> (
-      let off = addr - s.seg_base in
-      match s.seg_decode.(off) with
-      | Some cached -> cached
-      | None ->
-          let d = Encode.decode_bytes vm.bin.Binary.arch s.seg_bytes ~pos:off in
-          s.seg_decode.(off) <- Some d;
-          d)
-  | Some _ -> crash vm (Printf.sprintf "execute non-executable address 0x%x" addr)
-  | None -> crash vm (Printf.sprintf "execute unmapped address 0x%x" addr)
+  let s = code_segment vm addr in
+  if s == no_segment then
+    crash vm (Printf.sprintf "execute unmapped address 0x%x" addr);
+  if not s.seg_perm.Section.execute then
+    crash vm (Printf.sprintf "execute non-executable address 0x%x" addr);
+  let off = addr - s.seg_base in
+  match s.seg_decode.(off) with
+  | Some cached -> cached
+  | None ->
+      let d = Encode.decode_bytes vm.bin.Binary.arch s.win ~pos:off in
+      s.seg_decode.(off) <- Some d;
+      d
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let reg vm r = vm.regs.(Reg.index r)
-let set_reg vm r v = vm.regs.(Reg.index r) <- v
+(* [Reg.t] is a private int: the coercion indexes without a call. *)
+let[@inline] reg vm (r : Reg.t) = vm.regs.((r :> int))
+let[@inline] set_reg vm (r : Reg.t) v = vm.regs.((r :> int)) <- v
 let pc vm = vm.pc_
 let sp vm = vm.sp_
 let lr vm = vm.lr_
@@ -262,7 +317,7 @@ let ra_of_frame vm fde sp lr =
    .eh_frame (through the RA-translation hook when installed) until a
    landing pad covers the translated PC. *)
 let throw vm =
-  let exc = vm.regs.(Reg.index Reg.r0) in
+  let exc = reg vm Reg.r0 in
   let rec go pc_rt sp lr depth =
     if depth > 512 then crash vm "unwind: too many frames";
     vm.unwind_count <- vm.unwind_count + 1;
@@ -279,7 +334,7 @@ let throw vm =
         | Some handler ->
             vm.pc_ <- handler + load_base vm;
             vm.sp_ <- sp;
-            vm.regs.(Reg.index Reg.r0) <- exc
+            set_reg vm Reg.r0 exc
         | None ->
             let ra = ra_of_frame vm fde sp lr in
             if ra = 0 then crash vm "unhandled exception"
@@ -314,10 +369,10 @@ let frames vm =
 (* ------------------------------------------------------------------ *)
 
 let operand_value vm (o : Insn.operand) =
-  match o with Reg r -> vm.regs.(Reg.index r) | Imm n -> n
+  match o with Reg r -> reg vm r | Imm n -> n
 
 let base_value vm = function
-  | Insn.BReg r -> vm.regs.(Reg.index r)
+  | Insn.BReg r -> reg vm r
   | Insn.BSp -> vm.sp_
 
 let cond_holds delta (c : Insn.cond) =
@@ -358,8 +413,6 @@ let step vm =
   let c = vm.cfg.costs in
   charge vm b_base c.base;
   let next = pc0 + len in
-  let setr r v = vm.regs.(Reg.index r) <- v in
-  let getr r = vm.regs.(Reg.index r) in
   match insn with
   | Nop -> vm.pc_ <- next
   | Halt ->
@@ -374,59 +427,59 @@ let step vm =
       | Some target -> vm.pc_ <- target + load_base vm
       | None -> crash vm (Printf.sprintf "trap without mapping at 0x%x" link))
   | Mov (r, o) ->
-      setr r (operand_value vm o);
+      set_reg vm r (operand_value vm o);
       vm.pc_ <- next
   | Movhi (r, n) ->
-      setr r (n lsl 16);
+      set_reg vm r (n lsl 16);
       vm.pc_ <- next
   | Orlo (r, n) ->
-      setr r (getr r lor (n land 0xffff));
+      set_reg vm r (reg vm r lor (n land 0xffff));
       vm.pc_ <- next
   | Movabs (r, n) ->
-      setr r n;
+      set_reg vm r n;
       vm.pc_ <- next
   | Add (r, o) ->
-      setr r (getr r + operand_value vm o);
+      set_reg vm r (reg vm r + operand_value vm o);
       vm.pc_ <- next
   | Sub (r, o) ->
-      setr r (getr r - operand_value vm o);
+      set_reg vm r (reg vm r - operand_value vm o);
       vm.pc_ <- next
   | Mul (r, o) ->
       charge vm b_mul c.mul;
-      setr r (getr r * operand_value vm o);
+      set_reg vm r (reg vm r * operand_value vm o);
       vm.pc_ <- next
   | And_ (r, o) ->
-      setr r (getr r land operand_value vm o);
+      set_reg vm r (reg vm r land operand_value vm o);
       vm.pc_ <- next
   | Or_ (r, o) ->
-      setr r (getr r lor operand_value vm o);
+      set_reg vm r (reg vm r lor operand_value vm o);
       vm.pc_ <- next
   | Xor (r, o) ->
-      setr r (getr r lxor operand_value vm o);
+      set_reg vm r (reg vm r lxor operand_value vm o);
       vm.pc_ <- next
   | Shl (r, n) ->
-      setr r (getr r lsl n);
+      set_reg vm r (reg vm r lsl n);
       vm.pc_ <- next
   | Shr (r, n) ->
-      setr r (getr r asr n);
+      set_reg vm r (reg vm r asr n);
       vm.pc_ <- next
   | Cmp (r, o) ->
-      vm.cmp_delta <- getr r - operand_value vm o;
+      vm.cmp_delta <- reg vm r - operand_value vm o;
       vm.pc_ <- next
   | Load (w, rd, b, d) ->
       charge vm b_mem c.mem;
-      setr rd (read_mem vm (base_value vm b + d) w);
+      set_reg vm rd (read_mem vm (base_value vm b + d) w);
       vm.pc_ <- next
   | Store (w, b, d, rs) ->
       charge vm b_mem c.mem;
-      write_mem vm (base_value vm b + d) w (getr rs);
+      write_mem vm (base_value vm b + d) w (reg vm rs);
       vm.pc_ <- next
   | LoadIdx (w, rd, rb, ri, s) ->
       charge vm b_mem c.mem;
-      setr rd (read_mem vm (getr rb + (getr ri * s)) w);
+      set_reg vm rd (read_mem vm (reg vm rb + (reg vm ri * s)) w);
       vm.pc_ <- next
   | Lea (r, d) ->
-      setr r (pc0 + d);
+      set_reg vm r (pc0 + d);
       vm.pc_ <- next
   | AddSp n ->
       vm.sp_ <- vm.sp_ + n;
@@ -444,10 +497,10 @@ let step vm =
       do_call vm ~retaddr:next ~target:(pc0 + d)
   | IndJmp r ->
       charge vm b_indirect c.indirect;
-      vm.pc_ <- getr r
+      vm.pc_ <- reg vm r
   | IndCall r ->
       charge vm b_indirect c.indirect;
-      do_call vm ~retaddr:next ~target:(getr r)
+      do_call vm ~retaddr:next ~target:(reg vm r)
   | IndCallMem (b, d) ->
       charge vm b_mem c.mem;
       charge vm b_indirect c.indirect;
@@ -476,49 +529,55 @@ let step vm =
       charge vm b_indirect c.indirect;
       throw vm
   | Out r ->
-      emit_output vm (getr r);
+      emit_output vm (reg vm r);
       vm.pc_ <- next
   | Mflr r ->
-      setr r vm.lr_;
+      set_reg vm r vm.lr_;
       vm.pc_ <- next
   | Mtlr r ->
-      vm.lr_ <- getr r;
+      vm.lr_ <- reg vm r;
       vm.pc_ <- next
   | Mttar r ->
-      vm.tar <- getr r;
+      vm.tar <- reg vm r;
       vm.pc_ <- next
   | Btar ->
       charge vm b_indirect c.indirect;
       vm.pc_ <- vm.tar
   | Adrp (r, d) ->
-      setr r ((pc0 land lnot 4095) + d);
+      set_reg vm r ((pc0 land lnot 4095) + d);
       vm.pc_ <- next
   | Addis (rd, rs, n) ->
-      setr rd (getr rs + (n lsl 16));
+      set_reg vm rd (reg vm rs + (n lsl 16));
       vm.pc_ <- next
 
 let sentinel = 2
 
+let running vm = match vm.state with `Running -> true | `Halted | `Crashed _ -> false
+
 let call_function vm ~addr ~args =
+  if List.compare_lengths args Reg.arg_regs > 0 then
+    invalid_arg "call_function: too many arguments";
   let saved_regs = Array.copy vm.regs in
   let saved = (vm.sp_, vm.lr_, vm.tar, vm.cmp_delta, vm.pc_) in
-  List.iteri
-    (fun i v ->
-      if i >= List.length Reg.arg_regs then
-        invalid_arg "call_function: too many arguments";
-      vm.regs.(Reg.index (List.nth Reg.arg_regs i)) <- v)
-    args;
+  let rec bind regs args =
+    match (regs, args) with
+    | r :: regs, v :: args ->
+        set_reg vm r v;
+        bind regs args
+    | _ -> ()
+  in
+  bind Reg.arg_regs args;
   (if has_lr vm then vm.lr_ <- sentinel
    else (
      vm.sp_ <- vm.sp_ - 8;
      write_mem vm vm.sp_ W64 sentinel));
   vm.pc_ <- addr;
   (try
-     while vm.pc_ <> sentinel && vm.state = `Running do
+     while vm.pc_ <> sentinel && running vm do
        step vm
      done
    with Vm_stop -> ());
-  let result = vm.regs.(Reg.index Reg.r0) in
+  let result = reg vm Reg.r0 in
   Array.blit saved_regs 0 vm.regs 0 (Array.length saved_regs);
   let sp', lr', tar', cmp', pc' = saved in
   vm.sp_ <- sp';
@@ -536,31 +595,31 @@ let call_function vm ~addr ~args =
 let load ?(config : config option) ?(routines = []) (bin : Binary.t) =
   let cfg = match config with Some c -> c | None -> default_config () in
   let lb = if bin.Binary.pie then cfg.load_base else 0 in
-  (* Only a data segment's stored prefix is copied; an executable one is
-     materialised whole, as its decode cache is O(size) anyway. *)
+  (* A data segment's window is a copy of its section's stored prefix; an
+     executable one stores the whole segment, as its decode cache is
+     O(size) anyway. *)
   let seg_of_section (s : Section.t) =
-    let seg =
-      {
-        seg_base = s.Section.vaddr + lb;
-        seg_size = Section.size s;
-        seg_bytes = Bytes.copy s.Section.data;
-        seg_perm = s.Section.perm;
-        seg_decode =
-          (if s.Section.perm.Section.execute then
-             Array.make (Section.size s) None
-           else [||]);
-      }
-    in
-    if s.Section.perm.Section.execute && seg.seg_size > Bytes.length seg.seg_bytes
-    then materialise seg;
-    seg
+    let size = Section.size s and exec = s.Section.perm.Section.execute in
+    let stored = Bytes.length s.Section.data in
+    let win = Bytes.make (if exec then size else stored) '\000' in
+    Bytes.blit s.Section.data 0 win 0 stored;
+    {
+      seg_base = s.Section.vaddr + lb;
+      seg_size = size;
+      seg_perm = s.Section.perm;
+      win_base = s.Section.vaddr + lb;
+      win;
+      seg_decode = (if exec then Array.make size None else [||]);
+    }
   in
+  let stack_top = cfg.stack_base + cfg.stack_size in
   let stack =
     {
       seg_base = cfg.stack_base;
       seg_size = cfg.stack_size;
-      seg_bytes = Bytes.make cfg.stack_size '\000';
       seg_perm = Section.r_w;
+      win_base = stack_top;
+      win = Bytes.empty;
       seg_decode = [||];
     }
   in
@@ -579,9 +638,10 @@ let load ?(config : config option) ?(routines = []) (bin : Binary.t) =
       bin;
       cfg;
       segments;
-      last_seg = 0;
+      code_seg = no_segment;
+      data_seg = no_segment;
       regs = Array.make Reg.count 0;
-      sp_ = cfg.stack_base + cfg.stack_size - 64;
+      sp_ = stack_top - 64;
       lr_ = 0;
       tar = 0;
       cmp_delta = 0;
@@ -610,13 +670,13 @@ let load ?(config : config option) ?(routines = []) (bin : Binary.t) =
       bin.Binary.relocs;
   (* The ppc64le loader materializes the TOC base in r2. *)
   if bin.Binary.arch = Arch.Ppc64le then
-    vm.regs.(Reg.index Reg.toc) <- bin.Binary.toc_base + lb;
+    set_reg vm Reg.toc (bin.Binary.toc_base + lb);
   vm
 
 let run ?config ?routines bin =
   let vm = load ?config ?routines bin in
   (try
-     while vm.state = `Running do
+     while running vm do
        step vm
      done
    with Vm_stop -> ());

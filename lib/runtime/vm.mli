@@ -22,8 +22,12 @@ val default_costs : cost_model
 
 type config = {
   load_base : int;  (** applied to every section when the binary is PIE *)
-  stack_base : int;
+  stack_base : int;  (** lowest address of the stack *)
   stack_size : int;
+      (** bounds the stack: it maps the [stack_size] bytes from
+          [stack_base], and an access below [stack_base] is unmapped. It
+          is not the size of an allocation: a run stores only a window
+          around the stack bytes it wrote, and unwritten bytes read 0 *)
   max_steps : int;
   costs : cost_model;
   icache : Icache.config option;
@@ -116,7 +120,8 @@ val call_function : t -> addr:int -> args:int list -> int
 (** Re-entrant call: execute the function at runtime address [addr] with the
     given arguments and return its result ([r0]); machine state is saved and
     restored. Used by the Go traceback walker to invoke the binary's own
-    [runtime.findfunc]. *)
+    [runtime.findfunc]. Raises [Invalid_argument], before touching any
+    register, when [args] outnumber the argument registers. *)
 
 val find_symbol : t -> string -> int option
 (** Runtime address of a function symbol. *)

@@ -43,12 +43,44 @@ let make_binary ?(arch = Arch.X86_64) ?(extra_sections = []) ?eh_frame insns =
 let run ?config ?routines insns =
   Vm.run ?config ?routines (make_binary insns)
 
+(* Lay out x86-64 code from [text_base]: [L name] marks a label, and
+   [I f] is the instruction [f] builds from a resolver that maps a label
+   to its displacement from that instruction. Branch lengths do not depend
+   on their displacement, so one sizing pass places every label. *)
+type item = L of string | I of ((string -> int) -> Insn.t)
+
+let assemble items =
+  let arch = Arch.X86_64 in
+  let labels = Hashtbl.create 8 in
+  ignore
+    (List.fold_left
+       (fun pc -> function
+         | L l ->
+             Hashtbl.replace labels l pc;
+             pc
+         | I f -> pc + Encode.length arch (f (fun _ -> 0)))
+       text_base items);
+  let _, rev =
+    List.fold_left
+      (fun (pc, acc) -> function
+        | L _ -> (pc, acc)
+        | I f ->
+            let i = f (fun l -> Hashtbl.find labels l - pc) in
+            (pc + Encode.length arch i, i :: acc))
+      (text_base, []) items
+  in
+  List.rev rev
+
+let i insn = I (fun _ -> insn)
+
+let halted name (r : Vm.result) =
+  match r.Vm.outcome with
+  | Vm.Halted -> r.Vm.output
+  | Vm.Crashed m -> Alcotest.failf "%s crashed: %s" name m
+
 let expect_output ?(arch = Arch.X86_64) name insns expected =
-  let r = Vm.run (make_binary ~arch insns) in
-  (match r.Vm.outcome with
-  | Vm.Halted -> ()
-  | Vm.Crashed m -> Alcotest.failf "%s crashed: %s" name m);
-  Alcotest.(check (list int)) name expected r.Vm.output
+  Alcotest.(check (list int)) name expected
+    (halted name (Vm.run (make_binary ~arch insns)))
 
 (* ------------------------------------------------------------------ *)
 (* Instruction semantics                                               *)
@@ -167,8 +199,9 @@ let test_write_protection () =
   | Vm.Halted -> Alcotest.fail "expected write-protection crash"
 
 (* Sections with zero tails: reads past the stored prefix return 0, a
-   word may straddle the prefix and the tail, a write materialises the
-   tail for that run only, and a read-only tail still refuses writes. *)
+   word may straddle the prefix and the tail, a write into the tail grows
+   the stored window for that run only, and a read-only tail still
+   refuses writes. *)
 let test_zero_tail () =
   let open Insn in
   let big = 0x600000 and ro = 0x700000 in
@@ -230,6 +263,229 @@ let test_zero_tail () =
       Alcotest.(check bool) "read-only tail write crashes" true
         (String.length m >= 10 && String.sub m 0 10 = "write to r")
   | Vm.Halted -> Alcotest.fail "expected write-protection crash in a tail"
+
+let stack_base = (Vm.default_config ()).Vm.stack_base
+let stack_top = stack_base + (Vm.default_config ()).Vm.stack_size
+
+(* The stack stores only a window around the bytes the program wrote
+   (DESIGN §16). Unwritten slots read 0 inside and outside the window, a
+   word may straddle the window's low edge, a store below the stack's
+   base is still unmapped, and every run starts from a zero stack. *)
+let test_stack_window () =
+  let open Insn in
+  let r4 = Reg.r4 in
+  Alcotest.(check (list int)) "unwritten slots read 0" [ 0; 0; 0 ]
+    (halted "unwritten"
+       (run
+          [
+            Load (W64, r0, BSp, -512);
+            Out r0;
+            Mov (r1, Imm 5);
+            Store (W64, BSp, 0, r1);
+            Load (W64, r0, BSp, 8);
+            Out r0;
+            Load (W64, r0, BSp, -4096);
+            Out r0;
+            Halt;
+          ]));
+  (* A first store far below the empty window puts its low edge at sp.
+     The stored bytes are f8 87 06 05 04 03 02 01, so the narrow loads
+     across the edge sign-extend. *)
+  Alcotest.(check (list int)) "loads straddle the window's low edge"
+    [ 0x050687F800000000; 0x87F80000 - 0x100000000; -0x800; 0x01020304050687F8 ]
+    (halted "straddle"
+       (run
+          [
+            AddSp (-65536);
+            Movabs (r4, 0x01020304050687F8);
+            Store (W64, BSp, 0, r4);
+            Load (W64, r0, BSp, -4);
+            Out r0;
+            Load (W32, r0, BSp, -2);
+            Out r0;
+            Load (W16, r0, BSp, -1);
+            Out r0;
+            Load (W64, r0, BSp, 0);
+            Out r0;
+            Halt;
+          ]));
+  let below =
+    run
+      [
+        AddSp (-(stack_top - stack_base));
+        Mov (r1, Imm 1);
+        Store (W64, BSp, 0, r1);
+        Halt;
+      ]
+  in
+  (match below.Vm.outcome with
+  | Vm.Crashed m ->
+      Alcotest.(check string) "a store below the stack is unmapped"
+        (Printf.sprintf "write to unmapped address 0x%x" (stack_base - 64))
+        m
+  | Vm.Halted -> Alcotest.fail "a store below the stack must crash");
+  let bin =
+    make_binary
+      [
+        Load (W64, r0, BSp, -16);
+        Out r0;
+        Mov (r1, Imm 99);
+        Store (W64, BSp, -16, r1);
+        Load (W64, r0, BSp, -16);
+        Out r0;
+        Halt;
+      ]
+  in
+  Alcotest.(check (list int)) "first run" [ 0; 99 ] (halted "first" (Vm.run bin));
+  Alcotest.(check (list int)) "a second run starts from a zero stack" [ 0; 99 ]
+    (halted "second" (Vm.run bin))
+
+(* sum(n) = n + sum(n - 1), one 16-byte frame per level: 20,000 levels
+   grow the stack window from empty past 256 KiB, and 70,000 levels
+   overflow the 1 MiB stack. *)
+let test_deep_recursion () =
+  let open Insn in
+  let sum n =
+    make_binary
+      (assemble
+         [
+           i (Mov (r0, Imm n));
+           I (fun l -> Call (l "sum"));
+           i (Out r0);
+           i Halt;
+           L "sum";
+           i (Cmp (r0, Imm 0));
+           I (fun l -> Jcc (Eq, l "base"));
+           i (AddSp (-8));
+           i (Store (W64, BSp, 0, r0));
+           i (Sub (r0, Imm 1));
+           I (fun l -> Call (l "sum"));
+           i (Load (W64, r1, BSp, 0));
+           i (Add (r0, Reg r1));
+           i (AddSp 8);
+           i Ret;
+           L "base";
+           i Ret;
+         ])
+  in
+  Alcotest.(check (list int)) "sum 20000" [ 20000 * 20001 / 2 ]
+    (halted "sum" (Vm.run (sum 20000)));
+  match (Vm.run (sum 70000)).Vm.outcome with
+  | Vm.Crashed m ->
+      Alcotest.(check string) "overflow" "write to unmapped address"
+        (String.sub m 0 (min (String.length m) 25))
+  | Vm.Halted -> Alcotest.fail "70,000 frames must overflow the stack"
+
+(* Steps allocate nothing: loading and the result allocate a few hundred
+   words, so a run of 220,000 steps averages far below 0.05 minor words
+   per step. *)
+let test_steps_allocate_nothing () =
+  let open Insn in
+  let bin =
+    make_binary
+      (assemble
+         [
+           i (Mov (r3, Imm 0));
+           i (Mov (r1, Imm 0x500000));
+           L "loop";
+           i (Store (W64, BReg r1, 8, r3));
+           i (Load (W64, r0, BReg r1, 8));
+           I (fun l -> Call (l "leaf"));
+           i (Add (r3, Imm 1));
+           i (Cmp (r3, Imm 20000));
+           I (fun l -> Jcc (Lt, l "loop"));
+           i (Out r3);
+           i Halt;
+           L "leaf";
+           i (AddSp (-8));
+           i (Store (W64, BSp, 0, r0));
+           i (Load (W64, Reg.r4, BSp, 0));
+           i (AddSp 8);
+           i Ret;
+         ])
+  in
+  let before = Gc.minor_words () in
+  let r = Vm.run bin in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (list int)) "ran" [ 20000 ] (halted "loop" r);
+  Alcotest.(check bool) "at least 100k steps" true (r.Vm.steps >= 100_000);
+  let per_step = words /. float_of_int r.Vm.steps in
+  if per_step >= 0.05 then
+    Alcotest.failf "%.3f minor words per step (%.0f words, %d steps)" per_step
+      words r.Vm.steps
+
+(* Random loads and stores of every width in a data tail and in the
+   stack read exactly what dense zero-initialised memory would. *)
+let window_prop =
+  let open Insn in
+  let tail_base = 0x600000 and region = 0x4000 and prefix = "\x11\x22\x33\x44\x55" in
+  let access =
+    QCheck2.Gen.(
+      let* store = bool in
+      let* w = oneofl [ W8; W16; W32; W64 ] in
+      let* on_stack = bool in
+      (* Near the prefix and the top, across the first windows' edges
+         (256 and 512 bytes), and anywhere. *)
+      let* off =
+        oneof
+          [
+            int_range 0 64;
+            int_range 240 256;
+            int_range 496 512;
+            int_range 0 (region - 8);
+          ]
+      in
+      let* v = int in
+      return (store, w, on_stack, off, v))
+  in
+  (* Stack offsets count down from the top; the model's stack bytes are
+     the region's [region] bytes below it. *)
+  let model accesses =
+    let tail = Bytes.make region '\000' and stack = Bytes.make region '\000' in
+    Bytes.blit_string prefix 0 tail 0 (String.length prefix);
+    List.filter_map
+      (fun (store, w, on_stack, off, v) ->
+        let b, pos = if on_stack then (stack, region - 8 - off) else (tail, off) in
+        if store then (
+          (match w with
+          | W8 -> Bytes.set_uint8 b pos (v land 0xff)
+          | W16 -> Bytes.set_uint16_le b pos (v land 0xffff)
+          | W32 -> Bytes.set_int32_le b pos (Int32.of_int v)
+          | W64 -> Bytes.set_int64_le b pos (Int64.of_int v));
+          None)
+        else
+          Some
+            (match w with
+            | W8 -> Bytes.get_int8 b pos
+            | W16 -> Bytes.get_int16_le b pos
+            | W32 -> Int32.to_int (Bytes.get_int32_le b pos)
+            | W64 -> Int64.to_int (Bytes.get_int64_le b pos)))
+      accesses
+  in
+  let program accesses =
+    [ Movabs (r1, tail_base); Movabs (r3, stack_top) ]
+    @ List.concat_map
+        (fun (store, w, on_stack, off, v) ->
+          let base, d = if on_stack then (BReg r3, -8 - off) else (BReg r1, off) in
+          if store then [ Movabs (r0, v); Store (w, base, d, r0) ]
+          else [ Load (w, r0, base, d); Out r0 ])
+        accesses
+    @ [ Halt ]
+  in
+  QCheck2.Test.make ~count:200 ~name:"windowed memory reads as dense memory"
+    QCheck2.Gen.(list_size (int_range 1 40) access)
+    (fun accesses ->
+      let bin =
+        make_binary
+          ~extra_sections:
+            [
+              Section.make ~name:".big" ~vaddr:tail_base ~perm:Section.r_w
+                ~size:region (Bytes.of_string prefix);
+            ]
+          (program accesses)
+      in
+      let r = Vm.run bin in
+      r.Vm.outcome = Vm.Halted && r.Vm.output = model accesses)
 
 let test_illegal_and_unmapped () =
   (match (run [ Illegal ]).Vm.outcome with
@@ -509,6 +765,24 @@ let test_call_function_reentrant () =
       Alcotest.(check int) (Arch.name arch ^ " reentrant result") 6 !got)
     Arch.all
 
+(* A call with more arguments than argument registers is refused before
+   any register is written, so the caller's r0 and r1 survive it. *)
+let test_call_function_too_many_args () =
+  let bin =
+    make_binary [ Mov (r0, Imm 7); Mov (r1, Imm 8); CallRt 0; Out r0; Out r1; Halt ]
+  in
+  let bin = { bin with Binary.dynsyms = [| "test.call5" |] } in
+  let refused = ref false in
+  let routine vm =
+    match Vm.call_function vm ~addr:text_base ~args:[ 1; 2; 3; 4; 5 ] with
+    | _ -> ()
+    | exception Invalid_argument _ -> refused := true
+  in
+  let r = Vm.run ~routines:[ ("test.call5", routine) ] bin in
+  Alcotest.(check bool) "refused" true !refused;
+  Alcotest.(check (list int)) "registers unchanged" [ 7; 8 ]
+    (halted "call5" r)
+
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
   [
@@ -519,6 +793,11 @@ let suite =
         Alcotest.test_case "control flow" `Quick test_control_flow;
         Alcotest.test_case "write protection" `Quick test_write_protection;
         Alcotest.test_case "zero tail" `Quick test_zero_tail;
+        Alcotest.test_case "stack window" `Quick test_stack_window;
+        Alcotest.test_case "deep recursion" `Quick test_deep_recursion;
+        Alcotest.test_case "steps allocate nothing" `Quick
+          test_steps_allocate_nothing;
+        qt window_prop;
         Alcotest.test_case "illegal/unmapped" `Quick test_illegal_and_unmapped;
         Alcotest.test_case "trap dispatch" `Quick test_trap_dispatch;
         Alcotest.test_case "callrt unbound" `Quick test_callrt_unbound;
@@ -547,5 +826,7 @@ let suite =
           test_unwind_same_frame_handler;
         Alcotest.test_case "frames walk" `Quick test_frames_walk;
         Alcotest.test_case "reentrant call" `Quick test_call_function_reentrant;
+        Alcotest.test_case "call with too many arguments" `Quick
+          test_call_function_too_many_args;
       ] );
   ]
