@@ -645,8 +645,10 @@ let risc_decode arch s ~pos : Insn.t * int =
         let disp = sign_extend (payload land ((1 lsl bits) - 1)) bits * 4 in
         if opc = rop_jmp then Jmp disp else Call disp
       else if opc = rop_jcc then
-        let c = cond_of_int ((payload lsr 14) land 7) in
-        Jcc (c, sign_extend (payload land 0x3FFF) 14 * 4)
+        let c = (payload lsr 14) land 7 in
+        (* Conditions 6 and 7 encode nothing. *)
+        if c > 5 then Illegal
+        else Jcc (cond_of_int c, sign_extend (payload land 0x3FFF) 14 * 4)
       else if opc = rop_indjmp then IndJmp (r4 0)
       else if opc = rop_indcall then IndCall (r4 0)
       else if opc = rop_indcallmem then
@@ -662,11 +664,6 @@ let risc_decode arch s ~pos : Insn.t * int =
         Adrp (r4 21, sign_extend (payload land 0x1FFFFF) 21 * 4096)
       else if opc = rop_addis then Addis (r4 20, r4 16, imm16s)
       else Illegal
-    in
-    (* A decoded conditional-branch payload for cond 6 or 7 is invalid. *)
-    let insn =
-      if opc = rop_jcc && (payload lsr 14) land 7 > 5 then Insn.Illegal
-      else insn
     in
     (insn, 4)
 

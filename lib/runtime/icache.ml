@@ -6,7 +6,6 @@ type t = {
   cfg : config;
   tags : int array;  (** -1 = invalid *)
   mutable miss_count : int;
-  mutable access_count : int;
 }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
@@ -14,10 +13,9 @@ let is_pow2 n = n > 0 && n land (n - 1) = 0
 let create cfg =
   if not (is_pow2 cfg.line_bytes && is_pow2 cfg.lines) then
     invalid_arg "Icache.create: sizes must be powers of two";
-  { cfg; tags = Array.make cfg.lines (-1); miss_count = 0; access_count = 0 }
+  { cfg; tags = Array.make cfg.lines (-1); miss_count = 0 }
 
 let access t addr =
-  t.access_count <- t.access_count + 1;
   let line = addr / t.cfg.line_bytes in
   let idx = line land (t.cfg.lines - 1) in
   if t.tags.(idx) = line then false
@@ -27,8 +25,7 @@ let access t addr =
     true)
 
 let misses t = t.miss_count
-let accesses t = t.access_count
+
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
-  t.miss_count <- 0;
-  t.access_count <- 0
+  t.miss_count <- 0

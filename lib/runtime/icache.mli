@@ -21,5 +21,4 @@ val access : t -> int -> bool
     miss. *)
 
 val misses : t -> int
-val accesses : t -> int
 val reset : t -> unit

@@ -77,22 +77,41 @@ and b_unwind = 7
 and b_icache = 8
 
 (* ------------------------------------------------------------------ *)
-(* Memory                                                              *)
+(* Segments: memory and decoded blocks                                *)
 (* ------------------------------------------------------------------ *)
+
+(* A decoded basic block: the instructions from its head through the
+   first terminator or to the segment's end, and just one instruction in
+   a writable code segment. [pcs] holds each
+   instruction's address and then the address after the block, [lines]
+   each instruction's icache line. *)
+type block = {
+  insns : Insn.t array;
+  pcs : int array;
+  lines : int array;
+  profiled : bool;  (** some instruction's address is a profiled key *)
+}
+
+let no_block = { insns = [||]; pcs = [||]; lines = [||]; profiled = false }
+
+(* An executable segment caches its blocks by start offset, in pages of
+   [1 lsl page_bits] offsets allocated on first use. *)
+let page_bits = 6
+let no_page : block array = [||]
 
 (* A segment stores a window of its bytes: [win] holds the bytes from
    [win_base], and every other byte of the segment reads as zero. A write
    outside the window grows it (see [grow]). A data segment's window starts
    as its section's stored prefix, the stack's as an empty window at its
-   top, and an executable segment stores all of its bytes. *)
+   top, and an executable segment stores all of its bytes, which its
+   blocks decode from. *)
 type segment = {
   seg_base : int;
   seg_size : int;
   seg_perm : Section.perm;
   mutable win_base : int;
   mutable win : Bytes.t;
-  seg_decode : (Insn.t * int) option array;
-      (** per-offset decode cache (code never changes during execution) *)
+  pages : block array array;  (** [no_page] until a block starts there *)
 }
 
 let seg_end s = s.seg_base + s.seg_size
@@ -105,7 +124,7 @@ let no_segment =
     seg_perm = Section.r_only;
     win_base = 0;
     win = Bytes.empty;
-    seg_decode = [||];
+    pages = [||];
   }
 
 let[@inline] in_window s addr n =
@@ -143,10 +162,15 @@ type t = {
   mutable tar : int;
   mutable cmp_delta : int;
   mutable pc_ : int;
+  has_lr : bool;  (** calls link through [lr_], not the stack *)
   mutable out_rev : int list;
   mutable steps : int;
-  mutable cycles : int;
+  mutable fetch_faults : int;  (** steps whose fetch faulted *)
+  mutable cycles : int;  (** all but the base cycles, charged by [run] *)
   buckets : int array;  (** per-cost-bucket cycle attribution *)
+  mutable line : int;  (** the icache line of the last fetch *)
+  line_bytes : int;  (** the icache's, or 64 without one *)
+  miss_cost : int;
   mutable trap_hits : int;
   mutable unwind_count : int;
   mutable ra_count : int;  (** RA-translation hook invocations *)
@@ -162,7 +186,7 @@ let crash vm msg =
   (match vm.state with `Running -> vm.state <- `Crashed msg | _ -> ());
   raise Vm_stop
 
-let charge vm bucket n =
+let[@inline] charge vm bucket n =
   vm.cycles <- vm.cycles + n;
   vm.buckets.(bucket) <- vm.buckets.(bucket) + n
 
@@ -190,7 +214,7 @@ let code_segment vm addr =
     vm.code_seg <- s;
     s
 
-let data_segment vm addr =
+let[@inline] data_segment vm addr =
   if contains vm.data_seg addr then vm.data_seg
   else
     let s = lookup vm.segments addr in
@@ -200,6 +224,12 @@ let data_segment vm addr =
 let sign_extend v bits =
   let shift = Sys.int_size - bits in
   (v lsl shift) asr shift
+
+let[@inline] width_bytes : Insn.width -> int = function
+  | W8 -> 1
+  | W16 -> 2
+  | W32 -> 4
+  | W64 -> 8
 
 let[@inline] load_word b off (w : Insn.width) =
   match w with
@@ -223,7 +253,7 @@ let load_straddling s addr n =
   if n = 8 then !v else sign_extend !v (8 * n)
 
 let read_mem vm addr (w : Insn.width) =
-  let n = Insn.width_bytes w in
+  let n = width_bytes w in
   let s = data_segment vm addr in
   if s == no_segment || addr + n > seg_end s then
     crash vm (Printf.sprintf "read from unmapped address 0x%x" addr)
@@ -231,7 +261,7 @@ let read_mem vm addr (w : Insn.width) =
   else load_straddling s addr n
 
 let write_mem vm addr (w : Insn.width) v =
-  let n = Insn.width_bytes w in
+  let n = width_bytes w in
   let s = data_segment vm addr in
   if s == no_segment || addr + n > seg_end s then
     crash vm (Printf.sprintf "write to unmapped address 0x%x" addr);
@@ -253,20 +283,6 @@ let write_mem_raw vm addr v =
     crash vm (Printf.sprintf "relocation outside any segment: 0x%x" addr);
   if not (in_window s addr 8) then grow s addr 8;
   Bytes.set_int64_le s.win (addr - s.win_base) (Int64.of_int v)
-
-let fetch vm addr =
-  let s = code_segment vm addr in
-  if s == no_segment then
-    crash vm (Printf.sprintf "execute unmapped address 0x%x" addr);
-  if not s.seg_perm.Section.execute then
-    crash vm (Printf.sprintf "execute non-executable address 0x%x" addr);
-  let off = addr - s.seg_base in
-  match s.seg_decode.(off) with
-  | Some cached -> cached
-  | None ->
-      let d = Encode.decode_bytes vm.bin.Binary.arch s.win ~pos:off in
-      s.seg_decode.(off) <- Some d;
-      d
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
@@ -368,14 +384,14 @@ let frames vm =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let operand_value vm (o : Insn.operand) =
+let[@inline] operand_value vm (o : Insn.operand) =
   match o with Reg r -> reg vm r | Imm n -> n
 
-let base_value vm = function
+let[@inline] base_value vm = function
   | Insn.BReg r -> reg vm r
   | Insn.BSp -> vm.sp_
 
-let cond_holds delta (c : Insn.cond) =
+let[@inline] cond_holds delta (c : Insn.cond) =
   match c with
   | Eq -> delta = 0
   | Ne -> delta <> 0
@@ -384,35 +400,17 @@ let cond_holds delta (c : Insn.cond) =
   | Gt -> delta > 0
   | Ge -> delta >= 0
 
-let has_lr vm = Arch.has_link_register vm.bin.Binary.arch
-
 let do_call vm ~retaddr ~target =
-  (if has_lr vm then vm.lr_ <- retaddr
+  (if vm.has_lr then vm.lr_ <- retaddr
    else (
      vm.sp_ <- vm.sp_ - 8;
      write_mem vm vm.sp_ W64 retaddr));
   vm.pc_ <- target
 
-let step vm =
-  if vm.steps >= vm.cfg.max_steps then crash vm "timeout: max steps exceeded";
-  vm.steps <- vm.steps + 1;
-  let pc0 = vm.pc_ in
-  (match vm.cfg.profile with
-  | Some tbl ->
-      let key = pc0 - load_base vm in
-      if Hashtbl.mem tbl key then
-        Hashtbl.replace tbl key (1 + Hashtbl.find tbl key)
-  | None -> ());
-  (match vm.icache with
-  | Some ic ->
-      if Icache.access ic pc0 then
-        charge vm b_icache
-          (match vm.cfg.icache with Some c -> c.Icache.miss_cost | None -> 0)
-  | None -> ());
-  let insn, len = fetch vm pc0 in
+(* Execute [insn], fetched at [pc0]; [next] is the address after it. The
+   caller counts the step and charges its fetch. *)
+let exec vm (insn : Insn.t) pc0 next =
   let c = vm.cfg.costs in
-  charge vm b_base c.base;
-  let next = pc0 + len in
   match insn with
   | Nop -> vm.pc_ <- next
   | Halt ->
@@ -508,7 +506,7 @@ let step vm =
       do_call vm ~retaddr:next ~target
   | Ret ->
       charge vm b_branch c.branch_taken;
-      if has_lr vm then vm.pc_ <- vm.lr_
+      if vm.has_lr then vm.pc_ <- vm.lr_
       else (
         let ra = read_mem vm vm.sp_ W64 in
         vm.sp_ <- vm.sp_ + 8;
@@ -550,9 +548,120 @@ let step vm =
       set_reg vm rd (reg vm rs + (n lsl 16));
       vm.pc_ <- next
 
+(* ------------------------------------------------------------------ *)
+(* Blocks                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The return address [call_function] plants. A block never runs past it,
+   so a nested call stops there exactly. *)
 let sentinel = 2
 
 let running vm = match vm.state with `Running -> true | `Halted | `Crashed _ -> false
+
+let profile_hit vm pc =
+  match vm.cfg.profile with
+  | Some tbl ->
+      let key = pc - load_base vm in
+      if Hashtbl.mem tbl key then
+        Hashtbl.replace tbl key (1 + Hashtbl.find tbl key)
+  | None -> ()
+
+(* The icache sees a fetch only when its line differs from the last
+   fetch's: the last fetch left its line cached, so that access hits. *)
+let fetch_line vm line pc =
+  if line <> vm.line then (
+    vm.line <- line;
+    match vm.icache with
+    | Some ic -> if Icache.access ic pc then charge vm b_icache vm.miss_cost
+    | None -> ())
+
+let timeout vm = crash vm "timeout: max steps exceeded"
+
+(* A fetch that faults is still a step: it counts and reaches the
+   profile and the icache, but pays no base cycle. *)
+let fetch_fault vm s pc =
+  if vm.steps >= vm.cfg.max_steps then timeout vm;
+  vm.steps <- vm.steps + 1;
+  vm.fetch_faults <- vm.fetch_faults + 1;
+  profile_hit vm pc;
+  fetch_line vm (pc / vm.line_bytes) pc;
+  crash vm
+    (if s == no_segment then Printf.sprintf "execute unmapped address 0x%x" pc
+     else Printf.sprintf "execute non-executable address 0x%x" pc)
+
+(* Decode the block at [pc] of executable segment [s]. The decoder is
+   total, so decoding past what runs is harmless. *)
+let decode_block vm s pc =
+  let arch = vm.bin.Binary.arch in
+  let rec go pc insns pcs =
+    let insn, len = Encode.decode_bytes arch s.win ~pos:(pc - s.win_base) in
+    let next = pc + len and insns = insn :: insns and pcs = pc :: pcs in
+    if
+      s.seg_perm.Section.write || Insn.is_terminator insn
+      || next >= seg_end s || next = sentinel
+    then (insns, pcs, next)
+    else go next insns pcs
+  in
+  let insns, pcs, stop = go pc [] [] in
+  let lb = load_base vm in
+  {
+    insns = Array.of_list (List.rev insns);
+    pcs = Array.of_list (List.rev (stop :: pcs));
+    lines = Array.of_list (List.rev_map (fun pc -> pc / vm.line_bytes) pcs);
+    profiled =
+      (match vm.cfg.profile with
+      | Some tbl -> List.exists (fun pc -> Hashtbl.mem tbl (pc - lb)) pcs
+      | None -> false);
+  }
+
+(* The block at [pc], decoded on its first fetch. Segment lookup and
+   the execute-permission check happen here, once per block. *)
+let block_at vm pc =
+  let s = code_segment vm pc in
+  if s == no_segment || not s.seg_perm.Section.execute then fetch_fault vm s pc;
+  let off = pc - s.seg_base in
+  let page =
+    let p = s.pages.(off lsr page_bits) in
+    if p != no_page then p
+    else
+      let p = Array.make (1 lsl page_bits) no_block in
+      s.pages.(off lsr page_bits) <- p;
+      p
+  in
+  let slot = off land ((1 lsl page_bits) - 1) in
+  let b = page.(slot) in
+  if b != no_block then b
+  else
+    let b = decode_block vm s pc in
+    page.(slot) <- b;
+    b
+
+(* Run block [b]. The step limit and the profile are checked once for
+   the block, unless it may reach the limit or holds a profiled address:
+   then every step checks them, so a timeout falls on the same step. *)
+let exec_block vm b =
+  let insns = b.insns and pcs = b.pcs and lines = b.lines in
+  let n = Array.length insns in
+  let careful = b.profiled || vm.steps > vm.cfg.max_steps - n in
+  for i = 0 to n - 1 do
+    let pc = pcs.(i) in
+    if careful then (
+      if vm.steps >= vm.cfg.max_steps then timeout vm;
+      profile_hit vm pc);
+    vm.steps <- vm.steps + 1;
+    let line = lines.(i) in
+    if line <> vm.line then fetch_line vm line pc;
+    exec vm insns.(i) pc pcs.(i + 1)
+  done
+
+(* The one run loop, for [run] and [call_function]: blocks until the
+   machine stops or, [nested], returns to [sentinel]. *)
+let exec_blocks vm ~nested =
+  try
+    while running vm && not (nested && vm.pc_ = sentinel) do
+      exec_block vm (block_at vm vm.pc_)
+    done
+  with Vm_stop -> ()
 
 let call_function vm ~addr ~args =
   if List.compare_lengths args Reg.arg_regs > 0 then
@@ -567,16 +676,12 @@ let call_function vm ~addr ~args =
     | _ -> ()
   in
   bind Reg.arg_regs args;
-  (if has_lr vm then vm.lr_ <- sentinel
+  (if vm.has_lr then vm.lr_ <- sentinel
    else (
      vm.sp_ <- vm.sp_ - 8;
      write_mem vm vm.sp_ W64 sentinel));
   vm.pc_ <- addr;
-  (try
-     while vm.pc_ <> sentinel && running vm do
-       step vm
-     done
-   with Vm_stop -> ());
+  exec_blocks vm ~nested:true;
   let result = reg vm Reg.r0 in
   Array.blit saved_regs 0 vm.regs 0 (Array.length saved_regs);
   let sp', lr', tar', cmp', pc' = saved in
@@ -596,8 +701,8 @@ let load ?(config : config option) ?(routines = []) (bin : Binary.t) =
   let cfg = match config with Some c -> c | None -> default_config () in
   let lb = if bin.Binary.pie then cfg.load_base else 0 in
   (* A data segment's window is a copy of its section's stored prefix; an
-     executable one stores the whole segment, as its decode cache is
-     O(size) anyway. *)
+     executable one stores the whole segment, so a block decodes from one
+     buffer. *)
   let seg_of_section (s : Section.t) =
     let size = Section.size s and exec = s.Section.perm.Section.execute in
     let stored = Bytes.length s.Section.data in
@@ -609,7 +714,8 @@ let load ?(config : config option) ?(routines = []) (bin : Binary.t) =
       seg_perm = s.Section.perm;
       win_base = s.Section.vaddr + lb;
       win;
-      seg_decode = (if exec then Array.make size None else [||]);
+      pages =
+        (if exec then Array.make ((size lsr page_bits) + 1) no_page else [||]);
     }
   in
   let stack_top = cfg.stack_base + cfg.stack_size in
@@ -620,7 +726,7 @@ let load ?(config : config option) ?(routines = []) (bin : Binary.t) =
       seg_perm = Section.r_w;
       win_base = stack_top;
       win = Bytes.empty;
-      seg_decode = [||];
+      pages = [||];
     }
   in
   let segments =
@@ -646,10 +752,16 @@ let load ?(config : config option) ?(routines = []) (bin : Binary.t) =
       tar = 0;
       cmp_delta = 0;
       pc_ = bin.Binary.entry + lb;
+      has_lr = Arch.has_link_register bin.Binary.arch;
       out_rev = [];
       steps = 0;
+      fetch_faults = 0;
       cycles = 0;
       buckets = Array.make (Array.length bucket_names) 0;
+      line = -1;
+      line_bytes =
+        (match cfg.icache with Some c -> c.Icache.line_bytes | None -> 64);
+      miss_cost = (match cfg.icache with Some c -> c.Icache.miss_cost | None -> 0);
       trap_hits = 0;
       unwind_count = 0;
       ra_count = 0;
@@ -659,15 +771,18 @@ let load ?(config : config option) ?(routines = []) (bin : Binary.t) =
       routine_names;
     }
   in
-  (* Apply run-time relocations (the loader's job under PIE). *)
-  if bin.Binary.pie then
-    List.iter
-      (fun (r : Icfg_obj.Reloc.t) ->
-        match r.kind with
-        | Icfg_obj.Reloc.R_relative ->
-            write_mem_raw vm (r.offset + lb) (r.addend + lb)
-        | Icfg_obj.Reloc.R_link _ -> ())
-      bin.Binary.relocs;
+  (* Apply run-time relocations (the loader's job under PIE). One outside
+     every segment leaves the machine crashed before its first step. *)
+  (if bin.Binary.pie then
+     try
+       List.iter
+         (fun (r : Icfg_obj.Reloc.t) ->
+           match r.kind with
+           | Icfg_obj.Reloc.R_relative ->
+               write_mem_raw vm (r.offset + lb) (r.addend + lb)
+           | Icfg_obj.Reloc.R_link _ -> ())
+         bin.Binary.relocs
+     with Vm_stop -> ());
   (* The ppc64le loader materializes the TOC base in r2. *)
   if bin.Binary.arch = Arch.Ppc64le then
     set_reg vm Reg.toc (bin.Binary.toc_base + lb);
@@ -675,11 +790,9 @@ let load ?(config : config option) ?(routines = []) (bin : Binary.t) =
 
 let run ?config ?routines bin =
   let vm = load ?config ?routines bin in
-  (try
-     while running vm do
-       step vm
-     done
-   with Vm_stop -> ());
+  exec_blocks vm ~nested:false;
+  (* Every step but a faulting fetch paid the base cost. *)
+  charge vm b_base (vm.cfg.costs.base * (vm.steps - vm.fetch_faults));
   {
     outcome =
       (match vm.state with
@@ -690,8 +803,7 @@ let run ?config ?routines bin =
     steps = vm.steps;
     cycles = vm.cycles;
     icache_misses = (match vm.icache with Some ic -> Icache.misses ic | None -> 0);
-    icache_accesses =
-      (match vm.icache with Some ic -> Icache.accesses ic | None -> 0);
+    icache_accesses = (match vm.icache with Some _ -> vm.steps | None -> 0);
     trap_hits = vm.trap_hits;
     unwind_steps = vm.unwind_count;
     ra_translations = vm.ra_count;

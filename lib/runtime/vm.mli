@@ -1,12 +1,15 @@
 (** The execution substrate: a byte-accurate interpreter for binaries.
 
-    The VM decodes the actual section bytes at each step (so trampolines,
-    overwritten code, and illegal filler behave exactly as written), charges
-    a configurable cycle cost per instruction, models an instruction cache,
-    delivers trap signals to the runtime-library trap map at a high cost, and
-    implements DWARF-style stack unwinding over the binary's original
-    [.eh_frame] with an optional return-address translation hook — the
-    runtime-library mechanisms of sections 3 and 6 of the paper. *)
+    The VM decodes the actual section bytes (so trampolines, overwritten
+    code, and illegal filler behave exactly as written) one basic block at
+    a time, on the block's first fetch in a run; in a writable code
+    section a block is one instruction, so a store into code is seen
+    before that code's first fetch. It charges a configurable cycle cost
+    per instruction, models an instruction cache, delivers trap signals to
+    the runtime-library trap map at a high cost, and implements DWARF-style
+    stack unwinding over the binary's original [.eh_frame] with an optional
+    return-address translation hook — the runtime-library mechanisms of
+    sections 3 and 6 of the paper. *)
 
 type cost_model = {
   base : int;  (** cycles per instruction *)
@@ -66,7 +69,8 @@ type result = {
   steps : int;
   cycles : int;
   icache_misses : int;
-  icache_accesses : int;  (** total icache line touches (0 with no icache) *)
+  icache_accesses : int;
+      (** one per step with an icache (so [steps]), 0 without one *)
   trap_hits : int;
   unwind_steps : int;
   ra_translations : int;

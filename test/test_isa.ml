@@ -213,18 +213,32 @@ let test_boundary_immediates () =
   | exception Encode.Not_encodable _ -> ()
   | _ -> Alcotest.fail "unaligned adrp must be rejected"
 
-let test_decode_total () =
-  (* Any byte soup decodes without raising; illegal opcodes map to Illegal. *)
-  List.iter
-    (fun arch ->
-      let s = String.init 64 (fun i -> Char.chr (i * 67 mod 256)) in
-      let pos = ref 0 in
-      while !pos < String.length s do
-        let _, n = Encode.decode arch s ~pos:!pos in
-        Alcotest.(check bool) "progress" true (n > 0);
-        pos := !pos + n
-      done)
-    Arch.all
+(* Any bytes decode without raising, to an instruction of 1 to
+   [max_insn_len] bytes: random 4-byte words, which reach every RISC
+   opcode with every field value, and random byte strings decoded from
+   start to end. *)
+let decode_total =
+  QCheck2.Test.make ~count:5000 ~name:"decode is total"
+    QCheck2.Gen.(
+      pair (oneofl Arch.all)
+        (oneof
+           [
+             map
+               (fun w ->
+                 let b = Bytes.create 4 in
+                 Bytes.set_int32_le b 0 w;
+                 Bytes.to_string b)
+               int32;
+             string_size (int_range 1 32);
+           ]))
+    (fun (arch, s) ->
+      let rec from pos =
+        pos >= String.length s
+        ||
+        let _, n = Encode.decode arch s ~pos in
+        n > 0 && n <= Encode.max_insn_len arch && from (pos + n)
+      in
+      from 0)
 
 let test_zero_bytes_are_illegal () =
   List.iter
@@ -517,7 +531,7 @@ let suite =
             test_branch_roundtrip_far;
           Alcotest.test_case "boundary immediates" `Quick
             test_boundary_immediates;
-          Alcotest.test_case "decode is total" `Quick test_decode_total;
+          qt decode_total;
           Alcotest.test_case "zero bytes illegal" `Quick
             test_zero_bytes_are_illegal;
           Alcotest.test_case "not encodable" `Quick test_not_encodable;

@@ -17,14 +17,15 @@ module Ra_map = Icfg_runtime.Runtime_lib.Ra_map
 
 let text_base = 0x400000
 
-let make_binary ?(arch = Arch.X86_64) ?(extra_sections = []) ?eh_frame insns =
+let make_binary ?(arch = Arch.X86_64) ?(text_perm = Section.r_x)
+    ?(extra_sections = []) ?eh_frame insns =
   let buf = Bytes.make 4096 '\000' in
   let pos = ref 0 in
   List.iter
     (fun i -> pos := !pos + Encode.encode_into arch buf ~pos:!pos i)
     insns;
   let text =
-    Section.make ~name:".text" ~vaddr:text_base ~perm:Section.r_x
+    Section.make ~name:".text" ~vaddr:text_base ~perm:text_perm
       (Bytes.sub buf 0 (max 16 !pos))
   in
   let data =
@@ -81,6 +82,25 @@ let halted name (r : Vm.result) =
 let expect_output ?(arch = Arch.X86_64) name insns expected =
   Alcotest.(check (list int)) name expected
     (halted name (Vm.run (make_binary ~arch insns)))
+
+(* Everything a run counts, on one line: outcome, output, steps, cycles,
+   icache misses and the non-zero cycle buckets. *)
+let counts (r : Vm.result) =
+  Printf.sprintf "%s; out [%s]; %d steps; %d cycles; %d misses; %s"
+    (match r.Vm.outcome with Vm.Halted -> "halted" | Vm.Crashed m -> m)
+    (String.concat "; " (List.map string_of_int r.Vm.output))
+    r.Vm.steps r.Vm.cycles r.Vm.icache_misses
+    (String.concat " "
+       (List.filter_map
+          (fun (b, n) -> if n = 0 then None else Some (Printf.sprintf "%s=%d" b n))
+          r.Vm.cycle_buckets))
+
+(* A 4-line, 256-byte icache: lines 256 bytes apart conflict. *)
+let icache_config () =
+  {
+    (Vm.default_config ()) with
+    Vm.icache = Some { Icache.line_bytes = 64; lines = 4; miss_cost = 10 };
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Instruction semantics                                               *)
@@ -186,17 +206,60 @@ let test_control_flow () =
       Out r0;
       Halt;
     ]
-    [ 5; 5 ]
+    [ 5; 5 ];
+  (* The entry block runs through the jcc, which jumps back into its
+     middle, to the third instruction, twice. *)
+  Alcotest.(check string) "jcc into a block that has run"
+    "halted; out [1; 2; 3]; 15 steps; 17 cycles; 0 misses; base=15 branch=2"
+    (counts
+       (Vm.run
+          (make_binary
+             (assemble
+                [
+                  i (Mov (r0, Imm 0));
+                  i (Mov (r1, Imm 5));
+                  L "mid";
+                  i (Add (r0, Imm 1));
+                  i (Out r0);
+                  i (Cmp (r0, Imm 3));
+                  I (fun l -> Jcc (Lt, l "mid"));
+                  i Halt;
+                ]))))
 
 let test_write_protection () =
   let r =
     run [ Mov (r1, Imm 0x501000); Mov (r0, Imm 1); Store (W64, BReg r1, 0, r0); Halt ]
   in
-  match r.Vm.outcome with
+  (match r.Vm.outcome with
   | Vm.Crashed m ->
       Alcotest.(check bool) "mentions read-only" true
         (String.length m > 0)
-  | Vm.Halted -> Alcotest.fail "expected write-protection crash"
+  | Vm.Halted -> Alcotest.fail "expected write-protection crash");
+  (* In a writable code section, a store over the next, not yet executed
+     instruction replaces it: [out r0; halt] runs instead of [halt]. *)
+  let arch = Arch.X86_64 in
+  let patch = Bytes.make 8 '\000' in
+  Bytes.blit_string
+    (Encode.encode arch (Out r0) ^ Encode.encode arch Halt)
+    0 patch 0 3;
+  let mov = Insn.Mov (r0, Imm 42)
+  and movabs = Insn.Movabs (r3, Int64.to_int (Bytes.get_int64_le patch 0))
+  and store = Insn.Store (W64, BReg r1, 0, r3) in
+  (* A mov's length does not depend on its immediate. *)
+  let slot =
+    List.fold_left
+      (fun a i -> a + Encode.length arch i)
+      text_base
+      [ mov; Mov (r1, Imm 0); movabs; store ]
+  in
+  let code =
+    [ mov; Mov (r1, Imm slot); movabs; store; Halt ]
+    @ List.init 8 (fun _ -> Insn.Nop)
+  in
+  let rwx = { Section.read = true; write = true; execute = true } in
+  Alcotest.(check string) "a store over the next instruction runs it"
+    "halted; out [42]; 6 steps; 7 cycles; 0 misses; base=6 mem=1"
+    (counts (Vm.run (make_binary ~text_perm:rwx code)))
 
 (* Sections with zero tails: reads past the stored prefix return 0, a
    word may straddle the prefix and the tail, a write into the tail grows
@@ -494,9 +557,42 @@ let test_illegal_and_unmapped () =
   (match (run [ Mov (r0, Imm 0x10); IndJmp r0 ]).Vm.outcome with
   | Vm.Crashed _ -> ()
   | Vm.Halted -> Alcotest.fail "unmapped jump must crash");
-  match (run [ Mov (r1, Imm 0x900000); Load (W64, r0, BReg r1, 0); Halt ]).Vm.outcome with
+  (match (run [ Mov (r1, Imm 0x900000); Load (W64, r0, BReg r1, 0); Halt ]).Vm.outcome with
   | Vm.Crashed _ -> ()
-  | Vm.Halted -> Alcotest.fail "unmapped read must crash"
+  | Vm.Halted -> Alcotest.fail "unmapped read must crash");
+  (* A fetch fault after a taken branch: the faulting step counts and
+     pays its icache probe, but no base cycle. *)
+  let config = icache_config () in
+  let r = Vm.run ~config (make_binary [ Mov (r1, Imm 0x500000); IndJmp r1 ]) in
+  Alcotest.(check string) "execute data"
+    "execute non-executable address 0x500000; out []; 3 steps; 24 cycles; 2 misses; base=2 indirect=2 icache=20"
+    (counts r);
+  let jcc = text_base + Encode.length Arch.X86_64 (Insn.Cmp (r0, Imm 0)) in
+  let r =
+    Vm.run ~config:(icache_config ())
+      (make_binary [ Cmp (r0, Imm 0); Jcc (Eq, 0x80000) ])
+  in
+  Alcotest.(check string) "execute unmapped"
+    (Printf.sprintf
+       "execute unmapped address 0x%x; out []; 3 steps; 23 cycles; 2 misses; base=2 branch=1 icache=20"
+       (jcc + 0x80000))
+    (counts r)
+
+(* A PIE relocation that lands in no segment ends the run as a crash,
+   before the first step. *)
+let test_relocation_outside () =
+  let bin =
+    Binary.make ~pie:true
+      ~relocs:[ Icfg_obj.Reloc.relative ~offset:0x900000 ~addend:0 ]
+      ~name:"reloc" ~arch:Arch.X86_64 ~entry:text_base ~symbols:[]
+      [
+        Section.make ~name:".text" ~vaddr:text_base ~perm:Section.r_x
+          (Bytes.of_string (Encode.encode Arch.X86_64 Halt));
+      ]
+  in
+  Alcotest.(check string) "crashed"
+    "relocation outside any segment: 0x900000; out []; 0 steps; 0 cycles; 0 misses; "
+    (counts (Vm.run bin))
 
 let test_trap_dispatch () =
   (* A trap with a mapping continues at the target; without one it crashes. *)
@@ -540,9 +636,30 @@ let test_callrt_routine () =
 let test_timeout () =
   let config = { (Vm.default_config ()) with Vm.max_steps = 1000 } in
   let r = run ~config [ Jmp 0 ] in
-  match r.Vm.outcome with
-  | Vm.Crashed m -> Alcotest.(check bool) "timeout" true (String.length m > 0)
-  | Vm.Halted -> Alcotest.fail "expected timeout"
+  Alcotest.(check string) "timeout"
+    "timeout: max steps exceeded; out []; 1000 steps; 2000 cycles; 0 misses; base=1000 branch=1000"
+    (counts r);
+  (* A limit inside a straight-line block falls on the same step: the
+     entry block runs 6 steps, the loop's block 5, and the limit of 14
+     stops the second pass through the loop after its third step. *)
+  let config = { (Vm.default_config ()) with Vm.max_steps = 14 } in
+  let r =
+    Vm.run ~config
+      (make_binary
+         (assemble
+            [
+              i (Mov (r0, Imm 0));
+              L "top";
+              i (Add (r0, Imm 1));
+              i (Out r0);
+              i (Add (r0, Imm 1));
+              i (Out r0);
+              I (fun l -> Jmp (l "top"));
+            ]))
+  in
+  Alcotest.(check string) "limit inside a block"
+    "timeout: max steps exceeded; out [1; 2; 3; 4; 5]; 14 steps; 16 cycles; 0 misses; base=14 branch=2"
+    (counts r)
 
 let test_call_semantics_per_arch () =
   (* On x86-64 the return address goes through the stack; on the RISC
@@ -599,7 +716,32 @@ let test_profile_counts () =
   let r = run ~config [ Mov (r0, Imm 1); Out r0; Halt ] in
   Alcotest.(check bool) "ran" true (r.Vm.outcome = Vm.Halted);
   Alcotest.(check int) "entry fetched once" 1 (Hashtbl.find tbl text_base);
-  ignore arch
+  (* A key in the middle of a loop's block counts every pass, and an
+     unprofiled address stays absent. *)
+  let mov = Insn.Mov (Reg.r3, Imm 0) and add = Insn.Add (Reg.r3, Imm 1) in
+  let cmp = text_base + Encode.length arch mov + Encode.length arch add in
+  let tbl = Hashtbl.create 4 in
+  Hashtbl.replace tbl cmp 0;
+  let config = { (Vm.default_config ()) with Vm.profile = Some tbl } in
+  let r =
+    Vm.run ~config
+      (make_binary
+         (assemble
+            [
+              i mov;
+              L "loop";
+              i add;
+              i (Cmp (Reg.r3, Imm 5));
+              I (fun l -> Jcc (Lt, l "loop"));
+              i (Out Reg.r3);
+              i Halt;
+            ]))
+  in
+  Alcotest.(check string) "ran the loop"
+    "halted; out [5]; 18 steps; 22 cycles; 0 misses; base=18 branch=4"
+    (counts r);
+  Alcotest.(check (list (pair int int))) "mid-block key" [ (cmp, 5) ]
+    (List.of_seq (Hashtbl.to_seq tbl))
 
 (* ------------------------------------------------------------------ *)
 (* Icache                                                              *)
@@ -616,6 +758,58 @@ let test_icache_basic () =
   Alcotest.(check int) "misses counted" 4 (Icache.misses c);
   Icache.reset c;
   Alcotest.(check int) "reset" 0 (Icache.misses c)
+
+(* Every step accesses the icache at its own address: an instruction
+   straddling two lines touches only the first. *)
+let test_icache_vm_lines () =
+  let check name expected items =
+    let r = Vm.run ~config:(icache_config ()) (make_binary (assemble items)) in
+    Alcotest.(check string) name expected (counts r);
+    Alcotest.(check int) (name ^ ": one access per step") r.Vm.steps
+      r.Vm.icache_accesses
+  in
+  (* Ten 10-byte movabs per pass, five passes: several straddle a line. *)
+  check "straddling lines"
+    "halted; out [5]; 68 steps; 92 cycles; 2 misses; base=68 branch=4 icache=20"
+    ([ i (Mov (r3, Imm 0)); L "loop" ]
+    @ List.init 10 (fun k -> i (Movabs (r0, k)))
+    @ [
+        i (Add (r3, Imm 1));
+        i (Cmp (r3, Imm 5));
+        I (fun l -> Jcc (Lt, l "loop"));
+        i (Out r3);
+        i Halt;
+      ]);
+  (* A loop calling a function 256 bytes after it: both lines share one
+     set, so every call and every return misses. *)
+  let main =
+    [
+      Insn.Mov (r3, Imm 0);
+      Call 0;
+      Add (r3, Imm 1);
+      Cmp (r3, Imm 4);
+      Jcc (Lt, 0);
+      Out r3;
+      Halt;
+    ]
+  in
+  let pad =
+    256 - List.fold_left (fun n x -> n + Encode.length Arch.X86_64 x) 0 main
+  in
+  check "conflicting lines"
+    "halted; out [4]; 23 steps; 124 cycles; 9 misses; base=23 branch=11 icache=90"
+    ([
+       i (Mov (r3, Imm 0));
+       L "loop";
+       I (fun l -> Call (l "f"));
+       i (Add (r3, Imm 1));
+       i (Cmp (r3, Imm 4));
+       I (fun l -> Jcc (Lt, l "loop"));
+       i (Out r3);
+       i Halt;
+     ]
+    @ List.init pad (fun _ -> i Nop)
+    @ [ L "f"; i Ret ])
 
 let test_icache_pow2 () =
   match Icache.create { Icache.line_bytes = 48; lines = 4; miss_cost = 1 } with
@@ -799,6 +993,8 @@ let suite =
           test_steps_allocate_nothing;
         qt window_prop;
         Alcotest.test_case "illegal/unmapped" `Quick test_illegal_and_unmapped;
+        Alcotest.test_case "relocation outside any segment" `Quick
+          test_relocation_outside;
         Alcotest.test_case "trap dispatch" `Quick test_trap_dispatch;
         Alcotest.test_case "callrt unbound" `Quick test_callrt_unbound;
         Alcotest.test_case "callrt routine" `Quick test_callrt_routine;
@@ -810,6 +1006,7 @@ let suite =
     ( "runtime:icache",
       [
         Alcotest.test_case "basic" `Quick test_icache_basic;
+        Alcotest.test_case "vm lines" `Quick test_icache_vm_lines;
         Alcotest.test_case "power of two" `Quick test_icache_pow2;
       ] );
     ( "runtime:ra-map",
