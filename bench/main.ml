@@ -570,17 +570,21 @@ let run_serve_micro () =
       let snap = r.Sweep.sw_metrics in
       (* Scalar allowlist counters are emitted even when the daemon never
          touched them (absence == 0), so every gated counter is present.
-         [sched.jobs] and the response-memo counters are only emitted at
-         c1: under concurrent clients two identical requests can race
-         past the memo and both schedule, so those counts are schedule-
-         dependent there (benign — both runs produce identical bytes). *)
+         [sched.jobs] and the memo counters are only emitted at c1: under
+         concurrent clients two identical requests can race past a memo
+         and both run, so those counts are schedule-dependent there
+         (benign — both runs produce identical bytes). At c1 the run-memo
+         counts pin that each input's original runs once. *)
       let scalar_allowlist =
         [
           "serve.requests"; "serve.overloaded"; "serve.errors";
           "serve.needfull"; "serve.rejected";
         ]
         @ (if clients = 1 then
-             [ "sched.jobs"; "response_cache.hit"; "response_cache.miss" ]
+             [
+               "sched.jobs"; "response_cache.hit"; "response_cache.miss";
+               "run_memo.hit"; "run_memo.miss";
+             ]
            else [])
       in
       let det_counters =

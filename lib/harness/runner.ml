@@ -218,14 +218,16 @@ let of_result (r : Vm.result) =
     r_steps = r.Vm.steps;
   }
 
-let run_original (bin : Binary.t) =
+let original_vm (bin : Binary.t) =
   let config = measure_config ~pie:bin.Binary.pie in
-  let r =
-    Icfg_core.Trace.span "run:original" @@ fun () ->
-    Vm.run ~config ~routines:(Runtime_lib.standard ()) bin
-  in
+  Icfg_core.Trace.span "run:original" @@ fun () ->
+  Vm.run ~config ~routines:(Runtime_lib.standard ()) bin
+
+let book_original r =
   Icfg_core.Trace.add_vm ~prefix:"vm/original" r;
   of_result r
+
+let run_original bin = book_original (original_vm bin)
 
 let run_rewritten (rw : Rewriter.t) =
   let bin = rw.Rewriter.rw_binary in

@@ -83,6 +83,19 @@ val measure_config : pie:bool -> Icfg_runtime.Vm.config
 (** Icache enabled; PIE binaries load at a fixed non-zero base. *)
 
 val run_original : Icfg_obj.Binary.t -> run
+(** The original binary's measured run, booked into the ambient trace:
+    [book_original (original_vm bin)]. *)
+
+val original_vm : Icfg_obj.Binary.t -> Icfg_runtime.Vm.result
+(** The original binary's run, timed as the ambient trace's
+    [run:original] span. It depends only on the binary: the
+    configuration follows its PIE bit, and the runtime library is the
+    fixed standard one. *)
+
+val book_original : Icfg_runtime.Vm.result -> run
+(** Add a finished original run's [vm/original/*] counters to the
+    ambient trace. Booking a stored result adds the same counters as the
+    run that produced it. *)
 
 val run_rewritten : Icfg_core.Rewriter.t -> run
 (** Runs with the rewriter's trap map and translation hooks installed. *)

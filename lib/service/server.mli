@@ -1,8 +1,10 @@
 (** The [icfg serve] daemon: a Unix-socket server speaking {!Protocol},
-    scheduling request bodies on {!Scheduler} executor domains. No
-    pipeline state outlives a request, so an answer depends only on the
-    request's kind, approach and input bytes: the whole-response memo's
-    key is everything an answer depends on.
+    scheduling request bodies on {!Scheduler} executor domains. The only
+    pipeline result that outlives a request is an input's original [Vm]
+    run, kept in the run memo by input digest, and it depends on the
+    input bytes alone. So an answer depends only on the request's kind,
+    approach and input bytes: the whole-response memo's key is
+    everything an answer depends on.
 
     Isolation contract: each request body runs under a fresh per-domain
     ambient trace ({!Icfg_core.Trace.with_current}), so two concurrent
@@ -27,7 +29,10 @@
     memory use does not grow with requests served. A replay answered
     from the whole-response memo (keyed on kind, approach and input
     digest) is booked the same way, but folds no trace: there was no
-    pipeline run to observe. Telemetry is observation-only: serving
+    pipeline run to observe. A [Classify] whose input the run memo holds
+    books the stored original run's [vm/original/*] counters, so its
+    answer equals a fresh daemon's, but observes no [stage.run:original]:
+    nothing ran. Telemetry is observation-only: serving
     with and without a scraper attached produces byte-identical
     responses (pinned by the serve test battery), and a [Stats] request
     is answered inline on its connection thread, never scheduled, so a
@@ -57,10 +62,14 @@ val start :
     Incremental-protocol knobs: [max_frame] (default
     {!Protocol.max_frame}, clamped to it) bounds accepted request
     frames — an over-limit frame is drained and answered with a typed
-    [Rejected], not a dropped connection. [store_bytes] / [memo_bytes]
-    (default 1 GiB each) bound the content-addressed binary store and
-    the whole-response memo; both evict LRU, and an evicted base turns
-    later [Ref]/[Patch] requests into typed [NeedFull] responses. *)
+    [Rejected], not a dropped connection. [store_bytes] (default 1 GiB)
+    bounds the content-addressed binary store. [memo_bytes] (default
+    1 GiB) bounds each of the two memos: the whole-response memo and the
+    run memo, which keeps each input's original [Vm] run for the
+    [Classify] requests that judge a rewrite of it. All three evict LRU.
+    An evicted base turns later [Ref]/[Patch] requests into typed
+    [NeedFull] responses; an evicted run is run again. A [memo_bytes] of
+    1 stores nothing, so every request runs the whole pipeline. *)
 
 val stop : t -> unit
 (** Graceful shutdown, idempotent: stop accepting, drain queued requests
@@ -84,4 +93,5 @@ val snapshot : t -> Icfg_core.Metrics.snapshot
     response memo's, mirrored as [response_cache.hit],
     [response_cache.miss], [response_cache.stores],
     [response_cache.evict_lru] + [response_cache.bytes] /
-    [response_cache.entries] gauges. *)
+    [response_cache.entries] gauges, and the run memo's, as the same six
+    names under [run_memo.*]. *)
