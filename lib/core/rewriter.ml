@@ -188,11 +188,11 @@ let cfl_causes opts (p : Parse.t) (fa : Parse.func_analysis) =
           cfg.Cfg.blocks
     in
     let tbl = Hashtbl.create 16 in
+    (* [succs] has one key per block start, so each candidate costs
+       O(1); [Cfg.block_at] would scan the blocks. *)
     let add cause a =
-      match Cfg.block_at cfg a with
-      | Some b -> if not (Hashtbl.mem tbl b.Cfg.b_start) then
-          Hashtbl.add tbl b.Cfg.b_start cause
-      | None -> ()
+      if Hashtbl.mem cfg.Cfg.succs a && not (Hashtbl.mem tbl a) then
+        Hashtbl.add tbl a cause
     in
     add Attribution.Cfl_entry entry;
     List.iter (add Attribution.Cfl_landing_pad) pads;
