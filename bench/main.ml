@@ -216,12 +216,29 @@ let largest_spec_binary arch =
     (Icfg_workloads.Spec_suite.benchmarks arch)
   |> Option.get
 
+(* The words the running domain allocates in [f ()], counted from a full
+   major collection: [minor_words], and [major_words] allocated directly
+   in the major heap (major words less those promoted from the minor
+   heap). Unlike a time, both repeat exactly from process to process. *)
+let words f =
+  Gc.full_major ();
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  ( r,
+    [
+      ("minor_words", minor1 -. minor0);
+      ("major_words", major1 -. major0 -. (promoted1 -. promoted0));
+    ] )
+
 (* Per-stage wall-time rows sourced from Trace: one traced parse+rewrite,
    flattened into slash-joined span paths, plus one "counters" row
    carrying the run's counter totals. An untraced rewrite and a full
    major collection come first, so the spans time a warm pipeline on a
    settled heap rather than whatever collection work the preceding rows
-   left behind. *)
+   left behind. The [parse] and [rewrite] rows also carry the {!words} of
+   an untraced [Parse.parse] and [Rewriter.rewrite] of the same binary,
+   gated [worse_higher]: work that a slower host does not move. *)
 let run_trace_stages () =
   print_endline "== Per-stage pipeline trace (largest spec binary) ==";
   let bin = largest_spec_binary Arch.X86_64 in
@@ -230,12 +247,25 @@ let run_trace_stages () =
   let t = Icfg_core.Trace.create () in
   Icfg_core.Trace.with_current t (fun () ->
       ignore (Sys.opaque_identity (Icfg_harness.Runner.rewrite bin)));
+  let parse, parse_words = words (fun () -> Icfg_analysis.Parse.parse bin) in
+  let _, rewrite_words =
+    words (fun () -> Sys.opaque_identity (Icfg_core.Rewriter.rewrite parse))
+  in
   List.iter
     (fun (r : Icfg_core.Trace.row) ->
+      let work =
+        match r.r_path with
+        | "parse" -> parse_words
+        | "rewrite" -> rewrite_words
+        | _ -> []
+      in
       add_row "stages" r.r_path
         ~times:[ ("ns", float_of_int r.r_ns) ]
-        ~counters:[ ("spans", float_of_int r.r_count) ];
-      Printf.printf "  %-28s %12d ns\n%!" r.r_path r.r_ns)
+        ~counters:(("spans", float_of_int r.r_count) :: work)
+        ~gates:(List.map (fun (k, _) -> (k, worse_higher)) work);
+      Printf.printf "  %-28s %12d ns%s\n%!" r.r_path r.r_ns
+        (String.concat ""
+           (List.map (fun (k, v) -> Printf.sprintf "  %.0f %s" v k) work)))
     (Icfg_core.Trace.rows t);
   add_row "stages" "counters"
     ~counters:(ints (Icfg_core.Trace.counters t))

@@ -63,12 +63,13 @@ let build ?(extra_targets = []) ?(jump_table_edges = []) bin (fsym : Symbol.t) =
         Edge_set.add seen key ();
         edges_at.(src - lo) <- (dst, kind) :: edges_at.(src - lo)))
   in
+  let decode = Binary.decoder bin lo in
   let calls = ref [] in
   let ind_jumps = ref [] in
   let tail_targets = ref [] in
   let rec traverse addr =
     if in_range addr && not (decoded addr) then (
-      let insn, len = Binary.decode_at bin addr in
+      let insn, len = decode addr in
       insn_at.(addr - lo) <- insn;
       Bytes.set_uint8 len_at (addr - lo) len;
       let next = addr + len in

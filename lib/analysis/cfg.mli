@@ -38,7 +38,15 @@ val build :
   t
 (** Build the CFG of one function. [extra_targets] adds block leaders (e.g.
     pointer-derived targets); [jump_table_edges] maps an indirect-jump
-    address to its resolved targets, adding [E_jump_table] edges. *)
+    address to its resolved targets, adding [E_jump_table] edges.
+
+    [build] is pure: its result depends only on the binary, the symbol and
+    the two lists, so equal arguments give equal CFGs. Nothing writes a
+    [t] after it is built; [succs] and [preds] are tables only for
+    lookup. {!Parse} relies on both to keep pass 1's CFG of a function
+    that gains no leader and no edge instead of building it again. All of
+    a build's decoding goes through one {!Icfg_obj.Binary.decoder} for
+    the function's entry. *)
 
 val block_at : t -> int -> block option
 (** The block starting exactly at the address. *)

@@ -192,9 +192,18 @@ let dedup sites =
         true))
     sites
 
-(* Data-resident slots, which double as the slot-target map the forward
-   slicer consults. *)
-let data_slot_pass bin (fm : Failure_model.t) entries =
+(* The data-slot pass: the entry set, and the data-resident slots, which
+   double as the slot-target map the forward slicer consults. *)
+type data_pass = {
+  bin : Binary.t;
+  fm : Failure_model.t;
+  entries : (int, unit) Hashtbl.t;
+  data_sites : site list;
+  slot_targets : (int, int) Hashtbl.t;
+}
+
+let data_pass bin (fm : Failure_model.t) =
+  let entries = entry_set bin in
   let data_sites =
     (if fm.reloc_fptrs then reloc_slots bin entries else [])
     @ (if fm.value_match_fptrs && not bin.Binary.pie then
@@ -207,17 +216,16 @@ let data_slot_pass bin (fm : Failure_model.t) entries =
       | Fp_slot { slot; target; _ } -> Hashtbl.replace slot_targets slot target
       | Fp_mater _ | Fp_adjusted _ -> ())
     data_sites;
-  (data_sites, slot_targets)
+  { bin; fm; entries; data_sites; slot_targets }
 
-let analyze bin (fm : Failure_model.t) (cfgs : Cfg.t list) =
-  let entries = entry_set bin in
-  let data_sites, slot_targets = data_slot_pass bin fm entries in
-  let scan cfg =
-    List.concat_map
-      (fun b -> fp_scan_block bin fm entries slot_targets b)
-      cfg.Cfg.blocks
-  in
-  dedup (data_sites @ List.concat_map scan cfgs)
+let scan p (cfg : Cfg.t) =
+  List.concat_map (fp_scan_block p.bin p.fm p.entries p.slot_targets) cfg.blocks
+
+let sites p scans = dedup (p.data_sites @ List.concat scans)
+
+let analyze bin fm cfgs =
+  let p = data_pass bin fm in
+  sites p (List.map (scan p) cfgs)
 
 let derived_block_targets sites =
   List.filter_map

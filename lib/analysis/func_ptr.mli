@@ -31,7 +31,30 @@ val analyze :
   Icfg_obj.Binary.t -> Failure_model.t -> Cfg.t list -> site list
 (** Two-phase analysis: a data-slot pass (relocation- and value-match
     slots, which also builds the slot-target map the forward slicer
-    reads) followed by a code scan of each CFG, in CFG order. *)
+    reads) followed by a code scan of each CFG, in CFG order. It is
+    [sites p (List.map (scan p) cfgs)] with [p = data_pass bin fm]. *)
+
+(** {1 The analysis in steps}
+
+    A caller that scans the same CFG twice, as {!Parse} does across its
+    two passes, keeps the data-slot pass and each CFG's scan instead of
+    redoing them. Both are pure: the pass depends only on the binary and
+    the failure model, and a scan only on the pass and the CFG's blocks.
+    So [sites] over kept scans, in CFG order, equals {!analyze} over the
+    same CFGs, site for site and in the same order. *)
+
+type data_pass
+(** The function-entry set, the relocation and value-match slots and the
+    slot-target map of one binary. *)
+
+val data_pass : Icfg_obj.Binary.t -> Failure_model.t -> data_pass
+
+val scan : data_pass -> Cfg.t -> site list
+(** The code scan of one CFG's blocks, in block order, not
+    deduplicated. *)
+
+val sites : data_pass -> site list list -> site list
+(** The data slots followed by the given scans, deduplicated. *)
 
 val dedup : site list -> site list
 (** Keep the first occurrence of each distinct site: materializations are

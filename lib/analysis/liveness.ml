@@ -5,11 +5,7 @@ open Icfg_isa
    [live] the live-in mask of each. *)
 type t = { starts : int array; live : int array }
 
-let mask_of_list = List.fold_left (fun m r -> m lor (1 lsl Reg.index r)) 0
-let mask_of_set s = Reg.Set.fold (fun r m -> m lor (1 lsl Reg.index r)) s 0
-
-let set_of_mask m =
-  Reg.Set.of_list (List.filter (fun r -> m land (1 lsl Reg.index r) <> 0) Reg.all)
+let mask_of_list = List.fold_left (fun m r -> m lor Reg.bit r) 0
 
 let all_regs = (1 lsl Reg.count) - 1
 
@@ -28,8 +24,8 @@ let call_kill = mask_of_list (Reg.ret :: Reg.arg_regs)
 let gen_kill insn =
   match insn with
   | Insn.Call _ | Insn.IndCall _ | Insn.IndCallMem _ | Insn.CallRt _ ->
-      (mask_of_set (Insn.uses insn) lor args, call_kill)
-  | _ -> (mask_of_set (Insn.uses insn), mask_of_set (Insn.defs insn))
+      (Insn.uses_mask insn lor args, call_kill)
+  | _ -> (Insn.uses_mask insn, Insn.defs_mask insn)
 
 (* A block's transfer composed once, last instruction first:
    [f_i ∘ (x -> (x \ k) ∪ g)] is [x -> (x \ (k ∪ k_i)) ∪ ((g \ k_i) ∪ g_i)]. *)
@@ -115,7 +111,8 @@ let live_mask t addr =
   let i = find t.starts addr in
   if i < 0 then all_regs else t.live.(i)
 
-let live_in t addr = set_of_mask (live_mask t addr)
+let live_in t addr = Reg.set_of_mask (live_mask t addr)
 
 let dead_in arch t addr =
-  set_of_mask (mask_of_list (Reg.caller_saved arch) land lnot (live_mask t addr))
+  Reg.set_of_mask
+    (mask_of_list (Reg.caller_saved arch) land lnot (live_mask t addr))

@@ -54,12 +54,12 @@ let analyze_function bin fm (sym : Symbol.t) =
   (* Pass 1: initial CFG and jump-table slices. *)
   let cfg0 = Cfg.build bin sym in
   let slices = List.map (fun j -> (j, Jump_table.slice_jump bin fm cfg0 j)) cfg0.Cfg.ind_jumps in
-  let pres =
-    List.filter_map
-      (fun (_, s) -> match s with Jump_table.S_table p -> Some p | _ -> None)
-      slices
-  in
-  (cfg0, slices, pres)
+  (sym, cfg0, slices)
+
+let pre_tables (_, _, slices) =
+  List.filter_map
+    (fun (_, s) -> match s with Jump_table.S_table p -> Some p | _ -> None)
+    slices
 
 let finalize_function bin (fm : Failure_model.t) ~known_data fptr_targets
     ((sym : Symbol.t), (cfg0 : Cfg.t), slices) =
@@ -89,12 +89,13 @@ let finalize_function bin (fm : Failure_model.t) ~known_data fptr_targets
   let jump_table_edges =
     List.map (fun (t : Jump_table.table) -> (t.t_jump, t.t_targets)) tables
   in
-  let extra_targets =
-    List.filter
-      (fun a -> a >= sym.Symbol.addr && a < sym.Symbol.addr + sym.Symbol.size)
-      fptr_targets
+  let extra_targets = List.filter (Symbol.contains sym) fptr_targets in
+  (* [Cfg.build] is pure, so with no table edge and no pointer target to
+     add, rebuilding would return pass 1's CFG again. *)
+  let cfg1 =
+    if jump_table_edges = [] && extra_targets = [] then cfg0
+    else Cfg.build ~extra_targets ~jump_table_edges bin sym
   in
-  let cfg1 = Cfg.build ~extra_targets ~jump_table_edges bin sym in
   (* Classify unresolved jumps. *)
   let table_ranges =
     List.map
@@ -157,37 +158,66 @@ let parse ?(fm = Failure_model.ours) bin =
      collection. *)
   let pass1 =
     Trace.span "pass1" (fun () ->
-        List.map
-          (fun sym ->
-            let cfg0, slices, pres = analyze_function bin fm sym in
-            ((sym, cfg0, slices), pres))
-          syms)
+        Array.of_list (List.map (analyze_function bin fm) syms))
   in
-  let all_pres = List.concat_map snd pass1 in
+  let all_pres = List.concat_map pre_tables (Array.to_list pass1) in
   let known_data =
     Trace.span "known-data" (fun () -> Jump_table.known_data bin all_pres)
   in
-  (* Function pointers need CFGs; use the pass-1 CFGs (pointer creation
-     sites live in code reachable without jump-table edges, and case-body
-     sites are found after the final CFG rebuild below if needed). *)
-  let cfg0s = List.map (fun ((_, c, _), _) -> c) pass1 in
-  let fptrs = Trace.span "func-ptr" (fun () -> Func_ptr.analyze bin fm cfg0s) in
-  let pointer_targets = Func_ptr.derived_block_targets fptrs in
+  (* Function pointers need CFGs; pass 1's serve here, since pointer
+     creation sites live in code reachable without jump-table edges. Each
+     function's scan is kept for the second pass. *)
+  let fp, scans0, fptrs =
+    Trace.span "func-ptr" (fun () ->
+        let fp = Func_ptr.data_pass bin fm in
+        let scans0 =
+          Array.map (fun (_, cfg0, _) -> Func_ptr.scan fp cfg0) pass1
+        in
+        (fp, scans0, Func_ptr.sites fp (Array.to_list scans0)))
+  in
+  let finalize targets p1 = finalize_function bin fm ~known_data targets p1 in
+  let targets0 = Func_ptr.derived_block_targets fptrs in
   let funcs =
-    Trace.span "finalize" (fun () ->
-        List.map
-          (fun ((sym, cfg0, slices), _) ->
-            finalize_function bin fm ~known_data pointer_targets
-              (sym, cfg0, slices))
-          pass1)
+    Trace.span "finalize" (fun () -> Array.map (finalize targets0) pass1)
   in
-  (* Second function-pointer pass over the final CFGs (covers pointer
-     materializations inside switch-case blocks). *)
-  let fptrs =
+  (* Second function-pointer pass over the final CFGs: it covers pointer
+     materializations inside switch-case blocks, which only table edges
+     reach. A CFG that finalize kept is pass 1's, so its scan is too; only
+     the rebuilt ones are rescanned. A target this pass finds that no
+     earlier pass did becomes a leader: the function holding it is
+     finalized again with every target found so far, and rescanned, until
+     a pass finds nothing new. The union only grows, so this ends, and
+     every reported target inside a function starts one of its blocks. *)
+  let fptrs, pointer_targets =
     Trace.span "func-ptr-2" (fun () ->
-        Func_ptr.analyze bin fm (List.map (fun f -> f.fa_cfg) funcs))
+        let scans =
+          Array.mapi
+            (fun i f ->
+              let _, cfg0, _ = pass1.(i) in
+              if f.fa_cfg == cfg0 then scans0.(i) else Func_ptr.scan fp f.fa_cfg)
+            funcs
+        in
+        let rec settle targets =
+          let fptrs = Func_ptr.sites fp (Array.to_list scans) in
+          match
+            List.filter
+              (fun a -> not (List.mem a targets))
+              (Func_ptr.derived_block_targets fptrs)
+          with
+          | [] -> (fptrs, targets)
+          | fresh ->
+              let targets = List.merge compare targets fresh in
+              Array.iteri
+                (fun i ((sym, _, _) as p1) ->
+                  if List.exists (Symbol.contains sym) fresh then (
+                    funcs.(i) <- finalize targets p1;
+                    scans.(i) <- Func_ptr.scan fp funcs.(i).fa_cfg))
+                pass1;
+              settle targets
+        in
+        settle targets0)
   in
-  let pointer_targets = Func_ptr.derived_block_targets fptrs in
+  let funcs = Array.to_list funcs in
   let t = { bin; fm; funcs; fptrs; pointer_targets } in
   Trace.add "parse/funcs" (List.length t.funcs);
   Trace.add "parse/instrumentable"

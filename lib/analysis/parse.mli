@@ -18,7 +18,9 @@ type jt_site =
 
 type func_analysis = {
   fa_sym : Icfg_obj.Symbol.t;
-  fa_cfg : Cfg.t;  (** final CFG (jump-table edges and pointer targets added) *)
+  fa_cfg : Cfg.t;
+      (** final CFG (jump-table edges and pointer targets added); pass 1's
+          CFG itself when the function has neither *)
   fa_tables : Jump_table.table list;  (** resolved jump tables *)
   fa_tail_jumps : int list;  (** unresolved jumps classified as tail calls *)
   fa_jt_sites : (int * jt_site) list;
@@ -35,16 +37,32 @@ type t = {
   fptrs : Func_ptr.site list;
   pointer_targets : int list;
       (** addresses that unrewritten pointers may reach (adjusted-entry
-          targets, Listing 1) *)
+          targets, Listing 1), sorted: every target any pointer pass
+          found. Each one inside a function starts a block of its
+          [fa_cfg]. *)
 }
 
 val parse : ?fm:Failure_model.t -> Icfg_obj.Binary.t -> t
 (** Whole-binary parse, computed in full on every call and recorded into
-    the ambient {!Icfg_trace.Trace}. Spans: [pass1] (initial CFG +
-    jump-table slicing per function), [known-data], [func-ptr],
-    [finalize] (finalization + liveness per function) and [func-ptr-2]
-    under [parse]; whole-binary counters: [parse/funcs],
-    [parse/instrumentable], [parse/jump-tables], ... *)
+    the ambient {!Icfg_trace.Trace}: no state is kept between calls.
+    Spans under [parse]:
+    - [pass1]: each function's initial CFG and jump-table slices;
+    - [known-data];
+    - [func-ptr]: the data-slot pass and a pointer scan of each pass-1
+      CFG;
+    - [finalize]: table finalization, the final CFG and liveness per
+      function. A function with no resolved table and no pointer target
+      in its range keeps its pass-1 CFG, which a rebuild would only
+      repeat ({!Cfg.build} is pure);
+    - [func-ptr-2]: the pointer scan of the final CFGs. It rescans only
+      the CFGs [finalize] rebuilt and keeps pass 1's scan of the others,
+      and its data-slot pass. When it finds a target that no earlier
+      pass did, the function holding it is finalized again with every
+      target so far as leaders and rescanned, until no new target
+      appears.
+
+    Whole-binary counters: [parse/funcs], [parse/instrumentable],
+    [parse/jump-tables], ... *)
 
 val func : t -> string -> func_analysis option
 val func_at : t -> int -> func_analysis option

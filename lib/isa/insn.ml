@@ -160,45 +160,43 @@ let with_direct_target ~addr i target =
   | Call _ -> Call (target - addr)
   | _ -> invalid_arg "Insn.with_direct_target: not a direct branch/call"
 
-let set_of_list = List.fold_left (fun s r -> Reg.Set.add r s) Reg.Set.empty
+(* Register sets as masks (see [Reg.bit]); [defs] and [uses] are read off
+   them. *)
+let operand_mask = function Reg r -> Reg.bit r | Imm _ -> 0
+let base_mask = function BReg r -> Reg.bit r | BSp -> 0
 
-let operand_uses = function Reg r -> [ r ] | Imm _ -> []
-let base_uses = function BReg r -> [ r ] | BSp -> []
-
-let defs = function
+let defs_mask = function
   | Mov (r, _) | Movhi (r, _) | Movabs (r, _) | Load (_, r, _, _)
   | LoadIdx (_, r, _, _, _) | Lea (r, _) | Mflr r | Adrp (r, _)
-  | Addis (r, _, _) ->
-      set_of_list [ r ]
-  | Orlo (r, _) | Add (r, _) | Sub (r, _) | Mul (r, _) | And_ (r, _)
-  | Or_ (r, _) | Xor (r, _) | Shl (r, _) | Shr (r, _) ->
-      set_of_list [ r ]
+  | Addis (r, _, _) | Orlo (r, _) | Add (r, _) | Sub (r, _) | Mul (r, _)
+  | And_ (r, _) | Or_ (r, _) | Xor (r, _) | Shl (r, _) | Shr (r, _) ->
+      Reg.bit r
   | Call _ | IndCall _ | IndCallMem _ | CallRt _ ->
       (* calls may clobber every caller-saved register; callers of [defs]
          that care about calls should consult the calling convention, but
          for liveness it is safe to treat the return register as defined *)
-      set_of_list [ Reg.ret ]
+      Reg.bit Reg.ret
   | Nop | Halt | Trap | Illegal | Cmp _ | Store _ | AddSp _ | Jmp _ | Jcc _
   | IndJmp _ | Ret | Throw | Out _ | Mtlr _ | Mttar _ | Btar ->
-      Reg.Set.empty
+      0
 
-let uses = function
-  | Mov (_, o) -> set_of_list (operand_uses o)
-  | Movhi _ | Movabs _ -> Reg.Set.empty
-  | Orlo (r, _) | Shl (r, _) | Shr (r, _) -> set_of_list [ r ]
+let uses_mask = function
+  | Mov (_, o) -> operand_mask o
+  | Movhi _ | Movabs _ | Mflr _ | Adrp _ -> 0
+  | Orlo (r, _) | Shl (r, _) | Shr (r, _) -> Reg.bit r
   | Add (r, o) | Sub (r, o) | Mul (r, o) | And_ (r, o) | Or_ (r, o)
-  | Xor (r, o) ->
-      set_of_list (r :: operand_uses o)
-  | Cmp (r, o) -> set_of_list (r :: operand_uses o)
-  | Load (_, _, b, _) -> set_of_list (base_uses b)
-  | LoadIdx (_, _, rb, ri, _) -> set_of_list [ rb; ri ]
-  | Store (_, b, _, rs) -> set_of_list (rs :: base_uses b)
-  | Lea _ | AddSp _ | Jmp _ | Jcc _ | Call _ | CallRt _ -> Reg.Set.empty
-  | IndJmp r | IndCall r -> set_of_list [ r ]
-  | IndCallMem (b, _) -> set_of_list (base_uses b)
-  | Ret | Halt | Trap | Illegal | Nop | Btar -> Reg.Set.empty
-  | Throw -> set_of_list [ Reg.r0 ]
-  | Out r | Mtlr r | Mttar r -> set_of_list [ r ]
-  | Mflr _ -> Reg.Set.empty
-  | Adrp _ -> Reg.Set.empty
-  | Addis (_, rs, _) -> set_of_list [ rs ]
+  | Xor (r, o) | Cmp (r, o) ->
+      Reg.bit r lor operand_mask o
+  | Load (_, _, b, _) -> base_mask b
+  | LoadIdx (_, _, rb, ri, _) -> Reg.bit rb lor Reg.bit ri
+  | Store (_, b, _, rs) -> Reg.bit rs lor base_mask b
+  | Lea _ | AddSp _ | Jmp _ | Jcc _ | Call _ | CallRt _ -> 0
+  | IndJmp r | IndCall r -> Reg.bit r
+  | IndCallMem (b, _) -> base_mask b
+  | Ret | Halt | Trap | Illegal | Nop | Btar -> 0
+  | Throw -> Reg.bit Reg.r0
+  | Out r | Mtlr r | Mttar r -> Reg.bit r
+  | Addis (_, rs, _) -> Reg.bit rs
+
+let defs i = Reg.set_of_mask (defs_mask i)
+let uses i = Reg.set_of_mask (uses_mask i)

@@ -106,10 +106,23 @@ val with_direct_target : addr:int -> t -> int -> t
     branch/call at [addr] to reach [target]. Raises [Invalid_argument] on
     non-direct-control-flow instructions. *)
 
-(** {1 Dataflow helpers (used by liveness and slicing)} *)
+(** {1 Dataflow helpers (used by liveness and slicing)}
+
+    The masks are the one definition of what an instruction reads and
+    writes: bit [Reg.index r] is set iff [r] is in the set (see
+    {!Reg.bit}). Liveness reads the masks directly; {!defs} and {!uses}
+    are the same sets as [Reg.Set.t], derived from them. *)
+
+val defs_mask : t -> int
+(** General-purpose registers written by the instruction, as a mask. *)
+
+val uses_mask : t -> int
+(** General-purpose registers read by the instruction, as a mask. *)
 
 val defs : t -> Reg.Set.t
-(** General-purpose registers written by the instruction. *)
+(** General-purpose registers written by the instruction:
+    [Reg.set_of_mask (defs_mask i)]. *)
 
 val uses : t -> Reg.Set.t
-(** General-purpose registers read by the instruction. *)
+(** General-purpose registers read by the instruction:
+    [Reg.set_of_mask (uses_mask i)]. *)

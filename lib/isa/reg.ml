@@ -49,3 +49,10 @@ end
 
 module Set = Set.Make (Ord)
 module Map = Map.Make (Ord)
+
+let bit r = 1 lsl r
+
+let set_of_mask m =
+  List.fold_left
+    (fun s r -> if m land bit r <> 0 then Set.add r s else s)
+    Set.empty all

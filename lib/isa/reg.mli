@@ -60,3 +60,10 @@ val caller_saved : Arch.t -> t list
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
+
+val bit : t -> int
+(** [1 lsl index r]: the register's bit in a register mask, an [int] in
+    which bit [i] is set iff [r<i>] is in the set. *)
+
+val set_of_mask : int -> Set.t
+(** The registers whose bits are set in a register mask. *)

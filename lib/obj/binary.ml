@@ -185,20 +185,30 @@ let code_end t =
     (fun acc s -> if s.Section.loaded then max acc (Section.end_vaddr s) else acc)
     0 t.sections
 
+(* Decode at [addr] inside the executable section [s]. *)
+let decode_in t (s : Section.t) addr =
+  let b = s.Section.data and pos = addr - s.Section.vaddr in
+  if Bytes.length b = Section.size s then Icfg_isa.Encode.decode_bytes t.arch b ~pos
+  else
+    (* Near or in a tail, decode a zero-padded window. *)
+    let n = Int.min (Icfg_isa.Encode.max_insn_len t.arch) (Section.size s - pos) in
+    Icfg_isa.Encode.decode_bytes t.arch (padded b pos n) ~pos:0
+
 let decode_at t addr =
   match section_at t addr with
-  | Some s when s.Section.perm.execute ->
-      let b = s.Section.data and pos = addr - s.Section.vaddr in
-      if Bytes.length b = Section.size s then Icfg_isa.Encode.decode_bytes t.arch b ~pos
-      else
-        (* Near or in a tail, decode a zero-padded window. *)
-        let n = Int.min (Icfg_isa.Encode.max_insn_len t.arch) (Section.size s - pos) in
-        Icfg_isa.Encode.decode_bytes t.arch (padded b pos n) ~pos:0
+  | Some s when s.Section.perm.execute -> decode_in t s addr
   | Some s ->
       invalid_arg
         (Printf.sprintf "Binary.decode_at: 0x%x is in non-executable %s" addr
            s.Section.name)
   | None -> invalid_arg (Printf.sprintf "Binary.decode_at: 0x%x unmapped" addr)
+
+let decoder t addr =
+  match section_at t addr with
+  | Some s when s.Section.perm.execute ->
+      let lo = s.Section.vaddr and hi = Section.end_vaddr s in
+      fun a -> if a >= lo && a < hi then decode_in t s a else decode_at t a
+  | _ -> decode_at t
 
 let pp ppf t =
   Format.fprintf ppf "%s (%a%s) entry=0x%x@." t.name Icfg_isa.Arch.pp t.arch

@@ -104,6 +104,15 @@ val code_end : t -> int
 
 val decode_at : t -> int -> Icfg_isa.Insn.t * int
 (** Decode the instruction at a virtual address inside an executable
-    section (a zero tail decodes as zero bytes). *)
+    section (a zero tail decodes as zero bytes). Raises
+    [Invalid_argument] elsewhere. *)
+
+val decoder : t -> int -> int -> Icfg_isa.Insn.t * int
+(** [decoder t addr] is [decode_at t] with the section that holds [addr]
+    looked up once: an address inside that section skips
+    {!decode_at}'s search of the section list, and any other address
+    goes through {!decode_at}, so the result (or exception) is the same
+    at every address. One CFG build decodes through one decoder for its
+    function's entry. *)
 
 val pp : Format.formatter -> t -> unit

@@ -449,6 +449,65 @@ let test_fptr_no_forward_slice_baseline () =
       Alcotest.(check int) (Arch.name arch ^ " baseline misses it") 0
         (List.length adjusted))
 
+(* Listing 1's adjusted store moved into case 1 of a jump-table switch.
+   Pass 1's CFG of [main] has no table edges, so only the second pointer
+   scan reaches the store, after every CFG was built. That scan's target
+   goexit+adj must still become a block leader: without one, dir and jt
+   mode leave no landing for the adjusted call, and their outputs run
+   into illegal bytes. *)
+let go_switch_prog adj =
+  Ir.program ~name:"goswitch"
+    ~data:
+      [ Ir.Word_addr ("g1", "goexit"); Ir.Word ("g2", 0); Ir.Word ("sel", 1) ]
+    ~main:"main"
+    [
+      Ir.func "goexit" [] [ Ir.Nops 1; Ir.Print (Int 77); Ir.Return (Int 0) ];
+      Ir.func "main" []
+        [
+          Ir.Switch
+            ( Ir.Jt_plain,
+              Global "sel",
+              [|
+                [ Ir.Print (Int 0) ];
+                [ Ir.Set (Lglobal "g2", Bin (Badd, Global "g1", Int adj)) ];
+                [ Ir.Print (Int 2) ];
+                [ Ir.Print (Int 3) ];
+              |],
+              [ Ir.Print (Int 9) ] );
+          Ir.Call (None, Via_ptr (Global "g2"), []);
+          Ir.Return (Int 0);
+        ];
+    ]
+
+let test_fptr_case_body_leader () =
+  let module Runner = Icfg_harness.Runner in
+  let module Rewriter = Icfg_core.Rewriter in
+  on_all_arches (fun arch ->
+      let adj = if arch = Arch.X86_64 then 1 else 4 in
+      let bin, _ = compile arch (go_switch_prog adj) in
+      let p = Parse.parse bin in
+      let goexit = (Option.get (Binary.symbol bin "goexit")).Icfg_obj.Symbol.addr in
+      Alcotest.(check (list int))
+        (Arch.name arch ^ " derived targets")
+        [ goexit + adj ]
+        p.Parse.pointer_targets;
+      let fa = Option.get (Parse.func p "goexit") in
+      Alcotest.(check bool)
+        (Arch.name arch ^ " block split at goexit+adj")
+        true
+        (Cfg.block_at fa.Parse.fa_cfg (goexit + adj) <> None);
+      let orig = Runner.run_original bin in
+      List.iter
+        (fun mode ->
+          let what = Arch.name arch ^ " " ^ Icfg_core.Mode.name mode in
+          let options = { Rewriter.default_options with Rewriter.mode } in
+          let run = Runner.run_rewritten (Runner.rewrite ~options bin) in
+          match Runner.judge ~orig run with
+          | Runner.Verified _ -> ()
+          | Runner.Diverged -> Alcotest.failf "%s: output diverged" what
+          | Runner.Crashed m -> Alcotest.failf "%s: crashed: %s" what m)
+        Icfg_core.Mode.[ Dir; Jt; Func_ptr ])
+
 (* Regression: the dedup key for materializations was (sum of prov,
    length of prov), so distinct sites with equal provenance sums — e.g.
    [0x10;0x30] vs [0x20;0x20] — collided and one rewrite site was
@@ -666,6 +725,180 @@ let test_liveness_reference_corpus () =
     (Icfg_workloads.Corpus.generate ~seed:7 ~count:60)
 
 (* ------------------------------------------------------------------ *)
+(* Parse keeps pass 1's work: reuse = rebuild                          *)
+(* ------------------------------------------------------------------ *)
+
+let bindings tbl =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let outcome f a =
+  match f a with r -> Ok r | exception Invalid_argument m -> Error m
+
+(* Every final CFG equals a from-scratch build with the parse's own leaders
+   and table edges, every pointer target inside a function starts one of
+   its blocks, the kept scans equal a full rescan, and the function's
+   decoder agrees with [Binary.decode_at] wherever the CFG decoded. *)
+let check_reuse_matches_rebuild what bin =
+  let p = Parse.parse bin in
+  List.iter
+    (fun (fa : Parse.func_analysis) ->
+      let sym = fa.Parse.fa_sym in
+      let name = what ^ " " ^ sym.Icfg_obj.Symbol.name in
+      let same field a b =
+        if a <> b then Alcotest.failf "%s: %s differs from a rebuild" name field
+      in
+      let extra_targets =
+        List.filter (Icfg_obj.Symbol.contains sym) p.Parse.pointer_targets
+      in
+      let jump_table_edges =
+        List.map
+          (fun (t : Jump_table.table) ->
+            (t.Jump_table.t_jump, t.Jump_table.t_targets))
+          fa.Parse.fa_tables
+      in
+      let got = fa.Parse.fa_cfg in
+      let want = Cfg.build ~extra_targets ~jump_table_edges bin sym in
+      same "blocks" got.Cfg.blocks want.Cfg.blocks;
+      same "succs" (bindings got.Cfg.succs) (bindings want.Cfg.succs);
+      same "preds" (bindings got.Cfg.preds) (bindings want.Cfg.preds);
+      same "calls" got.Cfg.calls want.Cfg.calls;
+      same "ind_jumps" got.Cfg.ind_jumps want.Cfg.ind_jumps;
+      same "tail_targets" got.Cfg.tail_targets want.Cfg.tail_targets;
+      List.iter
+        (fun a ->
+          if not (Hashtbl.mem got.Cfg.succs a) then
+            Alcotest.failf "%s: pointer target 0x%x starts no block" name a)
+        extra_targets;
+      let decode = Binary.decoder bin sym.Icfg_obj.Symbol.addr in
+      List.iter
+        (fun b ->
+          List.iter
+            (fun (a, _, _) ->
+              same (Printf.sprintf "decode at 0x%x" a) (decode a)
+                (Binary.decode_at bin a))
+            b.Cfg.b_insns)
+        got.Cfg.blocks)
+    p.Parse.funcs;
+  let cfgs = List.map (fun fa -> fa.Parse.fa_cfg) p.Parse.funcs in
+  if p.Parse.fptrs <> Func_ptr.analyze bin p.Parse.fm cfgs then
+    Alcotest.failf "%s: pointer sites differ from a full rescan" what
+
+(* The spec suite, plus the one input whose second pointer scan differs
+   from its first. *)
+let test_reuse_spec () =
+  on_all_arches (fun arch ->
+      let adj = if arch = Arch.X86_64 then 1 else 4 in
+      List.iter
+        (fun bin ->
+          check_reuse_matches_rebuild (Arch.name arch ^ "/" ^ bin.Binary.name) bin)
+        (fst (compile arch (go_switch_prog adj))
+        :: List.map
+             (fun bench -> fst (Icfg_workloads.Spec_suite.compile arch bench))
+             (Icfg_workloads.Spec_suite.benchmarks arch)))
+
+let test_reuse_corpus () =
+  List.iter
+    (fun e ->
+      check_reuse_matches_rebuild
+        (Printf.sprintf "corpus entry %d" e.Icfg_workloads.Corpus.e_id)
+        (Icfg_workloads.Corpus.build e))
+    (Icfg_workloads.Corpus.generate ~seed:7 ~count:48)
+
+(* The decoder of a code section with a zero-filled tail agrees with
+   [Binary.decode_at] at every address of the section and past it, and
+   for an address outside the section: the same instruction or the same
+   exception. *)
+let test_decoder_zero_tail () =
+  on_all_arches (fun arch ->
+      let code =
+        String.concat ""
+          (List.map (Encode.encode arch)
+             [
+               Insn.Mov (Reg.r0, Insn.Imm 5);
+               Insn.Add (Reg.r1, Insn.Reg Reg.r0);
+               Insn.Ret;
+             ])
+      in
+      let text =
+        Icfg_obj.Section.make ~name:".text" ~vaddr:0x1000
+          ~perm:Icfg_obj.Section.r_x ~size:(String.length code + 0x40)
+          (Bytes.of_string (String.sub code 0 (String.length code - 1)))
+      in
+      let data =
+        Icfg_obj.Section.make ~name:".data" ~vaddr:0x2000
+          ~perm:Icfg_obj.Section.r_w (Bytes.make 16 '\001')
+      in
+      let bin =
+        Binary.make ~name:"tail" ~arch ~entry:0x1000 ~symbols:[] [ text; data ]
+      in
+      let decode = Binary.decoder bin 0x1000 in
+      List.iter
+        (fun a ->
+          if outcome decode a <> outcome (Binary.decode_at bin) a then
+            Alcotest.failf "%s: decoder differs at 0x%x" (Arch.name arch) a)
+        (List.init (Icfg_obj.Section.size text + 8) (fun i -> 0x1000 + i)
+        @ [ 0; 0x0fff; 0x2000; 0x2008; 0x3000 ]))
+
+(* [Insn.defs]/[uses] written as sets, independently of the masks they
+   are derived from: the reference for those masks. [Liveness_ref] calls
+   [Insn.uses] itself, so it cannot catch a mask error. *)
+let ref_defs =
+  let one r = Reg.Set.singleton r in
+  Insn.(
+    function
+    | Mov (r, _) | Movhi (r, _) | Movabs (r, _) | Load (_, r, _, _)
+    | LoadIdx (_, r, _, _, _) | Lea (r, _) | Mflr r | Adrp (r, _)
+    | Addis (r, _, _) | Orlo (r, _) | Add (r, _) | Sub (r, _) | Mul (r, _)
+    | And_ (r, _) | Or_ (r, _) | Xor (r, _) | Shl (r, _) | Shr (r, _) ->
+        one r
+    | Call _ | IndCall _ | IndCallMem _ | CallRt _ -> one Reg.ret
+    | Nop | Halt | Trap | Illegal | Cmp _ | Store _ | AddSp _ | Jmp _ | Jcc _
+    | IndJmp _ | Ret | Throw | Out _ | Mtlr _ | Mttar _ | Btar ->
+        Reg.Set.empty)
+
+let ref_uses =
+  let operand = function Insn.Reg r -> [ r ] | Insn.Imm _ -> [] in
+  let base = function Insn.BReg r -> [ r ] | Insn.BSp -> [] in
+  fun i ->
+    Reg.Set.of_list
+      Insn.(
+        match i with
+        | Mov (_, o) -> operand o
+        | Movhi _ | Movabs _ | Mflr _ | Adrp _ -> []
+        | Orlo (r, _) | Shl (r, _) | Shr (r, _) -> [ r ]
+        | Add (r, o) | Sub (r, o) | Mul (r, o) | And_ (r, o) | Or_ (r, o)
+        | Xor (r, o) | Cmp (r, o) ->
+            r :: operand o
+        | Load (_, _, b, _) -> base b
+        | LoadIdx (_, _, rb, ri, _) -> [ rb; ri ]
+        | Store (_, b, _, rs) -> rs :: base b
+        | Lea _ | AddSp _ | Jmp _ | Jcc _ | Call _ | CallRt _ -> []
+        | IndJmp r | IndCall r -> [ r ]
+        | IndCallMem (b, _) -> base b
+        | Ret | Halt | Trap | Illegal | Nop | Btar -> []
+        | Throw -> [ Reg.r0 ]
+        | Out r | Mtlr r | Mttar r -> [ r ]
+        | Addis (_, rs, _) -> [ rs ])
+
+let masks_match_sets =
+  let gen_reg = Test_isa.gen_reg in
+  QCheck2.Test.make ~count:2000 ~name:"Insn uses/defs masks = set reference"
+    ~print:Insn.to_string
+    QCheck2.Gen.(
+      oneof
+        [
+          Test_isa.gen_common_insn;
+          map2 (fun r n -> Insn.Movabs (r, n)) gen_reg int;
+          map2 (fun r d -> Insn.Adrp (r, d)) gen_reg int;
+          map3 (fun rd rs n -> Insn.Addis (rd, rs, n)) gen_reg gen_reg int;
+          map (fun r -> Insn.Mttar r) gen_reg;
+          oneofl [ Insn.Btar; Insn.Illegal ];
+        ])
+    (fun i ->
+      Reg.Set.equal (Insn.defs i) (ref_defs i)
+      && Reg.Set.equal (Insn.uses i) (ref_uses i))
+
+(* ------------------------------------------------------------------ *)
 (* Whole-binary parse                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -727,6 +960,8 @@ let suite =
         Alcotest.test_case "dedup collision through analyze" `Quick
           test_fptr_dedup_analyze;
         QCheck_alcotest.to_alcotest fptr_dedup_never_drops;
+        Alcotest.test_case "case-body target is a leader; 3 modes verify" `Quick
+          test_fptr_case_body_leader;
       ] );
     ( "analysis:liveness",
       [
@@ -741,5 +976,14 @@ let suite =
           test_liveness_reference_corpus;
       ] );
     ( "analysis:parse",
-      [ Alcotest.test_case "coverage" `Quick test_parse_coverage ] );
+      [
+        Alcotest.test_case "coverage" `Quick test_parse_coverage;
+        Alcotest.test_case "reuse = rebuild: spec suite + case-body x 3 ISAs"
+          `Quick test_reuse_spec;
+        Alcotest.test_case "reuse = rebuild: seed-7 corpus" `Quick
+          test_reuse_corpus;
+        Alcotest.test_case "decoder = decode_at on a zero tail" `Quick
+          test_decoder_zero_tail;
+        QCheck_alcotest.to_alcotest masks_match_sets;
+      ] );
   ]
