@@ -150,21 +150,24 @@ let rewrite_cmd workload arch pie mode output trace =
   | None -> ()
 
 let verify_cmd workload arch pie mode trace =
+  let module R = Icfg_harness.Runner in
   let bin, _ = load_workload workload arch pie in
-  let options =
-    { Icfg_core.Rewriter.default_options with Icfg_core.Rewriter.mode }
+  let problems =
+    with_trace trace @@ fun () ->
+    let options = { Rewriter.default_options with Rewriter.mode } in
+    let t = R.strong_test ~options bin in
+    (match t.R.st_problems with
+    | [] ->
+        Format.printf
+          "OK: %d blocks verified (%d executed), cycles %d -> %d (traps %d)@."
+          t.R.st_blocks_checked t.R.st_blocks_executed t.R.st_orig.R.r_cycles
+          t.R.st_rewritten.R.r_cycles t.R.st_rewritten.R.r_traps
+    | ps ->
+        Format.printf "FAILED (%d problems):@." (List.length ps);
+        List.iter (Format.printf "  - %a@." R.pp_problem) ps);
+    t.R.st_problems
   in
-  let report = Icfg_core.Verify.strong_test ~options bin in
-  Format.printf "%a" Icfg_core.Verify.pp_report report;
-  (* The strong test always records its own trace; --trace just saves it. *)
-  (match trace with
-  | Some file ->
-      let oc = open_out file in
-      output_string oc (Icfg_core.Trace.to_json report.Icfg_core.Verify.trace);
-      close_out oc;
-      Format.printf "wrote trace %s@." file
-  | None -> ());
-  if not report.Icfg_core.Verify.ok then exit 1
+  if problems <> [] then exit 1
 
 let run_cmd workload arch pie mode trace =
   let module R = Icfg_harness.Runner in

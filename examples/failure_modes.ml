@@ -9,14 +9,16 @@
                               strong test destroying original code bytes)
 
    This example injects each failure into the jump-table analysis of the
-   same program and verifies the outcomes with Icfg_core.Verify.
+   same program and judges each rewrite with the strong test,
+   Icfg_harness.Runner.strong_test. Exactly one row reads FAILED: the
+   under-approximated bound.
 
      dune exec examples/failure_modes.exe *)
 
 open Icfg_isa
 module Failure_model = Icfg_analysis.Failure_model
 module Parse = Icfg_analysis.Parse
-module Verify = Icfg_core.Verify
+module Runner = Icfg_harness.Runner
 module Rewriter = Icfg_core.Rewriter
 
 let program =
@@ -46,16 +48,13 @@ let () =
   let show label fm prog =
     let bin, _ = Icfg_codegen.Compile.compile arch prog in
     let parse = Parse.parse ~fm bin in
-    let report = Verify.strong_test ~options ~fm bin in
+    let t = Runner.strong_test ~fm ~options bin in
     Format.printf "%-38s coverage %6.2f%%  trampolines %3d  -> %s@." label
       (100. *. Parse.coverage parse)
-      report.Verify.stats.Rewriter.s_trampolines
-      (if report.Verify.ok then "correct"
-       else
-         Format.asprintf "%a"
-           (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-              Verify.pp_failure)
-           (List.filteri (fun i _ -> i < 1) report.Verify.failures))
+      t.Runner.st_stats.Rewriter.s_trampolines
+      (match t.Runner.st_problems with
+      | [] -> "correct"
+      | p :: _ -> Format.asprintf "FAILED (%a)" Runner.pp_problem p)
   in
   Format.printf
     "Figure 2: how CFG-construction failures affect rewriting (x86-64, dir \

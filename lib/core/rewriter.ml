@@ -59,24 +59,14 @@ let default_options =
 
 let srbi_like payload =
   {
+    default_options with
     mode = Mode.Dir;
     payload;
-    granularity = G_block;
-    only = None;
     tramp_at_every_block = true;
     call_emulation = true;
     ra_translation = false;
     use_superblocks = false;
     use_scratch_pool = false;
-    (* Legacy placement: the relocated area sits far from the original
-       image, which exhausts the ppc64le branch range. *)
-    instr_gap = 0x1000;
-    overwrite_original = true;
-    order = `Original;
-    rewrite_direct = true;
-    bounce_back = false;
-    dyn_translate = false;
-    sparse_placement = false;
   }
 
 type stats = {

@@ -70,8 +70,10 @@ val default_options : options
 (** [Jt] mode, counting payload off ([P_empty]), full placement machinery. *)
 
 val srbi_like : payload -> options
-(** The Dyninst-10.2 / SRBI configuration: every-block trampolines, call
-    emulation, no superblocks, no scratch pool. *)
+(** The Dyninst-10.2 / SRBI configuration: dir mode, every-block
+    trampolines, call emulation instead of RA translation, no
+    superblocks, no scratch pool. Every other field is
+    [default_options]'s. *)
 
 type stats = {
   s_funcs_total : int;

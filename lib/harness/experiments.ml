@@ -114,7 +114,7 @@ let figure2_case arch label fm prog =
   let orig = Runner.run_original bin in
   let v =
     Runner.evaluate ~orig ~coverage:(Parse.coverage parse)
-      ~orig_size:(Binary.loaded_size bin) (Baseline.Rewritten rw)
+      (Baseline.Rewritten rw)
   in
   {
     f2_failure = label;
@@ -224,13 +224,10 @@ type t3_cells = {
 let t3_cells arch bench =
   let bin, _ = Spec_suite.compile arch bench in
   let orig = Runner.run_original bin in
-  let orig_size = Binary.loaded_size bin in
   let cov fm = Parse.coverage (Parse.parse ~fm bin) in
   let cov_srbi = cov Failure_model.srbi in
   let c_cov = cov Failure_model.ours in
-  let eval coverage outcome =
-    Runner.evaluate ~orig ~coverage ~orig_size outcome
-  in
+  let eval coverage outcome = Runner.evaluate ~orig ~coverage outcome in
   let c_srbi = eval cov_srbi (Baseline.srbi bin) in
   let c_dir = eval c_cov (Baseline.ours ~mode:Mode.Dir bin) in
   let c_jt = eval c_cov (Baseline.ours ~mode:Mode.Jt bin) in
@@ -243,7 +240,6 @@ let t3_egalito bench =
   Runner.evaluate
     ~orig:(Runner.run_original bin_pie)
     ~coverage:(Parse.coverage (Parse.parse bin_pie))
-    ~orig_size:(Binary.loaded_size bin_pie)
     (Baseline.ir_lowering bin_pie)
 
 let table3_data arch =
@@ -331,7 +327,6 @@ let firefox () =
       let arch = Arch.X86_64 in
       let bin, _ = Apps.libxul arch in
       let orig = Runner.run_original bin in
-      let orig_size = Binary.loaded_size bin in
       let parse = Parse.parse bin in
       let coverage = Parse.coverage parse in
       line b "functions: %d, coverage: %.2f%%" (Parse.total_funcs parse)
@@ -339,8 +334,7 @@ let firefox () =
       List.iter
         (fun mode ->
           let v =
-            Runner.evaluate ~orig ~coverage ~orig_size
-              (Baseline.ours ~mode bin)
+            Runner.evaluate ~orig ~coverage (Baseline.ours ~mode bin)
           in
           (* Latency-style metric: overhead; score-style metric (JetStream):
              score reduction = overhead/(1+overhead). *)
@@ -369,7 +363,6 @@ let docker () =
       let arch = Arch.X86_64 in
       let bin, _ = Apps.docker arch in
       let orig = Runner.run_original bin in
-      let orig_size = Binary.loaded_size bin in
       let parse = Parse.parse bin in
       let coverage = Parse.coverage parse in
       line b "functions: %d, coverage: %.2f%%" (Parse.total_funcs parse)
@@ -384,7 +377,7 @@ let docker () =
                   rw.Rewriter.rw_stats.Rewriter.s_cloned_tables
               | Baseline.Refused _ -> 0
             in
-            (mode, Runner.evaluate ~orig ~coverage ~orig_size out, cloned))
+            (mode, Runner.evaluate ~orig ~coverage out, cloned))
           [ Mode.Dir; Mode.Jt; Mode.Func_ptr ]
       in
       List.iter
@@ -417,8 +410,7 @@ let bolt_data arch which =
     let bin, _ = Spec_suite.compile arch bench in
     let orig = Runner.run_original bin in
     let v =
-      Runner.evaluate ~orig ~coverage:1.0 ~orig_size:(Binary.loaded_size bin)
-        (reorder bin)
+      Runner.evaluate ~orig ~coverage:1.0 (reorder bin)
     in
     v.Runner.v_pass
   in

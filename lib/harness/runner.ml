@@ -2,6 +2,7 @@ module Vm = Icfg_runtime.Vm
 module Runtime_lib = Icfg_runtime.Runtime_lib
 module Rewriter = Icfg_core.Rewriter
 module Parse = Icfg_analysis.Parse
+module Cfg = Icfg_analysis.Cfg
 module Binary = Icfg_obj.Binary
 module Baseline = Icfg_baselines.Baseline
 
@@ -77,8 +78,8 @@ let perturb_function (p : Parse.t) =
     | fa :: rest -> (
         let insns =
           List.concat_map
-            (fun (b : Icfg_analysis.Cfg.block) -> b.Icfg_analysis.Cfg.b_insns)
-            fa.Parse.fa_cfg.Icfg_analysis.Cfg.blocks
+            (fun (b : Cfg.block) -> b.Cfg.b_insns)
+            fa.Parse.fa_cfg.Cfg.blocks
         in
         match List.find_map try_insn insns with
         | Some (addr, s) ->
@@ -218,8 +219,13 @@ let of_result (r : Vm.result) =
     r_steps = r.Vm.steps;
   }
 
-let original_vm (bin : Binary.t) =
+let original_vm ?profile (bin : Binary.t) =
   let config = measure_config ~pie:bin.Binary.pie in
+  (* Only a profiled run allocates a second configuration, so an
+     unprofiled run's GC counters (the [vm] bench rows) stay put. *)
+  let config =
+    match profile with None -> config | Some _ -> { config with Vm.profile }
+  in
   Icfg_core.Trace.span "run:original" @@ fun () ->
   Vm.run ~config ~routines:(Runtime_lib.standard ()) bin
 
@@ -229,10 +235,9 @@ let book_original r =
 
 let run_original bin = book_original (original_vm bin)
 
-let run_rewritten (rw : Rewriter.t) =
+let run_rewritten ?(counters = Hashtbl.create 16) (rw : Rewriter.t) =
   let bin = rw.Rewriter.rw_binary in
   let config = Rewriter.vm_config_for rw (measure_config ~pie:bin.Binary.pie) in
-  let counters = Hashtbl.create 16 in
   let r =
     Icfg_core.Trace.span "run:rewritten" @@ fun () ->
     Vm.run ~config ~routines:(Rewriter.routines_for rw ~counters) bin
@@ -253,6 +258,98 @@ let judge ~orig r =
       Verified
         (Icfg_trace.Stats.ratio_pct ~base:orig.r_cycles ~value:r.r_cycles)
 
+type problem =
+  | Original_crashed of string
+  | Rewritten_crashed of string
+  | Output_mismatch
+  | Count_mismatch of { block : int; expected : int; got : int }
+
+let pp_problem ppf = function
+  | Original_crashed m -> Format.fprintf ppf "original crashed: %s" m
+  | Rewritten_crashed m -> Format.fprintf ppf "rewritten crashed: %s" m
+  | Output_mismatch -> Format.fprintf ppf "observable output differs"
+  | Count_mismatch { block; expected; got } ->
+      Format.fprintf ppf
+        "block 0x%x executed %d times but instrumentation counted %d" block
+        expected got
+
+type strong = {
+  st_problems : problem list;
+  st_blocks_checked : int;
+  st_blocks_executed : int;
+  st_orig : run;
+  st_rewritten : run;
+  st_stats : Rewriter.stats;
+}
+
+let strong_test ?fm ?(options = Rewriter.default_options) bin =
+  let options =
+    {
+      options with
+      Rewriter.payload = Rewriter.P_count;
+      granularity = Rewriter.G_block;
+      overwrite_original = true;
+    }
+  in
+  let p = parse ?fm bin in
+  let rw = Rewriter.rewrite ~options p in
+  (* The Vm profiles only the keys already in the table: seed it with
+     every block start the parse found. *)
+  let profile = Hashtbl.create 512 in
+  List.iter
+    (fun (fa : Parse.func_analysis) ->
+      List.iter
+        (fun (b : Cfg.block) -> Hashtbl.replace profile b.Cfg.b_start 0)
+        fa.Parse.fa_cfg.Cfg.blocks)
+    p.Parse.funcs;
+  let orig = book_original (original_vm ~profile bin) in
+  let counters = Hashtbl.create 512 in
+  let r = run_rewritten ~counters rw in
+  let problems =
+    match (orig.r_outcome, judge ~orig r) with
+    | Vm.Crashed m, Crashed m' -> [ Original_crashed m; Rewritten_crashed m' ]
+    | Vm.Crashed m, (Verified _ | Diverged) -> [ Original_crashed m ]
+    | Vm.Halted, Crashed m -> [ Rewritten_crashed m ]
+    | Vm.Halted, Diverged -> [ Output_mismatch ]
+    | Vm.Halted, Verified _ -> []
+  in
+  (* Counts are compared only when both runs agree, and only for the
+     functions the rewrite relocated: those are the ones it instrumented. *)
+  let checked =
+    Icfg_core.Trace.span "check-counts" @@ fun () ->
+    if problems <> [] then []
+    else
+      List.concat_map
+        (fun (fa : Parse.func_analysis) ->
+          if rw.Rewriter.rw_relocated_entry fa.Parse.fa_sym.Icfg_obj.Symbol.addr
+             = None
+          then []
+          else
+            List.map
+              (fun (b : Cfg.block) ->
+                let count tbl =
+                  Option.value ~default:0 (Hashtbl.find_opt tbl b.Cfg.b_start)
+                in
+                (b.Cfg.b_start, count profile, count counters))
+              fa.Parse.fa_cfg.Cfg.blocks)
+        p.Parse.funcs
+  in
+  {
+    st_problems =
+      problems
+      @ List.filter_map
+          (fun (block, expected, got) ->
+            if expected = got then None
+            else Some (Count_mismatch { block; expected; got }))
+          checked;
+    st_blocks_checked = List.length checked;
+    st_blocks_executed =
+      List.length (List.filter (fun (_, expected, _) -> expected > 0) checked);
+    st_orig = orig;
+    st_rewritten = r;
+    st_stats = rw.Rewriter.rw_stats;
+  }
+
 type verdict = {
   v_pass : bool;
   v_reason : string;
@@ -262,7 +359,7 @@ type verdict = {
   v_traps : int;
 }
 
-let evaluate ~orig ~coverage ~orig_size outcome =
+let evaluate ~orig ~coverage outcome =
   let coverage_pct = 100. *. coverage in
   match outcome with
   | Baseline.Refused reason ->
@@ -276,6 +373,7 @@ let evaluate ~orig ~coverage ~orig_size outcome =
       }
   | Baseline.Rewritten rw ->
       let r = run_rewritten rw in
+      let s = rw.Rewriter.rw_stats in
       let pass, reason, overhead_pct =
         match judge ~orig r with
         | Verified pct -> (true, "", pct)
@@ -288,7 +386,7 @@ let evaluate ~orig ~coverage ~orig_size outcome =
         v_overhead_pct = overhead_pct;
         v_coverage_pct = coverage_pct;
         v_size_pct =
-          Icfg_trace.Stats.ratio_pct ~base:orig_size
-            ~value:rw.Rewriter.rw_stats.Rewriter.s_new_size;
+          Icfg_trace.Stats.ratio_pct ~base:s.Rewriter.s_orig_size
+            ~value:s.Rewriter.s_new_size;
         v_traps = r.r_traps;
       }

@@ -1,9 +1,11 @@
 (** Measured executions: the experiment harness's view of one benchmark.
 
-    Every measurement runs with the instruction-cache model enabled (the
-    ping-pong between original and relocated code is the paper's stated
-    overhead source) and the empty instrumentation payload, exactly like the
-    paper's block-level empty-instrumentation test. *)
+    Every run, the strong test's included, uses {!measure_config}: the
+    instruction-cache model enabled (the ping-pong between original and
+    relocated code is the paper's stated overhead source). The harness
+    verdicts rewrite with the empty instrumentation payload, exactly like
+    the paper's block-level empty-instrumentation test; the strong test
+    counts. *)
 
 (** {1 Rewriting pipeline}
 
@@ -86,19 +88,25 @@ val run_original : Icfg_obj.Binary.t -> run
 (** The original binary's measured run, booked into the ambient trace:
     [book_original (original_vm bin)]. *)
 
-val original_vm : Icfg_obj.Binary.t -> Icfg_runtime.Vm.result
+val original_vm :
+  ?profile:(int, int) Hashtbl.t -> Icfg_obj.Binary.t -> Icfg_runtime.Vm.result
 (** The original binary's run, timed as the ambient trace's
     [run:original] span. It depends only on the binary: the
     configuration follows its PIE bit, and the runtime library is the
-    fixed standard one. *)
+    fixed standard one. [profile] is a table for the run to fill: each
+    key, a block start, counts the times that block was entered
+    ({!Icfg_runtime.Vm.config}'s [profile]). *)
 
 val book_original : Icfg_runtime.Vm.result -> run
 (** Add a finished original run's [vm/original/*] counters to the
     ambient trace. Booking a stored result adds the same counters as the
     run that produced it. *)
 
-val run_rewritten : Icfg_core.Rewriter.t -> run
-(** Runs with the rewriter's trap map and translation hooks installed. *)
+val run_rewritten :
+  ?counters:(int, int) Hashtbl.t -> Icfg_core.Rewriter.t -> run
+(** Runs with the rewriter's trap map and translation hooks installed.
+    [counters] is a table for the counting payload to fill, keyed by
+    original block address (see {!Icfg_core.Rewriter.routines_for}). *)
 
 (** What a rewritten run shows against the original run. *)
 type judgement =
@@ -110,7 +118,51 @@ type judgement =
 
 val judge : orig:run -> run -> judgement
 (** The one output-equality and overhead rule: every harness verdict,
-    the corpus classification, the ablations and [icfg run] use it. *)
+    the corpus classification, the ablations, the strong test and
+    [icfg run] use it. *)
+
+(** {1 The strong correctness test}
+
+    The paper's section 8 test: count every basic block, overwrite every
+    original code byte of the relocated functions with illegal
+    instructions, run the original binary under a ground-truth block
+    profile and the rewrite with its counters, and require that
+
+    - both runs halt, with the same output ({!judge});
+    - every block of every relocated function ran exactly as many times
+      in both runs (instrumentation integrity, section 4.1). *)
+
+type problem =
+  | Original_crashed of string
+  | Rewritten_crashed of string
+  | Output_mismatch
+  | Count_mismatch of { block : int; expected : int; got : int }
+
+val pp_problem : Format.formatter -> problem -> unit
+
+type strong = {
+  st_problems : problem list;
+      (** in the order found; the test passed iff this is empty *)
+  st_blocks_checked : int;
+      (** blocks of relocated functions; 0 when the runs disagree *)
+  st_blocks_executed : int;  (** checked blocks the original entered *)
+  st_orig : run;
+  st_rewritten : run;
+  st_stats : Icfg_core.Rewriter.stats;
+}
+
+val strong_test :
+  ?fm:Icfg_analysis.Failure_model.t ->
+  ?options:Icfg_core.Rewriter.options ->
+  Icfg_obj.Binary.t ->
+  strong
+(** Parse, rewrite, run both binaries and judge, recording into the
+    ambient trace: the parse and rewrite spans, [run:original],
+    [run:rewritten] and [check-counts], and the [vm/original/*] and
+    [vm/rewritten/*] counters. The [options]' payload is forced to
+    [P_count], granularity to [G_block] and [overwrite_original] on;
+    everything else (mode, placement knobs, [only]) is honoured. Counts
+    are checked only when both runs halt with the same output. *)
 
 (** Result of one (benchmark, approach) cell. *)
 type verdict = {
@@ -123,10 +175,7 @@ type verdict = {
 }
 
 val evaluate :
-  orig:run ->
-  coverage:float ->
-  orig_size:int ->
-  Icfg_baselines.Baseline.outcome ->
-  verdict
+  orig:run -> coverage:float -> Icfg_baselines.Baseline.outcome -> verdict
 (** Runs the rewritten binary (if any) and checks outcome and output
-    equality against the original run. *)
+    equality against the original run. The size growth is the rewrite's
+    own: [s_new_size] against [s_orig_size]. *)

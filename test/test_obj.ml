@@ -361,21 +361,51 @@ let test_binfile_rewritten_runs_after_reload () =
       Alcotest.(check (list int)) "same output" orig.Vm.output r.Vm.output)
 
 (* ------------------------------------------------------------------ *)
-(* Verify (the strong test as a library)                               *)
+(* The strong test ([Runner.strong_test])                              *)
 (* ------------------------------------------------------------------ *)
 
-module Verify = Icfg_core.Verify
+module Runner = Icfg_harness.Runner
+module Rewriter = Icfg_core.Rewriter
+
+let no_problems name (t : Runner.strong) =
+  Alcotest.(check (list string))
+    (name ^ ": no problems") []
+    (List.map (Format.asprintf "%a" Runner.pp_problem) t.Runner.st_problems)
+
+(* An original run that crashes fails the test, and no counts are
+   checked against it. *)
+let test_verify_original_crash () =
+  let bin, _ =
+    Icfg_codegen.Compile.compile Arch.X86_64 (Test_codegen.switch_prog Ir.Jt_plain)
+  in
+  let main = Option.get (Binary.symbol bin "main") in
+  let bin = Binary.patch bin [ (main.Symbol.addr, String.make 4 '\000') ] in
+  let t = Runner.strong_test bin in
+  Alcotest.(check bool) "original crash reported" true
+    (List.exists
+       (function Runner.Original_crashed _ -> true | _ -> false)
+       t.Runner.st_problems);
+  Alcotest.(check int) "no counts checked" 0 t.Runner.st_blocks_checked
+
+let same_run name (a : Runner.run) (b : Runner.run) =
+  let key (r : Runner.run) =
+    [ r.Runner.r_cycles; r.Runner.r_steps; r.Runner.r_traps;
+      r.Runner.r_icache_misses ]
+  in
+  Alcotest.(check (list int))
+    (name ^ ": cycles, steps, traps, icache misses")
+    (key a) (key b)
 
 let test_verify_ok () =
   let bin, _ =
     Icfg_codegen.Compile.compile Arch.Aarch64 (Test_codegen.switch_prog Ir.Jt_plain)
   in
-  let report = Verify.strong_test bin in
-  Alcotest.(check bool) "ok" true report.Verify.ok;
-  Alcotest.(check bool) "blocks checked" true (report.Verify.blocks_checked > 10);
+  let t = Runner.strong_test bin in
+  no_problems "aarch64" t;
+  Alcotest.(check bool) "blocks checked" true (t.Runner.st_blocks_checked > 10);
   Alcotest.(check bool) "blocks executed" true
-    (report.Verify.blocks_executed > 0
-    && report.Verify.blocks_executed <= report.Verify.blocks_checked)
+    (t.Runner.st_blocks_executed > 0
+    && t.Runner.st_blocks_executed <= t.Runner.st_blocks_checked)
 
 let test_verify_detects_under_approximation () =
   (* Inject the catastrophic failure; the strong test must flag it. *)
@@ -386,9 +416,75 @@ let test_verify_detects_under_approximation () =
     Icfg_analysis.Failure_model.with_bounds Icfg_analysis.Failure_model.ours
       (Icfg_analysis.Failure_model.Bound_under 2)
   in
-  let report = Verify.strong_test ~fm bin in
-  Alcotest.(check bool) "caught" false report.Verify.ok;
-  Alcotest.(check bool) "reported" true (report.Verify.failures <> [])
+  let t = Runner.strong_test ~fm bin in
+  Alcotest.(check bool) "caught" true (t.Runner.st_problems <> [])
+
+(* The strong test's two runs are the measured runs: the original equals
+   [Runner.run_original] and the rewrite equals [Runner.run_rewritten] of
+   the same options, icache misses included, PIE or not. *)
+let test_verify_measured_config () =
+  let prog =
+    Icfg_workloads.Gen.build
+      {
+        Icfg_workloads.Gen.default_spec with
+        Icfg_workloads.Gen.name = "quickstart";
+        iters = 50;
+      }
+  in
+  List.iter
+    (fun pie ->
+      let name = if pie then "pie" else "non-pie" in
+      let bin, _ = Icfg_codegen.Compile.compile ~pie Arch.X86_64 prog in
+      let t = Runner.strong_test bin in
+      no_problems name t;
+      let orig = Runner.run_original bin in
+      Alcotest.(check bool) (name ^ ": icache modelled") true
+        (orig.Runner.r_icache_misses > 0);
+      same_run (name ^ " original") orig t.Runner.st_orig;
+      let options =
+        { Rewriter.default_options with Rewriter.payload = Rewriter.P_count }
+      in
+      same_run (name ^ " rewritten")
+        (Runner.run_rewritten (Runner.rewrite ~options bin))
+        t.Runner.st_rewritten)
+    [ false; true ]
+
+(* Partial instrumentation: with [only = Some [f]] the rewrite relocates f
+   alone, and the strong test checks exactly f's blocks. *)
+let test_verify_only () =
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun pie ->
+          let bin, _ =
+            Icfg_codegen.Compile.compile ~pie arch
+              (Test_codegen.switch_prog Ir.Jt_plain)
+          in
+          let p = Runner.parse bin in
+          List.iter
+            (fun f ->
+              let name =
+                Printf.sprintf "%s%s/%s" (Arch.name arch)
+                  (if pie then "/pie" else "") f
+              in
+              let options =
+                { Rewriter.default_options with Rewriter.only = Some [ f ] }
+              in
+              let t = Runner.strong_test ~options bin in
+              no_problems name t;
+              Alcotest.(check int) (name ^ ": one function instrumented") 1
+                t.Runner.st_stats.Rewriter.s_funcs_instrumented;
+              let fa = Option.get (Icfg_analysis.Parse.func p f) in
+              Alcotest.(check int)
+                (name ^ ": exactly f's blocks checked")
+                (List.length
+                   fa.Icfg_analysis.Parse.fa_cfg.Icfg_analysis.Cfg.blocks)
+                t.Runner.st_blocks_checked;
+              same_run (name ^ " original") (Runner.run_original bin)
+                t.Runner.st_orig)
+            [ "classify"; "main" ])
+        [ false; true ])
+    Arch.all
 
 let suite =
   [
@@ -428,5 +524,10 @@ let suite =
         Alcotest.test_case "strong test passes" `Quick test_verify_ok;
         Alcotest.test_case "catches under-approximation" `Quick
           test_verify_detects_under_approximation;
+        Alcotest.test_case "original crash fails" `Quick
+          test_verify_original_crash;
+        Alcotest.test_case "runs are the measured runs" `Quick
+          test_verify_measured_config;
+        Alcotest.test_case "only: exactly f's blocks" `Quick test_verify_only;
       ] );
   ]

@@ -23,8 +23,8 @@
       or removed.
 
    5. Failure-path observability: [Trace.with_file] writes the trace even
-      when the traced function raises, and [Verify.strong_test] returns a
-      populated trace even when the verdict is a failure. *)
+      when the traced function raises, and [Runner.strong_test] records
+      into the ambient trace whether it fails or raises. *)
 
 open Icfg_isa
 open Icfg_core
@@ -838,19 +838,46 @@ let trace_file_on_success () =
   Alcotest.(check bool) "counter written" true (contains ~sub:"\"n\": 7" json)
 
 let verify_failure_has_trace () =
-  (* An under-approximated bound makes the strong test fail; the report
-     must still carry a populated trace (what `icfg verify --trace` saves
-     before exiting non-zero). *)
+  (* An under-approximated bound makes the strong test fail; the ambient
+     trace must still hold its spans and counters (what `icfg verify
+     --trace` saves before exiting non-zero). *)
   let bin, _ = Icfg_codegen.Compile.compile Arch.X86_64 (Gen.build graded_spec) in
   let fm =
     Failure_model.with_bounds Failure_model.ours (Failure_model.Bound_under 2)
   in
-  let r = Verify.strong_test ~options:(opts Mode.Dir) ~fm bin in
-  Alcotest.(check bool) "strong test fails" false r.Verify.ok;
-  Alcotest.(check bool) "failing report still has spans" true
-    (Trace.rows r.Verify.trace <> []);
-  Alcotest.(check bool) "failing report still has counters" true
-    (Trace.counters r.Verify.trace <> [])
+  let t = Trace.create () in
+  let r =
+    Trace.with_current t (fun () ->
+        Runner.strong_test ~options:(opts Mode.Dir) ~fm bin)
+  in
+  Alcotest.(check bool) "strong test fails" true (r.Runner.st_problems <> []);
+  Alcotest.(check bool) "failing test still leaves spans" true
+    (Trace.rows t <> []);
+  Alcotest.(check bool) "failing test still leaves counters" true
+    (Trace.counters t <> [])
+
+let verify_raise_keeps_trace () =
+  (* Without .text the parse raises; the strong test records into the
+     caller's trace, so [Trace.with_file] still writes what ran. *)
+  let bin, _ = Icfg_codegen.Compile.compile Arch.X86_64 (Gen.build graded_spec) in
+  let bin =
+    Binary.with_sections bin
+      (List.filter
+         (fun (s : Section.t) -> s.Section.name <> ".text")
+         bin.Binary.sections)
+  in
+  let path = Filename.temp_file "icfg-test-trace" ".json" in
+  Sys.remove path;
+  (match Trace.with_file path (fun () -> Runner.strong_test bin) with
+  | _ -> Alcotest.fail "a binary without .text passed the strong test"
+  | exception Invalid_argument _ -> ());
+  let json = read_file path in
+  Sys.remove path;
+  List.iter
+    (fun span ->
+      Alcotest.(check bool) (span ^ " span written") true
+        (contains ~sub:(Printf.sprintf "{\"name\": \"%s\"" span) json))
+    [ "parse"; "pass1" ]
 
 (* ------------------------------------------------------------------ *)
 (* 6. Report serialization                                             *)
@@ -914,6 +941,8 @@ let suite =
         Alcotest.test_case "trace file on success" `Quick trace_file_on_success;
         Alcotest.test_case "verify failure keeps trace" `Quick
           verify_failure_has_trace;
+        Alcotest.test_case "verify raise keeps trace file" `Quick
+          verify_raise_keeps_trace;
         Alcotest.test_case "report json" `Quick report_json;
         QCheck_alcotest.to_alcotest graded_causes_qcheck;
       ] );

@@ -30,7 +30,16 @@ let opts mode =
   { Rewriter.default_options with Rewriter.mode; payload = Rewriter.P_count }
 
 let counter t name = Option.value ~default:0 (Trace.find_counter t name)
-let rcounter (r : Verify.report) name = counter r.Verify.trace name
+
+(* The strong test under a fresh ambient trace: its result and the trace. *)
+let strong ?fm options bin =
+  let t = Trace.create () in
+  let r = Trace.with_current t (fun () -> Runner.strong_test ?fm ~options bin) in
+  (r, t)
+
+let passed ((r : Runner.strong), _) = r.Runner.st_problems = []
+let stats ((r : Runner.strong), _) = r.Runner.st_stats
+let rcounter (_, t) name = counter t name
 
 let first_bench arch =
   let bench = List.hd (Icfg_workloads.Spec_suite.benchmarks arch) in
@@ -227,10 +236,8 @@ let mode_monotonicity =
     (fun (spec, (arch, pie)) ->
       let prog = Gen.build spec in
       let bin, _ = Icfg_codegen.Compile.compile ~pie arch prog in
-      let reports =
-        List.map (fun m -> Verify.strong_test ~options:(opts m) bin) mode_chain
-      in
-      List.for_all (fun r -> r.Verify.ok) reports
+      let reports = List.map (fun m -> strong (opts m) bin) mode_chain in
+      List.for_all passed reports
       &&
       let non_increasing name =
         let vals = List.map (fun r -> rcounter r name) reports in
@@ -263,17 +270,17 @@ let graded_bounds () =
      CFL so nothing even changes; in jt mode the cloned tables carry the
      phantom entries, so the new-table bytes and total size growth go up
      while the strong test still passes. *)
-  let base_dir = Verify.strong_test ~options:(opts Mode.Dir) ~fm:Failure_model.ours bin in
-  Alcotest.(check bool) "exact bounds: strong test passes" true base_dir.Verify.ok;
-  let over_dir = Verify.strong_test ~options:(opts Mode.Dir) ~fm:over_fm bin in
-  Alcotest.(check bool) "over-approx dir: still correct" true over_dir.Verify.ok;
+  let base_dir = strong ~fm:Failure_model.ours (opts Mode.Dir) bin in
+  Alcotest.(check bool) "exact bounds: strong test passes" true (passed base_dir);
+  let over_dir = strong ~fm:over_fm (opts Mode.Dir) bin in
+  Alcotest.(check bool) "over-approx dir: still correct" true (passed over_dir);
   Alcotest.(check bool) "over-approx dir: never fewer trampolines" true
-    (over_dir.Verify.stats.Rewriter.s_trampolines
-    >= base_dir.Verify.stats.Rewriter.s_trampolines);
-  let base_jt = Verify.strong_test ~options:(opts Mode.Jt) ~fm:Failure_model.ours bin in
-  let over_jt = Verify.strong_test ~options:(opts Mode.Jt) ~fm:over_fm bin in
-  Alcotest.(check bool) "exact bounds jt: ok" true base_jt.Verify.ok;
-  Alcotest.(check bool) "over-approx jt: still correct" true over_jt.Verify.ok;
+    ((stats over_dir).Rewriter.s_trampolines
+    >= (stats base_dir).Rewriter.s_trampolines);
+  let base_jt = strong ~fm:Failure_model.ours (opts Mode.Jt) bin in
+  let over_jt = strong ~fm:over_fm (opts Mode.Jt) bin in
+  Alcotest.(check bool) "exact bounds jt: ok" true (passed base_jt);
+  Alcotest.(check bool) "over-approx jt: still correct" true (passed over_jt);
   Alcotest.(check bool)
     (Printf.sprintf "over-approx jt: bigger cloned tables (%d > %d)"
        (rcounter over_jt "rewrite/jtnew-bytes")
@@ -289,10 +296,9 @@ let graded_bounds () =
   let under_fm =
     Failure_model.with_bounds Failure_model.ours (Failure_model.Bound_under 2)
   in
-  let under = Verify.strong_test ~options:(opts Mode.Dir) ~fm:under_fm bin in
-  Alcotest.(check bool) "under-approx: caught" false under.Verify.ok;
-  Alcotest.(check bool) "under-approx: failures reported" true
-    (under.Verify.failures <> [])
+  let under, _ = strong ~fm:under_fm (opts Mode.Dir) bin in
+  Alcotest.(check bool) "under-approx: caught" true
+    (under.Runner.st_problems <> [])
 
 let graded_srbi () =
   (* One switch keeps its table base spilled to the stack; SRBI's analyses
@@ -301,23 +307,20 @@ let graded_srbi () =
   let spec = { graded_spec with Gen.name = "graded-srbi"; n_hard_spill = 1 } in
   let bin, _ = Icfg_codegen.Compile.compile Arch.X86_64 (Gen.build spec) in
   let options = opts Mode.Dir in
-  let base = Verify.strong_test ~options ~fm:Failure_model.ours bin in
-  let srbi = Verify.strong_test ~options ~fm:Failure_model.srbi bin in
-  Alcotest.(check bool) "ours: ok" true base.Verify.ok;
-  Alcotest.(check bool) "srbi: still correct" true srbi.Verify.ok;
+  let base = strong ~fm:Failure_model.ours options bin in
+  let srbi = strong ~fm:Failure_model.srbi options bin in
+  Alcotest.(check bool) "ours: ok" true (passed base);
+  Alcotest.(check bool) "srbi: still correct" true (passed srbi);
+  let base = stats base and srbi = stats srbi in
   Alcotest.(check int) "same function population"
-    base.Verify.stats.Rewriter.s_funcs_total
-    srbi.Verify.stats.Rewriter.s_funcs_total;
+    base.Rewriter.s_funcs_total srbi.Rewriter.s_funcs_total;
   Alcotest.(check bool)
     (Printf.sprintf "srbi covers fewer functions (%d < %d)"
-       srbi.Verify.stats.Rewriter.s_funcs_instrumented
-       base.Verify.stats.Rewriter.s_funcs_instrumented)
+       srbi.Rewriter.s_funcs_instrumented base.Rewriter.s_funcs_instrumented)
     true
-    (srbi.Verify.stats.Rewriter.s_funcs_instrumented
-    < base.Verify.stats.Rewriter.s_funcs_instrumented);
+    (srbi.Rewriter.s_funcs_instrumented < base.Rewriter.s_funcs_instrumented);
   Alcotest.(check bool) "ours covers the spilled-base switch" true
-    (base.Verify.stats.Rewriter.s_funcs_instrumented
-    = base.Verify.stats.Rewriter.s_funcs_total)
+    (base.Rewriter.s_funcs_instrumented = base.Rewriter.s_funcs_total)
 
 (* ------------------------------------------------------------------ *)
 (* Satellite 3: tracing is observation-only                            *)
@@ -377,13 +380,14 @@ let vm_ra_translations () =
     }
   in
   let bin, _ = Icfg_codegen.Compile.compile Arch.X86_64 (Gen.build spec) in
-  let r = Verify.strong_test ~options:(opts Mode.Jt) bin in
-  Alcotest.(check bool) "strong test ok" true r.Verify.ok;
+  let r = strong (opts Mode.Jt) bin in
+  let rewritten = (fst r).Runner.st_rewritten in
+  Alcotest.(check bool) "strong test ok" true (passed r);
   Alcotest.(check int) "trap counter mirrors report"
-    r.Verify.rewritten_traps
+    rewritten.Runner.r_traps
     (rcounter r "vm/rewritten/traps");
   Alcotest.(check int) "cycle counter mirrors report"
-    r.Verify.rewritten_cycles
+    rewritten.Runner.r_cycles
     (rcounter r "vm/rewritten/cycles");
   Alcotest.(check bool) "unwinding happened" true
     (rcounter r "vm/rewritten/unwind-steps" > 0);
