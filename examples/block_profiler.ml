@@ -1,7 +1,9 @@
 (* Block profiler: a real instrumentation client on top of the rewriter.
 
    Rewrites a SPEC-like benchmark with the counting payload at every basic
-   block, runs it, and prints the hottest functions and blocks — the
+   block, runs it through [Runner] (the one run configuration, with the
+   runtime library's counting routine attached), and prints the hottest
+   functions and blocks — the
    "function or block execution counts" tool the paper's discussion section
    uses as its canonical binary-rewriting application.
 
@@ -10,7 +12,7 @@
 open Icfg_isa
 module Parse = Icfg_analysis.Parse
 module Rewriter = Icfg_core.Rewriter
-module Vm = Icfg_runtime.Vm
+module Runner = Icfg_harness.Runner
 
 let () =
   let arch =
@@ -35,14 +37,9 @@ let () =
       parse
   in
   let counters = Hashtbl.create 256 in
-  let config = Rewriter.vm_config_for rw (Vm.default_config ()) in
-  let result =
-    Vm.run ~config ~routines:(Rewriter.routines_for rw ~counters)
-      rw.Rewriter.rw_binary
-  in
-  (match result.Vm.outcome with
-  | Vm.Halted -> ()
-  | Vm.Crashed m -> failwith ("rewritten run crashed: " ^ m));
+  (match (Runner.run_rewritten ~counters rw).Runner.r_outcome with
+  | Icfg_runtime.Vm.Halted -> ()
+  | Icfg_runtime.Vm.Crashed m -> failwith ("rewritten run crashed: " ^ m));
 
   (* Aggregate per-block counts into per-function totals. *)
   let func_totals = Hashtbl.create 32 in

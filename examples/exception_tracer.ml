@@ -10,13 +10,16 @@
    - with neither: the unwinder meets relocated return addresses that have
      no frame information and the program dies.
 
+   Every binary runs through [Runner], the one run configuration (icache
+   on); the unwind steps come from the run's trace counters.
+
      dune exec examples/exception_tracer.exe *)
 
 open Icfg_isa
 open Icfg_codegen
-module Parse = Icfg_analysis.Parse
 module Rewriter = Icfg_core.Rewriter
-module Vm = Icfg_runtime.Vm
+module Runner = Icfg_harness.Runner
+module Trace = Icfg_core.Trace
 
 let program =
   Ir.program ~name:"exceptions"
@@ -58,31 +61,34 @@ let program =
         ];
     ]
 
-let show label outcome (r : Vm.result) extra =
+(* Run [f] (one [Runner] run, booked as [vm/<which>/*]) under a fresh
+   trace, and print its row with the unwind steps the trace counted. *)
+let show label which f extra =
+  let t = Trace.create () in
+  let r : Runner.run = Trace.with_current t f in
+  let unwind =
+    Option.value ~default:0
+      (Trace.find_counter t ("vm/" ^ which ^ "/unwind-steps"))
+  in
   Format.printf "  %-28s %-34s cycles %8s  unwind steps %4d%s@." label
-    (match outcome with
-    | Vm.Halted -> "ok, output " ^ String.concat "," (List.map string_of_int r.Vm.output)
-    | Vm.Crashed m -> "CRASHED: " ^ m)
-    (string_of_int r.Vm.cycles) r.Vm.unwind_steps extra
+    (match r.r_outcome with
+    | Icfg_runtime.Vm.Halted ->
+        "ok, output " ^ String.concat "," (List.map string_of_int r.r_output)
+    | Icfg_runtime.Vm.Crashed m -> "CRASHED: " ^ m)
+    (string_of_int r.r_cycles) unwind extra
 
 let () =
   let arch = Arch.X86_64 in
   let bin, _ = Compile.compile arch program in
-  let orig = Vm.run ~routines:(Icfg_runtime.Runtime_lib.standard ()) bin in
   Format.printf "48 calls succeed, 16 throw and are caught two frames up.@.@.";
-  show "original" orig.Vm.outcome orig "";
+  show "original" "original" (fun () -> Runner.run_original bin) "";
 
   let attempt label options =
-    let parse = Parse.parse bin in
-    let rw = Rewriter.rewrite ~options parse in
-    let config = Rewriter.vm_config_for rw (Vm.default_config ()) in
-    let r =
-      Vm.run ~config
-        ~routines:(Rewriter.routines_for rw ~counters:(Hashtbl.create 4))
-        rw.Rewriter.rw_binary
-    in
+    let rw = Runner.rewrite ~options bin in
     let map_size = Icfg_runtime.Runtime_lib.Ra_map.size rw.Rewriter.rw_ra_map in
-    show label r.Vm.outcome r (Printf.sprintf "  (ra-map entries: %d)" map_size)
+    show label "rewritten"
+      (fun () -> Runner.run_rewritten rw)
+      (Printf.sprintf "  (ra-map entries: %d)" map_size)
   in
   attempt "RA translation (ours)" Rewriter.default_options;
   attempt "call emulation (SRBI-like)"

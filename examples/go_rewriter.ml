@@ -6,48 +6,40 @@
    the PC argument, so tracebacks of the rewritten binary see original
    addresses. func-ptr mode, by contrast, rewrites the interface-table
    slots that Go also compares against the function table — and fails.
+   Both binaries run through [Runner], the one run configuration, which
+   loads the PIE binary at [Vm.pie_base] and judges each rewrite.
 
      dune exec examples/go_rewriter.exe *)
 
 open Icfg_isa
-module Parse = Icfg_analysis.Parse
 module Rewriter = Icfg_core.Rewriter
 module Mode = Icfg_core.Mode
-module Vm = Icfg_runtime.Vm
+module Runner = Icfg_harness.Runner
 
 let () =
   let arch = Arch.X86_64 in
   let bin, _ = Icfg_workloads.Apps.docker arch in
   Format.printf "docker analogue: Go runtime, .gopclntab, PIE, no jump tables@.@.";
 
-  let config =
-    { (Vm.default_config ()) with Vm.load_base = 0x20000000 }
-  in
-  let orig = Vm.run ~config ~routines:(Icfg_runtime.Runtime_lib.standard ()) bin in
+  let orig = Runner.run_original bin in
   Format.printf "original : %s (%d traceback frames emitted)@."
-    (match orig.Vm.outcome with Vm.Halted -> "ok" | Vm.Crashed m -> m)
-    (List.length orig.Vm.output - 1);
+    (match orig.Runner.r_outcome with
+    | Icfg_runtime.Vm.Halted -> "ok"
+    | Icfg_runtime.Vm.Crashed m -> m)
+    (List.length orig.Runner.r_output - 1);
 
   List.iter
     (fun mode ->
-      let parse = Parse.parse bin in
       let rw =
-        Rewriter.rewrite ~options:{ Rewriter.default_options with Rewriter.mode }
-          parse
+        Runner.rewrite ~options:{ Rewriter.default_options with Rewriter.mode } bin
       in
-      let cfg = Rewriter.vm_config_for rw config in
-      let r =
-        Vm.run ~config:cfg
-          ~routines:(Rewriter.routines_for rw ~counters:(Hashtbl.create 4))
-          rw.Rewriter.rw_binary
-      in
-      match r.Vm.outcome with
-      | Vm.Halted when r.Vm.output = orig.Vm.output ->
+      match Runner.judge ~orig (Runner.run_rewritten rw) with
+      | Runner.Verified _ ->
           Format.printf
             "%-9s: ok — tracebacks identical (findfunc entry instrumented: %b)@."
             (Mode.name mode) rw.Rewriter.rw_go_hook
-      | Vm.Halted -> Format.printf "%-9s: OUTPUT MISMATCH@." (Mode.name mode)
-      | Vm.Crashed m -> Format.printf "%-9s: FAILED — %s@." (Mode.name mode) m)
+      | Runner.Diverged -> Format.printf "%-9s: OUTPUT MISMATCH@." (Mode.name mode)
+      | Runner.Crashed m -> Format.printf "%-9s: FAILED — %s@." (Mode.name mode) m)
     [ Mode.Dir; Mode.Jt; Mode.Func_ptr ];
 
   Format.printf

@@ -3,14 +3,15 @@
    Instrument only the functions of interest inside a driver-like library
    (the cu* interfaces and the hidden internal synchronization function) and
    leave the other functions untouched — something the all-or-nothing IR
-   lowering approach cannot do at all.
+   lowering approach cannot do at all. The rewrite runs through [Runner],
+   the one run configuration, which attaches the counting routine.
 
      dune exec examples/partial_instrumentation.exe *)
 
 open Icfg_isa
 module Parse = Icfg_analysis.Parse
 module Rewriter = Icfg_core.Rewriter
-module Vm = Icfg_runtime.Vm
+module Runner = Icfg_harness.Runner
 
 let () =
   let arch = Arch.X86_64 in
@@ -34,14 +35,10 @@ let () =
   Format.printf "%a@." Rewriter.pp_stats rw.Rewriter.rw_stats;
 
   let counters = Hashtbl.create 64 in
-  let config = Rewriter.vm_config_for rw (Vm.default_config ()) in
-  let r =
-    Vm.run ~config ~routines:(Rewriter.routines_for rw ~counters)
-      rw.Rewriter.rw_binary
-  in
-  (match r.Vm.outcome with
-  | Vm.Halted -> Format.printf "run ok (%d traps)@." r.Vm.trap_hits
-  | Vm.Crashed m -> failwith m);
+  let r = Runner.run_rewritten ~counters rw in
+  (match r.Runner.r_outcome with
+  | Icfg_runtime.Vm.Halted -> Format.printf "run ok (%d traps)@." r.Runner.r_traps
+  | Icfg_runtime.Vm.Crashed m -> failwith m);
 
   (* Which instrumented function is the hidden synchronization hot spot? *)
   let totals = Hashtbl.create 16 in

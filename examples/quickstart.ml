@@ -2,14 +2,15 @@
 
    Build a small program with a jump table and function pointers, compile it
    for an architecture, parse it, rewrite it with incremental CFG patching,
-   and run both binaries to show the rewriting is invisible.
+   and run both binaries through [Runner], the one run configuration, to
+   show the rewriting is invisible.
 
      dune exec examples/quickstart.exe *)
 
 open Icfg_isa
 open Icfg_codegen
 module Rewriter = Icfg_core.Rewriter
-module Vm = Icfg_runtime.Vm
+module Runner = Icfg_harness.Runner
 
 (* A small source program in the structured IR. *)
 let program =
@@ -70,18 +71,14 @@ let () =
   (* 4. Run the original and the rewritten binary; outputs must agree even
         though every original code byte was overwritten with illegal
         instructions (only the trampolines remain). *)
-  let run_orig =
-    Vm.run ~routines:(Icfg_runtime.Runtime_lib.standard ()) binary
-  in
-  let counters = Hashtbl.create 16 in
-  let config = Rewriter.vm_config_for rw (Vm.default_config ()) in
-  let run_rw =
-    Vm.run ~config ~routines:(Rewriter.routines_for rw ~counters)
-      rw.Rewriter.rw_binary
-  in
+  let run_orig = Runner.run_original binary in
+  let run_rw = Runner.run_rewritten rw in
   Format.printf "original : %s@."
-    (String.concat " " (List.map string_of_int run_orig.Vm.output));
+    (String.concat " " (List.map string_of_int run_orig.Runner.r_output));
   Format.printf "rewritten: %s@."
-    (String.concat " " (List.map string_of_int run_rw.Vm.output));
-  assert (run_orig.Vm.output = run_rw.Vm.output);
+    (String.concat " " (List.map string_of_int run_rw.Runner.r_output));
+  assert (
+    match Runner.judge ~orig:run_orig run_rw with
+    | Runner.Verified _ -> true
+    | Runner.Diverged | Runner.Crashed _ -> false);
   Format.printf "outputs identical — rewriting is transparent.@."

@@ -1184,34 +1184,3 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
 
 let rewrite ?cache ?(options = default_options) (p : Parse.t) =
   Trace.span "rewrite" (fun () -> rewrite_inner ?cache ~options p)
-
-let vm_config_for t (cfg : Icfg_runtime.Vm.config) =
-  let translate = Ra_map.translate t.rw_ra_map in
-  {
-    cfg with
-    Icfg_runtime.Vm.trap_map = t.rw_trap_map;
-    translate = (if t.rw_translate_hook then Some translate else None);
-    go_translate = (if t.rw_go_hook then Some translate else None);
-  }
-
-let routines_for t ~counters =
-  let key_of site =
-    Option.value ~default:site (Hashtbl.find_opt t.rw_counter_of_site site)
-  in
-  let dt_routine vm =
-    let lb = Icfg_runtime.Vm.load_base vm in
-    let site = Icfg_runtime.Vm.pc vm - lb in
-    match Hashtbl.find_opt t.rw_dt_sites site with
-    | None -> Icfg_runtime.Vm.abort vm "dynamic translation: unknown site"
-    | Some reg -> (
-        let v = Icfg_runtime.Vm.reg vm reg in
-        match t.rw_relocated_entry (v - lb) with
-        | Some reloc -> Icfg_runtime.Vm.set_reg vm reg (reloc + lb)
-        | None -> ())
-  in
-  Icfg_runtime.Runtime_lib.standard ()
-  @ [
-      Icfg_runtime.Runtime_lib.count_routine counters ~key_of;
-      Icfg_runtime.Runtime_lib.translate_r0_routine t.rw_ra_map;
-      (Abi.dyn_translate, dt_routine);
-    ]

@@ -127,15 +127,3 @@ val rewrite : ?cache:Cache.t -> ?options:options -> Icfg_analysis.Parse.t -> t
     unless a function's relocated size changed since that snapshot; then
     unchanged functions keep their previous addresses, and the
     functions that changed are placed into the holes around them. *)
-
-val vm_config_for : t -> Icfg_runtime.Vm.config -> Icfg_runtime.Vm.config
-(** Install the trap map and (when enabled) the RA-translation hooks into a
-    VM configuration — what the LD_PRELOAD runtime library does when it
-    attaches to the rewritten binary. *)
-
-val routines_for :
-  t ->
-  counters:(int, int) Hashtbl.t ->
-  (string * (Icfg_runtime.Vm.t -> unit)) list
-(** Runtime-library routines for running the rewritten binary: the standard
-    set plus counting and RA translation bound to this rewrite's maps. *)

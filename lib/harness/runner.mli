@@ -1,6 +1,8 @@
 (** Measured executions: the experiment harness's view of one benchmark.
 
-    Every run, the strong test's included, uses {!measure_config}: the
+    Every run of a compiled or rewritten binary goes through this module
+    (the strong test's, the CLI's, the experiments', the tests' and the
+    examples'), and every run uses {!measure_config}: the
     instruction-cache model enabled (the ping-pong between original and
     relocated code is the paper's stated overhead source). The harness
     verdicts rewrite with the empty instrumentation payload, exactly like
@@ -81,8 +83,11 @@ type run = {
   r_steps : int;
 }
 
-val measure_config : pie:bool -> Icfg_runtime.Vm.config
-(** Icache enabled; PIE binaries load at a fixed non-zero base. *)
+val measure_config : Icfg_runtime.Vm.config
+(** The one run configuration: icache enabled (64 lines of 64 bytes,
+    25-cycle misses), everything else {!Icfg_runtime.Vm.default_config}'s.
+    A PIE binary loads at {!Icfg_runtime.Vm.pie_base}. Its trap map is
+    empty and shared by every run, which only reads it. *)
 
 val run_original : Icfg_obj.Binary.t -> run
 (** The original binary's measured run, booked into the ambient trace:
@@ -90,11 +95,11 @@ val run_original : Icfg_obj.Binary.t -> run
 
 val original_vm :
   ?profile:(int, int) Hashtbl.t -> Icfg_obj.Binary.t -> Icfg_runtime.Vm.result
-(** The original binary's run, timed as the ambient trace's
-    [run:original] span. It depends only on the binary: the
-    configuration follows its PIE bit, and the runtime library is the
-    fixed standard one. [profile] is a table for the run to fill: each
-    key, a block start, counts the times that block was entered
+(** The original binary's run under {!measure_config}, timed as the
+    ambient trace's [run:original] span. It depends only on the binary:
+    the configuration is fixed, and so is the runtime library, the
+    standard one. [profile] is a table for the run to fill: each key, a
+    block start, counts the times that block was entered
     ({!Icfg_runtime.Vm.config}'s [profile]). *)
 
 val book_original : Icfg_runtime.Vm.result -> run
@@ -104,9 +109,13 @@ val book_original : Icfg_runtime.Vm.result -> run
 
 val run_rewritten :
   ?counters:(int, int) Hashtbl.t -> Icfg_core.Rewriter.t -> run
-(** Runs with the rewriter's trap map and translation hooks installed.
-    [counters] is a table for the counting payload to fill, keyed by
-    original block address (see {!Icfg_core.Rewriter.routines_for}). *)
+(** Runs [rw_binary] under {!measure_config} with the runtime library
+    attached, as the paper's LD_PRELOAD library attaches: the rewrite's
+    trap map, its RA-translation hooks when it asks for them, and the
+    standard routines plus counting, RA translation and dynamic
+    translation bound to its maps. [counters] is a table for the
+    counting payload to fill: each [CallRt] count site adds one under
+    its original block address ([rw_counter_of_site]). *)
 
 (** What a rewritten run shows against the original run. *)
 type judgement =

@@ -1,7 +1,5 @@
 type config = { line_bytes : int; lines : int; miss_cost : int }
 
-let default_config = { line_bytes = 64; lines = 512; miss_cost = 20 }
-
 type t = {
   cfg : config;
   tags : int array;  (** -1 = invalid *)

@@ -3,46 +3,43 @@ module Binary = Icfg_obj.Binary
 module Section = Icfg_obj.Section
 module Ehframe = Icfg_obj.Ehframe
 
-type cost_model = {
-  base : int;
-  mem : int;
-  mul : int;
-  branch_taken : int;
-  indirect : int;
-  callrt : int;
-  trap : int;
-}
+(* Cycles per instruction class: every step whose fetch succeeds pays
+   [cost_base], and the classes below pay their extra on top. *)
+let cost_base = 1
+and cost_mem = 1
+and cost_mul = 2
+and cost_branch_taken = 1
+and cost_indirect = 2
+and cost_callrt = 12
+and cost_trap = 4000
+and cost_unwind_step = 60
 
-let default_costs =
-  { base = 1; mem = 1; mul = 2; branch_taken = 1; indirect = 2; callrt = 12; trap = 4000 }
+let pie_base = 0x20000000
+
+(* The stack maps the [stack_size] bytes from [stack_base], and an access
+   below [stack_base] is unmapped. Its segment stores only a window
+   around the bytes a run wrote (see [segment]), so [stack_size] bounds
+   addresses, not an allocation. *)
+let stack_base = 0x7E000000
+let stack_size = 1 lsl 20
 
 type config = {
-  load_base : int;
-  stack_base : int;
-  stack_size : int;
   max_steps : int;
-  costs : cost_model;
   icache : Icache.config option;
   trap_map : (int, int) Hashtbl.t;
   translate : (int -> int) option;
   go_translate : (int -> int) option;
   profile : (int, int) Hashtbl.t option;
-  compiled_unwind : bool;
 }
 
 let default_config () =
   {
-    load_base = 0;
-    stack_base = 0x7E000000;
-    stack_size = 1 lsl 20;
     max_steps = 200_000_000;
-    costs = default_costs;
     icache = None;
     trap_map = Hashtbl.create 16;
     translate = None;
     go_translate = None;
     profile = None;
-    compiled_unwind = false;
   }
 
 type outcome = Halted | Crashed of string
@@ -294,7 +291,7 @@ let[@inline] set_reg vm (r : Reg.t) v = vm.regs.((r :> int)) <- v
 let pc vm = vm.pc_
 let sp vm = vm.sp_
 let lr vm = vm.lr_
-let load_base vm = if vm.bin.Binary.pie then vm.cfg.load_base else 0
+let load_base vm = if vm.bin.Binary.pie then pie_base else 0
 let binary vm = vm.bin
 let emit_output vm v = vm.out_rev <- v :: vm.out_rev
 let abort vm msg = crash vm msg
@@ -309,9 +306,6 @@ let find_symbol vm name =
 (* ------------------------------------------------------------------ *)
 (* Unwinding                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let dwarf_unwind_step_cost = 60
-let compiled_unwind_step_cost = 6 (* frdwarf-style compiled unwind recipes *)
 
 let fde_at vm ~hook pc_rt =
   let link = pc_rt - load_base vm in
@@ -337,9 +331,7 @@ let throw vm =
   let rec go pc_rt sp lr depth =
     if depth > 512 then crash vm "unwind: too many frames";
     vm.unwind_count <- vm.unwind_count + 1;
-    charge vm b_unwind
-      (if vm.cfg.compiled_unwind then compiled_unwind_step_cost
-       else dwarf_unwind_step_cost);
+    charge vm b_unwind cost_unwind_step;
     let link, fde = fde_at vm ~hook:vm.cfg.translate pc_rt in
     match fde with
     | None ->
@@ -410,7 +402,6 @@ let do_call vm ~retaddr ~target =
 (* Execute [insn], fetched at [pc0]; [next] is the address after it. The
    caller counts the step and charges its fetch. *)
 let exec vm (insn : Insn.t) pc0 next =
-  let c = vm.cfg.costs in
   match insn with
   | Nop -> vm.pc_ <- next
   | Halt ->
@@ -419,7 +410,7 @@ let exec vm (insn : Insn.t) pc0 next =
   | Illegal -> crash vm (Printf.sprintf "illegal instruction at 0x%x" pc0)
   | Trap -> (
       vm.trap_hits <- vm.trap_hits + 1;
-      charge vm b_trap c.trap;
+      charge vm b_trap cost_trap;
       let link = pc0 - load_base vm in
       match Hashtbl.find_opt vm.cfg.trap_map link with
       | Some target -> vm.pc_ <- target + load_base vm
@@ -443,7 +434,7 @@ let exec vm (insn : Insn.t) pc0 next =
       set_reg vm r (reg vm r - operand_value vm o);
       vm.pc_ <- next
   | Mul (r, o) ->
-      charge vm b_mul c.mul;
+      charge vm b_mul cost_mul;
       set_reg vm r (reg vm r * operand_value vm o);
       vm.pc_ <- next
   | And_ (r, o) ->
@@ -465,15 +456,15 @@ let exec vm (insn : Insn.t) pc0 next =
       vm.cmp_delta <- reg vm r - operand_value vm o;
       vm.pc_ <- next
   | Load (w, rd, b, d) ->
-      charge vm b_mem c.mem;
+      charge vm b_mem cost_mem;
       set_reg vm rd (read_mem vm (base_value vm b + d) w);
       vm.pc_ <- next
   | Store (w, b, d, rs) ->
-      charge vm b_mem c.mem;
+      charge vm b_mem cost_mem;
       write_mem vm (base_value vm b + d) w (reg vm rs);
       vm.pc_ <- next
   | LoadIdx (w, rd, rb, ri, s) ->
-      charge vm b_mem c.mem;
+      charge vm b_mem cost_mem;
       set_reg vm rd (read_mem vm (reg vm rb + (reg vm ri * s)) w);
       vm.pc_ <- next
   | Lea (r, d) ->
@@ -483,36 +474,36 @@ let exec vm (insn : Insn.t) pc0 next =
       vm.sp_ <- vm.sp_ + n;
       vm.pc_ <- next
   | Jmp d ->
-      charge vm b_branch c.branch_taken;
+      charge vm b_branch cost_branch_taken;
       vm.pc_ <- pc0 + d
   | Jcc (cond, d) ->
       if cond_holds vm.cmp_delta cond then (
-        charge vm b_branch c.branch_taken;
+        charge vm b_branch cost_branch_taken;
         vm.pc_ <- pc0 + d)
       else vm.pc_ <- next
   | Call d ->
-      charge vm b_branch c.branch_taken;
+      charge vm b_branch cost_branch_taken;
       do_call vm ~retaddr:next ~target:(pc0 + d)
   | IndJmp r ->
-      charge vm b_indirect c.indirect;
+      charge vm b_indirect cost_indirect;
       vm.pc_ <- reg vm r
   | IndCall r ->
-      charge vm b_indirect c.indirect;
+      charge vm b_indirect cost_indirect;
       do_call vm ~retaddr:next ~target:(reg vm r)
   | IndCallMem (b, d) ->
-      charge vm b_mem c.mem;
-      charge vm b_indirect c.indirect;
+      charge vm b_mem cost_mem;
+      charge vm b_indirect cost_indirect;
       let target = read_mem vm (base_value vm b + d) W64 in
       do_call vm ~retaddr:next ~target
   | Ret ->
-      charge vm b_branch c.branch_taken;
+      charge vm b_branch cost_branch_taken;
       if vm.has_lr then vm.pc_ <- vm.lr_
       else (
         let ra = read_mem vm vm.sp_ W64 in
         vm.sp_ <- vm.sp_ + 8;
         vm.pc_ <- ra)
   | CallRt idx -> (
-      charge vm b_callrt c.callrt;
+      charge vm b_callrt cost_callrt;
       if idx >= Array.length vm.routines then
         crash vm (Printf.sprintf "callrt: bad dynamic symbol index %d" idx)
       else
@@ -524,7 +515,7 @@ let exec vm (insn : Insn.t) pc0 next =
             f vm;
             vm.pc_ <- next)
   | Throw ->
-      charge vm b_indirect c.indirect;
+      charge vm b_indirect cost_indirect;
       throw vm
   | Out r ->
       emit_output vm (reg vm r);
@@ -539,7 +530,7 @@ let exec vm (insn : Insn.t) pc0 next =
       vm.tar <- reg vm r;
       vm.pc_ <- next
   | Btar ->
-      charge vm b_indirect c.indirect;
+      charge vm b_indirect cost_indirect;
       vm.pc_ <- vm.tar
   | Adrp (r, d) ->
       set_reg vm r ((pc0 land lnot 4095) + d);
@@ -699,7 +690,7 @@ let call_function vm ~addr ~args =
 
 let load ?(config : config option) ?(routines = []) (bin : Binary.t) =
   let cfg = match config with Some c -> c | None -> default_config () in
-  let lb = if bin.Binary.pie then cfg.load_base else 0 in
+  let lb = if bin.Binary.pie then pie_base else 0 in
   (* A data segment's window is a copy of its section's stored prefix; an
      executable one stores the whole segment, so a block decodes from one
      buffer. *)
@@ -718,11 +709,11 @@ let load ?(config : config option) ?(routines = []) (bin : Binary.t) =
         (if exec then Array.make ((size lsr page_bits) + 1) no_page else [||]);
     }
   in
-  let stack_top = cfg.stack_base + cfg.stack_size in
+  let stack_top = stack_base + stack_size in
   let stack =
     {
-      seg_base = cfg.stack_base;
-      seg_size = cfg.stack_size;
+      seg_base = stack_base;
+      seg_size = stack_size;
       seg_perm = Section.r_w;
       win_base = stack_top;
       win = Bytes.empty;
@@ -792,7 +783,7 @@ let run ?config ?routines bin =
   let vm = load ?config ?routines bin in
   exec_blocks vm ~nested:false;
   (* Every step but a faulting fetch paid the base cost. *)
-  charge vm b_base (vm.cfg.costs.base * (vm.steps - vm.fetch_faults));
+  charge vm b_base (cost_base * (vm.steps - vm.fetch_faults));
   {
     outcome =
       (match vm.state with

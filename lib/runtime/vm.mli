@@ -4,35 +4,26 @@
     code, and illegal filler behave exactly as written) one basic block at
     a time, on the block's first fetch in a run; in a writable code
     section a block is one instruction, so a store into code is seen
-    before that code's first fetch. It charges a configurable cycle cost
-    per instruction, models an instruction cache, delivers trap signals to
-    the runtime-library trap map at a high cost, and implements DWARF-style
-    stack unwinding over the binary's original [.eh_frame] with an optional
-    return-address translation hook — the runtime-library mechanisms of
-    sections 3 and 6 of the paper. *)
+    before that code's first fetch. It charges a fixed cycle cost per
+    instruction class (1 per instruction, plus 1 for a load or store, 2
+    for a multiply, 1 for a taken branch, call or return, 2 for indirect
+    control flow, 12 for a runtime-library call, 4,000 to deliver a trap
+    signal and 60 per unwind step), models an instruction cache, delivers
+    trap signals to the runtime-library trap map, and implements
+    DWARF-style stack unwinding over the binary's original [.eh_frame]
+    with an optional return-address translation hook — the
+    runtime-library mechanisms of sections 3 and 6 of the paper.
 
-type cost_model = {
-  base : int;  (** cycles per instruction *)
-  mem : int;  (** extra cycles for loads/stores *)
-  mul : int;  (** extra cycles for multiplies *)
-  branch_taken : int;  (** extra cycles for a taken branch/call/return *)
-  indirect : int;  (** extra cycles for indirect control flow *)
-  callrt : int;  (** cycles for a runtime-library (PLT) call *)
-  trap : int;  (** cycles to deliver a trap signal (section 7) *)
-}
+    A PIE binary loads at {!pie_base}, any other at its link addresses.
+    The stack is the fixed 1 MiB below [0x7E100000]; a run stores only a
+    window around the stack bytes it wrote, and unwritten bytes read 0. *)
 
-val default_costs : cost_model
+val pie_base : int
+(** The load base of every PIE binary: added to each section's address,
+    and applied by its run-time relocations. *)
 
 type config = {
-  load_base : int;  (** applied to every section when the binary is PIE *)
-  stack_base : int;  (** lowest address of the stack *)
-  stack_size : int;
-      (** bounds the stack: it maps the [stack_size] bytes from
-          [stack_base], and an access below [stack_base] is unmapped. It
-          is not the size of an allocation: a run stores only a window
-          around the stack bytes it wrote, and unwritten bytes read 0 *)
-  max_steps : int;
-  costs : cost_model;
+  max_steps : int;  (** a run that reaches it crashes with a timeout *)
   icache : Icache.config option;
   trap_map : (int, int) Hashtbl.t;
       (** link-time trap address -> link-time target (the runtime library's
@@ -49,14 +40,11 @@ type config = {
       (** when set, pre-seeded keys (link-time block addresses) are
           incremented on every fetch at that address — the ground-truth
           block profiler used to verify counting instrumentation *)
-  compiled_unwind : bool;
-      (** model an frdwarf-style unwinder whose recipes are compiled to
-          code (~10x cheaper per frame step); RA translation is agnostic to
-          the unwinder implementation, per sections 2.3 and 6 of the paper *)
 }
 
 val default_config : unit -> config
-(** Fresh config: no PIE base, no icache, empty trap map, no translation. *)
+(** Fresh config: 200M steps, no icache, empty trap map, no translation,
+    no profile. *)
 
 type outcome =
   | Halted

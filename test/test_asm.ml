@@ -158,9 +158,8 @@ let test_mater_const () =
               ~perm:Icfg_obj.Section.r_only (Bytes.make 16 '\000');
           ]
       in
-      let lb = if pie then 0x10000000 else 0 in
-      let config = { (Icfg_runtime.Vm.default_config ()) with Icfg_runtime.Vm.load_base = lb } in
-      let res = Icfg_runtime.Vm.run ~config bin in
+      let lb = if pie then Icfg_runtime.Vm.pie_base else 0 in
+      let res = Icfg_runtime.Vm.run bin in
       match res.Icfg_runtime.Vm.outcome with
       | Icfg_runtime.Vm.Halted ->
           Alcotest.(check (list int))

@@ -8,28 +8,17 @@ module Baseline = Icfg_baselines.Baseline
 module Capabilities = Icfg_baselines.Capabilities
 module Rewriter = Icfg_core.Rewriter
 module Mode = Icfg_core.Mode
-module Vm = Icfg_runtime.Vm
+module Runner = Icfg_harness.Runner
 
-let run_outcome ?(pie = false) orig_bin outcome =
-  let config =
-    { (Vm.default_config ()) with Vm.load_base = (if pie then 0x20000000 else 0) }
-  in
-  let orig =
-    Vm.run ~config ~routines:(Icfg_runtime.Runtime_lib.standard ()) orig_bin
-  in
+let run_outcome orig_bin outcome =
   match outcome with
   | Baseline.Refused r -> `Refused r
   | Baseline.Rewritten rw -> (
-      let config = Rewriter.vm_config_for rw config in
-      let r =
-        Vm.run ~config
-          ~routines:(Rewriter.routines_for rw ~counters:(Hashtbl.create 4))
-          rw.Rewriter.rw_binary
-      in
-      match r.Vm.outcome with
-      | Vm.Crashed m -> `Crashed m
-      | Vm.Halted ->
-          if r.Vm.output = orig.Vm.output then `Pass (r, rw) else `Mismatch)
+      let r = Runner.run_rewritten rw in
+      match Runner.judge ~orig:(Runner.run_original orig_bin) r with
+      | Runner.Verified _ -> `Pass r
+      | Runner.Diverged -> `Mismatch
+      | Runner.Crashed m -> `Crashed m)
 
 let check_pass name result =
   match result with
@@ -110,7 +99,7 @@ let test_ir_lowering_roundtrip_and_shape () =
       match Baseline.ir_lowering bin with
       | Baseline.Refused r -> Alcotest.failf "%s refused: %s" (Arch.name arch) r
       | Baseline.Rewritten rw as o ->
-          check_pass (Arch.name arch ^ "/egalito") (run_outcome ~pie:true bin o);
+          check_pass (Arch.name arch ^ "/egalito") (run_outcome bin o);
           (* regenerated: no original .text, entry relocated *)
           Alcotest.(check bool) "no original text" true
             (Binary.section rw.Rewriter.rw_binary ".text" = None);
@@ -150,15 +139,15 @@ let test_insn_patching_roundtrip_and_cost () =
     (fun arch ->
       let bin, _ = Compile.compile arch (Test_codegen.switch_prog Ir.Jt_plain) in
       match run_outcome bin (Baseline.insn_patching bin) with
-      | `Pass (r, _) -> (
+      | `Pass r -> (
           (* compare against our jt mode: patching must be much slower *)
           match run_outcome bin (Baseline.ours ~mode:Mode.Jt bin) with
-          | `Pass (r_ours, _) ->
+          | `Pass r_ours ->
               Alcotest.(check bool)
                 (Printf.sprintf "%s patching (%d) slower than ours (%d)"
-                   (Arch.name arch) r.Vm.cycles r_ours.Vm.cycles)
+                   (Arch.name arch) r.Runner.r_cycles r_ours.Runner.r_cycles)
                 true
-                (r.Vm.cycles > r_ours.Vm.cycles)
+                (r.Runner.r_cycles > r_ours.Runner.r_cycles)
           | _ -> Alcotest.fail "ours failed")
       | `Refused r -> Alcotest.failf "refused: %s" r
       | `Crashed m -> Alcotest.failf "%s crashed: %s" (Arch.name arch) m
@@ -236,7 +225,7 @@ let test_overhead_ordering () =
   let bin, _ = Icfg_workloads.Spec_suite.compile arch bench in
   let cycles outcome =
     match run_outcome bin outcome with
-    | `Pass (r, _) -> r.Vm.cycles
+    | `Pass r -> r.Runner.r_cycles
     | `Refused r -> Alcotest.failf "refused: %s" r
     | `Crashed m -> Alcotest.failf "crashed: %s" m
     | `Mismatch -> Alcotest.fail "mismatch"

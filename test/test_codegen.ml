@@ -6,14 +6,12 @@ open Icfg_isa
 open Icfg_codegen
 module Binary = Icfg_obj.Binary
 module Vm = Icfg_runtime.Vm
-module Runtime_lib = Icfg_runtime.Runtime_lib
 
-let run_prog ?pie ?config arch prog =
-  let bin, _dbg = Compile.compile ?pie arch prog in
-  Vm.run ?config ~routines:(Runtime_lib.standard ()) bin
+let run_prog ?pie arch prog =
+  Icfg_harness.Runner.original_vm (fst (Compile.compile ?pie arch prog))
 
-let check_run ?pie ?config arch prog expected =
-  let r = run_prog ?pie ?config arch prog in
+let check_run ?pie arch prog expected =
+  let r = run_prog ?pie arch prog in
   (match r.Vm.outcome with
   | Vm.Halted -> ()
   | Vm.Crashed m -> Alcotest.failf "%s crashed: %s" (Arch.name arch) m);
@@ -343,19 +341,14 @@ let test_findfunc_direct () =
 let test_pie_loading () =
   List.iter
     (fun arch ->
-      let cfg = { (Vm.default_config ()) with Vm.load_base = 0x20000000 } in
-      check_run ~pie:true ~config:cfg arch (switch_prog Ir.Jt_plain)
-        switch_expected;
-      check_run ~pie:true ~config:cfg arch prog_fptr [ 17; 70; 50; 15; 30 ];
-      check_run ~pie:true ~config:cfg arch prog_exceptions
-        [ 0; 2; 4; 1003; 1004 ])
+      check_run ~pie:true arch (switch_prog Ir.Jt_plain) switch_expected;
+      check_run ~pie:true arch prog_fptr [ 17; 70; 50; 15; 30 ];
+      check_run ~pie:true arch prog_exceptions [ 0; 2; 4; 1003; 1004 ])
     Arch.all
 
 let test_go_pie () =
-  let cfg = { (Vm.default_config ()) with Vm.load_base = 0x20000000 } in
   on_all_arches (fun a ->
-      let bin, _ = Compile.compile ~pie:true a go_prog in
-      let r = Vm.run ~config:cfg ~routines:(Runtime_lib.standard ()) bin in
+      let r = run_prog ~pie:true a go_prog in
       (match r.Vm.outcome with
       | Vm.Halted -> ()
       | Vm.Crashed m -> Alcotest.failf "%s crashed: %s" (Arch.name a) m);

@@ -350,15 +350,13 @@ let test_binfile_rewritten_runs_after_reload () =
       let loaded = Binfile.load path in
       Alcotest.(check bool) "roundtrip" true
         (binary_equal rw.Rewriter.rw_binary loaded);
-      let orig = Vm.run ~routines:(Icfg_runtime.Runtime_lib.standard ()) bin in
-      let config = Rewriter.vm_config_for rw (Vm.default_config ()) in
-      let r =
-        Vm.run ~config
-          ~routines:(Rewriter.routines_for rw ~counters:(Hashtbl.create 4))
-          loaded
-      in
-      Alcotest.(check bool) "loaded binary halts" true (r.Vm.outcome = Vm.Halted);
-      Alcotest.(check (list int)) "same output" orig.Vm.output r.Vm.output)
+      let module Runner = Icfg_harness.Runner in
+      let orig = Runner.run_original bin in
+      let r = Runner.run_rewritten { rw with Rewriter.rw_binary = loaded } in
+      Alcotest.(check bool) "loaded binary halts" true
+        (r.Runner.r_outcome = Vm.Halted);
+      Alcotest.(check (list int)) "same output" orig.Runner.r_output
+        r.Runner.r_output)
 
 (* ------------------------------------------------------------------ *)
 (* The strong test ([Runner.strong_test])                              *)
@@ -366,11 +364,6 @@ let test_binfile_rewritten_runs_after_reload () =
 
 module Runner = Icfg_harness.Runner
 module Rewriter = Icfg_core.Rewriter
-
-let no_problems name (t : Runner.strong) =
-  Alcotest.(check (list string))
-    (name ^ ": no problems") []
-    (List.map (Format.asprintf "%a" Runner.pp_problem) t.Runner.st_problems)
 
 (* An original run that crashes fails the test, and no counts are
    checked against it. *)
@@ -401,7 +394,7 @@ let test_verify_ok () =
     Icfg_codegen.Compile.compile Arch.Aarch64 (Test_codegen.switch_prog Ir.Jt_plain)
   in
   let t = Runner.strong_test bin in
-  no_problems "aarch64" t;
+  Test_rewriter.no_problems "aarch64" t;
   Alcotest.(check bool) "blocks checked" true (t.Runner.st_blocks_checked > 10);
   Alcotest.(check bool) "blocks executed" true
     (t.Runner.st_blocks_executed > 0
@@ -436,7 +429,7 @@ let test_verify_measured_config () =
       let name = if pie then "pie" else "non-pie" in
       let bin, _ = Icfg_codegen.Compile.compile ~pie Arch.X86_64 prog in
       let t = Runner.strong_test bin in
-      no_problems name t;
+      Test_rewriter.no_problems name t;
       let orig = Runner.run_original bin in
       Alcotest.(check bool) (name ^ ": icache modelled") true
         (orig.Runner.r_icache_misses > 0);
@@ -471,7 +464,7 @@ let test_verify_only () =
                 { Rewriter.default_options with Rewriter.only = Some [ f ] }
               in
               let t = Runner.strong_test ~options bin in
-              no_problems name t;
+              Test_rewriter.no_problems name t;
               Alcotest.(check int) (name ^ ": one function instrumented") 1
                 t.Runner.st_stats.Rewriter.s_funcs_instrumented;
               let fa = Option.get (Icfg_analysis.Parse.func p f) in

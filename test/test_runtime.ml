@@ -327,8 +327,9 @@ let test_zero_tail () =
         (String.length m >= 10 && String.sub m 0 10 = "write to r")
   | Vm.Halted -> Alcotest.fail "expected write-protection crash in a tail"
 
-let stack_base = (Vm.default_config ()).Vm.stack_base
-let stack_top = stack_base + (Vm.default_config ()).Vm.stack_size
+(* The Vm's fixed stack: the 1 MiB below 0x7E100000. *)
+let stack_base = 0x7E000000
+let stack_top = 0x7E100000
 
 (* The stack stores only a window around the bytes the program wrote
    (DESIGN §16). Unwritten slots read 0 inside and outside the window, a
@@ -591,8 +592,27 @@ let test_relocation_outside () =
       ]
   in
   Alcotest.(check string) "crashed"
-    "relocation outside any segment: 0x900000; out []; 0 steps; 0 cycles; 0 misses; "
+    "relocation outside any segment: 0x20900000; out []; 0 steps; 0 cycles; 0 misses; "
     (counts (Vm.run bin))
+
+(* Every PIE binary loads at [Vm.pie_base], whoever runs it: a routine
+   reads it as the load base under [Vm.default_config], and under
+   [Runner]'s run a [Lea] reads its own address moved by it. A non-PIE
+   binary loads at its link addresses. *)
+let test_pie_base () =
+  let pie insns = { (make_binary insns) with Binary.pie = true } in
+  let base = ref (-1) in
+  let bin = { (pie Insn.[ CallRt 0; Halt ]) with Binary.dynsyms = [| "test.base" |] } in
+  ignore
+    (halted "routine"
+       (Vm.run ~routines:[ ("test.base", fun vm -> base := Vm.load_base vm) ] bin));
+  Alcotest.(check int) "a routine reads Vm.pie_base" Vm.pie_base !base;
+  let lea = Insn.[ Lea (r0, 0); Out r0; Halt ] in
+  let runner bin = halted "runner" (Icfg_harness.Runner.original_vm bin) in
+  Alcotest.(check (list int)) "Runner.original_vm loads at Vm.pie_base"
+    [ Vm.pie_base + text_base ] (runner (pie lea));
+  Alcotest.(check (list int)) "a non-PIE binary loads at its link addresses"
+    [ text_base ] (runner (make_binary lea))
 
 let test_trap_dispatch () =
   (* A trap with a mapping continues at the target; without one it crashes. *)
@@ -611,8 +631,8 @@ let test_trap_dispatch () =
   | Vm.Halted -> Alcotest.(check (list int)) "trap skipped poison" [ 3 ] r.Vm.output
   | Vm.Crashed m -> Alcotest.failf "crashed: %s" m);
   Alcotest.(check int) "trap counted" 1 r.Vm.trap_hits;
-  Alcotest.(check bool) "trap is expensive" true
-    (r.Vm.cycles > Vm.default_costs.Vm.trap);
+  Alcotest.(check int) "trap costs 4,000 cycles" 4000
+    (List.assoc "trap" r.Vm.cycle_buckets);
   match (run [ Trap; Halt ]).Vm.outcome with
   | Vm.Crashed _ -> ()
   | Vm.Halted -> Alcotest.fail "unmapped trap must crash"
@@ -995,6 +1015,7 @@ let suite =
         Alcotest.test_case "illegal/unmapped" `Quick test_illegal_and_unmapped;
         Alcotest.test_case "relocation outside any segment" `Quick
           test_relocation_outside;
+        Alcotest.test_case "one PIE base" `Quick test_pie_base;
         Alcotest.test_case "trap dispatch" `Quick test_trap_dispatch;
         Alcotest.test_case "callrt unbound" `Quick test_callrt_unbound;
         Alcotest.test_case "callrt routine" `Quick test_callrt_routine;

@@ -348,11 +348,7 @@ let observation_only () =
 (* ------------------------------------------------------------------ *)
 
 let vm_buckets () =
-  let bin = first_bench Arch.X86_64 in
-  let config = Runner.measure_config ~pie:bin.Binary.pie in
-  let r =
-    Vm.run ~config ~routines:(Icfg_runtime.Runtime_lib.standard ()) bin
-  in
+  let r = Runner.original_vm (first_bench Arch.X86_64) in
   Alcotest.(check bool) "halted" true (r.Vm.outcome = Vm.Halted);
   let sum = List.fold_left (fun acc (_, c) -> acc + c) 0 r.Vm.cycle_buckets in
   Alcotest.(check int) "buckets partition cycles" r.Vm.cycles sum;

@@ -8,13 +8,7 @@ module Apps = Icfg_workloads.Apps
 module Gen = Icfg_workloads.Gen
 module Rng = Icfg_workloads.Rng
 module Vm = Icfg_runtime.Vm
-
-let run bin =
-  Vm.run ~routines:(Icfg_runtime.Runtime_lib.standard ()) bin
-
-let run_pie bin =
-  let config = { (Vm.default_config ()) with Vm.load_base = 0x20000000 } in
-  Vm.run ~config ~routines:(Icfg_runtime.Runtime_lib.standard ()) bin
+module Runner = Icfg_harness.Runner
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -81,7 +75,7 @@ let test_all_benchmarks_run () =
       List.iter
         (fun bench ->
           let bin, _ = Spec.compile arch bench in
-          let r = run bin in
+          let r = Runner.original_vm bin in
           (match r.Vm.outcome with
           | Vm.Halted -> ()
           | Vm.Crashed m ->
@@ -100,7 +94,7 @@ let test_benchmarks_run_as_pie () =
       let bench = List.nth (Spec.benchmarks arch) 0 in
       let bin, _ = Spec.compile ~pie:true arch bench in
       let nonpie, _ = Spec.compile arch bench in
-      let r = run_pie bin and r0 = run nonpie in
+      let r = Runner.original_vm bin and r0 = Runner.original_vm nonpie in
       Alcotest.(check bool) "pie halted" true (r.Vm.outcome = Vm.Halted);
       (* position independence: identical behaviour at a different base *)
       Alcotest.(check (list int)) (Arch.name arch ^ " same output") r0.Vm.output
@@ -129,7 +123,7 @@ let test_libxul () =
     (List.exists
        (fun (s : Icfg_obj.Symbol.t) -> s.Icfg_obj.Symbol.version <> None)
        bin.Binary.symbols);
-  let r = run_pie bin in
+  let r = Runner.original_vm bin in
   Alcotest.(check bool) "runs" true (r.Vm.outcome = Vm.Halted)
 
 let test_docker () =
@@ -141,7 +135,7 @@ let test_docker () =
         (Binary.section bin ".gopclntab" <> None);
       Alcotest.(check bool) "findfunc exists" true
         (Binary.symbol bin "runtime.findfunc" <> None);
-      let r = run_pie bin in
+      let r = Runner.original_vm bin in
       match r.Vm.outcome with
       | Vm.Halted ->
           Alcotest.(check bool)
@@ -160,7 +154,7 @@ let test_libcuda () =
     subset;
   let total = List.length (Binary.func_symbols bin) in
   Alcotest.(check bool) "strict subset" true (List.length subset < total);
-  let r = run_pie bin in
+  let r = Runner.original_vm bin in
   Alcotest.(check bool) "runs" true (r.Vm.outcome = Vm.Halted)
 
 let test_go_vtab_failure_is_mode_specific () =
@@ -174,14 +168,7 @@ let test_go_vtab_failure_is_mode_specific () =
       Rewriter.rewrite ~options:{ Rewriter.default_options with Rewriter.mode }
         parse
     in
-    let config =
-      Rewriter.vm_config_for rw
-        { (Vm.default_config ()) with Vm.load_base = 0x20000000 }
-    in
-    (Vm.run ~config
-       ~routines:(Rewriter.routines_for rw ~counters:(Hashtbl.create 4))
-       rw.Rewriter.rw_binary)
-      .Vm.outcome
+    (Runner.run_rewritten rw).Runner.r_outcome
   in
   Alcotest.(check bool) "jt passes" true (try_mode Icfg_core.Mode.Jt = Vm.Halted);
   Alcotest.(check bool) "func-ptr fails" true
