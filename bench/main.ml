@@ -220,17 +220,23 @@ let largest_spec_binary arch =
    major collection: [minor_words], and [major_words] allocated directly
    in the major heap. The GC's major words also count the words promoted
    from the minor heap, which follow the minor collector's phase rather
-   than [f]; they are subtracted. Unlike a time, both repeat exactly from
-   process to process. *)
+   than [f]; they are subtracted. Beside them, [minor_collections]: the
+   minor collections [f] ran, from an empty minor heap, so a collection
+   that [f] forces (an array of more than 256 elements built from a young
+   seed) shows even where [f] allocates less than the heap holds. Unlike
+   a time, all three repeat exactly from process to process. *)
 let words f =
   Gc.full_major ();
   let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  let gcs0 = (Gc.quick_stat ()).Gc.minor_collections in
   let r = f () in
   let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  let gcs1 = (Gc.quick_stat ()).Gc.minor_collections in
   ( r,
     [
       ("minor_words", minor1 -. minor0);
       ("major_words", major1 -. major0 -. (promoted1 -. promoted0));
+      ("minor_collections", float_of_int (gcs1 - gcs0));
     ] )
 
 (* Per-stage wall-time rows sourced from Trace: one traced parse+rewrite,

@@ -51,7 +51,7 @@ let () =
     let t = Runner.strong_test ~fm ~options bin in
     Format.printf "%-38s coverage %6.2f%%  trampolines %3d  -> %s@." label
       (100. *. Parse.coverage parse)
-      t.Runner.st_stats.Rewriter.s_trampolines
+      t.Runner.st_rewrite.Rewriter.rw_stats.Rewriter.s_trampolines
       (match t.Runner.st_problems with
       | [] -> "correct"
       | p :: _ -> Format.asprintf "FAILED (%a)" Runner.pp_problem p)

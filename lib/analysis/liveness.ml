@@ -48,15 +48,16 @@ let find starts addr =
   go 0 (Array.length starts)
 
 let analyze (cfg : Cfg.t) =
-  let blocks = Array.of_list cfg.Cfg.blocks in
-  let n = Array.length blocks in
-  let starts = Array.map (fun b -> b.Cfg.b_start) blocks in
+  let blocks = cfg.Cfg.blocks in
+  let n = List.length blocks in
+  let starts = Array.make n 0 in
+  List.iteri (fun i b -> starts.(i) <- b.Cfg.b_start) blocks;
   let gen = Array.make n 0 and kill = Array.make n 0 in
   (* [out.(i)] starts as what flows out of block [i] regardless of the
      fixpoint: the exit set where control leaves the function, and every
      register for an edge into no known block. *)
   let out = Array.make n 0 and pred = Array.make n [] in
-  Array.iteri
+  List.iteri
     (fun i b ->
       let g, k = summary b in
       gen.(i) <- g;

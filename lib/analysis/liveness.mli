@@ -2,9 +2,15 @@
 
     Used by trampoline instruction selection (section 7): the ppc64le and
     aarch64 long trampoline sequences need a scratch register that is dead
-    at the patch point. The analysis is a standard backward may-live
-    fixpoint; anything unknown (indirect control flow leaving the function,
-    calls) conservatively treats the calling convention's live set as live.
+    at the patch point. Nothing else asks, so the rewriter analyses a
+    function lazily, the first time {!Icfg_isa.Trampoline.select} or its
+    hop pass asks for the dead registers at one of its sites. x86-64
+    never asks, and on the RISC ISAs only images whose relocated code
+    lies out of short-branch reach do.
+
+    The analysis is a standard backward may-live fixpoint; anything
+    unknown (indirect control flow leaving the function, calls)
+    conservatively treats the calling convention's live set as live.
 
     Register sets are 16-bit masks. Each block's backward transfer is
     summarised once as a (gen, kill) pair; a call kills the return and

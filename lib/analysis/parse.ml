@@ -16,7 +16,6 @@ type func_analysis = {
   fa_jt_sites : (int * jt_site) list;
   fa_instrumentable : bool;
   fa_fail_reason : string option;
-  fa_liveness : Liveness.t;
 }
 
 type t = {
@@ -148,7 +147,6 @@ let finalize_function bin (fm : Failure_model.t) ~known_data fptr_targets
     fa_jt_sites = jt_sites;
     fa_instrumentable = instrumentable;
     fa_fail_reason = fail_reason;
-    fa_liveness = Liveness.analyze cfg1;
   }
 
 let parse ?(fm = Failure_model.ours) bin =
@@ -157,10 +155,9 @@ let parse ?(fm = Failure_model.ours) bin =
   (* Pass 1 over every function: slices for global known-data
      collection. *)
   let pass1 =
-    Trace.span "pass1" (fun () ->
-        Array.of_list (List.map (analyze_function bin fm) syms))
+    Trace.span "pass1" (fun () -> List.map (analyze_function bin fm) syms)
   in
-  let all_pres = List.concat_map pre_tables (Array.to_list pass1) in
+  let all_pres = List.concat_map pre_tables pass1 in
   let known_data =
     Trace.span "known-data" (fun () -> Jump_table.known_data bin all_pres)
   in
@@ -171,14 +168,14 @@ let parse ?(fm = Failure_model.ours) bin =
     Trace.span "func-ptr" (fun () ->
         let fp = Func_ptr.data_pass bin fm in
         let scans0 =
-          Array.map (fun (_, cfg0, _) -> Func_ptr.scan fp cfg0) pass1
+          List.map (fun (_, cfg0, _) -> Func_ptr.scan fp cfg0) pass1
         in
-        (fp, scans0, Func_ptr.sites fp (Array.to_list scans0)))
+        (fp, scans0, Func_ptr.sites fp scans0))
   in
   let finalize targets p1 = finalize_function bin fm ~known_data targets p1 in
   let targets0 = Func_ptr.derived_block_targets fptrs in
   let funcs =
-    Trace.span "finalize" (fun () -> Array.map (finalize targets0) pass1)
+    Trace.span "finalize" (fun () -> List.map (finalize targets0) pass1)
   in
   (* Second function-pointer pass over the final CFGs: it covers pointer
      materializations inside switch-case blocks, which only table edges
@@ -188,36 +185,36 @@ let parse ?(fm = Failure_model.ours) bin =
      finalized again with every target found so far, and rescanned, until
      a pass finds nothing new. The union only grows, so this ends, and
      every reported target inside a function starts one of its blocks. *)
-  let fptrs, pointer_targets =
+  let funcs, fptrs, pointer_targets =
     Trace.span "func-ptr-2" (fun () ->
-        let scans =
-          Array.mapi
-            (fun i f ->
-              let _, cfg0, _ = pass1.(i) in
-              if f.fa_cfg == cfg0 then scans0.(i) else Func_ptr.scan fp f.fa_cfg)
-            funcs
+        (* Each function beside the scan of its final CFG. *)
+        let scanned =
+          List.map2
+            (fun ((_, cfg0, _), s0) f ->
+              (f, if f.fa_cfg == cfg0 then s0 else Func_ptr.scan fp f.fa_cfg))
+            (List.combine pass1 scans0) funcs
         in
-        let rec settle targets =
-          let fptrs = Func_ptr.sites fp (Array.to_list scans) in
+        let rec settle targets scanned =
+          let fptrs = Func_ptr.sites fp (List.map snd scanned) in
           match
             List.filter
               (fun a -> not (List.mem a targets))
               (Func_ptr.derived_block_targets fptrs)
           with
-          | [] -> (fptrs, targets)
+          | [] -> (List.map fst scanned, fptrs, targets)
           | fresh ->
               let targets = List.merge compare targets fresh in
-              Array.iteri
-                (fun i ((sym, _, _) as p1) ->
-                  if List.exists (Symbol.contains sym) fresh then (
-                    funcs.(i) <- finalize targets p1;
-                    scans.(i) <- Func_ptr.scan fp funcs.(i).fa_cfg))
-                pass1;
               settle targets
+                (List.map2
+                   (fun ((sym, _, _) as p1) fs ->
+                     if List.exists (Symbol.contains sym) fresh then
+                       let f = finalize targets p1 in
+                       (f, Func_ptr.scan fp f.fa_cfg)
+                     else fs)
+                   pass1 scanned)
         in
-        settle targets0)
+        settle targets0 scanned)
   in
-  let funcs = Array.to_list funcs in
   let t = { bin; fm; funcs; fptrs; pointer_targets } in
   Trace.add "parse/funcs" (List.length t.funcs);
   Trace.add "parse/instrumentable"

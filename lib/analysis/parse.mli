@@ -3,9 +3,15 @@
 
     Per function: a CFG built by traversal, jump-table analysis results,
     indirect-tail-call classification via the function-layout gap heuristic
-    (section 5.1), instrumentability, and register liveness. Per binary:
-    function-pointer sites and the pointer-derived block targets that every
-    rewriting mode must treat as potential control-flow landing points. *)
+    (section 5.1), and instrumentability. Per binary: function-pointer
+    sites and the pointer-derived block targets that every rewriting mode
+    must treat as potential control-flow landing points.
+
+    Register liveness is not part of the parse. Its one use is a scratch
+    register for a long trampoline (section 7), so the rewriter runs
+    {!Liveness.analyze} on a function's [fa_cfg] the first time one of
+    its trampoline sites asks for dead registers: only on ppc64le and
+    aarch64, and only where a short branch does not fit or reach. *)
 
 type jt_site =
   | Js_resolved of Jump_table.bound_cause
@@ -27,7 +33,6 @@ type func_analysis = {
       (** outcome of every indirect jump, keyed by jump address *)
   fa_instrumentable : bool;
   fa_fail_reason : string option;
-  fa_liveness : Liveness.t;
 }
 
 type t = {
@@ -50,10 +55,10 @@ val parse : ?fm:Failure_model.t -> Icfg_obj.Binary.t -> t
     - [known-data];
     - [func-ptr]: the data-slot pass and a pointer scan of each pass-1
       CFG;
-    - [finalize]: table finalization, the final CFG and liveness per
-      function. A function with no resolved table and no pointer target
-      in its range keeps its pass-1 CFG, which a rebuild would only
-      repeat ({!Cfg.build} is pure);
+    - [finalize]: table finalization and the final CFG per function. A
+      function with no resolved table and no pointer target in its range
+      keeps its pass-1 CFG, which a rebuild would only repeat
+      ({!Cfg.build} is pure);
     - [func-ptr-2]: the pointer scan of the final CFGs. It rescans only
       the CFGs [finalize] rebuilt and keeps pass 1's scan of the others,
       and its data-slot pass. When it finds a target that no earlier

@@ -121,17 +121,17 @@ let check_data_range w v =
            (Printf.sprintf "data value %d overflows 4 bytes" v))
   | W8 | W16 | W32 | W64 -> ()
 
-(* Encode the placed items in [items.(i0) .. items.(i1 - 1)] into [data],
-   whose byte 0 is address [org]. Reads the (frozen) label table only;
-   returns the segment's relocs in item order. [encode] passes the whole
-   layout; [encode_chunks] one chunk at a time. *)
-let encode_run arch ~pie ~toc ~labels ~org data items i0 i1 =
+(* Encode the placed items into [data], whose byte 0 is address [org].
+   Reads the (frozen) label table only; returns the run's relocs in item
+   order. [encode] passes the whole layout; [encode_chunks] one chunk at
+   a time. *)
+let encode_run arch ~pie ~toc ~labels ~org data items =
   let base = org in
   let relocs = ref [] in
   let emit_insn at i = ignore (Encode.encode_into arch data ~pos:(at - base) i) in
-  for idx = i0 to i1 - 1 do
-    let it, at = items.(idx) in
-    (match it with
+  List.iter
+    (fun (it, at) ->
+      match it with
       | Insn i -> emit_insn at i
       | Jmp_to l -> emit_insn at (Insn.Jmp (label_exn labels l - at))
       | Jcc_to (c, l) -> emit_insn at (Insn.Jcc (c, label_exn labels l - at))
@@ -194,17 +194,12 @@ let encode_run arch ~pie ~toc ~labels ~org data items i0 i1 =
           | _ -> ())
       | Raw s -> Bytes.blit_string s 0 data (at - base) (String.length s)
       | Space _ -> ())
-  done;
+    items;
   List.rev !relocs
 
 let encode arch ~pie ~toc ~labels lay =
-  let items = Array.of_list lay.items in
   let data = Bytes.make (lay.l_end - lay.l_base) '\000' in
-  let relocs =
-    encode_run arch ~pie ~toc ~labels ~org:lay.l_base data items 0
-      (Array.length items)
-  in
-  (data, relocs)
+  (data, encode_run arch ~pie ~toc ~labels ~org:lay.l_base data lay.items)
 
 type chunk = { c_items : (item * int) list }
 
@@ -219,10 +214,7 @@ let encode_chunks arch ~pie ~toc ~labels lay chunks =
   let data = Bytes.make (lay.l_end - lay.l_base) '\000' in
   let relocs =
     List.concat_map
-      (fun ch ->
-        let items = Array.of_list ch.c_items in
-        encode_run arch ~pie ~toc ~labels ~org:lay.l_base data items 0
-          (Array.length items))
+      (fun ch -> encode_run arch ~pie ~toc ~labels ~org:lay.l_base data ch.c_items)
       chunks
   in
   (data, relocs)

@@ -90,7 +90,12 @@ val encode_chunks :
     [[lay.l_base, lay.l_end)]. The chunks need not tile the extent:
     uncovered holes (gaps a pinned layout left behind) stay zero-filled.
     Relocs concatenate in chunk (address) order; for chunks that tile the
-    extent, bytes and relocs are exactly {!encode}'s. *)
+    extent, bytes and relocs are exactly {!encode}'s.
+
+    Both encoders walk the placed-item lists as they are. Neither copies
+    them into an array: the runtime empties the minor heap before it
+    builds an array of more than 256 young items, and a function's chunk
+    often holds more. *)
 
 (** {1 Pinned-address incremental layout}
 

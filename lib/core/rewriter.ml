@@ -111,8 +111,26 @@ type t = {
   rw_relocated_entry : int -> int option;
 }
 
-let block_label a = Printf.sprintf "R$%x" a
-let table_label a = Printf.sprintf "JT$%x" a
+(* [prefix] followed by the digits of [a >= 0] in [base] (10 or 16,
+   lowercase): [Printf.sprintf "%s%d"] or ["%s%x"] without the format
+   interpreter, which costs several times the string it builds. A
+   rewrite makes a label for every relocated block and table and for
+   every fixup. *)
+let rec digits base a = if a < base then 1 else 1 + digits base (a / base)
+
+let label ~base prefix a =
+  let pl = String.length prefix in
+  let b = Bytes.create (pl + digits base a) in
+  Bytes.blit_string prefix 0 b 0 pl;
+  let a = ref a in
+  for i = Bytes.length b - 1 downto pl do
+    Bytes.set b i "0123456789abcdef".[!a mod base];
+    a := !a / base
+  done;
+  Bytes.unsafe_to_string b
+
+let block_label a = label ~base:16 "R$" a
+let table_label a = label ~base:16 "JT$" a
 let align_up n a = (n + a - 1) / a * a
 
 module IntSet = Set.Make (Int)
@@ -220,7 +238,7 @@ type rctx = {
   dt_idx : int;
   far : bool;  (** direct branches cannot span .text -> .instr *)
   is_instrumented : int -> bool;  (** by function entry address *)
-  ns : string;  (** per-function fresh-label namespace *)
+  ns : string;  (** per-function fresh-label namespace: ["$<entry hex>$"] *)
   mutable items : Asm.item list;  (** .instr, reversed *)
   mutable jt_items : Asm.item list;  (** .jtnew, reversed *)
   mutable fixups : (string * fixup) list;  (** reversed *)
@@ -231,7 +249,7 @@ type rctx = {
 
 let fresh_label ctx prefix =
   ctx.fresh <- ctx.fresh + 1;
-  Printf.sprintf "%s%s$%d" prefix ctx.ns ctx.fresh
+  label ~base:10 (prefix ^ ctx.ns) ctx.fresh
 
 let emit ctx its = ctx.items <- List.rev_append its ctx.items
 let emit_jt ctx its = ctx.jt_items <- List.rev_append its ctx.jt_items
@@ -701,7 +719,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
       dt_idx;
       far;
       is_instrumented;
-      ns = Printf.sprintf "$%x" fa.Parse.fa_sym.Symbol.addr;
+      ns = label ~base:16 "$" fa.Parse.fa_sym.Symbol.addr ^ "$";
       items = [];
       jt_items = [];
       fixups = [];
@@ -864,6 +882,11 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
     let cfl_causes_l = cfl_causes opts p fa in
     let cfl = IntSet.of_list (List.map fst cfl_causes_l) in
     let regions = function_regions opts p fa cfl (next_start_of fa) in
+    (* The function's register liveness (section 7), analysed the first
+       time a site asks for a scratch register: [Trampoline.select] asks
+       only for a long trampoline on ppc64le and aarch64, the hop pass
+       only for a hop on those ISAs. *)
+    let live = lazy (Liveness.analyze fa.Parse.fa_cfg) in
     let rec place = function
       | [] -> ()
       | (lo, hi, R_cfl) :: rest ->
@@ -876,7 +899,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
           let se, rest' = extend hi rest in
           let space = se - lo in
           let target = reloc_of lo in
-          let dead = Liveness.dead_in arch fa.Parse.fa_liveness lo in
+          let dead () = Liveness.dead_in arch (Lazy.force live) lo in
           (match Trampoline.select arch ~at:lo ~space ~target ~dead ~toc with
           | Some kind ->
               let bytes = Trampoline.emit arch ~at:lo ~target ~toc kind in
@@ -916,14 +939,16 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
     (fun (lo, se, target, dead) ->
       let short_len = Encode.short_jmp_len arch in
       let reach = Arch.short_branch_range arch in
-      let hop_kind_len =
+      let hop_kind_len () =
         match arch with
         | Arch.X86_64 -> Some (Trampoline.Long None, 5)
         | Arch.Ppc64le ->
+            let dead = dead () in
             if Reg.Set.is_empty dead then
               Some (Trampoline.Long_save_restore Reg.r12, 24)
             else Some (Trampoline.Long (Some (Reg.Set.choose dead)), 16)
         | Arch.Aarch64 ->
+            let dead = dead () in
             if Reg.Set.is_empty dead then None
             else Some (Trampoline.Long (Some (Reg.Set.choose dead)), 12)
       in
@@ -934,7 +959,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
         if not opts.use_scratch_pool then
           `Trap Attribution.Scratch_pool_disabled
         else
-          match hop_kind_len with
+          match hop_kind_len () with
           | None -> `Trap Attribution.No_hop_kind
           | Some (kind, size) -> (
               match pool_alloc pool ~near:lo ~size ~reach with
@@ -1165,7 +1190,7 @@ let rewrite_inner ?cache ~options (p : Parse.t) =
     Trace.add "rewrite/rewritten-slots" stats.s_rewritten_slots;
     Trace.add "rewrite/instr-bytes" (Bytes.length instr_bytes);
     Trace.add "rewrite/jtnew-bytes" (Bytes.length jt_bytes);
-    Trace.add "rewrite/ra-pairs" (List.length (Ra_map.pairs ra_map));
+    Trace.add "rewrite/ra-pairs" (Ra_map.size ra_map);
     Trace.add "rewrite/size-growth" (stats.s_new_size - stats.s_orig_size)
   end;
   {

@@ -305,7 +305,8 @@ type strong = {
   st_blocks_executed : int;
   st_orig : run;
   st_rewritten : run;
-  st_stats : Rewriter.stats;
+  st_rewrite : Rewriter.t;
+  st_counts : (int, int) Hashtbl.t;
 }
 
 let strong_test ?fm ?(options = Rewriter.default_options) bin =
@@ -373,7 +374,8 @@ let strong_test ?fm ?(options = Rewriter.default_options) bin =
       List.length (List.filter (fun (_, expected, _) -> expected > 0) checked);
     st_orig = orig;
     st_rewritten = r;
-    st_stats = rw.Rewriter.rw_stats;
+    st_rewrite = rw;
+    st_counts = counters;
   }
 
 type verdict = {

@@ -157,7 +157,10 @@ type strong = {
   st_blocks_executed : int;  (** checked blocks the original entered *)
   st_orig : run;
   st_rewritten : run;
-  st_stats : Icfg_core.Rewriter.stats;
+  st_rewrite : Icfg_core.Rewriter.t;  (** the rewrite that was run *)
+  st_counts : (int, int) Hashtbl.t;
+      (** what the counting payload counted in the rewritten run: each
+          key an original block address ({!run_rewritten}'s [counters]) *)
 }
 
 val strong_test :

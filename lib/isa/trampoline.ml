@@ -92,6 +92,7 @@ let emit arch ~at ~target ~toc kind =
 
 let pick_dead arch dead =
   (* Prefer a high caller-saved register; never use the ppc64le TOC. *)
+  let dead = dead () in
   let candidates = List.rev (Reg.caller_saved arch) in
   List.find_opt (fun r -> Reg.Set.mem r dead) candidates
 

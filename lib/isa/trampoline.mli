@@ -41,13 +41,19 @@ val select :
   at:int ->
   space:int ->
   target:int ->
-  dead:Reg.Set.t ->
+  dead:(unit -> Reg.Set.t) ->
   toc:int ->
   kind option
 (** Choose the cheapest non-trap trampoline that fits in [space] bytes at
-    [at] and reaches [target], given the registers [dead] at the patch point.
-    Returns [None] when only a trap (or a multi-trampoline hop arranged by
-    the caller) remains. *)
+    [at] and reaches [target], given the registers [dead ()] at the patch
+    point. Returns [None] when only a trap (or a multi-trampoline hop
+    arranged by the caller) remains.
+
+    [dead] is called only where the answer depends on it: on ppc64le and
+    aarch64, after a short branch does not fit or does not reach and the
+    long form both fits and reaches. x86-64 never calls it, so a caller
+    can defer the liveness analysis behind it (section 7) and pay for it
+    only at the sites that need a scratch register. *)
 
 type row = {
   arch : Arch.t;

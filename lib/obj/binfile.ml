@@ -221,7 +221,13 @@ let of_bytes buf =
     }
   in
   let ndyn = r64 r in
-  let dynsyms = Array.init ndyn (fun _ -> rstr r) in
+  (* A static seed: [Array.init] would seed the array with the first
+     (young) name, and the runtime empties the minor heap before it
+     builds an array of more than 256 elements from a young seed. *)
+  let dynsyms = Array.make ndyn "" in
+  for i = 0 to ndyn - 1 do
+    dynsyms.(i) <- rstr r
+  done;
   let declared = ref 0 in
   let sections =
     rlist r (fun () ->

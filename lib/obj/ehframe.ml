@@ -13,8 +13,21 @@ type t = fde array
 
 let empty = [||]
 
+(* Seeded with a static FDE, not the first (young) one: the runtime
+   empties the minor heap before it builds an array of more than 256
+   elements from a young seed. *)
 let of_fdes l =
-  let a = Array.of_list l in
+  let a =
+    Array.make (List.length l)
+      {
+        func_start = 0;
+        func_end = 0;
+        frame_size = 0;
+        ra_loc = Ra_in_lr;
+        landing_pads = [];
+      }
+  in
+  List.iteri (fun i f -> a.(i) <- f) l;
   Array.sort (fun x y -> compare x.func_start y.func_start) a;
   a
 

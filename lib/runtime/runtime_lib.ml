@@ -4,13 +4,19 @@ module Ra_map = struct
   (* Parallel sorted arrays for binary search. *)
   type t = { keys : int array; vals : int array; exact_only : bool }
 
+  (* The sort array is seeded with a static pair and filled afterwards:
+     [Array.of_list] would seed it with the first (young) pair, and the
+     runtime empties the minor heap before it builds an array of more
+     than 256 elements from a young seed. [Array.sort] is unstable, so
+     the input order still decides between equal keys. *)
   let of_pairs ?(exact_only = false) pairs =
-    let a = Array.of_list pairs in
+    let a = Array.make (List.length pairs) (0, 0) in
+    List.iteri (fun i p -> a.(i) <- p) pairs;
     Array.sort (fun (k1, _) (k2, _) -> compare k1 k2) a;
     { keys = Array.map fst a; vals = Array.map snd a; exact_only }
 
   let size t = Array.length t.keys
-  let pairs t = Array.to_list (Array.map2 (fun k v -> (k, v)) t.keys t.vals)
+  let pairs t = List.init (size t) (fun i -> (t.keys.(i), t.vals.(i)))
 
   (* Floor lookup: greatest key <= pc. *)
   let floor t pc =

@@ -697,7 +697,9 @@ let check_liveness_matches_reference what bin =
   let p = Parse.parse bin in
   List.iter
     (fun fa ->
-      match Liveness_ref.mismatches fa.Parse.fa_cfg fa.Parse.fa_liveness with
+      match
+        Liveness_ref.mismatches fa.Parse.fa_cfg (Liveness.analyze fa.Parse.fa_cfg)
+      with
       | [] -> ()
       | (a, got, want) :: _ ->
           Alcotest.failf "%s %s block 0x%x: live-in {%s}, reference {%s}" what

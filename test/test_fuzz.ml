@@ -134,7 +134,9 @@ let liveness_reference =
     (fun (spec, arch) ->
       let bin, _ = Icfg_codegen.Compile.compile arch (Gen.build spec) in
       List.for_all
-        (fun fa -> Liveness_ref.mismatches fa.Parse.fa_cfg fa.Parse.fa_liveness = [])
+        (fun fa ->
+          let cfg = fa.Parse.fa_cfg in
+          Liveness_ref.mismatches cfg (Icfg_analysis.Liveness.analyze cfg) = [])
         (Parse.parse bin).Parse.funcs)
 
 let suite =

@@ -98,13 +98,14 @@ let parse_view (p : Parse.t) =
           fa.Parse.fa_sym.Icfg_obj.Symbol.addr,
           fa.Parse.fa_instrumentable,
           fa.Parse.fa_fail_reason,
-          List.map
-            (fun (b : Icfg_analysis.Cfg.block) ->
-              ( b.Icfg_analysis.Cfg.b_start,
-                Reg.Set.elements
-                  (Icfg_analysis.Liveness.live_in fa.Parse.fa_liveness
-                     b.Icfg_analysis.Cfg.b_start) ))
-            fa.Parse.fa_cfg.Icfg_analysis.Cfg.blocks,
+          (let live = Icfg_analysis.Liveness.analyze fa.Parse.fa_cfg in
+           List.map
+             (fun (b : Icfg_analysis.Cfg.block) ->
+               ( b.Icfg_analysis.Cfg.b_start,
+                 Reg.Set.elements
+                   (Icfg_analysis.Liveness.live_in live
+                      b.Icfg_analysis.Cfg.b_start) ))
+             fa.Parse.fa_cfg.Icfg_analysis.Cfg.blocks),
           List.length fa.Parse.fa_tables,
           fa.Parse.fa_tail_jumps ))
       p.Parse.funcs,

@@ -466,7 +466,7 @@ let test_verify_only () =
               let t = Runner.strong_test ~options bin in
               Test_rewriter.no_problems name t;
               Alcotest.(check int) (name ^ ": one function instrumented") 1
-                t.Runner.st_stats.Rewriter.s_funcs_instrumented;
+                t.Runner.st_rewrite.Rewriter.rw_stats.Rewriter.s_funcs_instrumented;
               let fa = Option.get (Icfg_analysis.Parse.func p f) in
               Alcotest.(check int)
                 (name ^ ": exactly f's blocks checked")

@@ -97,10 +97,10 @@ let test_go_rewriting () =
       List.iter
         (fun mode ->
           let name = Printf.sprintf "%s/go/%s" (Arch.name arch) (Mode.name mode) in
-          let options = counting_options mode in
-          no_problems name (strong ~options arch Test_codegen.go_prog);
+          let t = strong ~options:(counting_options mode) arch Test_codegen.go_prog in
+          no_problems name t;
           Alcotest.(check bool) (name ^ " go hook") true
-            (rewrite ~options arch Test_codegen.go_prog).Rewriter.rw_go_hook)
+            t.Runner.st_rewrite.Rewriter.rw_go_hook)
         [ Mode.Dir; Mode.Jt ])
     Arch.all
 
@@ -174,21 +174,20 @@ let test_partial_instrumentation () =
       let options =
         { (counting_options Mode.Jt) with Rewriter.only = Some [ "classify" ] }
       in
-      let prog = Test_codegen.switch_prog Ir.Jt_plain in
-      let t = strong ~options arch prog in
+      let bin, _ = Compile.compile arch (Test_codegen.switch_prog Ir.Jt_plain) in
+      let t = Runner.strong_test ~options bin in
       no_problems (Arch.name arch ^ "/partial") t;
       Alcotest.(check int)
         (Arch.name arch ^ " instrumented exactly one")
-        1 t.Runner.st_stats.Rewriter.s_funcs_instrumented;
+        1 t.Runner.st_rewrite.Rewriter.rw_stats.Rewriter.s_funcs_instrumented;
       (* counters exist only for classify's blocks *)
-      let m = measured ~options arch prog in
-      let classify = Option.get (Binary.symbol m.bin "classify") in
+      let classify = Option.get (Binary.symbol bin "classify") in
       Hashtbl.iter
         (fun blk _ ->
           Alcotest.(check bool) "counter in classify" true
             (blk >= classify.Icfg_obj.Symbol.addr
             && blk < classify.Icfg_obj.Symbol.addr + classify.Icfg_obj.Symbol.size))
-        m.counters)
+        t.Runner.st_counts)
     Arch.all
 
 let test_uninstrumentable_function_skipped () =
@@ -201,7 +200,7 @@ let test_uninstrumentable_function_skipped () =
           (Test_codegen.switch_prog Ir.Jt_data_table)
       in
       no_problems (Arch.name arch ^ "/data-table") t;
-      let stats = t.Runner.st_stats in
+      let stats = t.Runner.st_rewrite.Rewriter.rw_stats in
       Alcotest.(check bool)
         (Arch.name arch ^ " skipped one function")
         true
@@ -222,7 +221,7 @@ let test_adjusted_pointer_rewriting () =
       Alcotest.(check bool)
         (Arch.name arch ^ " rewrote slots")
         true
-        (t.Runner.st_stats.Rewriter.s_rewritten_slots >= 1))
+        (t.Runner.st_rewrite.Rewriter.rw_stats.Rewriter.s_rewritten_slots >= 1))
     Arch.all
 
 let test_pie_matrix () =
@@ -422,7 +421,7 @@ let test_ppc_long_trampolines () =
   (* and the rewritten binary passes the strong test *)
   let t = Runner.strong_test ~options:Rewriter.default_options bin in
   no_problems "ppc64le long trampolines" t;
-  let s = t.Runner.st_stats in
+  let s = t.Runner.st_rewrite.Rewriter.rw_stats in
   Alcotest.(check bool) "used long trampolines" true (s.Rewriter.s_long_trampolines > 0);
   Alcotest.(check int) "no traps" 0 s.Rewriter.s_trap_trampolines
 

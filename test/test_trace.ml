@@ -38,7 +38,7 @@ let strong ?fm options bin =
   (r, t)
 
 let passed ((r : Runner.strong), _) = r.Runner.st_problems = []
-let stats ((r : Runner.strong), _) = r.Runner.st_stats
+let stats ((r : Runner.strong), _) = r.Runner.st_rewrite.Rewriter.rw_stats
 let rcounter (_, t) name = counter t name
 
 let first_bench arch =
@@ -343,6 +343,86 @@ let observation_only () =
     (sections plain = sections traced
     && plain.Rewriter.rw_stats = traced.Rewriter.rw_stats)
 
+(* A parse and rewrite force no minor collection, traced or not. The
+   runtime empties the minor heap before it builds an array of more than
+   256 elements whose initial element is a young block ([Array.make],
+   [of_list], [init], [map], ...), which promotes the op's whole live
+   young heap. With a 4M-word minor heap, more than any op here allocates
+   (under 0.9M words), every collection during an op is such a forced
+   one. The cells: every spec binary on every ISA in every mode, and the
+   first 21 seed-7 corpus entries in each of their modes. *)
+let no_forced_minor_gc () =
+  let module Spec_suite = Icfg_workloads.Spec_suite in
+  let module Corpus = Icfg_workloads.Corpus in
+  let cells =
+    List.concat_map
+      (fun arch ->
+        List.concat_map
+          (fun (b : Spec_suite.bench) ->
+            let bin, _ = Spec_suite.compile arch b in
+            List.map
+              (fun mode ->
+                ( Printf.sprintf "spec/%s/%s/%s" (Arch.name arch)
+                    b.Spec_suite.bench_name (Mode.name mode),
+                  bin,
+                  mode ))
+              Mode.all)
+          (Spec_suite.benchmarks arch))
+      Arch.all
+    @ List.concat_map
+        (fun (e : Corpus.entry) ->
+          let bin = Corpus.build e in
+          List.filter_map
+            (fun mode ->
+              if mode = Mode.Func_ptr && e.Corpus.e_shape = Corpus.Go_vtab then
+                None
+              else
+                Some
+                  ( Printf.sprintf "corpus/%d/%s/%s" e.Corpus.e_id
+                      (Corpus.shape_name e.Corpus.e_shape)
+                      (Mode.name mode),
+                    bin,
+                    mode ))
+            Mode.all)
+        (Corpus.generate ~seed:7 ~count:21)
+  in
+  let op traced bin mode () =
+    let go () =
+      Rewriter.rewrite
+        ~options:{ Rewriter.default_options with Rewriter.mode }
+        (Icfg_analysis.Parse.parse bin)
+    in
+    ignore
+      (Sys.opaque_identity
+         (if traced then Trace.with_current (Trace.create ()) go else go ()))
+  in
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.minor_heap_size = 4 lsl 20 };
+  let forced =
+    Fun.protect
+      ~finally:(fun () -> Gc.set gc)
+      (fun () ->
+        List.concat_map
+          (fun (name, bin, mode) ->
+            List.filter_map
+              (fun traced ->
+                Gc.full_major ();
+                let c0 = (Gc.quick_stat ()).Gc.minor_collections
+                and w0 = Gc.minor_words () in
+                op traced bin mode ();
+                let c = (Gc.quick_stat ()).Gc.minor_collections - c0
+                and w = Gc.minor_words () -. w0 in
+                if c = 0 then None
+                else
+                  Some
+                    (Printf.sprintf "%s%s: %d in %.0f words" name
+                       (if traced then " (traced)" else "")
+                       c w))
+              [ false; true ])
+          cells)
+  in
+  Alcotest.(check (list string)) "forced minor collections" [] forced
+
 (* ------------------------------------------------------------------ *)
 (* VM runtime counters: buckets partition cycles; RA translations      *)
 (* ------------------------------------------------------------------ *)
@@ -403,6 +483,8 @@ let suite =
         Alcotest.test_case "graded failures: table bounds" `Quick graded_bounds;
         Alcotest.test_case "graded failures: srbi coverage" `Quick graded_srbi;
         Alcotest.test_case "tracing is observation-only" `Quick observation_only;
+        Alcotest.test_case "no forced minor collection" `Quick
+          no_forced_minor_gc;
         Alcotest.test_case "vm cycle buckets" `Quick vm_buckets;
         Alcotest.test_case "vm ra translations" `Quick vm_ra_translations;
         QCheck_alcotest.to_alcotest mode_monotonicity;
